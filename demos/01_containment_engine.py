@@ -33,10 +33,11 @@ points = rng.random((20_000, 3))
 bvh = build_point_bvh(points, half_width=0.03, leaf_size=4)
 print(f"\nBVH over {bvh.num_primitives} boxes: {bvh.num_nodes} nodes, depth {bvh.max_depth()}")
 
-# Traverse: the callback fires once per box containing the query point.
+# Traverse: the callback fires once per box containing the query point and
+# receives the id of the point that box belongs to.
 q = PointQuery(Point3(0.5, 0.5, 0.5))
 hit_ids = []
-hits = traverse_point(bvh, q, lambda hit: hit_ids.append(hit.id))
+hits = traverse_point(bvh, q, hit_ids.append)
 print(f"query {q.origin.as_tuple()}: {hits} hits, e.g. {sorted(hit_ids)[:5]}")
 
 # The same answer by brute force over all boxes.
@@ -47,8 +48,8 @@ print("linear scan agrees:", sorted(hit_ids) == list(inside))
 first = []
 
 
-def stop_after_one(hit):
-    first.append(hit.id)
+def stop_after_one(hit_id):
+    first.append(hit_id)
     return Verdict.TERMINATE
 
 

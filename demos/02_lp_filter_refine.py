@@ -2,12 +2,12 @@
 Filter-refine search for Lp and Chebyshev metrics
 =================================================
 
-A k-NN query under any Lp norm (p >= 1) or the max norm runs in three
-narrowing stages: box hits from the BVH, a sphere pre-filter sized by the
-circumscribing L2 radius, the exact metric-ball test, then a bounded heap
-keeps the best k.  The enhanced variant shrinks the scene boxes to the
-metric ball's true axis extent and drops the sphere stage; it returns the
-same neighbors with less filtering work.
+A k-NN query under any Lp norm (p >= 1) or the max norm runs in two
+stages: box hits from the BVH, whose boxes are sized by the circumscribing
+L2 radius, then one vectorized refine that keeps the hits within distance
+r and takes the best k by (weight, id).  The enhanced variant shrinks the
+scene boxes to the metric ball's true axis extent; it returns the same
+neighbors with less filtering work.
 """
 
 import numpy as np

@@ -20,7 +20,6 @@ from bvhknn import (
     MetricSpec,
     ReductionConfig,
     Transform,
-    apply_transform,
     batch_query,
     build_index,
     knn_search,
@@ -57,7 +56,7 @@ res = knn_search(pts2d, q2d, MetricSpec.euclid2d(), r=0.05, k=3)[0]
 print("\n2D neighbors of (0.5, 0.5):", [(i, round(d, 5)) for i, d in res.neighbors])
 
 # --- Hamming on bit strings --------------------------------------------------
-print("\nbit strings map to cube vertices:", apply_transform(Transform.HAMMING_VERTEX, "101").as_tuple())
+print("\nbit strings map to cube vertices:", transform_points([Transform.HAMMING_VERTEX], ["101"])[0].tolist())
 codes = ["000", "001", "010", "011", "100", "101", "110", "111"]
 res = knn_search(codes, ["011"], MetricSpec.hamming3(), r=3.0, k=4)[0]
 print("nearest to 011 by bit flips:", [(codes[i], int(d)) for i, d in res.neighbors])
@@ -69,7 +68,7 @@ data3 = transform_points([Transform.EMBED_2D], pts2d)
 q3 = transform_points([Transform.EMBED_2D], q2d)
 config = ReductionConfig(MetricSpec.lp(1), r=0.06, k=3)
 bvh = build_index(data3, config, dimension=2)
-res = batch_query(bvh, data3, q3, config, dimension=2)[0]
+res = batch_query(bvh, data3, q3, config)[0]
 print("\nManhattan-on-2D via composition:", [(i, round(d, 5)) for i, d in res.neighbors])
 manhattan = np.abs(pts2d - q2d[0]).sum(axis=1)
 print("matches the direct scan:", res.ids() == list(np.argsort(manhattan, kind="stable")[:3]))

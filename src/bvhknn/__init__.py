@@ -9,16 +9,9 @@ containment with any-hit callbacks, then refined exactly.
 """
 
 from .geometry import Aabb, Point3, PointQuery, aabb_around, aabb_contains, l2_distance
-from .metrics import (
-    MetricSpec,
-    in_lp_ball,
-    inclusion_radius,
-    linf_weight,
-    lp_weight,
-)
+from .metrics import MetricSpec, distances, in_lp_ball, inclusion_radius, weights
 from .bvh import (
     Bvh,
-    HitRecord,
     Primitive,
     TraversalCounters,
     Verdict,
@@ -30,15 +23,11 @@ from .bvh import (
     traverse_point,
 )
 from .pipeline import (
-    NeighborHeap,
     QueryResult,
     ReductionConfig,
     Transform,
-    apply_transform,
     batch_query,
     build_index,
-    enhanced_query,
-    filter_refine_query,
     knn_search,
     pipeline_metric_for,
     run_query,
@@ -59,9 +48,7 @@ __all__ = [
     "Dataset",
     "DatasetFile",
     "GroundTruth",
-    "HitRecord",
     "MetricSpec",
-    "NeighborHeap",
     "Point3",
     "PointQuery",
     "Primitive",
@@ -73,23 +60,19 @@ __all__ = [
     "aabb_around",
     "aabb_contains",
     "aggregate_recall",
-    "apply_transform",
     "batch_query",
     "brute_force_knn",
     "build_bvh",
     "build_index",
     "build_point_bvh",
     "containment_scan",
-    "enhanced_query",
-    "filter_refine_query",
+    "distances",
     "ground_truth",
     "in_lp_ball",
     "inclusion_radius",
     "knn_search",
     "l2_distance",
-    "linf_weight",
     "load_dataset",
-    "lp_weight",
     "node_visits",
     "pipeline_metric_for",
     "primitives_from_points",
@@ -104,4 +87,5 @@ __all__ = [
     "transform_points",
     "transformed_query",
     "traverse_point",
+    "weights",
 ]

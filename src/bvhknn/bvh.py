@@ -3,7 +3,8 @@
 This emulates the accelerator contract the search pipeline relies on: build
 a binary tree of nested boxes over the scene primitives, then for a point
 query invoke an any-hit callback once for every *leaf primitive* whose own
-box contains the query point.  The callback may stop the traversal early.
+box contains the query point.  As in a ray-tracing any-hit program, the
+callback receives only the primitive's id; it may stop the traversal early.
 
 Construction is deterministic: median split on the axis with the longest
 centroid extent (ties broken x, then y, then z), recursing until a node
@@ -45,14 +46,6 @@ class Primitive:
                 raise ValueError(f"primitive box is not centered on its point: {self}")
 
 
-@dataclass(frozen=True, slots=True)
-class HitRecord:
-    """Reported to the any-hit callback: which primitive was hit, and where."""
-
-    id: int
-    center: Point3
-
-
 class Verdict(enum.Enum):
     """Any-hit callback outcome; returning None also continues."""
 
@@ -83,11 +76,10 @@ class _Node:
 class Bvh:
     """Immutable containment-query index; build with :func:`build_bvh`."""
 
-    def __init__(self, nodes, prim_ids, prim_boxes, prim_centers, leaf_size):
+    def __init__(self, nodes, prim_ids, prim_boxes, leaf_size):
         self._nodes: list[_Node] = nodes
         self._prim_ids: list[int] = prim_ids
         self._prim_boxes: list[tuple[float, ...]] = prim_boxes
-        self._prim_centers: list[Point3] = prim_centers
         self.leaf_size = leaf_size
 
     @property
@@ -260,8 +252,7 @@ def _build_from_arrays(box_lo, box_hi, cent, ids, leaf_size: int) -> Bvh:
     perm = np.asarray(order, dtype=np.int64)
     prim_ids = [ids[i] for i in order]
     boxes = np.hstack([box_lo, box_hi])[perm].tolist()
-    prim_centers = [Point3(x, y, z) for x, y, z in cent[perm].tolist()]
-    return Bvh(nodes, prim_ids, boxes, prim_centers, leaf_size)
+    return Bvh(nodes, prim_ids, boxes, leaf_size)
 
 
 def _as_point_array(points) -> np.ndarray:
@@ -305,7 +296,7 @@ def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZ
     return _build_from_arrays(pts - h, pts + h, pts, list(range(len(pts))), leaf_size)
 
 
-AnyHit = Callable[[HitRecord], "Verdict | None"]
+AnyHit = Callable[[int], "Verdict | None"]
 
 
 def traverse_point(
@@ -314,7 +305,7 @@ def traverse_point(
     anyhit: AnyHit,
     counters: TraversalCounters | None = None,
 ) -> int:
-    """Invoke `anyhit` once per leaf primitive whose box contains the query.
+    """Invoke `anyhit(id)` once per leaf primitive whose box contains the query.
 
     Hits are delivered in depth-first order, left child first.  Subtrees
     whose node box excludes the query point are pruned without descending.
@@ -325,7 +316,6 @@ def traverse_point(
     nodes = bvh._nodes
     prim_boxes = bvh._prim_boxes
     prim_ids = bvh._prim_ids
-    prim_centers = bvh._prim_centers
 
     hits = 0
     tested = 0
@@ -344,7 +334,7 @@ def traverse_point(
             pb = prim_boxes[slot]
             if pb[0] <= ox <= pb[3] and pb[1] <= oy <= pb[4] and pb[2] <= oz <= pb[5]:
                 hits += 1
-                verdict = anyhit(HitRecord(prim_ids[slot], prim_centers[slot]))
+                verdict = anyhit(prim_ids[slot])
                 if verdict is Verdict.TERMINATE:
                     if counters is not None:
                         counters.nodes_tested += tested

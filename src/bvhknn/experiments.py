@@ -101,10 +101,10 @@ def run_experiment(dataset: Dataset, config: ReductionConfig, repeats: int = 1,
         t0 = time.perf_counter()
         bvh = build_index(data3, pcfg, dim)
         t1 = time.perf_counter()
-        run = [run_query(bvh, data3, q, pcfg, dim) for q in queries3]
+        run = [run_query(bvh, data3, q, pcfg) for q in queries3]
         t2 = time.perf_counter()
         if source is not None:
-            run = [to_source_units(source, pcfg.metric, res) for res in run]
+            run = [to_source_units(source, res) for res in run]
         build_ms.append((t1 - t0) * 1e3)
         search_ms.append((t2 - t1) * 1e3)
         if results is not None and not _results_equal(results, run):

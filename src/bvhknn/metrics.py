@@ -8,16 +8,19 @@ Two families are supported:
   bit strings of length <= 3), which are mapped onto a native pipeline
   by the transforms in :mod:`bvhknn.pipeline`.
 
-Comparisons inside the pipeline use *weights*: the un-rooted sum
-sum(|d_i|^p) for Lp and max(|d_i|) for LInf.  Weights are order-isomorphic
-to true distances, so sorting by weight sorts by distance; the p-th root
-is taken only when distances are reported.
+Native distances are computed by one vectorized kernel that the oracle
+and the pipeline share: :func:`weights` gives the un-rooted sum
+sum(|d_i|^p) for Lp and max(|d_i|) for LInf per row, and :func:`distances`
+takes the p-th root.  Radius queries keep a point iff its distance is
+<= r and order neighbors by (weight, id).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .geometry import Point3
 
@@ -103,61 +106,41 @@ class MetricSpec:
         raise ValueError(f"unknown metric {text!r}")
 
 
-def lp_weight(a: Point3, b: Point3, p: float) -> float:
-    """Un-rooted Lp weight sum(|a_i - b_i|^p); compare against r**p."""
-    if not math.isfinite(p) or p < 1:
-        raise ValueError(f"p must be finite and >= 1, got {p}")
-    if p == 1.0:
-        return abs(a.x - b.x) + abs(a.y - b.y) + abs(a.z - b.z)
-    if p == 2.0:
-        dx = a.x - b.x
-        dy = a.y - b.y
-        dz = a.z - b.z
-        return dx * dx + dy * dy + dz * dz
-    return abs(a.x - b.x) ** p + abs(a.y - b.y) ** p + abs(a.z - b.z) ** p
+def weights(metric: MetricSpec, points, q) -> np.ndarray:
+    """Weight from `q` to each row of `points` under a native metric.
 
-
-def linf_weight(a: Point3, b: Point3) -> float:
-    """Chebyshev weight max(|a_i - b_i|); already in distance units."""
-    return max(abs(a.x - b.x), abs(a.y - b.y), abs(a.z - b.z))
-
-
-def weight_threshold(metric: MetricSpec, r: float) -> float:
-    """Weight value equivalent to distance r: r**p for Lp, r for LInf."""
-    if metric.kind == KIND_LP:
-        return r ** metric.p
+    The weight is sum(|d_i|) for L1, sum(d_i * d_i) for L2, sum(|d_i|**p)
+    for any other Lp, and max(|d_i|) for LInf, over however many columns
+    the rows have.  It orders like the distance, and :func:`distances`
+    turns it into one.  The oracle and the pipeline both call this kernel,
+    so they round every weight identically.
+    """
+    d = np.asarray(points, dtype=np.float64) - np.asarray(q, dtype=np.float64)
     if metric.kind == KIND_LINF:
-        return r
-    raise ValueError(f"no native weight for metric {metric.canonical()!r}")
-
-
-def metric_weight(a: Point3, b: Point3, metric: MetricSpec) -> float:
-    """Weight between two points under a native metric."""
-    if metric.kind == KIND_LP:
-        return lp_weight(a, b, metric.p)
-    if metric.kind == KIND_LINF:
-        return linf_weight(a, b)
-    raise ValueError(f"no native weight for metric {metric.canonical()!r}")
-
-
-def make_weight(metric: MetricSpec):
-    """Specialized (a, b) -> weight closure for hot loops (no revalidation)."""
-    if metric.kind == KIND_LINF:
-        return linf_weight
+        return np.abs(d).max(axis=1)
     if metric.kind != KIND_LP:
         raise ValueError(f"no native weight for metric {metric.canonical()!r}")
     p = metric.p
     if p == 1.0:
-        return lambda a, b: abs(a.x - b.x) + abs(a.y - b.y) + abs(a.z - b.z)
+        return np.abs(d).sum(axis=1)
     if p == 2.0:
-        def sq(a: Point3, b: Point3) -> float:
-            dx = a.x - b.x
-            dy = a.y - b.y
-            dz = a.z - b.z
-            return dx * dx + dy * dy + dz * dz
+        return (d * d).sum(axis=1)
+    return (np.abs(d) ** p).sum(axis=1)
 
-        return sq
-    return lambda a, b: abs(a.x - b.x) ** p + abs(a.y - b.y) ** p + abs(a.z - b.z) ** p
+
+def distances(metric: MetricSpec, w: np.ndarray) -> np.ndarray:
+    """Distances for weights from :func:`weights`; the only place a root is taken.
+
+    Membership in a radius-r query is decided as ``distances(w) <= r``, so a
+    point whose reported distance is r is inside.
+    """
+    if not metric.is_native:
+        raise ValueError(f"no native distance for metric {metric.canonical()!r}")
+    if metric.kind == KIND_LINF or metric.p == 1.0:
+        return w
+    if metric.p == 2.0:
+        return np.sqrt(w)
+    return w ** (1.0 / metric.p)
 
 
 def inclusion_radius(metric: MetricSpec, r: float, d: int = 3) -> float:
@@ -194,9 +177,13 @@ def in_lp_ball(q: Point3, center: Point3, metric: MetricSpec, r: float) -> bool:
 
     This is the membership test behind the user-filter geometries: sphere
     (p=2), square bi-pyramid (p=1), cube (LInf), and the surfaces between.
+    It compares weights, against the weight of the ball's point r along an
+    axis, so that point is inside for every p; a p-th root of r**p need not
+    round back to r, and the balls would then not nest exactly.
     """
     if not metric.is_native:
         raise ValueError(f"metric {metric.canonical()!r} has no ball geometry")
     if not (r > 0):
         raise ValueError(f"radius must be > 0, got {r}")
-    return metric_weight(q, center, metric) <= weight_threshold(metric, r)
+    w = weights(metric, [q.as_tuple()], center.as_tuple())[0]
+    return bool(w <= weights(metric, [(r, 0.0, 0.0)], (0.0, 0.0, 0.0))[0])

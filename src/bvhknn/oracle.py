@@ -24,8 +24,10 @@ from .metrics import (
     KIND_LINF,
     KIND_LP,
     MetricSpec,
+    distances,
+    weights,
 )
-from .pipeline import Transform, transform_points
+from .pipeline import Transform, pipeline_metric_for, transform_points
 
 NeighborRow = list[tuple[int, float]]
 
@@ -35,16 +37,8 @@ def _distance_and_rank(points, q, metric: MetricSpec):
     pts = np.asarray(points, dtype=np.float64) if not _is_strings(points) else points
     kind = metric.kind
     if kind in (KIND_LP, KIND_LINF):
-        diff = np.abs(np.asarray(pts, dtype=np.float64) - np.asarray(as_point3(q).as_tuple()))
-        if kind == KIND_LINF:
-            dist = diff.max(axis=1)
-        elif metric.p == 1.0:
-            dist = diff.sum(axis=1)
-        elif metric.p == 2.0:
-            dist = np.sqrt((diff * diff).sum(axis=1))
-        else:
-            dist = (diff ** metric.p).sum(axis=1) ** (1.0 / metric.p)
-        return dist, dist
+        w = weights(metric, pts, as_point3(q).as_tuple())
+        return distances(metric, w), w
     if kind in (KIND_COSINE, KIND_ANGULAR):
         unit = transform_points([Transform.NORMALIZE], pts, label="data")
         uq = np.asarray(transform_points([Transform.NORMALIZE], [as_point3(q).as_tuple()], label="query")[0])
@@ -54,19 +48,18 @@ def _distance_and_rank(points, q, metric: MetricSpec):
             return angle, -cos
         return cos, -cos  # similarity reported, still ranked by ascending angle
     if kind == KIND_EUCLID2D:
-        arr = np.asarray(pts, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError(f"euclid2d expects (n, 2) points, got shape {arr.shape}")
-        qx, qy = (float(v) for v in np.asarray(q, dtype=np.float64).reshape(2))
-        diff = arr - (qx, qy)
-        dist = np.sqrt((diff * diff).sum(axis=1))
-        return dist, dist
-    if kind == KIND_HAMMING3:
-        verts = transform_points([Transform.HAMMING_VERTEX], pts, label="data")
-        qv = transform_points([Transform.HAMMING_VERTEX], [q] if isinstance(q, str) else [tuple(q)], label="query")[0]
-        dist = np.abs(verts - qv).sum(axis=1)
-        return dist, dist
-    raise ValueError(f"unsupported metric {metric.canonical()!r}")
+        rows = np.asarray(pts, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != 2:
+            raise ValueError(f"euclid2d expects (n, 2) points, got shape {rows.shape}")
+        qrow = np.asarray(q, dtype=np.float64).reshape(2)
+    elif kind == KIND_HAMMING3:
+        rows = transform_points([Transform.HAMMING_VERTEX], pts, label="data")
+        qrow = transform_points([Transform.HAMMING_VERTEX], [q] if isinstance(q, str) else [tuple(q)], label="query")[0]
+    else:
+        raise ValueError(f"unsupported metric {metric.canonical()!r}")
+    native = pipeline_metric_for(metric)
+    w = weights(native, rows, qrow)
+    return distances(native, w), w
 
 
 def _is_strings(points) -> bool:
@@ -80,6 +73,11 @@ def brute_force_knn(points, q, metric: MetricSpec, k: int, radius: float | None 
     broken by smaller id (for cosine the distance column is the similarity
     and the order is ascending angle).  A radius bound keeps only points
     with distance <= radius (for cosine: similarity >= radius).
+
+    Lp, LInf, 2D Euclidean and Hamming distances come from the weight
+    kernel the pipeline uses, ranked by (weight, id); cosine and angular
+    are computed from dot products, independently of the pipeline's
+    normalize-then-L2 route.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -1,30 +1,29 @@
 """Filter-refine k-NN queries on top of the BVH containment engine.
 
-A query runs in up to three narrowing stages, each of which only discards
-points:
+A query runs in two stages:
 
-1. hardware filter: the BVH reports every primitive box containing the
-   query point (one any-hit callback per box);
-2. pre-filters: the plain pipeline additionally drops hits outside the L2
-   sphere of the circumscribing radius, then both pipelines apply the
-   target-metric ball test (weight <= threshold);
-3. refine: survivors feed a bounded heap keeping the k smallest
-   (weight, id) pairs.
+1. filter: the BVH reports the id of every primitive box containing the
+   query point (one any-hit callback per box), and the query collects them;
+2. refine: one call of the shared weight kernel (:mod:`bvhknn.metrics`)
+   over the hit rows keeps the points whose distance is <= r and takes the
+   k smallest by (weight, id).
 
-The plain and enhanced pipelines differ only in scene box size and in the
-sphere pre-filter; their neighbor lists are always identical.  Metrics
-without a finite circumscribing L2 radius (cosine, angular, 2D Euclidean,
-Hamming) are handled by mapping the points through an order-preserving
-transformation first and running a native pipeline in the mapped space.
+The refine step computes distances exactly as the brute-force oracle
+does, so within the radius the answer is the oracle's, boundary included.
+The plain and enhanced pipelines differ only in scene box size; their
+neighbor lists are always identical.  Metrics without a finite
+circumscribing L2 radius (cosine, angular, 2D Euclidean, Hamming) are
+handled by mapping the points through an order-preserving transformation
+first and running a native pipeline in the mapped space.
 
 Indexes are immutable after build and queries share them read-only; each
-query owns its heap and counters, so query fan-out across workers is safe.
+query owns its hit list and counters, so query fan-out across workers is
+safe.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -37,17 +36,16 @@ from .bvh import (
     build_point_bvh,
     traverse_point,
 )
-from .geometry import Point3, PointQuery, as_point3
+from .geometry import PointQuery, as_point3
 from .metrics import (
     KIND_ANGULAR,
     KIND_COSINE,
     KIND_EUCLID2D,
     KIND_HAMMING3,
-    KIND_LINF,
     MetricSpec,
+    distances,
     inclusion_radius,
-    make_weight,
-    weight_threshold,
+    weights,
 )
 
 
@@ -76,55 +74,17 @@ class ReductionConfig:
             raise ValueError(f"leaf_size must be >= 1, got {self.leaf_size}")
 
 
-class NeighborHeap:
-    """Bounded collector of the k smallest (weight, id) candidates.
-
-    Ties on weight keep the smaller id, regardless of insertion order.
-    """
-
-    __slots__ = ("k", "_heap")
-
-    def __init__(self, k: int):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self.k = k
-        self._heap: list[tuple[float, int]] = []  # (-weight, -id), max on top
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    @property
-    def worst_weight(self) -> float:
-        """Largest kept weight; +inf while the heap is not yet full."""
-        if len(self._heap) < self.k:
-            return math.inf
-        return -self._heap[0][0]
-
-    def insert(self, id: int, weight: float) -> bool:
-        """Offer a candidate; returns True if it was kept."""
-        entry = (-weight, -id)
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, entry)
-            return True
-        if entry > self._heap[0]:
-            heapq.heapreplace(self._heap, entry)
-            return True
-        return False
-
-    def items(self) -> list[tuple[int, float]]:
-        """Kept (id, weight) pairs, ascending by (weight, id)."""
-        return [(-ni, -nw) for nw, ni in sorted(self._heap, reverse=True)]
-
-
 @dataclass(frozen=True, slots=True)
 class QueryResult:
     """Outcome of one query.
 
     `neighbors` holds up to k (id, distance) pairs in target-metric units,
-    ordered by increasing distance (ids break ties).  For the cosine metric
+    ordered by increasing weight, so by increasing distance (ids break
+    ties).  For the cosine metric
     the reported value is the similarity, so it decreases down the list;
     the ordering key is still the ascending angle.  The counts trace the
-    filter chain: hit_count >= candidate_count >= len(neighbors).
+    filter chain: hit_count >= candidate_count >= len(neighbors), where
+    candidates are the hits within distance r.
     """
 
     neighbors: list[tuple[int, float]]
@@ -139,8 +99,8 @@ class QueryResult:
 def scene_half_width(config: ReductionConfig, d: int = 3) -> float:
     """Half width of the per-point scene boxes for this configuration.
 
-    Plain pipeline: the circumscribing L2 radius f(r), so the box always
-    covers the sphere pre-filter.  Enhanced pipeline: r itself, because a
+    Plain pipeline: the circumscribing L2 radius f(r), the scene of the
+    paper's plain reduction.  Enhanced pipeline: r itself, because a
     metric ball of radius r extends exactly r along each axis.
     """
     if not config.metric.is_native:
@@ -157,100 +117,38 @@ def build_index(points, config: ReductionConfig, dimension: int = 3) -> Bvh:
     return build_point_bvh(points, half_width, config.leaf_size)
 
 
-def _report_distance(metric: MetricSpec, weight: float) -> float:
-    if metric.kind == KIND_LINF:
-        return weight
-    p = metric.p
-    if p == 1.0:
-        return weight
-    if p == 2.0:
-        return math.sqrt(weight)
-    return weight ** (1.0 / p)
+def run_query(bvh: Bvh, points, q, config: ReductionConfig) -> QueryResult:
+    """k nearest neighbors of `q` within distance `config.r`, filter then refine.
 
-
-def _run_native(bvh, points, q, config, dimension, sphere_prefilter):
-    if not config.metric.is_native:
+    `bvh` must come from :func:`build_index` over the same `points`, with
+    a plain or enhanced scene; both return the same neighbors.
+    """
+    metric = config.metric
+    if not metric.is_native:
         raise ValueError(
-            f"pipeline queries need a native metric, got {config.metric.canonical()!r}; "
+            f"pipeline queries need a native metric, got {metric.canonical()!r}; "
             "use transformed_query for transform-backed metrics"
         )
-    n = len(points)
-    if bvh.num_primitives != n:
-        raise ValueError(f"index holds {bvh.num_primitives} primitives but dataset has {n}")
+    points = np.asarray(points, dtype=np.float64)
+    if bvh.num_primitives != len(points):
+        raise ValueError(f"index holds {bvh.num_primitives} primitives but dataset has {len(points)}")
     qp = as_point3(q)
-    weight_fn = make_weight(config.metric)
-    threshold = weight_threshold(config.metric, config.r)
-    heap = NeighborHeap(config.k)
-    candidates = 0
-
-    if sphere_prefilter:
-        r_prime = inclusion_radius(config.metric, config.r, dimension)
-        r_prime_sq = r_prime * r_prime
-        qx, qy, qz = qp.x, qp.y, qp.z
-
-        def anyhit(hit):
-            nonlocal candidates
-            c = hit.center
-            dx = c.x - qx
-            dy = c.y - qy
-            dz = c.z - qz
-            if dx * dx + dy * dy + dz * dz > r_prime_sq:
-                return None
-            w = weight_fn(qp, c)
-            if w <= threshold:
-                candidates += 1
-                heap.insert(hit.id, w)
-            return None
-
-    else:
-
-        def anyhit(hit):
-            nonlocal candidates
-            w = weight_fn(qp, hit.center)
-            if w <= threshold:
-                candidates += 1
-                heap.insert(hit.id, w)
-            return None
-
+    hits: list[int] = []
     counters = TraversalCounters()
-    hits = traverse_point(bvh, PointQuery(qp), anyhit, counters)
-    neighbors = [(i, _report_distance(config.metric, w)) for i, w in heap.items()]
-    return QueryResult(neighbors, candidates, hits, counters.nodes_tested)
+    traverse_point(bvh, PointQuery(qp), hits.append, counters)
+    ids = np.array(hits, dtype=np.intp)
+    w = weights(metric, points[ids], qp.as_tuple())
+    dist = distances(metric, w)
+    inside = dist <= config.r
+    ids, w, dist = ids[inside], w[inside], dist[inside]
+    top = np.lexsort((ids, w))[: config.k]
+    neighbors = list(zip(ids[top].tolist(), dist[top].tolist()))
+    return QueryResult(neighbors, len(ids), len(hits), counters.nodes_tested)
 
 
-def filter_refine_query(bvh: Bvh, points, q, config: ReductionConfig, dimension: int = 3) -> QueryResult:
-    """Plain pipeline: hardware filter, sphere pre-filter, metric-ball filter, refine.
-
-    The index must have been built with the plain (enhanced=False) scene
-    half width for this config.
-    """
-    if config.enhanced:
-        raise ValueError("config.enhanced is set; use enhanced_query")
-    return _run_native(bvh, points, q, config, dimension, sphere_prefilter=True)
-
-
-def enhanced_query(bvh: Bvh, points, q, config: ReductionConfig, dimension: int = 3) -> QueryResult:
-    """Tight-geometry pipeline: no sphere pre-filter, scene boxes of half width r.
-
-    For LInf the metric-ball filter coincides with the box itself, so every
-    hardware hit is already a candidate; the weight is still computed to
-    drive refinement.  Results always equal the plain pipeline's.
-    """
-    if not config.enhanced:
-        raise ValueError("config.enhanced is not set; use filter_refine_query")
-    return _run_native(bvh, points, q, config, dimension, sphere_prefilter=False)
-
-
-def run_query(bvh: Bvh, points, q, config: ReductionConfig, dimension: int = 3) -> QueryResult:
-    """Dispatch to the plain or enhanced pipeline per config.enhanced."""
-    if config.enhanced:
-        return enhanced_query(bvh, points, q, config, dimension)
-    return filter_refine_query(bvh, points, q, config, dimension)
-
-
-def batch_query(bvh: Bvh, points, queries, config: ReductionConfig, dimension: int = 3) -> list[QueryResult]:
+def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> list[QueryResult]:
     """Run one query per row of `queries` (each query is independent)."""
-    return [run_query(bvh, points, q, config, dimension) for q in np.asarray(queries, dtype=np.float64)]
+    return [run_query(bvh, points, q, config) for q in np.asarray(queries, dtype=np.float64)]
 
 
 # ---------------------------------------------------------------------------
@@ -265,27 +163,6 @@ class Transform(enum.Enum):
     HAMMING_VERTEX = "hamming_vertex"
 
 
-def apply_transform(t: Transform, p) -> Point3:
-    """Map one input through a transform.
-
-    NORMALIZE takes a nonzero 3-vector to the unit sphere; EMBED_2D lifts
-    (x, y) to (x, y, 0); HAMMING_VERTEX takes a bit string of length <= 3
-    (left-padded with zeros) to the matching unit-cube vertex.
-    """
-    if t is Transform.NORMALIZE:
-        v = as_point3(p)
-        norm = math.sqrt(v.x * v.x + v.y * v.y + v.z * v.z)
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return Point3(v.x / norm, v.y / norm, v.z / norm)
-    if t is Transform.EMBED_2D:
-        x, y = p
-        return Point3(float(x), float(y), 0.0)
-    if t is Transform.HAMMING_VERTEX:
-        return Point3(*_parse_bits(p))
-    raise ValueError(f"unknown transform {t!r}")
-
-
 def _parse_bits(s) -> tuple[float, float, float]:
     if not isinstance(s, str) or not 1 <= len(s) <= 3 or set(s) - {"0", "1"}:
         raise ValueError(f"expected a bit string of length 1..3, got {s!r}")
@@ -296,8 +173,11 @@ def _parse_bits(s) -> tuple[float, float, float]:
 def transform_points(chain: list[Transform], points, label: str = "point") -> np.ndarray:
     """Apply a transform chain to a whole collection, returning an (n, 3) array.
 
-    Rejects inputs a transform cannot accept, naming the offending row
-    (e.g. the index of a zero vector under NORMALIZE).
+    NORMALIZE takes nonzero 3-vectors to the unit sphere; EMBED_2D lifts
+    (x, y) to (x, y, 0); HAMMING_VERTEX takes bit strings of length <= 3
+    (left-padded with zeros) to the matching unit-cube vertices.  Rejects
+    inputs a transform cannot accept, naming the offending row (e.g. the
+    index of a zero vector under NORMALIZE).
     """
     current = points
     for t in chain:
@@ -359,26 +239,21 @@ def pipeline_metric_for(source: MetricSpec) -> MetricSpec:
     raise ValueError(f"metric {source.canonical()!r} is not transform-backed")
 
 
-def _source_distance(source: MetricSpec, weight: float) -> float:
-    """Re-express a range-space weight in source-metric units."""
+def _source_distance(source: MetricSpec, dist: float) -> float:
+    """Re-express a range-space distance in source-metric units."""
     if source.kind == KIND_ANGULAR:
-        # weight is the squared chord between unit vectors
-        return 2.0 * math.asin(min(1.0, math.sqrt(weight) / 2.0))
+        # dist is the chord between unit vectors
+        return 2.0 * math.asin(min(1.0, dist / 2.0))
     if source.kind == KIND_COSINE:
-        return 1.0 - weight / 2.0  # similarity, not a distance
-    if source.kind == KIND_EUCLID2D:
-        return math.sqrt(weight)
-    if source.kind == KIND_HAMMING3:
-        return weight
+        return 1.0 - dist * dist / 2.0  # similarity, not a distance
+    if source.kind in (KIND_EUCLID2D, KIND_HAMMING3):
+        return dist
     raise ValueError(f"metric {source.canonical()!r} is not transform-backed")
 
 
-def to_source_units(source: MetricSpec, pipeline_metric: MetricSpec, res: QueryResult) -> QueryResult:
+def to_source_units(source: MetricSpec, res: QueryResult) -> QueryResult:
     """Re-express a range-space result's distances in source-metric units."""
-    neighbors = []
-    for i, dist in res.neighbors:
-        w = dist * dist if pipeline_metric.p == 2.0 else dist
-        neighbors.append((i, _source_distance(source, w)))
+    neighbors = [(i, _source_distance(source, dist)) for i, dist in res.neighbors]
     return QueryResult(neighbors, res.candidate_count, res.hit_count, res.node_visits)
 
 
@@ -408,8 +283,8 @@ def transformed_query(data, queries, source: MetricSpec, config: ReductionConfig
     bvh = build_index(data3, config, dimension)
     out = []
     for row in queries3:
-        res = run_query(bvh, data3, row, config, dimension)
-        out.append(to_source_units(source, expected, res))
+        res = run_query(bvh, data3, row, config)
+        out.append(to_source_units(source, res))
     return out
 
 

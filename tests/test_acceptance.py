@@ -19,22 +19,22 @@ from bvhknn import (
     build_index,
     build_point_bvh,
     brute_force_knn,
-    enhanced_query,
-    filter_refine_query,
+    distances,
     in_lp_ball,
     inclusion_radius,
     l2_distance,
     node_visits,
     recall,
+    run_query,
     scene_half_width,
     sweep,
     transform_points,
     traverse_point,
+    weights,
     Dataset,
     Transform,
 )
 from bvhknn.cli import main
-from bvhknn.metrics import metric_weight, weight_threshold
 
 L1, L2, L3, LINF = MetricSpec.lp(1), MetricSpec.lp(2), MetricSpec.lp(3), MetricSpec.linf()
 EXACTNESS_METRICS = (L1, L2, L3, LINF)
@@ -67,8 +67,8 @@ def exactness_study():
                 enh_bvh = plain_bvh
             else:
                 enh_bvh = build_index(pts, enh_cfg)
-            plain = [filter_refine_query(plain_bvh, pts, q, plain_cfg) for q in queries]
-            enh = [enhanced_query(enh_bvh, pts, q, enh_cfg) for q in queries]
+            plain = [run_query(plain_bvh, pts, q, plain_cfg) for q in queries]
+            enh = [run_query(enh_bvh, pts, q, enh_cfg) for q in queries]
 
             truth_ids = [[i for i, _ in row] for row in truth]
             records.append(
@@ -153,7 +153,8 @@ def test_criterion_3_inclusion_property():
             else:
                 t = r * 3 ** (-1.0 / metric.p)
                 extremal = Point3(t, t, t)
-            if metric_weight(extremal, Point3(0, 0, 0), metric) > weight_threshold(metric, r) * (1 + 1e-12):
+            w = weights(metric, [extremal.as_tuple()], (0.0, 0.0, 0.0))
+            if distances(metric, w)[0] > r * (1 + 1e-12):
                 tight = False
             if abs(l2_distance(extremal, Point3(0, 0, 0)) - inclusion_radius(metric, r, 3)) >= 1e-9:
                 tight = False
@@ -238,7 +239,7 @@ def test_criterion_5_bvh_contract():
         queries = np.vstack([srng.uniform(0, 2, size=(6, 3)), srng.uniform(-1, 3, size=(2, 3))])
         for q in queries:
             got = []
-            traverse_point(bvh, PointQuery(Point3(*q)), lambda h: got.append(h.id))
+            traverse_point(bvh, PointQuery(Point3(*q)), got.append)
             want = np.flatnonzero(((lo <= q) & (q <= hi)).all(axis=1))
             if sorted(got) != list(want):
                 mismatches += 1

@@ -1,0 +1,94 @@
+"""Exact radius boundaries: the pipeline must equal the oracle with r unpadded.
+
+Every case runs `knn_search` and `brute_force_knn(..., radius=r)` at the
+same r and asserts identical (id, distance) lists, and that no reported
+distance exceeds r.  The scenes put points on or next to the radius:
+exactly r along one axis, the oracle's own k-th distance used as r, and
+duplicate points that tie on weight.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bvhknn import MetricSpec, brute_force_knn, knn_search, weights
+
+METRICS = [MetricSpec.lp(1), MetricSpec.lp(1.5), MetricSpec.lp(2), MetricSpec.lp(3), MetricSpec.linf()]
+SCENES = 100
+
+
+def assert_matches_oracle(pts, queries, metric, r, k, enhanced):
+    results = knn_search(pts, queries, metric, r=r, k=k, enhanced=enhanced)
+    for res, q in zip(results, queries):
+        assert res.neighbors == brute_force_knn(pts, q, metric, k, radius=r)
+        assert all(d <= r for _, d in res.neighbors)
+    return results
+
+
+@pytest.mark.parametrize("enhanced", [False, True])
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.canonical())
+def test_points_exactly_r_along_an_axis(metric, enhanced):
+    rng = np.random.default_rng(101)
+    for _ in range(SCENES):
+        q = rng.random(3)
+        r = float(rng.uniform(0.05, 0.5))
+        axis = np.vstack([q + r * np.eye(3), q - r * np.eye(3)])
+        fill = q + rng.uniform(-r, r, size=(20, 3))
+        pts = rng.permutation(np.vstack([axis, fill]))
+        assert_matches_oracle(pts, [q], metric, r, len(pts), enhanced)
+
+
+@pytest.mark.parametrize("enhanced", [False, True])
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.canonical())
+def test_oracle_kth_distance_as_radius(metric, enhanced):
+    rng = np.random.default_rng(202)
+    k = 5
+    for _ in range(SCENES):
+        pts = rng.random((150, 3))
+        queries = rng.random((4, 3))
+        r = brute_force_knn(pts, queries[0], metric, k)[-1][1]
+        results = assert_matches_oracle(pts, queries, metric, r, k, enhanced)
+        assert len(results[0].neighbors) == k  # the k-th neighbor sits on r and is kept
+
+
+@pytest.mark.parametrize("enhanced", [False, True])
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.canonical())
+def test_duplicate_points_tie_by_id(metric, enhanced):
+    rng = np.random.default_rng(303)
+    k = 6
+    for _ in range(SCENES // 4):
+        distinct = rng.random((12, 3))
+        pts = distinct[rng.integers(0, len(distinct), size=60)]
+        q = rng.random(3)
+        r = brute_force_knn(pts, q, metric, k)[-1][1]
+        res = assert_matches_oracle(pts, [q], metric, r, k, enhanced)[0]
+        assert len(res.neighbors) == k
+        # every copy of the k-th point is on r; the smallest ids are kept, in order
+        copies = np.flatnonzero((pts == pts[res.neighbors[-1][0]]).all(axis=1)).tolist()
+        kept = [i for i, _ in res.neighbors if i in copies]
+        assert kept == copies[: len(kept)]
+
+
+lattice = st.integers(0, 4).map(lambda i: i * 0.25)
+half_lattice = st.integers(0, 8).map(lambda i: i * 0.125)
+
+
+@given(
+    pts=st.lists(st.tuples(lattice, lattice, lattice), min_size=1, max_size=40),
+    q=st.tuples(half_lattice, half_lattice, half_lattice),
+    metric=st.sampled_from(METRICS),
+    enhanced=st.booleans(),
+    k=st.integers(1, 8),
+    r=st.one_of(st.none(), st.integers(1, 8).map(lambda i: i * 0.25)),
+)
+@settings(deadline=None, max_examples=200)
+def test_pipeline_matches_oracle_on_lattice(pts, q, metric, enhanced, k, r):
+    # quantized coordinates make equal weights common: ties must break by
+    # smaller id whatever order the BVH delivers the hits in
+    pts = np.array(pts)
+    if r is None:  # the oracle's own k-th distance, when it is positive
+        r = brute_force_knn(pts, q, metric, k)[-1][1] or 0.25
+    res = assert_matches_oracle(pts, [q], metric, r, k, enhanced)[0]
+    ids = res.ids()
+    keys = list(zip(weights(metric, pts[ids], q).tolist(), ids))
+    assert keys == sorted(keys)

@@ -22,7 +22,7 @@ def query(x, y, z):
 
 def collect_hits(bvh, q):
     got = []
-    traverse_point(bvh, q, lambda hit: got.append(hit.id))
+    traverse_point(bvh, q, got.append)
     return got
 
 
@@ -103,14 +103,14 @@ def test_traverse_trivial_scene():
     assert node_visits(bvh, query(100, 0, 0)) == 1  # root excludes, nothing else tested
 
 
-def test_hit_record_carries_center():
+def test_anyhit_receives_primitive_id():
     prims = primitives_from_points([[1.5, 2.5, 3.5]], 1.0)
     bvh = build_bvh(prims, 4)
     seen = []
-    traverse_point(bvh, query(1.5, 2.5, 3.5), lambda h: seen.append(h))
+    traverse_point(bvh, query(1.5, 2.5, 3.5), seen.append)
     assert len(seen) == 1
-    assert seen[0].id == 0
-    assert seen[0].center == Point3(1.5, 2.5, 3.5)
+    assert seen[0] == 0 and type(seen[0]) is int
+    assert prims[seen[0]].center == Point3(1.5, 2.5, 3.5)
 
 
 @pytest.mark.parametrize("leaf_size", [1, 3, 8])
@@ -134,7 +134,7 @@ def test_termination_semantics():
         seen = []
 
         def anyhit(hit):
-            seen.append(hit.id)
+            seen.append(hit)
             return Verdict.TERMINATE if len(seen) >= stop_after else Verdict.CONTINUE
 
         delivered = traverse_point(bvh, q, anyhit)

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from bvhknn import MetricSpec, Point3, in_lp_ball, inclusion_radius, l2_distance, linf_weight, lp_weight
-from bvhknn.metrics import metric_weight, weight_threshold
+from bvhknn import MetricSpec, Point3, distances, in_lp_ball, inclusion_radius, l2_distance, weights
 
 ORIGIN = Point3(0, 0, 0)
+LINF = MetricSpec.linf()
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
 pt = st.builds(Point3, coord, coord, coord)
@@ -16,23 +16,71 @@ metric_st = st.sampled_from(
 )
 
 
+def weight(metric, a, b):
+    """The kernel's weight between two single points."""
+    return float(weights(metric, [a.as_tuple()], b.as_tuple())[0])
+
+
+def distance(metric, a, b):
+    """The kernel's distance between two single points."""
+    return float(distances(metric, weights(metric, [a.as_tuple()], b.as_tuple()))[0])
+
+
 def test_lp_weight_examples():
-    assert lp_weight(ORIGIN, Point3(1, 2, 2), 1) == 5.0
-    assert lp_weight(ORIGIN, Point3(1, 2, 2), 2) == 9.0
-    assert lp_weight(ORIGIN, Point3(0.5, 0.5, 0.5), 3) == pytest.approx(0.375, rel=1e-15)
+    assert weight(MetricSpec.lp(1), ORIGIN, Point3(1, 2, 2)) == 5.0
+    assert weight(MetricSpec.lp(2), ORIGIN, Point3(1, 2, 2)) == 9.0
+    assert weight(MetricSpec.lp(3), ORIGIN, Point3(0.5, 0.5, 0.5)) == pytest.approx(0.375, rel=1e-15)
 
 
 def test_lp_weight_rejects_quasinorm():
     with pytest.raises(ValueError):
-        lp_weight(ORIGIN, Point3(1, 1, 1), 0.5)
+        weight(MetricSpec.lp(0.5), ORIGIN, Point3(1, 1, 1))
     with pytest.raises(ValueError):
         MetricSpec.lp(0.99)
 
 
 def test_linf_weight_examples():
-    assert linf_weight(ORIGIN, Point3(1, 2, 2)) == 2.0
-    assert linf_weight(Point3(0.9, 0.9, 0.9), ORIGIN) == 0.9
-    assert linf_weight(Point3(3, -1, 2), Point3(3, -1, 2)) == 0.0
+    assert weight(LINF, ORIGIN, Point3(1, 2, 2)) == 2.0
+    assert weight(LINF, Point3(0.9, 0.9, 0.9), ORIGIN) == 0.9
+    assert weight(LINF, Point3(3, -1, 2), Point3(3, -1, 2)) == 0.0
+
+
+def _reference_distance(metric, a, b):
+    """The distance by plain `math`, independent of the numpy kernel."""
+    d = [abs(x - y) for x, y in zip(a, b)]
+    if metric.kind == "linf":
+        return max(d), max(d)
+    w = math.fsum(v ** metric.p for v in d)
+    return w, (math.sqrt(w) if metric.p == 2 else w ** (1 / metric.p))
+
+
+@given(
+    st.lists(st.tuples(coord, coord, coord), min_size=1, max_size=20),
+    st.tuples(coord, coord, coord),
+    st.sampled_from([2, 3]),
+    metric_st,
+)
+@settings(deadline=None)
+def test_kernel_matches_math_reference(rows, q, ncols, metric):
+    rows = [row[:ncols] for row in rows]
+    q = q[:ncols]
+    # keep |d|**p clear of the subnormal range, where relative error is unbounded
+    assume(all(x == y or abs(x - y) >= 1e-20 for row in rows for x, y in zip(row, q)))
+    w = weights(metric, rows, q)
+    dist = distances(metric, w)
+    assert w.shape == dist.shape == (len(rows),)
+    for row, got_w, got_d in zip(rows, w.tolist(), dist.tolist()):
+        want_w, want_d = _reference_distance(metric, row, q)
+        assert got_w == pytest.approx(want_w, rel=1e-12, abs=0.0)
+        assert got_d == pytest.approx(want_d, rel=1e-12, abs=0.0)
+
+
+def test_kernel_rejects_transform_metrics():
+    for m in (MetricSpec.cosine(), MetricSpec.angular(), MetricSpec.euclid2d(), MetricSpec.hamming3()):
+        with pytest.raises(ValueError):
+            weights(m, [(0.0, 0.0, 0.0)], (1.0, 0.0, 0.0))
+        with pytest.raises(ValueError):
+            distances(m, np.zeros(1))
 
 
 def test_inclusion_radius_values():
@@ -98,19 +146,15 @@ def test_inclusion_tightness_at_extremes(metric, r):
     else:
         t = r * 3 ** (-1.0 / metric.p)
         extremal = Point3(t, t, t)
-    assert metric_weight(extremal, ORIGIN, metric) <= weight_threshold(metric, r) * (1 + 1e-12)
+    assert distance(metric, extremal, ORIGIN) <= r * (1 + 1e-12)
     assert abs(l2_distance(extremal, ORIGIN) - inclusion_radius(metric, r, 3)) < 1e-9
 
 
 @given(pt, pt, pt, metric_st)
 @settings(deadline=None)
 def test_weight_orders_like_distance(q, a, b, metric):
-    wa, wb = metric_weight(q, a, metric), metric_weight(q, b, metric)
-    # true distances: take the root for Lp, identity for LInf
-    if metric.kind == "lp":
-        da, db = wa ** (1 / metric.p), wb ** (1 / metric.p)
-    else:
-        da, db = wa, wb
+    w = weights(metric, [a.as_tuple(), b.as_tuple()], q.as_tuple())
+    (wa, wb), (da, db) = w.tolist(), distances(metric, w).tolist()
     if wa < wb:
         assert da <= db
     if wa == wb:

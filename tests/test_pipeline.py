@@ -2,22 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from bvhknn import (
     MetricSpec,
-    NeighborHeap,
-    Point3,
     ReductionConfig,
     Transform,
-    apply_transform,
     batch_query,
     brute_force_knn,
     build_index,
-    enhanced_query,
-    filter_refine_query,
     knn_search,
     pipeline_metric_for,
+    run_query,
     scene_half_width,
     transform_chain_for,
     transform_points,
@@ -28,45 +23,6 @@ L1 = MetricSpec.lp(1)
 L2 = MetricSpec.lp(2)
 L3 = MetricSpec.lp(3)
 LINF = MetricSpec.linf()
-
-
-# --- NeighborHeap -----------------------------------------------------------
-
-def test_heap_basics():
-    h = NeighborHeap(2)
-    assert h.worst_weight == math.inf
-    h.insert(3, 0.5)
-    h.insert(1, 0.2)
-    h.insert(2, 0.9)  # rejected, heap full with better entries
-    assert h.items() == [(1, 0.2), (3, 0.5)]
-    assert h.worst_weight == 0.5
-
-
-def test_heap_tie_keeps_smaller_id():
-    h = NeighborHeap(2)
-    for i in (2, 1, 0):  # arrival order is not id order
-        h.insert(i, 1.0)
-    assert h.items() == [(0, 1.0), (1, 1.0)]
-
-
-def test_heap_rejects_bad_k():
-    with pytest.raises(ValueError):
-        NeighborHeap(0)
-
-
-@given(
-    st.lists(st.tuples(st.integers(0, 50), st.floats(0, 100, allow_nan=False)), min_size=0, max_size=60),
-    st.integers(1, 8),
-)
-@settings(deadline=None)
-def test_heap_matches_sorted_oracle(entries, k):
-    h = NeighborHeap(k)
-    for i, w in entries:
-        h.insert(i, w)
-    expected = sorted(((w, i) for i, w in entries))[:k]
-    assert h.items() == [(i, w) for w, i in expected]
-    if len(entries) >= k and expected:
-        assert h.worst_weight == expected[-1][0]
 
 
 # --- scene geometry ---------------------------------------------------------
@@ -101,17 +57,18 @@ def test_plain_three_point_l1():
     pts = np.array([[0, 0, 0], [1, 0, 0], [3, 0, 0]], float)
     cfg = ReductionConfig(L1, 1.0, 2)
     bvh = build_index(pts, cfg)
-    res = filter_refine_query(bvh, pts, [0.4, 0, 0], cfg)
+    res = run_query(bvh, pts, [0.4, 0, 0], cfg)
     assert res.neighbors == [(0, pytest.approx(0.4)), (1, pytest.approx(0.6))]
     assert res.hit_count >= res.candidate_count >= len(res.neighbors)
 
 
 def test_plain_linf_sphere_prefilter_admits_corner():
-    # r' = sqrt(3) lets the corner point through although its L2 > 1
+    # plain boxes of half width r' = sqrt(3) circumscribe the unit cube, so
+    # the corner point is hit and kept although its L2 distance is > 1
     pts = np.array([[0.9, 0.9, 0.9]])
     cfg = ReductionConfig(LINF, 1.0, 1)
     bvh = build_index(pts, cfg)
-    res = filter_refine_query(bvh, pts, [0, 0, 0], cfg)
+    res = run_query(bvh, pts, [0, 0, 0], cfg)
     assert res.neighbors == [(0, pytest.approx(0.9))]
 
 
@@ -119,8 +76,8 @@ def test_enhanced_equals_plain_on_three_point_scene():
     pts = np.array([[0, 0, 0], [1, 0, 0], [3, 0, 0]], float)
     plain_cfg = ReductionConfig(L1, 1.0, 2)
     enh_cfg = ReductionConfig(L1, 1.0, 2, enhanced=True)
-    plain = filter_refine_query(build_index(pts, plain_cfg), pts, [0.4, 0, 0], plain_cfg)
-    enh = enhanced_query(build_index(pts, enh_cfg), pts, [0.4, 0, 0], enh_cfg)
+    plain = run_query(build_index(pts, plain_cfg), pts, [0.4, 0, 0], plain_cfg)
+    enh = run_query(build_index(pts, enh_cfg), pts, [0.4, 0, 0], enh_cfg)
     assert plain.neighbors == enh.neighbors
 
 
@@ -128,19 +85,16 @@ def test_enhanced_linf_excludes_point_outside_box():
     pts = np.array([[0.9, 0.9, 0.9], [1.1, 0, 0]])
     cfg = ReductionConfig(LINF, 1.0, 2, enhanced=True)
     bvh = build_index(pts, cfg)
-    res = enhanced_query(bvh, pts, [0, 0, 0], cfg)
+    res = run_query(bvh, pts, [0, 0, 0], cfg)
     assert res.neighbors == [(0, pytest.approx(0.9))]
     assert res.hit_count == 1  # the second box does not contain the origin
 
 
-def test_pipeline_flag_mismatch_rejected():
-    pts = np.zeros((1, 3))
-    cfg = ReductionConfig(L1, 1.0, 1)
-    bvh = build_index(pts, cfg)
-    with pytest.raises(ValueError):
-        enhanced_query(bvh, pts, [0, 0, 0], cfg)
-    with pytest.raises(ValueError):
-        filter_refine_query(bvh, pts, [0, 0, 0], ReductionConfig(L1, 1.0, 1, enhanced=True))
+def test_tie_keeps_smaller_id():
+    # three points at L1 distance 1.0; the BVH delivers them as ids 2, 1, 0
+    pts = np.array([[1, 0, 0], [0, 1, 0], [-1, 0, 0]], float)
+    res = knn_search(pts, [[0, 0, 0]], L1, r=1.0, k=2)[0]
+    assert res.neighbors == [(0, 1.0), (1, 1.0)]
 
 
 def test_fewer_than_k_in_range_returns_short_list():
@@ -197,15 +151,15 @@ def test_radius_monotone_recall():
 # --- transforms -------------------------------------------------------------
 
 def test_apply_transform_examples():
-    assert apply_transform(Transform.NORMALIZE, (3, 4, 0)) == Point3(0.6, 0.8, 0.0)
-    assert apply_transform(Transform.EMBED_2D, (1, 2)) == Point3(1, 2, 0)
-    assert apply_transform(Transform.HAMMING_VERTEX, "101") == Point3(1, 0, 1)
-    assert apply_transform(Transform.HAMMING_VERTEX, "1") == Point3(0, 0, 1)  # left-padded
+    assert transform_points([Transform.NORMALIZE], [(3, 4, 0)]).tolist() == [[0.6, 0.8, 0.0]]
+    assert transform_points([Transform.EMBED_2D], [(1, 2)]).tolist() == [[1, 2, 0]]
+    assert transform_points([Transform.HAMMING_VERTEX], ["101"]).tolist() == [[1, 0, 1]]
+    assert transform_points([Transform.HAMMING_VERTEX], ["1"]).tolist() == [[0, 0, 1]]  # left-padded
 
 
 def test_normalize_rejects_zero_vector():
     with pytest.raises(ValueError):
-        apply_transform(Transform.NORMALIZE, (0, 0, 0))
+        transform_points([Transform.NORMALIZE], [(0, 0, 0)])
     with pytest.raises(ValueError, match="index 1"):
         transform_points([Transform.NORMALIZE], np.array([[1, 0, 0], [0, 0, 0]], float))
 
@@ -213,16 +167,17 @@ def test_normalize_rejects_zero_vector():
 def test_hamming_vertex_rejects_bad_strings():
     for bad in ("", "0110", "21", 5):
         with pytest.raises(ValueError):
-            apply_transform(Transform.HAMMING_VERTEX, bad)
+            transform_points([Transform.HAMMING_VERTEX], [bad])
 
 
 def test_transform_points_matches_scalar():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(50, 3))
     batch = transform_points([Transform.NORMALIZE], pts)
-    for row, out in zip(pts, batch):
-        single = apply_transform(Transform.NORMALIZE, row)
-        assert single.as_tuple() == pytest.approx(tuple(out), rel=1e-15)
+    for (x, y, z), out in zip(pts.tolist(), batch):
+        norm = math.sqrt(x * x + y * y + z * z)
+        single = (x / norm, y / norm, z / norm)
+        assert single == pytest.approx(tuple(out), rel=1e-15)
 
 
 def test_chain_resolution():
@@ -332,7 +287,7 @@ def test_composed_embed_then_l1():
     queries3 = transform_points([Transform.EMBED_2D], queries2)
     cfg = ReductionConfig(L1, 0.4, 5)
     bvh = build_index(data3, cfg, dimension=2)
-    results = batch_query(bvh, data3, queries3, cfg, dimension=2)
+    results = batch_query(bvh, data3, queries3, cfg)
     for res, q in zip(results, queries2):
         l1 = np.abs(data2 - q).sum(axis=1)
         in_range = np.flatnonzero(l1 <= 0.4)
