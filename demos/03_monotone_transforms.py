@@ -67,7 +67,7 @@ print("nearest to 011 by bit flips:", [(codes[i], int(d)) for i, d in res.neighb
 data3 = transform_points([Transform.EMBED_2D], pts2d)
 q3 = transform_points([Transform.EMBED_2D], q2d)
 config = ReductionConfig(MetricSpec.lp(1), r=0.06, k=3)
-bvh = build_index(data3, config, dimension=2)
+bvh = build_index(data3, config)
 res = batch_query(bvh, data3, q3, config)[0]
 print("\nManhattan-on-2D via composition:", [(i, round(d, 5)) for i, d in res.neighbors])
 manhattan = np.abs(pts2d - q2d[0]).sum(axis=1)

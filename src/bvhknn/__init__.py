@@ -12,14 +12,11 @@ from .geometry import Aabb, Point3, PointQuery, aabb_around, aabb_contains, l2_d
 from .metrics import MetricSpec, distances, in_lp_ball, inclusion_radius, weights
 from .bvh import (
     Bvh,
-    Primitive,
     TraversalCounters,
     Verdict,
-    build_bvh,
     build_point_bvh,
     containment_scan,
     node_visits,
-    primitives_from_points,
     traverse_point,
 )
 from .pipeline import (
@@ -34,7 +31,6 @@ from .pipeline import (
     scene_half_width,
     transform_chain_for,
     transform_points,
-    transformed_query,
 )
 from .oracle import GroundTruth, aggregate_recall, brute_force_knn, ground_truth, recall
 from .datasets import DatasetFile, load_dataset, read_records, synthetic_points
@@ -51,7 +47,6 @@ __all__ = [
     "MetricSpec",
     "Point3",
     "PointQuery",
-    "Primitive",
     "QueryResult",
     "ReductionConfig",
     "Transform",
@@ -62,7 +57,6 @@ __all__ = [
     "aggregate_recall",
     "batch_query",
     "brute_force_knn",
-    "build_bvh",
     "build_index",
     "build_point_bvh",
     "containment_scan",
@@ -75,7 +69,6 @@ __all__ = [
     "load_dataset",
     "node_visits",
     "pipeline_metric_for",
-    "primitives_from_points",
     "read_records",
     "recall",
     "run_experiment",
@@ -85,7 +78,6 @@ __all__ = [
     "synthetic_points",
     "transform_chain_for",
     "transform_points",
-    "transformed_query",
     "traverse_point",
     "weights",
 ]

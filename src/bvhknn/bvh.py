@@ -1,10 +1,12 @@
 """Bounding volume hierarchy over per-point boxes, queried by containment.
 
 This emulates the accelerator contract the search pipeline relies on: build
-a binary tree of nested boxes over the scene primitives, then for a point
-query invoke an any-hit callback once for every *leaf primitive* whose own
-box contains the query point.  As in a ray-tracing any-hit program, the
-callback receives only the primitive's id; it may stop the traversal early.
+a binary tree of nested boxes over the scene primitives, one cube around
+each data point (:func:`build_point_bvh`), then for a point query invoke an
+any-hit callback once for every *leaf primitive* whose own box contains the
+query point.  As in a ray-tracing any-hit program, the callback receives
+only the primitive's id, the row index of its point; it may stop the
+traversal early.
 
 Construction is deterministic: median split on the axis with the longest
 centroid extent (ties broken x, then y, then z), recursing until a node
@@ -17,33 +19,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .geometry import Aabb, Point3, PointQuery, aabb_contains
+from .geometry import Aabb, Point3, PointQuery
 
 DEFAULT_LEAF_SIZE = 4
-
-
-@dataclass(frozen=True, slots=True)
-class Primitive:
-    """One scene object: a box centered on a data point, tagged with its id."""
-
-    id: int
-    box: Aabb
-    center: Point3
-
-    def __post_init__(self):
-        for lo, hi, c in (
-            (self.box.min.x, self.box.max.x, self.center.x),
-            (self.box.min.y, self.box.max.y, self.center.y),
-            (self.box.min.z, self.box.max.z, self.center.z),
-        ):
-            below, above = c - lo, hi - c
-            tol = 1e-9 * max(1.0, abs(c), above)
-            if below < -tol or above < -tol or abs(below - above) > tol:
-                raise ValueError(f"primitive box is not centered on its point: {self}")
 
 
 class Verdict(enum.Enum):
@@ -74,7 +56,7 @@ class _Node:
 
 
 class Bvh:
-    """Immutable containment-query index; build with :func:`build_bvh`."""
+    """Immutable containment-query index; build with :func:`build_point_bvh`."""
 
     def __init__(self, nodes, prim_ids, prim_boxes, leaf_size):
         self._nodes: list[_Node] = nodes
@@ -145,32 +127,11 @@ class Bvh:
         return "\n".join(lines)
 
 
-def build_bvh(primitives: Sequence[Primitive], leaf_size: int = DEFAULT_LEAF_SIZE) -> Bvh:
-    """Build a BVH over the given primitives.
-
-    Every node box contains all descendant primitive boxes, every primitive
-    lands in exactly one leaf, and identical input always yields the
-    identical tree.
-    """
-    if len(primitives) == 0:
-        raise ValueError("cannot build a BVH over zero primitives")
-    n = len(primitives)
-    box_lo = np.empty((n, 3), dtype=np.float64)
-    box_hi = np.empty((n, 3), dtype=np.float64)
-    cent = np.empty((n, 3), dtype=np.float64)
-    ids = []
-    for i, prim in enumerate(primitives):
-        box_lo[i] = (prim.box.min.x, prim.box.min.y, prim.box.min.z)
-        box_hi[i] = (prim.box.max.x, prim.box.max.y, prim.box.max.z)
-        cent[i] = (prim.center.x, prim.center.y, prim.center.z)
-        ids.append(prim.id)
-    return _build_from_arrays(box_lo, box_hi, cent, ids, leaf_size)
-
-
-def _build_from_arrays(box_lo, box_hi, cent, ids, leaf_size: int) -> Bvh:
+def _build_from_arrays(box_lo, box_hi, cent, leaf_size: int) -> Bvh:
+    """Median-split build; primitive i is row i of the arrays, so its id is i."""
     if leaf_size < 1:
         raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
-    n = len(ids)
+    n = len(cent)
 
     # Sort positions once per centroid axis (stable: coordinate, then input
     # position); splits below only partition these lists, never re-sort.
@@ -249,10 +210,8 @@ def _build_from_arrays(box_lo, box_hi, cent, ids, leaf_size: int) -> Bvh:
 
     build(by_axis[0], by_axis[1], by_axis[2])
 
-    perm = np.asarray(order, dtype=np.int64)
-    prim_ids = [ids[i] for i in order]
-    boxes = np.hstack([box_lo, box_hi])[perm].tolist()
-    return Bvh(nodes, prim_ids, boxes, leaf_size)
+    boxes = np.hstack([box_lo, box_hi])[order].tolist()
+    return Bvh(nodes, order, boxes, leaf_size)
 
 
 def _as_point_array(points) -> np.ndarray:
@@ -270,30 +229,17 @@ def _check_half_width(half_width: float) -> float:
     return float(half_width)
 
 
-def primitives_from_points(points, half_width: float) -> list[Primitive]:
-    """Uniform scene helper: one cube of the given half width per point.
-
-    `points` is an (n, 3) array-like; ids are the row indices.
-    """
-    h = _check_half_width(half_width)
-    pts = _as_point_array(points)
-    prims = []
-    for i, (x, y, z) in enumerate(pts.tolist()):
-        center = Point3(x, y, z)
-        box = Aabb(Point3(x - h, y - h, z - h), Point3(x + h, y + h, z + h))
-        prims.append(Primitive(i, box, center))
-    return prims
-
-
 def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZE) -> Bvh:
-    """Build the uniform point scene directly from an (n, 3) array.
+    """Build a BVH over one cube of half width `half_width` per point.
 
-    Identical output to build_bvh(primitives_from_points(...)) without the
-    per-primitive object overhead; this is the bulk ingestion path.
+    `points` is a non-empty (n, 3) array-like; primitive i is the cube
+    around row i, and its id is i.  Every node box contains all descendant
+    primitive boxes, every primitive lands in exactly one leaf, and
+    identical input always yields the identical tree.
     """
     h = _check_half_width(half_width)
     pts = _as_point_array(points)
-    return _build_from_arrays(pts - h, pts + h, pts, list(range(len(pts))), leaf_size)
+    return _build_from_arrays(pts - h, pts + h, pts, leaf_size)
 
 
 AnyHit = Callable[[int], "Verdict | None"]
@@ -351,9 +297,13 @@ def node_visits(bvh: Bvh, q: PointQuery) -> int:
     return counters.nodes_tested
 
 
-def containment_scan(primitives: Sequence[Primitive], q: PointQuery) -> list[int]:
-    """Brute-force hit set: ids of all primitives whose box contains q.
+def containment_scan(points, half_width: float, q: PointQuery) -> list[int]:
+    """Brute-force hit set: ids of all points whose cube contains q.
 
-    Independent linear-scan oracle for the traversal; O(n) per query.
+    Independent linear-scan oracle for the traversal of
+    ``build_point_bvh(points, half_width)``; O(n) per query.
     """
-    return [p.id for p in primitives if aabb_contains(p.box, q.origin)]
+    h = _check_half_width(half_width)
+    pts = _as_point_array(points)
+    o = np.asarray(q.origin.as_tuple())
+    return np.flatnonzero(((pts - h <= o) & (o <= pts + h)).all(axis=1)).tolist()

@@ -14,12 +14,20 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 from .datasets import FORMATS, DatasetFile, load_dataset, read_records, synthetic_points
-from .experiments import SWEEP_AXES, Dataset, prepare_inputs, run_experiment, sweep
+from .experiments import SWEEP_AXES, Dataset, run_experiment, sweep
 from .metrics import KIND_EUCLID2D, KIND_HAMMING3, MetricSpec
 from .oracle import ground_truth
-from .pipeline import ReductionConfig, build_index, scene_half_width
+from .pipeline import (
+    ReductionConfig,
+    build_index,
+    pipeline_metric_for,
+    scene_half_width,
+    transform_chain_for,
+    transform_points,
+)
 
 _3D_FORMATS = ("csv-xyz", "bin-f32x4")
 
@@ -68,6 +76,10 @@ def _check_format(metric: MetricSpec, format: str) -> None:
 
 def _load(args, metric: MetricSpec) -> Dataset:
     """Assemble the dataset from files or from the seeded generator."""
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
+    if args.queries is not None and args.queries < 0:
+        raise ValueError(f"--queries must be >= 0, got {args.queries}")
     if args.data is not None:
         _check_format(metric, args.format)
         if args.query_file is not None:
@@ -124,9 +136,10 @@ def _emit(obj, out_path) -> None:
 def _cmd_build_info(args) -> dict:
     config = _config(args)
     dataset = _load(args, config.metric)
-    data3, _, pcfg, dim, _ = prepare_inputs(dataset, config)
+    pcfg = replace(config, metric=pipeline_metric_for(config.metric))
+    data3 = transform_points(transform_chain_for(config.metric), dataset.data, label="data")
     t0 = time.perf_counter()
-    bvh = build_index(data3, pcfg, dim)
+    bvh = build_index(data3, pcfg)
     build_ms = (time.perf_counter() - t0) * 1e3
     return {
         "schema": "bvhknn.build-info/1",
@@ -138,7 +151,7 @@ def _cmd_build_info(args) -> dict:
             "num_nodes": bvh.num_nodes,
             "max_depth": bvh.max_depth(),
             "leaf_size": bvh.leaf_size,
-            "box_half_width": scene_half_width(pcfg, dim),
+            "box_half_width": scene_half_width(pcfg),
         },
         "timings": {"build_ms": build_ms},
     }

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pipeline import Transform, transform_points
+from .pipeline import _parse_bits as _bit_vertex
 
 FORMATS = ("csv-xyz", "bin-f32x4", "csv-2d", "bits")
 
@@ -41,24 +41,29 @@ class DatasetFile:
             raise ValueError(f"need n >= 1 and q >= 0, got n={self.n} q={self.q}")
 
 
-def _parse_csv(path: str, columns: int) -> np.ndarray:
-    rows = []
+def _lines(path: str):
+    """(record, line number, text) for every non-blank line; records count from 1."""
     record = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
-            if not text:
-                continue
-            record += 1
-            parts = text.split(",")
-            if len(parts) != columns:
-                raise ValueError(
-                    f"record {record} (line {lineno}): expected {columns} fields, got {len(parts)}"
-                )
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError:
-                raise ValueError(f"record {record} (line {lineno}): not a number: {text!r}") from None
+            if text:
+                record += 1
+                yield record, lineno, text
+
+
+def _parse_csv(path: str, columns: int) -> np.ndarray:
+    rows = []
+    for record, lineno, text in _lines(path):
+        parts = text.split(",")
+        if len(parts) != columns:
+            raise ValueError(
+                f"record {record} (line {lineno}): expected {columns} fields, got {len(parts)}"
+            )
+        try:
+            rows.append([float(v) for v in parts])
+        except ValueError:
+            raise ValueError(f"record {record} (line {lineno}): not a number: {text!r}") from None
     arr = np.asarray(rows, dtype=np.float64).reshape(len(rows), columns)
     bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
     if bad.size:
@@ -80,18 +85,13 @@ def _parse_bin_f32x4(path: str) -> np.ndarray:
 
 
 def _parse_bits(path: str) -> np.ndarray:
-    strings = []
-    record = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            record += 1
-            if not 1 <= len(text) <= 3 or set(text) - {"0", "1"}:
-                raise ValueError(f"record {record} (line {lineno}): bad bit string {text!r}")
-            strings.append(text)
-    return transform_points([Transform.HAMMING_VERTEX], strings, label="record")
+    rows = []
+    for record, lineno, text in _lines(path):
+        try:
+            rows.append(_bit_vertex(text))
+        except ValueError as exc:
+            raise ValueError(f"record {record} (line {lineno}): {exc}") from None
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), 3)
 
 
 def read_records(path: str, format: str) -> np.ndarray:

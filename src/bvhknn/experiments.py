@@ -14,9 +14,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from .metrics import KIND_EUCLID2D
 from .oracle import GroundTruth, aggregate_recall, ground_truth, recall
 from .pipeline import (
     QueryResult,
@@ -48,25 +45,6 @@ class Dataset:
         return out
 
 
-def prepare_inputs(dataset: Dataset, config: ReductionConfig):
-    """Resolve a possibly transform-backed config into pipeline-space inputs.
-
-    Returns (data3, queries3, pipeline_config, dimension, source_metric);
-    source_metric is None when the config is already native.
-    """
-    if config.metric.is_native:
-        data3 = np.asarray(dataset.data, dtype=np.float64)
-        queries3 = np.asarray(dataset.queries, dtype=np.float64)
-        return data3, queries3, config, 3, None
-    source = config.metric
-    chain = transform_chain_for(source)
-    data3 = transform_points(chain, dataset.data, label="data")
-    queries3 = transform_points(chain, dataset.queries, label="query")
-    pcfg = replace(config, metric=pipeline_metric_for(source))
-    dim = 2 if source.kind == KIND_EUCLID2D else 3
-    return data3, queries3, pcfg, dim, source
-
-
 def _config_echo(config: ReductionConfig, repeats: int) -> dict:
     return {
         "metric": config.metric.canonical(),
@@ -87,7 +65,13 @@ def run_experiment(dataset: Dataset, config: ReductionConfig, repeats: int = 1,
     """Build, query, and score one configuration; returns the report dict."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    data3, queries3, pcfg, dim, source = prepare_inputs(dataset, config)
+    if len(dataset.queries) == 0:
+        raise ValueError("an experiment needs at least one query")
+    source = config.metric
+    chain = transform_chain_for(source)
+    pcfg = replace(config, metric=pipeline_metric_for(source))
+    data3 = transform_points(chain, dataset.data, label="data")
+    queries3 = transform_points(chain, dataset.queries, label="query")
 
     if truth is None:
         truth = ground_truth(dataset.data, dataset.queries, config.metric, config.k)
@@ -99,12 +83,11 @@ def run_experiment(dataset: Dataset, config: ReductionConfig, repeats: int = 1,
     results: list[QueryResult] | None = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        bvh = build_index(data3, pcfg, dim)
+        bvh = build_index(data3, pcfg)
         t1 = time.perf_counter()
         run = [run_query(bvh, data3, q, pcfg) for q in queries3]
         t2 = time.perf_counter()
-        if source is not None:
-            run = [to_source_units(source, res) for res in run]
+        run = [to_source_units(source, res) for res in run]
         build_ms.append((t1 - t0) * 1e3)
         search_ms.append((t2 - t1) * 1e3)
         if results is not None and not _results_equal(results, run):

@@ -80,10 +80,6 @@ class MetricSpec:
         """True for metrics the filter-refine pipeline runs directly."""
         return self.kind in (KIND_LP, KIND_LINF)
 
-    @property
-    def is_transform_backed(self) -> bool:
-        return self.kind in _TRANSFORM_KINDS
-
     def canonical(self) -> str:
         """Canonical string form, e.g. "lp:2", "linf", "cosine"."""
         if self.kind == KIND_LP:

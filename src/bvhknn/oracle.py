@@ -21,8 +21,6 @@ from .metrics import (
     KIND_COSINE,
     KIND_EUCLID2D,
     KIND_HAMMING3,
-    KIND_LINF,
-    KIND_LP,
     MetricSpec,
     distances,
     weights,
@@ -36,9 +34,6 @@ def _distance_and_rank(points, q, metric: MetricSpec):
     """Per-point reported distances and the ascending rank key."""
     pts = np.asarray(points, dtype=np.float64) if not _is_strings(points) else points
     kind = metric.kind
-    if kind in (KIND_LP, KIND_LINF):
-        w = weights(metric, pts, as_point3(q).as_tuple())
-        return distances(metric, w), w
     if kind in (KIND_COSINE, KIND_ANGULAR):
         unit = transform_points([Transform.NORMALIZE], pts, label="data")
         uq = np.asarray(transform_points([Transform.NORMALIZE], [as_point3(q).as_tuple()], label="query")[0])
@@ -56,7 +51,7 @@ def _distance_and_rank(points, q, metric: MetricSpec):
         rows = transform_points([Transform.HAMMING_VERTEX], pts, label="data")
         qrow = transform_points([Transform.HAMMING_VERTEX], [q] if isinstance(q, str) else [tuple(q)], label="query")[0]
     else:
-        raise ValueError(f"unsupported metric {metric.canonical()!r}")
+        rows, qrow = pts, as_point3(q).as_tuple()
     native = pipeline_metric_for(metric)
     w = weights(native, rows, qrow)
     return distances(native, w), w

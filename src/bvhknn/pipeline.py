@@ -11,10 +11,15 @@ A query runs in two stages:
 The refine step computes distances exactly as the brute-force oracle
 does, so within the radius the answer is the oracle's, boundary included.
 The plain and enhanced pipelines differ only in scene box size; their
-neighbor lists are always identical.  Metrics without a finite
-circumscribing L2 radius (cosine, angular, 2D Euclidean, Hamming) are
-handled by mapping the points through an order-preserving transformation
-first and running a native pipeline in the mapped space.
+neighbor lists are always identical.
+
+Every metric reaches the pipeline by one route.  :func:`transform_chain_for`
+maps source-form points into pipeline space: an empty chain for the native
+Lp and LInf metrics, an order-preserving transformation for the metrics
+without a finite circumscribing L2 radius (cosine, angular, 2D Euclidean,
+Hamming).  :func:`pipeline_metric_for` names the native metric searched
+there, :func:`build_index` and :func:`run_query` filter and refine, and
+:func:`to_source_units` turns the reported distances back into source units.
 
 Indexes are immutable after build and queries share them read-only; each
 query owns its hit list and counters, so query fan-out across workers is
@@ -96,25 +101,22 @@ class QueryResult:
         return [i for i, _ in self.neighbors]
 
 
-def scene_half_width(config: ReductionConfig, d: int = 3) -> float:
+def scene_half_width(config: ReductionConfig) -> float:
     """Half width of the per-point scene boxes for this configuration.
 
     Plain pipeline: the circumscribing L2 radius f(r), the scene of the
     paper's plain reduction.  Enhanced pipeline: r itself, because a
-    metric ball of radius r extends exactly r along each axis.
+    metric ball of radius r extends exactly r along each axis.  Both
+    reject a transform-backed metric; resolve it with
+    :func:`pipeline_metric_for` first.
     """
-    if not config.metric.is_native:
-        # force the same rejection as the plain path
-        inclusion_radius(config.metric, config.r, d)
-    if config.enhanced:
-        return config.r
-    return inclusion_radius(config.metric, config.r, d)
+    bound = inclusion_radius(config.metric, config.r)
+    return config.r if config.enhanced else bound
 
 
-def build_index(points, config: ReductionConfig, dimension: int = 3) -> Bvh:
+def build_index(points, config: ReductionConfig) -> Bvh:
     """Build the BVH scene for `points` under `config` (boxes sized to match)."""
-    half_width = scene_half_width(config, dimension)
-    return build_point_bvh(points, half_width, config.leaf_size)
+    return build_point_bvh(points, scene_half_width(config), config.leaf_size)
 
 
 def run_query(bvh: Bvh, points, q, config: ReductionConfig) -> QueryResult:
@@ -127,7 +129,7 @@ def run_query(bvh: Bvh, points, q, config: ReductionConfig) -> QueryResult:
     if not metric.is_native:
         raise ValueError(
             f"pipeline queries need a native metric, got {metric.canonical()!r}; "
-            "use transformed_query for transform-backed metrics"
+            "map the points with transform_chain_for and search with pipeline_metric_for"
         )
     points = np.asarray(points, dtype=np.float64)
     if bvh.num_primitives != len(points):
@@ -218,87 +220,62 @@ def transform_points(chain: list[Transform], points, label: str = "point") -> np
 
 
 def transform_chain_for(source: MetricSpec) -> list[Transform]:
-    """The built-in transform chain that realizes a transform-backed metric."""
+    """The transform chain that maps `source`-form points into pipeline space.
+
+    Empty for a native metric, whose points are searched as they are.
+    """
     chains = {
         KIND_COSINE: [Transform.NORMALIZE],
         KIND_ANGULAR: [Transform.NORMALIZE],
         KIND_EUCLID2D: [Transform.EMBED_2D],
         KIND_HAMMING3: [Transform.HAMMING_VERTEX],
     }
-    if source.kind not in chains:
-        raise ValueError(f"metric {source.canonical()!r} is not transform-backed")
-    return chains[source.kind]
+    return chains.get(source.kind, [])
 
 
 def pipeline_metric_for(source: MetricSpec) -> MetricSpec:
-    """Native metric the mapped space is searched with (L2, or L1 for Hamming)."""
+    """Native metric the mapped space is searched with.
+
+    L1 for Hamming, L2 for the other transform-backed metrics, and the
+    metric itself for a native one.
+    """
     if source.kind == KIND_HAMMING3:
         return MetricSpec.lp(1)
     if source.kind in (KIND_COSINE, KIND_ANGULAR, KIND_EUCLID2D):
         return MetricSpec.lp(2)
-    raise ValueError(f"metric {source.canonical()!r} is not transform-backed")
+    return source
 
 
 def _source_distance(source: MetricSpec, dist: float) -> float:
-    """Re-express a range-space distance in source-metric units."""
+    """Re-express a pipeline-space distance in source-metric units."""
     if source.kind == KIND_ANGULAR:
         # dist is the chord between unit vectors
         return 2.0 * math.asin(min(1.0, dist / 2.0))
     if source.kind == KIND_COSINE:
         return 1.0 - dist * dist / 2.0  # similarity, not a distance
-    if source.kind in (KIND_EUCLID2D, KIND_HAMMING3):
-        return dist
-    raise ValueError(f"metric {source.canonical()!r} is not transform-backed")
+    return dist
 
 
 def to_source_units(source: MetricSpec, res: QueryResult) -> QueryResult:
-    """Re-express a range-space result's distances in source-metric units."""
+    """Re-express a pipeline-space result's distances in source-metric units."""
     neighbors = [(i, _source_distance(source, dist)) for i, dist in res.neighbors]
     return QueryResult(neighbors, res.candidate_count, res.hit_count, res.node_visits)
-
-
-def transformed_query(data, queries, source: MetricSpec, config: ReductionConfig) -> list[QueryResult]:
-    """Search a transform-backed metric by mapping into its range space.
-
-    `data` and `queries` are given in source form: (n, 3) vectors for
-    cosine/angular, (n, 2) points for the 2D metric, and bit strings (or
-    pre-mapped 0/1 vertex rows) for Hamming.  `config.metric` must be the
-    range-space pipeline metric (see :func:`pipeline_metric_for`) and
-    `config.r` is a range-space radius.  Reported distances are converted
-    back to source units; ordering follows ascending source distance
-    (for cosine: ascending angle, i.e. descending similarity).
-    """
-    if not source.is_transform_backed:
-        raise ValueError(f"metric {source.canonical()!r} is not transform-backed")
-    expected = pipeline_metric_for(source)
-    if config.metric != expected:
-        raise ValueError(
-            f"config.metric must be the pipeline metric {expected.canonical()!r} "
-            f"for source {source.canonical()!r}, got {config.metric.canonical()!r}"
-        )
-    chain = transform_chain_for(source)
-    data3 = transform_points(chain, data, label="data")
-    queries3 = transform_points(chain, queries, label="query")
-    dimension = 2 if source.kind == KIND_EUCLID2D else 3
-    bvh = build_index(data3, config, dimension)
-    out = []
-    for row in queries3:
-        res = run_query(bvh, data3, row, config)
-        out.append(to_source_units(source, res))
-    return out
 
 
 def knn_search(data, queries, metric: MetricSpec, r: float, k: int,
                enhanced: bool = False, leaf_size: int = DEFAULT_LEAF_SIZE) -> list[QueryResult]:
     """One-call search: builds the scene and runs every query.
 
-    Routes native metrics straight into the filter-refine pipeline and
-    transform-backed ones through their mapping.
+    `data` and `queries` are given in source form: (n, 3) vectors for the
+    native metrics and cosine/angular, (n, 2) points for the 2D metric,
+    and bit strings (or 0/1 vertex rows) for Hamming.  `r` is a radius in
+    pipeline space (a chord length for cosine/angular).  Reported
+    distances are in source units; ordering follows ascending source
+    distance (for cosine: ascending angle, i.e. descending similarity).
     """
-    if metric.is_native:
-        config = ReductionConfig(metric, r, k, enhanced, leaf_size)
-        pts = np.asarray(data, dtype=np.float64)
-        bvh = build_index(pts, config)
-        return batch_query(bvh, pts, queries, config)
+    chain = transform_chain_for(metric)
     config = ReductionConfig(pipeline_metric_for(metric), r, k, enhanced, leaf_size)
-    return transformed_query(data, queries, metric, config)
+    data3 = transform_points(chain, data, label="data")
+    queries3 = transform_points(chain, queries, label="query")
+    bvh = build_index(data3, config)
+    return [to_source_units(metric, res) for res in batch_query(bvh, data3, queries3, config)]

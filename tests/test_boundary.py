@@ -69,6 +69,36 @@ def test_duplicate_points_tie_by_id(metric, enhanced):
         assert kept == copies[: len(kept)]
 
 
+@pytest.mark.parametrize("enhanced", [False, True])
+def test_euclid2d_oracle_kth_distance_as_radius(enhanced):
+    rng = np.random.default_rng(404)
+    metric, k = MetricSpec.euclid2d(), 5
+    for _ in range(SCENES // 4):
+        pts = rng.random((150, 2))
+        queries = rng.random((4, 2))
+        r = brute_force_knn(pts, queries[0], metric, k)[-1][1]
+        results = assert_matches_oracle(pts, queries, metric, r, k, enhanced)
+        assert len(results[0].neighbors) == k
+
+
+@pytest.mark.parametrize("enhanced", [False, True])
+def test_hamming3_ties_at_oracle_kth_distance(enhanced):
+    # every vertex of the cube, plus duplicates: distances are 0..3 bit
+    # flips, so nearly every neighbor ties with others on weight
+    rng = np.random.default_rng(505)
+    metric = MetricSpec.hamming3()
+    vertices = [format(v, "03b") for v in range(8)]
+    for _ in range(SCENES // 4):
+        codes = rng.permutation(vertices + list(rng.choice(vertices, size=24))).tolist()
+        queries = rng.choice(vertices, size=4).tolist()
+        # past the query's own copies, so the k-th distance is a positive r
+        k = int(rng.integers(codes.count(queries[0]) + 1, len(codes) + 1))
+        r = brute_force_knn(codes, queries[0], metric, k)[-1][1]
+        results = assert_matches_oracle(codes, queries, metric, r, k, enhanced)
+        assert len(results[0].neighbors) == k
+
+
+
 lattice = st.integers(0, 4).map(lambda i: i * 0.25)
 half_lattice = st.integers(0, 8).map(lambda i: i * 0.125)
 

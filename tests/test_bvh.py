@@ -5,13 +5,10 @@ from bvhknn import (
     Aabb,
     Point3,
     PointQuery,
-    Primitive,
     Verdict,
-    build_bvh,
     build_point_bvh,
     containment_scan,
     node_visits,
-    primitives_from_points,
     traverse_point,
 )
 
@@ -43,17 +40,15 @@ def walk_boxes(bvh):
 
 
 def test_single_primitive_tree():
-    prims = primitives_from_points([[1.0, 2.0, 3.0]], 0.5)
-    bvh = build_bvh(prims, leaf_size=4)
+    bvh = build_point_bvh([[1.0, 2.0, 3.0]], 0.5, leaf_size=4)
     assert bvh.num_nodes == 1
-    assert bvh.node_box(0) == prims[0].box
+    assert bvh.node_box(0) == Aabb(Point3(0.5, 1.5, 2.5), Point3(1.5, 2.5, 3.5))
     assert bvh.leaf_primitives(0) == [0]
     assert node_visits(bvh, query(1, 2, 3)) == 1
 
 
 def test_two_separated_primitives_leaf1():
-    prims = primitives_from_points([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]], 1.0)
-    bvh = build_bvh(prims, leaf_size=1)
+    bvh = build_point_bvh([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]], 1.0, leaf_size=1)
     assert bvh.num_nodes == 3
     root = bvh.node_box(0)
     assert root.min == Point3(-1, -1, -1)
@@ -87,41 +82,38 @@ def test_structure_1000_random():
 
 def test_build_rejects_bad_input():
     with pytest.raises(ValueError):
-        build_bvh([], 4)
-    prims = primitives_from_points([[0, 0, 0]], 1.0)
+        build_point_bvh(np.empty((0, 3)), 1.0, 4)
     with pytest.raises(ValueError):
-        build_bvh(prims, 0)
+        build_point_bvh([[0, 0, 0]], 1.0, 0)
     with pytest.raises(ValueError):
-        Primitive(0, Aabb(Point3(0, 0, 0), Point3(3, 1, 1)), Point3(0.1, 0.5, 0.5))
+        build_point_bvh([[0, 0, 0]], -1.0, 4)  # a box needs a half width >= 0
 
 
 def test_traverse_trivial_scene():
-    prims = primitives_from_points([[0, 0, 0], [10, 10, 10]], 1.0)
-    bvh = build_bvh(prims, 4)
+    bvh = build_point_bvh([[0, 0, 0], [10, 10, 10]], 1.0, 4)
     assert collect_hits(bvh, query(0.5, 0, 0)) == [0]
     assert collect_hits(bvh, query(5, 5, 5)) == []
     assert node_visits(bvh, query(100, 0, 0)) == 1  # root excludes, nothing else tested
 
 
 def test_anyhit_receives_primitive_id():
-    prims = primitives_from_points([[1.5, 2.5, 3.5]], 1.0)
-    bvh = build_bvh(prims, 4)
+    pts = np.array([[1.5, 2.5, 3.5]])
+    bvh = build_point_bvh(pts, 1.0, 4)
     seen = []
     traverse_point(bvh, query(1.5, 2.5, 3.5), seen.append)
     assert len(seen) == 1
     assert seen[0] == 0 and type(seen[0]) is int
-    assert prims[seen[0]].center == Point3(1.5, 2.5, 3.5)
+    assert Point3(*pts[seen[0]]) == Point3(1.5, 2.5, 3.5)
 
 
 @pytest.mark.parametrize("leaf_size", [1, 3, 8])
 def test_traverse_matches_linear_scan(leaf_size):
     rng = np.random.default_rng(leaf_size)
     pts = rng.random((3000, 3))
-    prims = primitives_from_points(pts, 0.04)
-    bvh = build_bvh(prims, leaf_size)
+    bvh = build_point_bvh(pts, 0.04, leaf_size)
     for qrow in rng.random((40, 3)):
         q = PointQuery(Point3(*qrow))
-        assert sorted(collect_hits(bvh, q)) == sorted(containment_scan(prims, q))
+        assert sorted(collect_hits(bvh, q)) == sorted(containment_scan(pts, 0.04, q))
 
 
 def test_termination_semantics():
@@ -181,8 +173,7 @@ def test_two_cluster_pruning():
 
 
 def test_dump_is_indented_text():
-    prims = primitives_from_points([[0, 0, 0], [4, 0, 0]], 1.0)
-    text = build_bvh(prims, 1).dump()
+    text = build_point_bvh([[0, 0, 0], [4, 0, 0]], 1.0, 1).dump()
     lines = text.splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("[0]") and "internal" in lines[0]

@@ -3,7 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from bvhknn import Dataset, DatasetFile, MetricSpec, ReductionConfig, load_dataset, run_experiment, sweep
+from bvhknn import (
+    Dataset,
+    DatasetFile,
+    MetricSpec,
+    ReductionConfig,
+    load_dataset,
+    read_records,
+    run_experiment,
+    sweep,
+)
 from bvhknn.cli import main
 from bvhknn.oracle import aggregate_recall
 
@@ -63,6 +72,14 @@ def test_bits_loader_maps_vertices(tmp_path):
         load_dataset(DatasetFile(bad, "bits", n=1, q=1))
 
 
+def test_bits_empty_file_has_no_records(tmp_path):
+    for name, text in (("empty.txt", ""), ("blank.txt", "\n  \n\n")):
+        p = write(tmp_path / name, text)
+        assert read_records(p, "bits").shape == (0, 3)
+        with pytest.raises(ValueError, match="insufficient records"):
+            load_dataset(DatasetFile(p, "bits", n=1, q=0))
+
+
 def test_csv_2d(tmp_path):
     p = write(tmp_path / "pts2.csv", "0,0\n1,2\n0.5,0.25\n")
     data, queries = load_dataset(DatasetFile(p, "csv-2d", n=2, q=1))
@@ -100,6 +117,12 @@ def test_run_experiment_repeats_structure():
     assert report["timings"]["build_ms_mean"] == pytest.approx(
         sum(report["timings"]["build_ms"]) / 5
     )
+
+
+def test_run_experiment_rejects_empty_queries():
+    ds = Dataset(np.random.default_rng(0).random((10, 3)), np.empty((0, 3)))
+    with pytest.raises(ValueError, match="at least one query"):
+        run_experiment(ds, ReductionConfig(MetricSpec.lp(2), 0.1, 3))
 
 
 def test_report_recall_matches_recomputation():
@@ -289,6 +312,24 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
         capsys,
     )
     assert code == 2
+
+    code, _, err = run_cli(
+        ["query", "--n", "100", "--queries", "0", "--metric", "lp:2", "--radius", "0.1"],
+        capsys,
+    )
+    assert code == 2 and "at least one query" in err
+
+    code, _, err = run_cli(
+        ["query", "--n", "-3", "--queries", "2", "--metric", "lp:2", "--radius", "0.1"],
+        capsys,
+    )
+    assert code == 2 and "--n" in err
+
+    code, _, err = run_cli(
+        ["query", "--data", p, "--n", "1", "--queries", "-1", "--metric", "lp:1", "--radius", "1"],
+        capsys,
+    )
+    assert code == 2 and "--queries" in err
 
 
 def test_cli_internal_error_exit_3(monkeypatch, capsys):

@@ -16,7 +16,6 @@ from bvhknn import (
     scene_half_width,
     transform_chain_for,
     transform_points,
-    transformed_query,
 )
 
 L1 = MetricSpec.lp(1)
@@ -32,7 +31,6 @@ def test_scene_half_width_values():
     assert scene_half_width(ReductionConfig(LINF, 1.0, 1, enhanced=True)) == 1.0
     assert scene_half_width(ReductionConfig(L1, 2.0, 1)) == 2.0
     assert scene_half_width(ReductionConfig(L1, 2.0, 1, enhanced=True)) == 2.0
-    assert scene_half_width(ReductionConfig(LINF, 1.0, 1), d=2) == math.sqrt(2)
 
 
 def test_scene_half_width_rejects_transform_metric():
@@ -185,14 +183,13 @@ def test_chain_resolution():
     assert transform_chain_for(MetricSpec.euclid2d()) == [Transform.EMBED_2D]
     assert pipeline_metric_for(MetricSpec.hamming3()) == L1
     assert pipeline_metric_for(MetricSpec.angular()) == L2
-    with pytest.raises(ValueError):
-        transform_chain_for(L2)
+    assert transform_chain_for(L2) == []
+    assert pipeline_metric_for(L2) == L2
 
 
 def test_transformed_query_angular_example():
     data = np.array([[0, 1, 0], [1, 1, 0]], float)
-    cfg = ReductionConfig(L2, 1.5, 2)
-    res = transformed_query(data, [[1, 0, 0]], MetricSpec.angular(), cfg)[0]
+    res = knn_search(data, [[1, 0, 0]], MetricSpec.angular(), r=1.5, k=2)[0]
     assert res.neighbors[0][0] == 1
     assert res.neighbors[0][1] == pytest.approx(math.pi / 4, rel=1e-12)
     assert res.neighbors[1] == (0, pytest.approx(math.pi / 2, rel=1e-12))
@@ -200,24 +197,15 @@ def test_transformed_query_angular_example():
 
 def test_transformed_query_cosine_reports_similarity():
     data = np.array([[0, 1, 0], [1, 1, 0]], float)
-    cfg = ReductionConfig(L2, 1.5, 2)
-    res = transformed_query(data, [[1, 0, 0]], MetricSpec.cosine(), cfg)[0]
+    res = knn_search(data, [[1, 0, 0]], MetricSpec.cosine(), r=1.5, k=2)[0]
     assert res.neighbors[0] == (1, pytest.approx(math.cos(math.pi / 4), rel=1e-12))
     assert res.neighbors[1][1] == pytest.approx(0.0, abs=1e-12)  # 90 degrees
 
 
 def test_transformed_query_hamming_tie():
     data = ["000", "011", "111"]
-    cfg = ReductionConfig(L1, 3.0, 1)
-    res = transformed_query(data, ["001"], MetricSpec.hamming3(), cfg)[0]
+    res = knn_search(data, ["001"], MetricSpec.hamming3(), r=3.0, k=1)[0]
     assert res.neighbors == [(0, 1.0)]  # ties at distance 1 break by id
-
-
-def test_transformed_query_checks_pipeline_metric():
-    with pytest.raises(ValueError, match="pipeline metric"):
-        transformed_query(np.eye(3), [[1, 0, 0]], MetricSpec.cosine(), ReductionConfig(L1, 1.0, 1))
-    with pytest.raises(ValueError):
-        transformed_query(np.eye(3), [[1, 0, 0]], L2, ReductionConfig(L2, 1.0, 1))
 
 
 def test_transformed_query_euclid2d():
@@ -226,8 +214,7 @@ def test_transformed_query_euclid2d():
     queries = rng.random((5, 2))
     truth = [brute_force_knn(data, q, MetricSpec.euclid2d(), 5) for q in queries]
     r = max(row[-1][1] for row in truth) * (1 + 1e-9)
-    cfg = ReductionConfig(L2, r, 5)
-    results = transformed_query(data, queries, MetricSpec.euclid2d(), cfg)
+    results = knn_search(data, queries, MetricSpec.euclid2d(), r=r, k=5)
     for res, row in zip(results, truth):
         assert res.ids() == [i for i, _ in row]
         for (_, got), (_, want) in zip(res.neighbors, row):
@@ -286,7 +273,7 @@ def test_composed_embed_then_l1():
     data3 = transform_points([Transform.EMBED_2D], data2)
     queries3 = transform_points([Transform.EMBED_2D], queries2)
     cfg = ReductionConfig(L1, 0.4, 5)
-    bvh = build_index(data3, cfg, dimension=2)
+    bvh = build_index(data3, cfg)
     results = batch_query(bvh, data3, queries3, cfg)
     for res, q in zip(results, queries2):
         l1 = np.abs(data2 - q).sum(axis=1)
