@@ -9,9 +9,13 @@ only the primitive's id, the row index of its point; it may stop the
 traversal early.
 
 Construction is deterministic: median split on the axis with the longest
-centroid extent (ties broken x, then y, then z), recursing until a node
-holds at most `leaf_size` primitives.  Trees are immutable once built and
-traversal is read-only, so any number of concurrent queries may share one.
+centroid extent (ties broken x, then y, then z), the left child taking the
+first half in (coordinate, id) order, until a node holds at most
+`leaf_size` primitives, which it stores in (x, id) order.  The build splits
+all nodes of one level at once with numpy, as hardware BVH builders do,
+and numbers nodes in level order, so the right child of node i is always
+`left[i] + 1`.  Trees are immutable once built and traversal is read-only,
+so any number of concurrent queries may share one.
 """
 
 from __future__ import annotations
@@ -42,31 +46,28 @@ class TraversalCounters:
     nodes_tested: int = 0
 
 
-@dataclass
-class _Node:
-    bounds: tuple[float, float, float, float, float, float]
-    left: int = -1
-    right: int = -1
-    start: int = 0
-    count: int = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left < 0
-
-
 class Bvh:
-    """Immutable containment-query index; build with :func:`build_point_bvh`."""
+    """Immutable containment-query index; build with :func:`build_point_bvh`.
 
-    def __init__(self, nodes, prim_ids, prim_boxes, leaf_size):
-        self._nodes: list[_Node] = nodes
+    Nodes live in flat level-order tables: `bounds[i]` is (x0, y0, z0, x1,
+    y1, z1), `left[i]` is the left child (-1 for a leaf; the right child is
+    `left[i] + 1`), and a leaf holds storage slots `start[i]` to
+    `start[i] + count[i] - 1`.
+    """
+
+    def __init__(self, bounds, left, start, count, prim_ids, prim_boxes, leaf_size, depth):
+        self._bounds: list[list[float]] = bounds
+        self._left: list[int] = left
+        self._start: list[int] = start
+        self._count: list[int] = count
         self._prim_ids: list[int] = prim_ids
-        self._prim_boxes: list[tuple[float, ...]] = prim_boxes
+        self._prim_boxes: list[list[float]] = prim_boxes
         self.leaf_size = leaf_size
+        self._depth = depth
 
     @property
     def num_nodes(self) -> int:
-        return len(self._nodes)
+        return len(self._left)
 
     @property
     def num_primitives(self) -> int:
@@ -78,140 +79,105 @@ class Bvh:
         return list(self._prim_ids)
 
     def node_box(self, index: int) -> Aabb:
-        b = self._nodes[index].bounds
+        b = self._bounds[index]
         return Aabb(Point3(b[0], b[1], b[2]), Point3(b[3], b[4], b[5]))
 
     def node_children(self, index: int) -> tuple[int, int] | None:
         """(left, right) for an internal node, None for a leaf."""
-        n = self._nodes[index]
-        return None if n.is_leaf else (n.left, n.right)
+        left = self._left[index]
+        return None if left < 0 else (left, left + 1)
 
     def leaf_primitives(self, index: int) -> list[int]:
         """Dataset ids stored in a leaf node."""
-        n = self._nodes[index]
-        if not n.is_leaf:
+        if self._left[index] >= 0:
             raise ValueError(f"node {index} is internal")
-        return self._prim_ids[n.start : n.start + n.count]
+        s = self._start[index]
+        return self._prim_ids[s : s + self._count[index]]
 
     def max_depth(self) -> int:
         """Longest root-to-leaf path, counting the root as depth 1."""
-        depth = 0
-        stack = [(0, 1)]
-        while stack:
-            idx, d = stack.pop()
-            n = self._nodes[idx]
-            if n.is_leaf:
-                depth = max(depth, d)
-            else:
-                stack.append((n.left, d + 1))
-                stack.append((n.right, d + 1))
-        return depth
+        return self._depth
 
     def dump(self) -> str:
         """Indented text rendering of the tree, for debugging and tests."""
         lines: list[str] = []
 
         def walk(idx: int, depth: int) -> None:
-            n = self._nodes[idx]
-            b = n.bounds
+            b = self._bounds[idx]
             head = f"{'  ' * depth}[{idx}] ({b[0]:.6g},{b[1]:.6g},{b[2]:.6g})..({b[3]:.6g},{b[4]:.6g},{b[5]:.6g})"
-            if n.is_leaf:
-                ids = self._prim_ids[n.start : n.start + n.count]
-                lines.append(f"{head} leaf ids={ids}")
+            kids = self.node_children(idx)
+            if kids is None:
+                lines.append(f"{head} leaf ids={self.leaf_primitives(idx)}")
             else:
                 lines.append(f"{head} internal")
-                walk(n.left, depth + 1)
-                walk(n.right, depth + 1)
+                walk(kids[0], depth + 1)
+                walk(kids[1], depth + 1)
 
         walk(0, 0)
         return "\n".join(lines)
 
 
 def _build_from_arrays(box_lo, box_hi, cent, leaf_size: int) -> Bvh:
-    """Median-split build; primitive i is row i of the arrays, so its id is i."""
+    """Level-by-level median-split build; primitive i is row i, so its id is i."""
     if leaf_size < 1:
         raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
     n = len(cent)
 
-    # Sort positions once per centroid axis (stable: coordinate, then input
-    # position); splits below only partition these lists, never re-sort.
-    by_axis = tuple(np.argsort(cent[:, a], kind="stable").tolist() for a in range(3))
-    coords = tuple(cent[:, a].tolist() for a in range(3))
-    lo_rows = box_lo.tolist()
-    hi_rows = box_hi.tolist()
+    # rank[a, i]: position of primitive i in the stable (coordinate, id)
+    # order on axis a, so sorting a node by rank is sorting it by that key.
+    rank = np.empty((3, n), dtype=np.int64)
+    for a in range(3):
+        rank[a, np.argsort(cent[:, a], kind="stable")] = np.arange(n)
+    perm = np.arange(n)  # storage slot -> primitive id
 
-    nodes: list[_Node] = []
-    order: list[int] = []  # leaf storage order, filled as leaves are emitted
-    in_left = bytearray(n)
+    # One pass per level: node k of the level owns slots starts[k] .. + counts[k].
+    starts = np.zeros(1, dtype=np.int64)
+    counts = np.full(1, n, dtype=np.int64)
+    levels = []
+    while True:
+        leaf = counts <= leaf_size
+        offsets = np.cumsum(counts) - counts
+        seg = np.repeat(np.arange(len(counts)), counts)
+        slots = np.repeat(starts - offsets, counts) + np.arange(len(seg))
+        ids = perm[slots]
+        c = cent[ids]
+        extent = np.maximum.reduceat(c, offsets) - np.minimum.reduceat(c, offsets)
+        # Split on the longest centroid extent; argmax takes the first
+        # maximum, so ties go x, then y, then z.  A leaf is stored in x order.
+        axis = np.where(leaf, 0, extent.argmax(axis=1))
+        perm[slots] = ids[np.argsort(seg * n + rank[axis[seg], ids])]
+        levels.append((starts, counts, leaf))
+        if leaf.all():
+            break
+        s, m = starts[~leaf], counts[~leaf]
+        half = m // 2  # the left child takes the first half in split-axis order
+        starts = np.column_stack([s, s + half]).ravel()
+        counts = np.column_stack([half, m - half]).ravel()
 
-    def build(xs: list[int], ys: list[int], zs: list[int]) -> int:
-        idx = len(nodes)
-        node = _Node(bounds=())  # placeholder, patched below
-        nodes.append(node)
-        m = len(xs)
-        if m <= leaf_size:
-            node.start = len(order)
-            node.count = m
-            order.extend(xs)
-            x0, y0, z0 = lo_rows[xs[0]]
-            x1, y1, z1 = hi_rows[xs[0]]
-            for i in xs[1:]:
-                a, b, c = lo_rows[i]
-                if a < x0: x0 = a
-                if b < y0: y0 = b
-                if c < z0: z0 = c
-                a, b, c = hi_rows[i]
-                if a > x1: x1 = a
-                if b > y1: y1 = b
-                if c > z1: z1 = c
-            node.bounds = (x0, y0, z0, x1, y1, z1)
-            return idx
+    starts, counts, leaf = (np.concatenate(t) for t in zip(*levels))
+    internal = np.flatnonzero(~leaf)
+    # Level order puts the children of the k-th internal node at 2k+1, 2k+2.
+    left = np.full(len(leaf), -1, dtype=np.int64)
+    left[internal] = 1 + 2 * np.arange(len(internal))
 
-        # longest centroid extent wins; >= keeps ties at x, then y, then z
-        ext_x = coords[0][xs[-1]] - coords[0][xs[0]]
-        ext_y = coords[1][ys[-1]] - coords[1][ys[0]]
-        ext_z = coords[2][zs[-1]] - coords[2][zs[0]]
-        if ext_x >= ext_y and ext_x >= ext_z:
-            axis = 0
-        elif ext_y >= ext_z:
-            axis = 1
-        else:
-            axis = 2
+    # Leaves partition the slots, so one reduceat in slot order boxes them all.
+    boxes = np.hstack([box_lo, box_hi])[perm]
+    leaves = np.flatnonzero(leaf)
+    leaves = leaves[np.argsort(starts[leaves])]
+    bounds = np.empty((len(leaf), 6))
+    bounds[leaves, :3] = np.minimum.reduceat(boxes[:, :3], starts[leaves])
+    bounds[leaves, 3:] = np.maximum.reduceat(boxes[:, 3:], starts[leaves])
+    # Internal boxes bottom up, one level at a time.
+    kb = len(internal)
+    for _, _, level_leaf in reversed(levels):
+        ka = kb - np.count_nonzero(~level_leaf)
+        kids = bounds[2 * ka + 1 : 2 * kb + 1]
+        bounds[internal[ka:kb], :3] = np.minimum(kids[0::2, :3], kids[1::2, :3])
+        bounds[internal[ka:kb], 3:] = np.maximum(kids[0::2, 3:], kids[1::2, 3:])
+        kb = ka
 
-        lists = (xs, ys, zs)
-        key = lists[axis]
-        mid = m // 2
-        key_left, key_right = key[:mid], key[mid:]
-        for i in key_left:
-            in_left[i] = 1
-        halves = []
-        for a in range(3):
-            if a == axis:
-                halves.append((key_left, key_right))
-            else:
-                src = lists[a]
-                halves.append((
-                    [i for i in src if in_left[i]],
-                    [i for i in src if not in_left[i]],
-                ))
-        for i in key_left:
-            in_left[i] = 0
-
-        left = build(halves[0][0], halves[1][0], halves[2][0])
-        right = build(halves[0][1], halves[1][1], halves[2][1])
-        lb, rb = nodes[left].bounds, nodes[right].bounds
-        node.bounds = (
-            min(lb[0], rb[0]), min(lb[1], rb[1]), min(lb[2], rb[2]),
-            max(lb[3], rb[3]), max(lb[4], rb[4]), max(lb[5], rb[5]),
-        )
-        node.left = left
-        node.right = right
-        return idx
-
-    build(by_axis[0], by_axis[1], by_axis[2])
-
-    boxes = np.hstack([box_lo, box_hi])[order].tolist()
-    return Bvh(nodes, order, boxes, leaf_size)
+    return Bvh(bounds.tolist(), left.tolist(), starts.tolist(), counts.tolist(),
+               perm.tolist(), boxes.tolist(), leaf_size, len(levels))
 
 
 def _as_point_array(points) -> np.ndarray:
@@ -259,7 +225,7 @@ def traverse_point(
     from the callback stops the traversal immediately.
     """
     ox, oy, oz = q.origin.x, q.origin.y, q.origin.z
-    nodes = bvh._nodes
+    bounds, lefts, starts, counts = bvh._bounds, bvh._left, bvh._start, bvh._count
     prim_boxes = bvh._prim_boxes
     prim_ids = bvh._prim_ids
 
@@ -267,16 +233,18 @@ def traverse_point(
     tested = 0
     stack = [0]
     while stack:
-        node = nodes[stack.pop()]
-        b = node.bounds
+        node = stack.pop()
+        b = bounds[node]
         tested += 1
         if not (b[0] <= ox <= b[3] and b[1] <= oy <= b[4] and b[2] <= oz <= b[5]):
             continue
-        if node.left >= 0:
-            stack.append(node.right)
-            stack.append(node.left)
+        left = lefts[node]
+        if left >= 0:
+            stack.append(left + 1)
+            stack.append(left)
             continue
-        for slot in range(node.start, node.start + node.count):
+        start = starts[node]
+        for slot in range(start, start + counts[node]):
             pb = prim_boxes[slot]
             if pb[0] <= ox <= pb[3] and pb[1] <= oy <= pb[4] and pb[2] <= oz <= pb[5]:
                 hits += 1

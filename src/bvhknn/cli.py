@@ -135,6 +135,8 @@ def _emit(obj, out_path) -> None:
 
 def _cmd_build_info(args) -> dict:
     config = _config(args)
+    if args.queries is None and args.query_file is None:
+        args.queries = 0  # the index is built from the data alone
     dataset = _load(args, config.metric)
     pcfg = replace(config, metric=pipeline_metric_for(config.metric))
     data3 = transform_points(transform_chain_for(config.metric), dataset.data, label="data")

@@ -44,6 +44,7 @@ def test_single_primitive_tree():
     assert bvh.num_nodes == 1
     assert bvh.node_box(0) == Aabb(Point3(0.5, 1.5, 2.5), Point3(1.5, 2.5, 3.5))
     assert bvh.leaf_primitives(0) == [0]
+    assert bvh.max_depth() == 1
     assert node_visits(bvh, query(1, 2, 3)) == 1
 
 
@@ -56,6 +57,7 @@ def test_two_separated_primitives_leaf1():
     left, right = bvh.node_children(0)
     assert bvh.leaf_primitives(left) == [0]
     assert bvh.leaf_primitives(right) == [1]
+    assert bvh.max_depth() == 2
 
 
 def test_structure_1000_random():
@@ -63,12 +65,16 @@ def test_structure_1000_random():
     pts = rng.uniform(-5, 5, size=(1000, 3))
     bvh = build_point_bvh(pts, 0.25, leaf_size=4)
     seen = []
+    leaves = 0
+    depth = {0: 1}  # walk_boxes is pre-order, so a parent precedes its children
     for idx, box, kids in walk_boxes(bvh):
         if kids is None:
             ids = bvh.leaf_primitives(idx)
             assert 1 <= len(ids) <= 4
             seen.extend(ids)
+            leaves += 1
         else:
+            depth[kids[0]] = depth[kids[1]] = depth[idx] + 1
             lb, rb = bvh.node_box(kids[0]), bvh.node_box(kids[1])
             # parent box is exactly the union of its children
             assert box.min.x == min(lb.min.x, rb.min.x)
@@ -78,6 +84,58 @@ def test_structure_1000_random():
             assert box.max.y == max(lb.max.y, rb.max.y)
             assert box.max.z == max(lb.max.z, rb.max.z)
     assert sorted(seen) == list(range(1000))
+    assert bvh.num_nodes == 2 * leaves - 1
+    assert bvh.max_depth() == max(depth.values())
+
+
+def reference_tree(pts, half_width, leaf_size):
+    """The documented split rule by plain recursion.
+
+    Split on the longest centroid extent (ties x, then y, then z); the left
+    child takes the first m // 2 primitives in (coordinate, id) order; a leaf
+    holds at most leaf_size primitives, in (x, id) order.  Returns the
+    depth-first list of (node box, leaf ids or None), the leaf storage order
+    and the depth.
+    """
+    nodes, order = [], []
+
+    def build(ids):
+        box = Aabb(Point3(*(pts[ids] - half_width).min(axis=0).tolist()),
+                   Point3(*(pts[ids] + half_width).max(axis=0).tolist()))
+        if len(ids) <= leaf_size:
+            leaf = sorted(ids, key=lambda i: (pts[i, 0], i))
+            nodes.append((box, leaf))
+            order.extend(leaf)
+            return 1
+        nodes.append((box, None))
+        extent = (pts[ids].max(axis=0) - pts[ids].min(axis=0)).tolist()
+        axis = extent.index(max(extent))
+        ids = sorted(ids, key=lambda i: (pts[i, axis], i))
+        mid = len(ids) // 2
+        return 1 + max(build(ids[:mid]), build(ids[mid:]))
+
+    depth = build(list(range(len(pts))))
+    return nodes, order, depth
+
+
+@pytest.mark.parametrize("kind", ["random", "lattice", "duplicates"])
+@pytest.mark.parametrize("leaf_size", [1, 2, 3, 4, 8])
+def test_build_matches_reference_split_rule(kind, leaf_size):
+    rng = np.random.default_rng(leaf_size)
+    for n in (1, leaf_size, leaf_size + 1, 97, 300):
+        if kind == "random":
+            pts = rng.random((n, 3))
+        elif kind == "lattice":
+            pts = rng.integers(0, 4, size=(n, 3)) * 0.25  # ties on every axis
+        else:
+            pts = rng.permutation(np.repeat(rng.random((n // 5 + 1, 3)), 5, axis=0))[:n]
+        bvh = build_point_bvh(pts, 0.1, leaf_size)
+        nodes, order, depth = reference_tree(pts, 0.1, leaf_size)
+        got = [(box, None if kids else bvh.leaf_primitives(idx)) for idx, box, kids in walk_boxes(bvh)]
+        assert got == nodes
+        assert bvh.primitive_order == order
+        assert bvh.num_nodes == len(nodes)
+        assert bvh.max_depth() == depth
 
 
 def test_build_rejects_bad_input():
@@ -113,7 +171,11 @@ def test_traverse_matches_linear_scan(leaf_size):
     bvh = build_point_bvh(pts, 0.04, leaf_size)
     for qrow in rng.random((40, 3)):
         q = PointQuery(Point3(*qrow))
-        assert sorted(collect_hits(bvh, q)) == sorted(containment_scan(pts, 0.04, q))
+        hits = collect_hits(bvh, q)
+        scan = containment_scan(pts, 0.04, q)
+        assert sorted(hits) == sorted(scan)
+        # hits arrive depth first, left child first: in leaf storage order
+        assert hits == [i for i in bvh.primitive_order if i in scan]
 
 
 def test_termination_semantics():

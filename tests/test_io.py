@@ -258,6 +258,18 @@ def test_cli_build_info(capsys):
     assert info["index"]["box_half_width"] == 0.1
 
 
+def test_cli_build_info_needs_no_queries(tmp_path, capsys):
+    data = write(tmp_path / "pts.csv", "0,0,0\n1,0,0\n2,0,0\n")
+    for source, n in ((["--n", "1000"], 1000), (["--data", data, "--n", "3"], 3)):
+        code, out, err = run_cli(
+            ["build-info", *source, "--metric", "lp:2", "--radius", "0.05"], capsys
+        )
+        assert code == 0, err
+        info = json.loads(out)
+        assert info["dataset"]["q"] == 0
+        assert info["index"]["num_primitives"] == n
+
+
 def test_cli_sweep(capsys):
     code, out, err = run_cli(
         ["sweep", "--n", "300", "--queries", "5", "--metric", "lp:1",
