@@ -18,6 +18,7 @@ from .bvh import (
     containment_scan,
     node_visits,
     traverse_point,
+    traverse_points,
 )
 from .pipeline import (
     QueryResult,
@@ -79,5 +80,6 @@ __all__ = [
     "transform_chain_for",
     "transform_points",
     "traverse_point",
+    "traverse_points",
     "weights",
 ]

@@ -16,6 +16,15 @@ all nodes of one level at once with numpy, as hardware BVH builders do,
 and numbers nodes in level order, so the right child of node i is always
 `left[i] + 1`.  Trees are immutable once built and traversal is read-only,
 so any number of concurrent queries may share one.
+
+There are two traversals.  :func:`traverse_point` is the any-hit walk of
+one query, depth first, one node at a time; it reads Python-list copies of
+the node tables.  :func:`traverse_points` is its wavefront form for many
+queries at once, as a GPU hands the RT cores whole batches of rays: it
+keeps a frontier of (query, node) pairs, tests the whole frontier's boxes
+per step with numpy, and reads the numpy tables.  It hands over the hits
+a run of queries at a time, each run held to PAIR_BUDGET pairs, so its
+memory stays bounded.  Both test the same nodes and report the same hits.
 """
 
 from __future__ import annotations
@@ -23,13 +32,18 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .geometry import Aabb, Point3, PointQuery
 
 DEFAULT_LEAF_SIZE = 4
+
+# Most (query, node) and (query, slot) pairs that traverse_points holds at
+# once for a run of several queries.  With the refine of its hits, a pair
+# costs up to about 250 bytes, so a run of batch_query stays near 16 MiB.
+PAIR_BUDGET = 1 << 16
 
 
 class Verdict(enum.Enum):
@@ -51,17 +65,24 @@ class Bvh:
 
     Nodes live in flat level-order tables: `bounds[i]` is (x0, y0, z0, x1,
     y1, z1), `left[i]` is the left child (-1 for a leaf; the right child is
-    `left[i] + 1`), and a leaf holds storage slots `start[i]` to
-    `start[i] + count[i] - 1`.
+    `left[i] + 1`), and a leaf holds storage slots `starts[i]` to
+    `starts[i] + counts[i] - 1`.  Slot s stores primitive `perm[s]`, whose
+    box is `boxes[s]`.  These read-only numpy arrays serve
+    :func:`traverse_points`; :func:`traverse_point` reads Python-list
+    copies of them, which are faster to index one element at a time.
     """
 
-    def __init__(self, bounds, left, start, count, prim_ids, prim_boxes, leaf_size, depth):
-        self._bounds: list[list[float]] = bounds
-        self._left: list[int] = left
-        self._start: list[int] = start
-        self._count: list[int] = count
-        self._prim_ids: list[int] = prim_ids
-        self._prim_boxes: list[list[float]] = prim_boxes
+    def __init__(self, bounds, left, starts, counts, perm, boxes, leaf_size, depth):
+        for table in (bounds, left, starts, counts, perm, boxes):
+            table.flags.writeable = False
+        self.bounds, self.left, self.starts, self.counts = bounds, left, starts, counts
+        self.perm, self.boxes = perm, boxes
+        self._bounds: list[list[float]] = bounds.tolist()
+        self._left: list[int] = left.tolist()
+        self._start: list[int] = starts.tolist()
+        self._count: list[int] = counts.tolist()
+        self._prim_ids: list[int] = perm.tolist()
+        self._prim_boxes: list[list[float]] = boxes.tolist()
         self.leaf_size = leaf_size
         self._depth = depth
 
@@ -97,6 +118,22 @@ class Bvh:
     def max_depth(self) -> int:
         """Longest root-to-leaf path, counting the root as depth 1."""
         return self._depth
+
+    def tree_stats(self) -> dict:
+        """Tree-quality figures: leaf count, mean leaf fill and summed node area.
+
+        `leaf_fill_mean` is the mean primitive count of a leaf over
+        `leaf_size`.  `surface_area_sum` adds up the surface area of every
+        node box, the cost the surface-area heuristic (SAH) weighs.
+        """
+        leaves = self.left < 0
+        ext = self.bounds[:, 3:] - self.bounds[:, :3]
+        area = 2.0 * (ext[:, 0] * ext[:, 1] + ext[:, 1] * ext[:, 2] + ext[:, 2] * ext[:, 0])
+        return {
+            "num_leaves": int(np.count_nonzero(leaves)),
+            "leaf_fill_mean": float(self.counts[leaves].mean() / self.leaf_size),
+            "surface_area_sum": float(area.sum()),
+        }
 
     def dump(self) -> str:
         """Indented text rendering of the tree, for debugging and tests."""
@@ -176,8 +213,7 @@ def _build_from_arrays(box_lo, box_hi, cent, leaf_size: int) -> Bvh:
         bounds[internal[ka:kb], 3:] = np.maximum(kids[0::2, 3:], kids[1::2, 3:])
         kb = ka
 
-    return Bvh(bounds.tolist(), left.tolist(), starts.tolist(), counts.tolist(),
-               perm.tolist(), boxes.tolist(), leaf_size, len(levels))
+    return Bvh(bounds, left, starts, counts, perm, boxes, leaf_size, len(levels))
 
 
 def _as_point_array(points) -> np.ndarray:
@@ -256,6 +292,76 @@ def traverse_point(
     if counters is not None:
         counters.nodes_tested += tested
     return hits
+
+
+def _contains(boxes: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Row-wise closed test lo <= point <= hi, the comparisons of traverse_point."""
+    return ((boxes[:, 0] <= points[:, 0]) & (points[:, 0] <= boxes[:, 3])
+            & (boxes[:, 1] <= points[:, 1]) & (points[:, 1] <= boxes[:, 4])
+            & (boxes[:, 2] <= points[:, 2]) & (points[:, 2] <= boxes[:, 5]))
+
+
+def traverse_points(bvh: Bvh, origins: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Every (query, primitive) containment hit of many point queries at once.
+
+    `origins` is an (m, 3) float array.  The traversal is a wavefront: a
+    frontier of (query row, node) pairs starts at the root; each step tests
+    every pair's node box at once, sets aside the containing leaves and
+    replaces each containing internal node by its two children.  The leaf
+    pairs are then expanded into (query row, slot) pairs and the primitive
+    boxes tested.  With no early termination this tests exactly the nodes
+    that :func:`traverse_point` tests for each query.
+
+    Yields ``(lo, hi, rows, ids, tested)`` for consecutive runs of query
+    rows lo..hi-1, in order and together covering every row: the hit query
+    rows and the hit primitive ids, two arrays of equal length in no
+    particular order, and the number of node boxes tested for each query
+    of the run.  A run of several queries is halved whenever its frontier
+    and the slots of the leaves it has reached would pass PAIR_BUDGET
+    pairs, so memory stays bounded however many boxes contain each query.
+    One query is never split; it holds at most its frontier and its slots.
+    """
+    # take/compress rather than fancy indexing: same result, several times faster.
+    origins = np.asarray(origins, dtype=np.float64)
+    m = len(origins)
+    tested = np.zeros(m, dtype=np.int64)
+    none = np.zeros(0, dtype=np.int64)
+    # Runs still to traverse, the next one last: query rows lo..hi-1, their
+    # frontier of (row, node) pairs and the (row, leaf) pairs reached so far.
+    runs = [(0, m, np.arange(m), np.zeros(m, dtype=np.int64), none, none)] if m else []
+    while runs:
+        lo, hi, rows, nodes, leaf_rows, leaf_nodes = runs.pop()
+        slots = int(bvh.counts.take(leaf_nodes).sum())
+        while True:
+            if rows.size + slots > PAIR_BUDGET and hi - lo > 1:
+                mid = (lo + hi) // 2
+                up, leaf_up = rows >= mid, leaf_rows >= mid
+                runs.append((mid, hi, rows.compress(up), nodes.compress(up),
+                             leaf_rows.compress(leaf_up), leaf_nodes.compress(leaf_up)))
+                hi, rows, nodes = mid, rows.compress(~up), nodes.compress(~up)
+                leaf_rows, leaf_nodes = leaf_rows.compress(~leaf_up), leaf_nodes.compress(~leaf_up)
+                slots = int(bvh.counts.take(leaf_nodes).sum())
+                continue
+            if not rows.size:
+                break
+            tested[lo:hi] += np.bincount(rows - lo, minlength=hi - lo)
+            inside = _contains(bvh.bounds.take(nodes, axis=0), origins.take(rows, axis=0))
+            rows, nodes = rows.compress(inside), nodes.compress(inside)
+            left = bvh.left.take(nodes)
+            leaf = left < 0
+            reached = nodes.compress(leaf)
+            slots += int(bvh.counts.take(reached).sum())
+            leaf_rows = np.concatenate([leaf_rows, rows.compress(leaf)])
+            leaf_nodes = np.concatenate([leaf_nodes, reached])
+            rows = rows.compress(~leaf).repeat(2)
+            nodes = left.compress(~leaf).repeat(2)
+            nodes[1::2] += 1  # the right child is left + 1
+        counts = bvh.counts.take(leaf_nodes)
+        rows = leaf_rows.repeat(counts)
+        # Slot pairs are laid out leaf after leaf; leaf j's slots start at starts[j].
+        slot = np.arange(len(rows)) + (bvh.starts.take(leaf_nodes) - (np.cumsum(counts) - counts)).repeat(counts)
+        inside = _contains(bvh.boxes.take(slot, axis=0), origins.take(rows, axis=0))
+        yield lo, hi, rows.compress(inside), bvh.perm.take(slot.compress(inside)), tested[lo:hi]
 
 
 def node_visits(bvh: Bvh, q: PointQuery) -> int:

@@ -154,6 +154,7 @@ def _cmd_build_info(args) -> dict:
             "max_depth": bvh.max_depth(),
             "leaf_size": bvh.leaf_size,
             "box_half_width": scene_half_width(pcfg),
+            **bvh.tree_stats(),
         },
         "timings": {"build_ms": build_ms},
     }

@@ -18,9 +18,9 @@ from .oracle import GroundTruth, aggregate_recall, ground_truth, recall
 from .pipeline import (
     QueryResult,
     ReductionConfig,
+    batch_query,
     build_index,
     pipeline_metric_for,
-    run_query,
     transform_chain_for,
     transform_points,
     to_source_units,
@@ -85,7 +85,7 @@ def run_experiment(dataset: Dataset, config: ReductionConfig, repeats: int = 1,
         t0 = time.perf_counter()
         bvh = build_index(data3, pcfg)
         t1 = time.perf_counter()
-        run = [run_query(bvh, data3, q, pcfg) for q in queries3]
+        run = batch_query(bvh, data3, queries3, pcfg)
         t2 = time.perf_counter()
         run = [to_source_units(source, res) for res in run]
         build_ms.append((t1 - t0) * 1e3)

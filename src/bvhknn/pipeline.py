@@ -3,10 +3,17 @@
 A query runs in two stages:
 
 1. filter: the BVH reports the id of every primitive box containing the
-   query point (one any-hit callback per box), and the query collects them;
+   query point;
 2. refine: one call of the shared weight kernel (:mod:`bvhknn.metrics`)
    over the hit rows keeps the points whose distance is <= r and takes the
    k smallest by (weight, id).
+
+:func:`batch_query` runs both stages for many queries at once: a
+wavefront traversal (:func:`bvhknn.bvh.traverse_points`), which hands
+over the hits a run of queries at a time, then one kernel call and one
+sort over every hit of the run.  :func:`run_query` is the
+per-query reference path, with one any-hit callback per box
+(:func:`bvhknn.bvh.traverse_point`); the two return equal results.
 
 The refine step computes distances exactly as the brute-force oracle
 does, so within the radius the answer is the oracle's, boundary included.
@@ -18,11 +25,11 @@ maps source-form points into pipeline space: an empty chain for the native
 Lp and LInf metrics, an order-preserving transformation for the metrics
 without a finite circumscribing L2 radius (cosine, angular, 2D Euclidean,
 Hamming).  :func:`pipeline_metric_for` names the native metric searched
-there, :func:`build_index` and :func:`run_query` filter and refine, and
+there, :func:`build_index` and :func:`batch_query` filter and refine, and
 :func:`to_source_units` turns the reported distances back into source units.
 
 Indexes are immutable after build and queries share them read-only; each
-query owns its hit list and counters, so query fan-out across workers is
+call owns its hit arrays and counters, so query fan-out across workers is
 safe.
 """
 
@@ -40,6 +47,7 @@ from .bvh import (
     TraversalCounters,
     build_point_bvh,
     traverse_point,
+    traverse_points,
 )
 from .geometry import PointQuery, as_point3
 from .metrics import (
@@ -119,13 +127,8 @@ def build_index(points, config: ReductionConfig) -> Bvh:
     return build_point_bvh(points, scene_half_width(config), config.leaf_size)
 
 
-def run_query(bvh: Bvh, points, q, config: ReductionConfig) -> QueryResult:
-    """k nearest neighbors of `q` within distance `config.r`, filter then refine.
-
-    `bvh` must come from :func:`build_index` over the same `points`, with
-    a plain or enhanced scene; both return the same neighbors.
-    """
-    metric = config.metric
+def _checked_points(bvh: Bvh, points, metric: MetricSpec) -> np.ndarray:
+    """`points` as a float array, after the checks every query entry point makes."""
     if not metric.is_native:
         raise ValueError(
             f"pipeline queries need a native metric, got {metric.canonical()!r}; "
@@ -134,6 +137,19 @@ def run_query(bvh: Bvh, points, q, config: ReductionConfig) -> QueryResult:
     points = np.asarray(points, dtype=np.float64)
     if bvh.num_primitives != len(points):
         raise ValueError(f"index holds {bvh.num_primitives} primitives but dataset has {len(points)}")
+    return points
+
+
+def run_query(bvh: Bvh, points, q, config: ReductionConfig) -> QueryResult:
+    """k nearest neighbors of `q` within distance `config.r`, filter then refine.
+
+    `bvh` must come from :func:`build_index` over the same `points`, with
+    a plain or enhanced scene; both return the same neighbors.  This is
+    the per-query reference path: it walks the tree with the any-hit
+    :func:`traverse_point`, which for one query beats a wavefront of one.
+    """
+    metric = config.metric
+    points = _checked_points(bvh, points, metric)
     qp = as_point3(q)
     hits: list[int] = []
     counters = TraversalCounters()
@@ -149,8 +165,40 @@ def run_query(bvh: Bvh, points, q, config: ReductionConfig) -> QueryResult:
 
 
 def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> list[QueryResult]:
-    """Run one query per row of `queries` (each query is independent)."""
-    return [run_query(bvh, points, q, config) for q in np.asarray(queries, dtype=np.float64)]
+    """:func:`run_query` for every row of the (m, 3) array `queries`, batched.
+
+    The result for each query equals ``run_query(bvh, points, q, config)``,
+    counts included.  The wavefront :func:`traverse_points` hands over the
+    hits a run of queries at a time, runs sized so that memory stays
+    bounded; each run then takes one weight-kernel call over all its hits
+    and one sort on (query, weight, id), from which each query takes its
+    first k.
+    """
+    points = _checked_points(bvh, points, config.metric)
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != 3:
+        raise ValueError(f"queries must be an (m, 3) array, got shape {queries.shape}")
+    bad = np.flatnonzero(~np.isfinite(queries).all(axis=1))
+    if bad.size:
+        raise ValueError(f"query index {bad[0]} has non-finite coordinates")
+    results: list[QueryResult] = []
+    for lo, hi, rows, ids, tested in traverse_points(bvh, queries):
+        hits = np.bincount(rows - lo, minlength=hi - lo)
+        # take() gathers the same rows as fancy indexing, several times faster
+        w = weights(config.metric, points.take(ids, axis=0), queries.take(rows, axis=0))
+        dist = distances(config.metric, w)
+        inside = dist <= config.r
+        rows, ids, w, dist = (a.compress(inside) for a in (rows, ids, w, dist))
+        candidates = np.bincount(rows - lo, minlength=hi - lo)
+        order = np.lexsort((ids, w, rows))
+        # order groups the candidates by query; each query keeps its first k
+        rank = np.arange(len(order)) - np.repeat(np.cumsum(candidates) - candidates, candidates)
+        top = order[rank < config.k]
+        pairs = list(zip(ids[top].tolist(), dist[top].tolist()))
+        ends = np.cumsum(np.minimum(candidates, config.k)).tolist()
+        results += [QueryResult(pairs[a:b], c, h, t) for a, b, c, h, t
+                    in zip([0] + ends, ends, candidates.tolist(), hits.tolist(), tested.tolist())]
+    return results
 
 
 # ---------------------------------------------------------------------------

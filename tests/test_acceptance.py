@@ -16,6 +16,7 @@ from bvhknn import (
     Point3,
     PointQuery,
     ReductionConfig,
+    batch_query,
     build_index,
     build_point_bvh,
     brute_force_knn,
@@ -69,6 +70,8 @@ def exactness_study():
                 enh_bvh = build_index(pts, enh_cfg)
             plain = [run_query(plain_bvh, pts, q, plain_cfg) for q in queries]
             enh = [run_query(enh_bvh, pts, q, enh_cfg) for q in queries]
+            plain_batch = batch_query(plain_bvh, pts, queries, plain_cfg)
+            enh_batch = batch_query(enh_bvh, pts, queries, enh_cfg)
 
             truth_ids = [[i for i, _ in row] for row in truth]
             records.append(
@@ -80,6 +83,10 @@ def exactness_study():
                     "min_recall_plain": min(recall(res, row) for res, row in zip(plain, truth)),
                     "min_recall_enh": min(recall(res, row) for res, row in zip(enh, truth)),
                     "lists_equal": all(a.neighbors == b.neighbors for a, b in zip(plain, enh)),
+                    "batch_equal": (
+                        [r_.neighbors for r_ in plain_batch] == [r_.neighbors for r_ in plain]
+                        and [r_.neighbors for r_ in enh_batch] == [r_.neighbors for r_ in enh]
+                    ),
                     "plain_mean_candidates": sum(r_.candidate_count for r_ in plain) / len(plain),
                     "enh_mean_candidates": sum(r_.candidate_count for r_ in enh) / len(enh),
                     "plain_mean_hits": sum(r_.hit_count for r_ in plain) / len(plain),
@@ -97,11 +104,14 @@ def test_criterion_1_oracle_equivalence(exactness_study):
     full_recall = all(
         rec["min_recall_plain"] == 1.0 and rec["min_recall_enh"] == 1.0 for rec in records
     )
+    batch_equal = all(rec["batch_equal"] for rec in records)
     in_budget = elapsed < 60.0
-    ok = exact and full_recall and in_budget
-    _report(1, ok, f"exact ids + recall 1.0 on 80 runs, {elapsed:.1f}s (< 60s budget)")
+    ok = exact and full_recall and batch_equal and in_budget
+    _report(1, ok, f"exact ids + recall 1.0 on 80 runs, batch_query lists = run_query lists, "
+                   f"{elapsed:.1f}s (< 60s budget)")
     assert exact, [rec for rec in records if not (rec["plain_exact"] and rec["enh_exact"])]
     assert full_recall
+    assert batch_equal, [rec for rec in records if not rec["batch_equal"]]
     assert in_budget, f"exactness study took {elapsed:.1f}s"
 
 

@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bvhknn import MetricSpec, brute_force_knn, knn_search, weights
+from bvhknn import (
+    MetricSpec,
+    ReductionConfig,
+    batch_query,
+    brute_force_knn,
+    build_index,
+    knn_search,
+    weights,
+)
 
 METRICS = [MetricSpec.lp(1), MetricSpec.lp(1.5), MetricSpec.lp(2), MetricSpec.lp(3), MetricSpec.linf()]
 SCENES = 100
@@ -122,3 +130,34 @@ def test_pipeline_matches_oracle_on_lattice(pts, q, metric, enhanced, k, r):
     ids = res.ids()
     keys = list(zip(weights(metric, pts[ids], q).tolist(), ids))
     assert keys == sorted(keys)
+
+
+def nudge(x, step):
+    """x moved one ulp towards x + step, or x itself for step 0."""
+    return float(np.nextafter(x, x + step)) if step else x
+
+
+near_lattice = st.builds(nudge, lattice, st.sampled_from([-1.0, 0.0, 0.0, 1.0]))
+
+
+@given(
+    pts=st.lists(st.tuples(near_lattice, near_lattice, near_lattice), min_size=1, max_size=40),
+    queries=st.lists(st.tuples(half_lattice, half_lattice, half_lattice), min_size=1, max_size=6),
+    metric=st.sampled_from(METRICS),
+    enhanced=st.booleans(),
+    leaf_size=st.sampled_from([1, 4]),
+    k=st.integers(1, 8),
+    r=st.one_of(st.none(), st.integers(1, 8).map(lambda i: i * 0.25)),
+)
+@settings(deadline=None, max_examples=200)
+def test_batch_query_matches_oracle_near_lattice(pts, queries, metric, enhanced, leaf_size, k, r):
+    # one batch_query call answers every query; points sit on or one ulp
+    # off the lattice, so weights tie or nearly tie at the radius
+    pts, queries = np.array(pts), np.array(queries)
+    if r is None:  # the oracle's own k-th distance for the first query, when positive
+        r = brute_force_knn(pts, queries[0], metric, k)[-1][1] or 0.25
+    cfg = ReductionConfig(metric, r, k, enhanced, leaf_size)
+    results = batch_query(build_index(pts, cfg), pts, queries, cfg)
+    assert len(results) == len(queries)
+    for res, q in zip(results, queries):
+        assert res.neighbors == brute_force_knn(pts, q, metric, k, radius=r)

@@ -10,7 +10,9 @@ from bvhknn import (
     containment_scan,
     node_visits,
     traverse_point,
+    traverse_points,
 )
+from bvhknn import bvh as bvh_module
 
 
 def query(x, y, z):
@@ -176,6 +178,64 @@ def test_traverse_matches_linear_scan(leaf_size):
         assert sorted(hits) == sorted(scan)
         # hits arrive depth first, left child first: in leaf storage order
         assert hits == [i for i in bvh.primitive_order if i in scan]
+
+
+def all_hits(bvh, origins):
+    """traverse_points' runs joined: hit rows, hit ids, tested per query, and the runs."""
+    runs = list(traverse_points(bvh, origins))
+    if not runs:
+        return np.zeros(0, int), np.zeros(0, int), np.zeros(0, int), []
+    rows, ids, tested = (np.concatenate(parts) for parts in zip(*(run[2:] for run in runs)))
+    return rows, ids, tested, [run[:2] for run in runs]
+
+
+@pytest.mark.parametrize("kind", ["random", "lattice", "duplicates"])
+@pytest.mark.parametrize("leaf_size", [1, 3, 8])
+def test_traverse_points_matches_linear_scan(kind, leaf_size):
+    rng = np.random.default_rng(leaf_size)
+    if kind == "random":
+        pts = rng.random((2000, 3))
+    elif kind == "lattice":
+        pts = rng.integers(0, 9, size=(2000, 3)) * 0.125  # query points land on box faces
+    else:
+        pts = rng.permutation(np.repeat(rng.random((300, 3)), 7, axis=0))
+    origins = np.vstack([rng.random((40, 3)), rng.integers(0, 17, size=(20, 3)) * 0.0625,
+                         [[5.0, 5.0, 5.0]]])
+    bvh = build_point_bvh(pts, 0.0625, leaf_size)
+    rows, ids, tested, runs = all_hits(bvh, origins)
+    assert runs == [(0, len(origins))]  # far below the pair budget: one run
+    assert len(rows) == len(ids) and len(tested) == len(origins)
+    for j, qrow in enumerate(origins):
+        q = PointQuery(Point3(*qrow))
+        assert sorted(ids[rows == j].tolist()) == containment_scan(pts, 0.0625, q)
+        assert tested[j] == node_visits(bvh, q)
+    assert tested[-1] == 1  # outside the root box: nothing else is tested
+
+
+@pytest.mark.parametrize("budget", [1, 30, 400])
+@pytest.mark.parametrize("leaf_size", [1, 4])
+def test_traverse_points_splits_runs_at_pair_budget(monkeypatch, budget, leaf_size):
+    rng = np.random.default_rng(budget)
+    pts = rng.random((500, 3))
+    origins = np.vstack([rng.random((37, 3)), [[5.0, 5.0, 5.0]]])
+    bvh = build_point_bvh(pts, 0.3, leaf_size)  # about a fifth of the boxes hold each query
+    monkeypatch.setattr(bvh_module, "PAIR_BUDGET", budget)
+    rows, ids, tested, runs = all_hits(bvh, origins)
+    # runs are consecutive, in order, and cover every query
+    assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]]
+    assert runs[-1][1] == len(origins) and len(runs) > 1
+    for lo, hi in runs:
+        if hi - lo > 1:  # only a single query may pass the budget
+            assert np.count_nonzero((lo <= rows) & (rows < hi)) <= budget
+    for j, qrow in enumerate(origins):
+        q = PointQuery(Point3(*qrow))
+        assert sorted(ids[rows == j].tolist()) == containment_scan(pts, 0.3, q)
+        assert tested[j] == node_visits(bvh, q)
+
+
+def test_traverse_points_no_queries():
+    bvh = build_point_bvh([[0, 0, 0], [1, 1, 1]], 0.5, 1)
+    assert list(traverse_points(bvh, np.empty((0, 3)))) == []
 
 
 def test_termination_semantics():

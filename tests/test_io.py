@@ -245,7 +245,7 @@ def test_cli_synthetic_query_and_out_file(tmp_path, capsys):
     assert report["dataset"]["source"] == "synthetic"
 
 
-def test_cli_build_info(capsys):
+def test_cli_build_info(tmp_path, capsys):
     code, out, err = run_cli(
         ["build-info", "--n", "500", "--queries", "1", "--metric", "lp:2",
          "--radius", "0.1", "--seed", "1"],
@@ -256,6 +256,24 @@ def test_cli_build_info(capsys):
     assert info["index"]["num_primitives"] == 500
     assert info["index"]["num_nodes"] >= 1
     assert info["index"]["box_half_width"] == 0.1
+    assert info["index"]["num_leaves"] == (info["index"]["num_nodes"] + 1) // 2
+
+    # tree-quality stats, exactly, on a fixed scene: boxes of side 1 around
+    # x = 0, 1, 3; with leaf size 1 the root splits into {0} and {1, 3}
+    data = write(tmp_path / "pts.csv", "0,0,0\n1,0,0\n3,0,0\n")
+    expected = {
+        # leaves 3 x 6, the {1, 3} node 2 * (3 + 1 + 3), the root 2 * (4 + 1 + 4)
+        1: {"num_nodes": 5, "max_depth": 3, "num_leaves": 3, "leaf_fill_mean": 1.0, "surface_area_sum": 50.0},
+        4: {"num_nodes": 1, "max_depth": 1, "num_leaves": 1, "leaf_fill_mean": 0.75, "surface_area_sum": 18.0},
+    }
+    for leaf_size, want in expected.items():
+        code, out, err = run_cli(
+            ["build-info", "--data", data, "--n", "3", "--metric", "lp:2", "--radius", "0.5",
+             "--leaf-size", str(leaf_size)], capsys
+        )
+        assert code == 0, err
+        index = json.loads(out)["index"]
+        assert {key: index[key] for key in want} == want
 
 
 def test_cli_build_info_needs_no_queries(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from bvhknn import (
     transform_chain_for,
     transform_points,
 )
+from bvhknn import bvh as bvh_module
 
 L1 = MetricSpec.lp(1)
 L2 = MetricSpec.lp(2)
@@ -144,6 +146,114 @@ def test_radius_monotone_recall():
         assert rec >= last
         last = rec
     assert last == 1.0
+
+
+# --- batched path -----------------------------------------------------------
+
+BATCH_METRICS = [L1, MetricSpec.lp(1.5), L2, L3, LINF]
+
+
+def batch_scene(kind, rng):
+    if kind == "random":
+        return rng.random((600, 3))
+    if kind == "lattice":
+        return rng.integers(0, 9, size=(600, 3)) * 0.125  # ties on weight everywhere
+    return rng.permutation(np.repeat(rng.random((90, 3)), 7, axis=0))  # 7 copies of each point
+
+
+@pytest.mark.parametrize("leaf_size", [1, 4])
+@pytest.mark.parametrize("enhanced", [False, True])
+@pytest.mark.parametrize("metric", BATCH_METRICS, ids=lambda m: m.canonical())
+@pytest.mark.parametrize("kind", ["random", "lattice", "duplicates"])
+def test_batch_query_equals_run_query(kind, metric, enhanced, leaf_size):
+    rng = np.random.default_rng(leaf_size)
+    pts = batch_scene(kind, rng)
+    queries = np.vstack([
+        rng.random((40, 3)),
+        rng.integers(0, 17, size=(20, 3)) * 0.0625,  # on and between lattice points
+        pts[:10],
+        [[5.0, 5.0, 5.0], [-3.0, 0.5, 0.5]],  # far outside the cloud
+    ])
+    k = 8
+    seen = []
+    for r in (0.03, 0.2):
+        cfg = ReductionConfig(metric, r, k, enhanced, leaf_size)
+        bvh = build_index(pts, cfg)
+        got = batch_query(bvh, pts, queries, cfg)
+        assert got == [run_query(bvh, pts, q, cfg) for q in queries]
+        assert got[-1].hit_count == got[-2].hit_count == 0
+        seen += got
+    assert any(0 < res.candidate_count < k for res in seen)  # lists shorter than k
+    assert any(res.candidate_count > k for res in seen)
+
+
+@pytest.mark.parametrize("budget", [1, 50, 2000])
+def test_batch_query_spans_runs(monkeypatch, budget):
+    # a small pair budget splits the queries into many runs, down to one query
+    rng = np.random.default_rng(61)
+    pts = rng.random((500, 3))
+    queries = rng.random((1031, 3))
+    cfg = ReductionConfig(L2, 0.1, 5)
+    bvh = build_index(pts, cfg)
+    monkeypatch.setattr(bvh_module, "PAIR_BUDGET", budget)
+    got = batch_query(bvh, pts, queries, cfg)
+    assert got == [run_query(bvh, pts, q, cfg) for q in queries]
+
+
+def test_batch_query_memory_bounded_at_large_radius():
+    # every box contains every query: 1.2M (query, hit) pairs in all, which
+    # the runs must not hold at once
+    rng = np.random.default_rng(62)
+    pts = rng.random((2000, 3))
+    queries = rng.random((600, 3))
+    cfg = ReductionConfig(L2, 1.8, 10)
+    bvh = build_index(pts, cfg)
+    tracemalloc.start()
+    try:
+        got = batch_query(bvh, pts, queries, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [res.hit_count for res in got] == [len(pts)] * len(queries)
+    assert got[::97] == [run_query(bvh, pts, q, cfg) for q in queries[::97]]
+    assert peak < 512 * bvh_module.PAIR_BUDGET  # about 250 bytes a pair
+
+
+def test_batch_query_no_queries():
+    pts = np.array([[0, 0, 0], [1, 0, 0]], float)
+    cfg = ReductionConfig(L2, 0.5, 1)
+    assert batch_query(build_index(pts, cfg), pts, np.empty((0, 3)), cfg) == []
+
+
+def test_batch_query_rejects_bad_query_arrays():
+    pts = np.array([[0, 0, 0], [1, 0, 0]], float)
+    cfg = ReductionConfig(L2, 0.5, 1)
+    bvh = build_index(pts, cfg)
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        batch_query(bvh, pts, np.array([0.0, 0.0, 0.0]), cfg)
+    with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+        batch_query(bvh, pts, np.zeros((2, 2)), cfg)
+    for bad in (np.nan, np.inf, -np.inf):
+        queries = np.zeros((4, 3))
+        queries[2, 1] = bad
+        with pytest.raises(ValueError, match="query index 2"):
+            batch_query(bvh, pts, queries, cfg)
+
+
+def test_query_entry_points_share_input_checks():
+    pts = np.array([[0, 0, 0], [1, 0, 0]], float)
+    cfg = ReductionConfig(L2, 0.5, 1)
+    bvh = build_index(pts, cfg)
+    cases = [
+        (pts, ReductionConfig(MetricSpec.cosine(), 0.5, 1), "native metric"),
+        (pts[:1], cfg, "2 primitives but dataset has 1"),
+    ]
+    for data, config, message in cases:
+        with pytest.raises(ValueError, match=message) as single:
+            run_query(bvh, data, [0, 0, 0], config)
+        with pytest.raises(ValueError, match=message) as batch:
+            batch_query(bvh, data, [[0, 0, 0]], config)
+        assert str(single.value) == str(batch.value)
 
 
 # --- transforms -------------------------------------------------------------
