@@ -120,19 +120,27 @@ class Bvh:
         return self._depth
 
     def tree_stats(self) -> dict:
-        """Tree-quality figures: leaf count, mean leaf fill and summed node area.
+        """Tree-quality figures: leaf count, mean leaf fill, summed node area and overlap.
 
         `leaf_fill_mean` is the mean primitive count of a leaf over
         `leaf_size`.  `surface_area_sum` adds up the surface area of every
         node box, the cost the surface-area heuristic (SAH) weighs.
+        `overlap_volume_sum` adds up, over every internal node, the volume
+        where its two child boxes intersect (0 when they are disjoint or
+        only touch): space a query must descend both children to cover.
         """
         leaves = self.left < 0
         ext = self.bounds[:, 3:] - self.bounds[:, :3]
         area = 2.0 * (ext[:, 0] * ext[:, 1] + ext[:, 1] * ext[:, 2] + ext[:, 2] * ext[:, 0])
+        first = self.bounds[self.left[~leaves]]
+        second = self.bounds[self.left[~leaves] + 1]
+        side = np.minimum(first[:, 3:], second[:, 3:]) - np.maximum(first[:, :3], second[:, :3])
+        overlap = np.clip(side, 0.0, None).prod(axis=1)
         return {
             "num_leaves": int(np.count_nonzero(leaves)),
             "leaf_fill_mean": float(self.counts[leaves].mean() / self.leaf_size),
             "surface_area_sum": float(area.sum()),
+            "overlap_volume_sum": float(overlap.sum()),
         }
 
     def dump(self) -> str:

@@ -63,37 +63,56 @@ def _results_equal(a: list[QueryResult], b: list[QueryResult]) -> bool:
 def run_experiment(dataset: Dataset, config: ReductionConfig, repeats: int = 1,
                    truth: GroundTruth | None = None) -> dict:
     """Build, query, and score one configuration; returns the report dict."""
+    return _run_shared_build([(dataset, config, truth)], repeats)[0]
+
+
+def _run_shared_build(variants, repeats: int) -> list[dict]:
+    """One report per (dataset, config, truth) variant, all searched on one build per repeat.
+
+    The variants differ only in their queries, k and truth: they share the
+    data and the scene (metric, radius, box geometry, leaf size), so the
+    index is built once per repeat from the first variant and every
+    variant's "build_ms" lists those shared builds.  A missing truth is
+    computed with the unbounded oracle.
+    """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if len(dataset.queries) == 0:
+    if any(len(ds.queries) == 0 for ds, _, _ in variants):
         raise ValueError("an experiment needs at least one query")
+    dataset, config, _ = variants[0]
     source = config.metric
     chain = transform_chain_for(source)
-    pcfg = replace(config, metric=pipeline_metric_for(source))
     data3 = transform_points(chain, dataset.data, label="data")
-    queries3 = transform_points(chain, dataset.queries, label="query")
-
-    if truth is None:
-        truth = ground_truth(dataset.data, dataset.queries, config.metric, config.k)
-    if len(truth.rows) != len(queries3):
-        raise ValueError(f"truth has {len(truth.rows)} rows for {len(queries3)} queries")
+    searches = []
+    for ds, cfg, truth in variants:
+        queries3 = transform_points(chain, ds.queries, label="query")
+        if truth is None:
+            truth = ground_truth(ds.data, ds.queries, cfg.metric, cfg.k)
+        if len(truth.rows) != len(queries3):
+            raise ValueError(f"truth has {len(truth.rows)} rows for {len(queries3)} queries")
+        searches.append((replace(cfg, metric=pipeline_metric_for(source)), queries3, truth))
 
     build_ms: list[float] = []
-    search_ms: list[float] = []
-    results: list[QueryResult] | None = None
+    search_ms: list[list[float]] = [[] for _ in variants]
+    results: list[list[QueryResult] | None] = [None for _ in variants]
     for _ in range(repeats):
         t0 = time.perf_counter()
-        bvh = build_index(data3, pcfg)
-        t1 = time.perf_counter()
-        run = batch_query(bvh, data3, queries3, pcfg)
-        t2 = time.perf_counter()
-        run = [to_source_units(source, res) for res in run]
-        build_ms.append((t1 - t0) * 1e3)
-        search_ms.append((t2 - t1) * 1e3)
-        if results is not None and not _results_equal(results, run):
-            raise RuntimeError("result lists differ across repeats of the same run")
-        results = run
+        bvh = build_index(data3, searches[0][0])
+        build_ms.append((time.perf_counter() - t0) * 1e3)
+        for i, (pcfg, queries3, _) in enumerate(searches):
+            t1 = time.perf_counter()
+            run = batch_query(bvh, data3, queries3, pcfg)
+            search_ms[i].append((time.perf_counter() - t1) * 1e3)
+            run = [to_source_units(source, res) for res in run]
+            if results[i] is not None and not _results_equal(results[i], run):
+                raise RuntimeError("result lists differ across repeats of the same run")
+            results[i] = run
+    return [_report(ds, cfg, repeats, truth, res, build_ms, ms)
+            for (ds, cfg, _), (_, _, truth), res, ms in zip(variants, searches, results, search_ms)]
 
+
+def _report(dataset: Dataset, config: ReductionConfig, repeats: int, truth: GroundTruth,
+            results: list[QueryResult], build_ms: list[float], search_ms: list[float]) -> dict:
     per_query_recall = [
         recall(res, row) if row else None for res, row in zip(results, truth.rows)
     ]
@@ -101,7 +120,7 @@ def run_experiment(dataset: Dataset, config: ReductionConfig, repeats: int = 1,
     mean_recall = aggregate_recall(results, truth) if scored else None
 
     n_queries = len(results)
-    report = {
+    return {
         "schema": REPORT_SCHEMA,
         "config": _config_echo(config, repeats),
         "dataset": dataset.described(),
@@ -125,13 +144,12 @@ def run_experiment(dataset: Dataset, config: ReductionConfig, repeats: int = 1,
             for r in results
         ],
         "timings": {
-            "build_ms": build_ms,
+            "build_ms": list(build_ms),
             "search_ms": search_ms,
             "build_ms_mean": sum(build_ms) / repeats,
             "search_ms_mean": sum(search_ms) / repeats,
         },
     }
-    return report
 
 
 def sweep(dataset: Dataset, config: ReductionConfig, axis: str, values,
@@ -140,6 +158,9 @@ def sweep(dataset: Dataset, config: ReductionConfig, axis: str, values,
 
     The dataset slice and any seed in its meta stay fixed across the sweep;
     ground truth is computed once and reused where the axis allows it.
+    Only the radius changes the scene boxes: along the k and queries axes
+    the index is built once per repeat and every value is searched on that
+    build, so every report's "build_ms" lists the same shared builds.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -164,21 +185,20 @@ def sweep(dataset: Dataset, config: ReductionConfig, axis: str, values,
     else:
         base_truth = ground_truth(dataset.data, dataset.queries, config.metric, config.k)
 
-    reports = []
-    for v in values:
-        if axis == "radius":
-            cfg = replace(config, r=float(v))
-            ds = dataset
-            truth = base_truth
-        elif axis == "k":
-            cfg = replace(config, k=int(v))
-            ds = dataset
-            truth = GroundTruth(base_truth.metric, int(v), [row[: int(v)] for row in base_truth.rows])
-        else:
-            cfg = config
-            ds = Dataset(dataset.data, dataset.queries[: int(v)], dict(dataset.meta))
-            truth = GroundTruth(base_truth.metric, config.k, base_truth.rows[: int(v)])
-        report = run_experiment(ds, cfg, repeats, truth=truth)
+    if axis == "radius":
+        # each radius sizes the scene boxes, so each value needs its own builds
+        reports = [run_experiment(dataset, replace(config, r=float(v)), repeats, truth=base_truth)
+                   for v in values]
+    elif axis == "k":
+        variants = [(dataset, replace(config, k=int(v)),
+                     GroundTruth(base_truth.metric, int(v), [row[: int(v)] for row in base_truth.rows]))
+                    for v in values]
+        reports = _run_shared_build(variants, repeats)
+    else:
+        variants = [(Dataset(dataset.data, dataset.queries[: int(v)], dict(dataset.meta)), config,
+                     GroundTruth(base_truth.metric, config.k, base_truth.rows[: int(v)]))
+                    for v in values]
+        reports = _run_shared_build(variants, repeats)
+    for report, v in zip(reports, values):
         report["sweep"] = {"axis": axis, "value": v}
-        reports.append(report)
     return reports

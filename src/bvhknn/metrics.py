@@ -11,8 +11,10 @@ Two families are supported:
 Native distances are computed by one vectorized kernel that the oracle
 and the pipeline share: :func:`weights` gives the un-rooted sum
 sum(|d_i|^p) for Lp and max(|d_i|) for LInf per row, and :func:`distances`
-takes the p-th root.  Radius queries keep a point iff its distance is
-<= r and order neighbors by (weight, id).
+takes the p-th root.  The kernel works column by column, one array
+operation per coordinate and term, adding the terms left to right, so it
+rounds exactly as a row-wise sum would.  Radius queries keep a point iff
+its distance is <= r and order neighbors by (weight, id).
 """
 
 from __future__ import annotations
@@ -110,18 +112,38 @@ def weights(metric: MetricSpec, points, q) -> np.ndarray:
     the rows have.  It orders like the distance, and :func:`distances`
     turns it into one.  The oracle and the pipeline both call this kernel,
     so they round every weight identically.
+
+    `q` is one point for every row, one point per row, or any shape that
+    broadcasts against `points` column by column, such as (B, 1, c) for B
+    queries.  The kernel runs column by column: ``d_j = P[..., j] - Q[..., j]``,
+    then its term, added left to right (``np.maximum`` for LInf).  That is
+    bitwise the row-wise ``.sum(axis=-1)`` of the terms, without the (m, c)
+    temporaries and the short strided reduction.
     """
-    d = np.asarray(points, dtype=np.float64) - np.asarray(q, dtype=np.float64)
     if metric.kind == KIND_LINF:
-        return np.abs(d).max(axis=1)
-    if metric.kind != KIND_LP:
+        term = np.abs
+    elif metric.kind != KIND_LP:
         raise ValueError(f"no native weight for metric {metric.canonical()!r}")
-    p = metric.p
-    if p == 1.0:
-        return np.abs(d).sum(axis=1)
-    if p == 2.0:
-        return (d * d).sum(axis=1)
-    return (np.abs(d) ** p).sum(axis=1)
+    elif metric.p == 1.0:
+        term = np.abs
+    elif metric.p == 2.0:
+        term = np.square
+    else:
+        p = metric.p
+
+        def term(d):
+            return np.abs(d) ** p
+
+    P = np.asarray(points, dtype=np.float64)
+    Q = np.asarray(q, dtype=np.float64)
+    w = term(P[..., 0] - Q[..., 0])
+    for j in range(1, P.shape[-1]):
+        t = term(P[..., j] - Q[..., j])
+        if metric.kind == KIND_LINF:
+            np.maximum(w, t, out=w)
+        else:
+            w += t
+    return w
 
 
 def distances(metric: MetricSpec, w: np.ndarray) -> np.ndarray:

@@ -5,6 +5,19 @@ point, so its answers are exact for every supported metric and serve as
 the reference the indexed pipelines are judged against.  Recall is the
 fraction of true nearest neighbors an approximate result recovered,
 compared as id sets.
+
+The data is mapped once per call (converted to floats, normalised for
+cosine/angular, parsed for Hamming) and reused for every query.  Per
+query, one call of the shared column-wise weight kernel (or one
+dot product for cosine/angular) gives each row's rank key.  The k
+smallest are then selected, not sorted in full: the keys are partitioned
+at k - 1, every row whose key is at or below the k-th key is kept, so
+that all ties at the k-th place survive, and that small set is sorted by
+(key, id).  The answer is exactly the first k of a stable sort of every
+key.  Without a radius, roots and `arccos` are taken only for the
+selected rows; with one, membership is decided on every row by the
+reported distance, so nothing assumes that a root or `arccos` is
+monotone in floating point.
 """
 
 from __future__ import annotations
@@ -30,31 +43,96 @@ from .pipeline import Transform, pipeline_metric_for, transform_points
 NeighborRow = list[tuple[int, float]]
 
 
-def _distance_and_rank(points, q, metric: MetricSpec):
-    """Per-point reported distances and the ascending rank key."""
-    pts = np.asarray(points, dtype=np.float64) if not _is_strings(points) else points
+def _map_data(points, metric: MetricSpec) -> np.ndarray:
+    """The data rows a query's rank key is computed from; done once per oracle call.
+
+    Unit vectors for cosine and angular, cube vertices for Hamming, and
+    the coordinates themselves otherwise, stored column-major so that
+    each column the weight kernel reads is contiguous.
+    """
     kind = metric.kind
     if kind in (KIND_COSINE, KIND_ANGULAR):
-        unit = transform_points([Transform.NORMALIZE], pts, label="data")
-        uq = np.asarray(transform_points([Transform.NORMALIZE], [as_point3(q).as_tuple()], label="query")[0])
-        cos = np.clip(unit @ uq, -1.0, 1.0)
-        angle = np.arccos(cos)
-        if kind == KIND_ANGULAR:
-            return angle, -cos
-        return cos, -cos  # similarity reported, still ranked by ascending angle
-    if kind == KIND_EUCLID2D:
-        rows = np.asarray(pts, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[1] != 2:
-            raise ValueError(f"euclid2d expects (n, 2) points, got shape {rows.shape}")
-        qrow = np.asarray(q, dtype=np.float64).reshape(2)
-    elif kind == KIND_HAMMING3:
-        rows = transform_points([Transform.HAMMING_VERTEX], pts, label="data")
-        qrow = transform_points([Transform.HAMMING_VERTEX], [q] if isinstance(q, str) else [tuple(q)], label="query")[0]
+        return transform_points([Transform.NORMALIZE], points, label="data")
+    if kind == KIND_HAMMING3:
+        rows = transform_points([Transform.HAMMING_VERTEX], points, label="data")
     else:
-        rows, qrow = pts, as_point3(q).as_tuple()
+        rows = np.asarray(points, dtype=np.float64)
+        if kind == KIND_EUCLID2D and (rows.ndim != 2 or rows.shape[1] != 2):
+            raise ValueError(f"euclid2d expects (n, 2) points, got shape {rows.shape}")
+    return np.asfortranarray(rows)
+
+
+def _map_query(q, metric: MetricSpec):
+    """One query in the form :func:`_map_data` gives the data."""
+    kind = metric.kind
+    if kind in (KIND_COSINE, KIND_ANGULAR):
+        return transform_points([Transform.NORMALIZE], [as_point3(q).as_tuple()], label="query")[0]
+    if kind == KIND_EUCLID2D:
+        return np.asarray(q, dtype=np.float64).reshape(2)
+    if kind == KIND_HAMMING3:
+        return transform_points([Transform.HAMMING_VERTEX], [q] if isinstance(q, str) else [tuple(q)],
+                                label="query")[0]
+    return as_point3(q).as_tuple()
+
+
+def _rank_key(rows, qrow, metric: MetricSpec):
+    """The ascending rank key of every row, and a map from row indices to distances.
+
+    Lp, LInf, 2D Euclidean and Hamming rank by the pipeline's weight
+    kernel; cosine and angular by the negated cosine, from dot products
+    computed independently of the pipeline's normalize-then-L2 route.
+    Roots and `arccos` are taken only for the rows asked for.
+    """
+    if metric.kind in (KIND_COSINE, KIND_ANGULAR):
+        cos = np.clip(rows @ qrow, -1.0, 1.0)
+        if metric.kind == KIND_ANGULAR:
+            return -cos, lambda sel: np.arccos(cos[sel])
+        return -cos, lambda sel: cos[sel]  # similarity reported, still ranked by ascending angle
     native = pipeline_metric_for(metric)
     w = weights(native, rows, qrow)
-    return distances(native, w), w
+    return w, lambda sel: distances(native, w[sel])
+
+
+def _smallest(key: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k smallest keys in (key, index) order: a stable argsort's first k.
+
+    The key is partitioned at k - 1, and every index whose key is not
+    above the k-th key stays, so all ties at the k-th place survive into
+    the (key, index) sort of that small set.  A NaN key is never below
+    another, so it sorts last, as in `argsort`.
+    """
+    if k < len(key):
+        kth = np.partition(key, k - 1)[k - 1]
+        idx = np.flatnonzero(~(key > kth))
+    else:
+        idx = np.arange(len(key))
+    return idx[np.lexsort((idx, key[idx]))[:k]]
+
+
+def _knn_rows(points, queries, metric: MetricSpec, k: int, radius: float | None) -> list[NeighborRow]:
+    """Exact neighbor rows for each query; the data is mapped once for all of them."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if radius is not None:
+        if math.isnan(radius):
+            raise ValueError("radius must not be NaN")
+        if radius < 0 and metric.kind != KIND_COSINE:  # a cosine radius is a similarity
+            raise ValueError(f"radius must be >= 0 for metric {metric.canonical()}, got {radius}")
+    rows = _map_data(points, metric)
+    out = []
+    for q in queries:
+        key, distance_of = _rank_key(rows, _map_query(q, metric), metric)
+        if radius is None:
+            top = _smallest(key, k)
+            dist = distance_of(top)
+        else:
+            # membership is decided on every row by the reported distance
+            dist = distance_of(slice(None))
+            keep = np.flatnonzero(dist >= radius if metric.kind == KIND_COSINE else dist <= radius)
+            top = keep[_smallest(key[keep], k)]
+            dist = dist[top]
+        out.append(list(zip(top.tolist(), dist.tolist())))
+    return out
 
 
 def _is_strings(points) -> bool:
@@ -67,22 +145,17 @@ def brute_force_knn(points, q, metric: MetricSpec, k: int, radius: float | None 
     Returns up to k (id, distance) pairs, ascending by distance with ties
     broken by smaller id (for cosine the distance column is the similarity
     and the order is ascending angle).  A radius bound keeps only points
-    with distance <= radius (for cosine: similarity >= radius).
+    with distance <= radius (for cosine: similarity >= radius).  A NaN
+    radius is rejected, and so is a negative one except for cosine.
 
     Lp, LInf, 2D Euclidean and Hamming distances come from the weight
     kernel the pipeline uses, ranked by (weight, id); cosine and angular
     are computed from dot products, independently of the pipeline's
-    normalize-then-L2 route.
+    normalize-then-L2 route.  The k smallest keys are selected, not the
+    whole scan sorted; the result is exactly the first k of a stable sort.
+    This is the one-query case of :func:`ground_truth`.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    dist, rank = _distance_and_rank(points, q, metric)
-    ids = np.arange(len(dist))
-    if radius is not None:
-        keep = dist >= radius if metric.kind == KIND_COSINE else dist <= radius
-        ids, dist, rank = ids[keep], dist[keep], rank[keep]
-    order = np.argsort(rank, kind="stable")[:k]
-    return [(int(ids[i]), float(dist[i])) for i in order]
+    return _knn_rows(points, [q], metric, k, radius)[0]
 
 
 @dataclass
@@ -117,8 +190,11 @@ class GroundTruth:
 
 
 def ground_truth(points, queries, metric: MetricSpec, k: int, radius: float | None = None) -> GroundTruth:
-    """Brute-force truth for a whole query batch."""
-    rows = [brute_force_knn(points, q, metric, k, radius) for q in _iter_queries(queries)]
+    """Brute-force truth for a whole query batch, as :func:`brute_force_knn` per query.
+
+    The data is mapped (converted, normalised or parsed) once for the batch.
+    """
+    rows = _knn_rows(points, _iter_queries(queries), metric, k, radius)
     return GroundTruth(metric=metric.canonical(), k=k, rows=rows)
 
 

@@ -13,6 +13,7 @@ from bvhknn import (
     run_experiment,
     sweep,
 )
+from bvhknn import experiments
 from bvhknn.cli import main
 from bvhknn.oracle import aggregate_recall
 
@@ -194,6 +195,36 @@ def test_sweep_queries_search_time_trend():
     assert t_large >= t_small / 2
 
 
+@pytest.mark.parametrize("axis, values", [("k", [1, 4, 9]), ("queries", [2, 5, 10])])
+def test_sweep_builds_once_per_repeat_off_the_radius_axis(monkeypatch, axis, values):
+    ds = small_dataset(n=150, q=10, seed=7)
+    cfg = ReductionConfig(MetricSpec.lp(3), 0.25, 3)
+    calls = []
+    build = experiments.build_index
+
+    def counting_build(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "build_index", counting_build)
+    reports = sweep(ds, cfg, axis, values, repeats=2)
+    assert len(calls) == 2  # not one per value and repeat
+    assert all(r["timings"]["build_ms"] == reports[0]["timings"]["build_ms"] for r in reports)
+    assert all(len(r["timings"]["search_ms"]) == 2 for r in reports)
+
+    def untimed(report):
+        return {key: val for key, val in report.items() if key not in ("timings", "sweep")}
+
+    for report, v in zip(reports, values):
+        if axis == "k":
+            alone = run_experiment(ds, ReductionConfig(cfg.metric, cfg.r, v), repeats=2)
+        else:
+            alone = run_experiment(Dataset(ds.data, ds.queries[:v], dict(ds.meta)), cfg, repeats=2)
+        assert untimed(report) == untimed(alone)
+        assert report["sweep"] == {"axis": axis, "value": v}
+        assert set(report["timings"]) == set(alone["timings"])
+
+
 def test_sweep_validates_values():
     ds = small_dataset()
     cfg = ReductionConfig(MetricSpec.lp(2), 0.4, 3)
@@ -262,13 +293,19 @@ def test_cli_build_info(tmp_path, capsys):
     # x = 0, 1, 3; with leaf size 1 the root splits into {0} and {1, 3}
     data = write(tmp_path / "pts.csv", "0,0,0\n1,0,0\n3,0,0\n")
     expected = {
-        # leaves 3 x 6, the {1, 3} node 2 * (3 + 1 + 3), the root 2 * (4 + 1 + 4)
-        1: {"num_nodes": 5, "max_depth": 3, "num_leaves": 3, "leaf_fill_mean": 1.0, "surface_area_sum": 50.0},
-        4: {"num_nodes": 1, "max_depth": 1, "num_leaves": 1, "leaf_fill_mean": 0.75, "surface_area_sum": 18.0},
+        # leaves 3 x 6, the {1, 3} node 2 * (3 + 1 + 3), the root 2 * (4 + 1 + 4);
+        # sibling boxes at most touch, so nothing overlaps
+        (1, "0.5"): {"num_nodes": 5, "max_depth": 3, "num_leaves": 3, "leaf_fill_mean": 1.0,
+                     "surface_area_sum": 50.0, "overlap_volume_sum": 0.0},
+        (4, "0.5"): {"num_nodes": 1, "max_depth": 1, "num_leaves": 1, "leaf_fill_mean": 0.75,
+                     "surface_area_sum": 18.0, "overlap_volume_sum": 0.0},
+        # side 1.5: the root's children [-0.75, 0.75] and [0.25, 3.75] share
+        # 0.5 x 1.5 x 1.5 in x, y, z; the boxes around 1 and 3 stay apart
+        (1, "0.75"): {"num_nodes": 5, "num_leaves": 3, "overlap_volume_sum": 1.125},
     }
-    for leaf_size, want in expected.items():
+    for (leaf_size, radius), want in expected.items():
         code, out, err = run_cli(
-            ["build-info", "--data", data, "--n", "3", "--metric", "lp:2", "--radius", "0.5",
+            ["build-info", "--data", data, "--n", "3", "--metric", "lp:2", "--radius", radius,
              "--leaf-size", str(leaf_size)], capsys
         )
         assert code == 0, err
@@ -360,6 +397,12 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
         capsys,
     )
     assert code == 2 and "--queries" in err
+
+    for radius in ("nan", "-1"):
+        code, _, err = run_cli(
+            ["oracle", "--n", "10", "--queries", "2", "--metric", "lp:2", "--radius", radius], capsys
+        )
+        assert code == 2 and "radius" in err
 
 
 def test_cli_internal_error_exit_3(monkeypatch, capsys):

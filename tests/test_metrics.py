@@ -75,6 +75,34 @@ def test_kernel_matches_math_reference(rows, q, ncols, metric):
         assert got_d == pytest.approx(want_d, rel=1e-12, abs=0.0)
 
 
+def _rowwise_reference(metric, points, q):
+    """The weight as whole-row array terms reduced along the last axis."""
+    d = np.asarray(points, dtype=np.float64) - np.asarray(q, dtype=np.float64)
+    if metric.kind == "linf":
+        return np.abs(d).max(axis=-1)
+    if metric.p == 1:
+        return np.abs(d).sum(axis=-1)
+    if metric.p == 2:
+        return (d * d).sum(axis=-1)
+    return (np.abs(d) ** metric.p).sum(axis=-1)
+
+
+@pytest.mark.parametrize("metric", [MetricSpec.lp(1), MetricSpec.lp(1.5), MetricSpec.lp(2), MetricSpec.lp(3),
+                                    MetricSpec.linf()], ids=lambda m: m.canonical())
+def test_column_kernel_bitwise_equals_rowwise_sum(metric):
+    rng = np.random.default_rng(23)
+    for m in (1, 33, 1037):
+        for cols in (3, 2):
+            points = rng.normal(size=(m, cols)) * rng.choice([1e-3, 1.0, 1e3], size=(m, 1))
+            for q in (rng.normal(size=cols),           # one query for every row
+                      rng.normal(size=(m, cols)),      # one query per row
+                      rng.normal(size=(4, 1, cols))):  # a batch of queries, broadcast
+                got = weights(metric, points, q)
+                want = _rowwise_reference(metric, points, q)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_kernel_rejects_transform_metrics():
     for m in (MetricSpec.cosine(), MetricSpec.angular(), MetricSpec.euclid2d(), MetricSpec.hamming3()):
         with pytest.raises(ValueError):

@@ -2,14 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvhknn import (
     GroundTruth,
     MetricSpec,
+    Transform,
     aggregate_recall,
     brute_force_knn,
+    distances,
     ground_truth,
+    pipeline_metric_for,
     recall,
+    transform_points,
+    weights,
 )
 
 
@@ -46,6 +52,116 @@ def test_hamming_rows():
 def test_rejects_bad_k():
     with pytest.raises(ValueError):
         brute_force_knn(np.zeros((2, 3)), [0, 0, 0], MetricSpec.lp(2), 0)
+
+
+ALL_METRICS = [MetricSpec.parse(m) for m in
+               ("lp:1", "lp:1.5", "lp:2", "lp:3", "linf", "cosine", "angular", "euclid2d", "hamming3")]
+
+
+def _scene(metric, n):
+    """Small data and a query in the source form `metric` takes."""
+    if metric.kind == "hamming3":
+        return ["000", "011", "111"][:n], "001"
+    cols = 2 if metric.kind == "euclid2d" else 3
+    return np.arange(1.0, 1.0 + n * cols).reshape(n, cols), np.full(cols, 0.5)
+
+
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.canonical())
+def test_rejects_bad_radius(metric):
+    pts, q = _scene(metric, 3)
+    with pytest.raises(ValueError, match="NaN"):
+        brute_force_knn(pts, q, metric, 2, radius=math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        ground_truth(pts, [q], metric, 2, radius=float("nan"))
+    if metric.kind == "cosine":  # the radius is a similarity in [-1, 1]
+        assert len(brute_force_knn(pts, q, metric, 2, radius=-1.0)) == 2
+    else:
+        with pytest.raises(ValueError, match=">= 0"):
+            brute_force_knn(pts, q, metric, 2, radius=-1.0)
+        assert brute_force_knn(pts, q, metric, 2, radius=0.0) == []
+
+
+def test_matches_math_reference():
+    # distances by math.fsum/math.sqrt and a Python sort on (distance, id),
+    # independent of the weight kernel
+    rng = np.random.default_rng(17)
+    pts = rng.random((300, 3))
+    for q in rng.random((5, 3)):
+        for metric in (MetricSpec.lp(1), MetricSpec.lp(2), MetricSpec.lp(3), MetricSpec.linf()):
+            def dist(row):
+                d = [abs(x - y) for x, y in zip(row, q)]
+                if metric.kind == "linf":
+                    return max(d)
+                w = math.fsum(v ** metric.p for v in d)
+                return math.sqrt(w) if metric.p == 2 else w ** (1 / metric.p)
+
+            want = sorted((dist(row), i) for i, row in enumerate(pts.tolist()))[:7]
+            got = brute_force_knn(pts, q, metric, 7)
+            assert [i for i, _ in got] == [i for _, i in want]
+            for (_, got_d), (want_d, _) in zip(got, want):
+                assert got_d == pytest.approx(want_d, rel=1e-12)
+
+
+def _argsort_reference(points, q, metric, k, radius):
+    """Every key computed, then a stable argsort of all of them: the oracle's answer."""
+    if metric.kind in ("cosine", "angular"):
+        unit = transform_points([Transform.NORMALIZE], points)
+        uq = transform_points([Transform.NORMALIZE], [q])[0]
+        cos = np.clip(unit @ uq, -1.0, 1.0)
+        dist, key = (cos if metric.kind == "cosine" else np.arccos(cos)), -cos
+    else:
+        if metric.kind == "hamming3":
+            points = transform_points([Transform.HAMMING_VERTEX], points)
+            q = transform_points([Transform.HAMMING_VERTEX], [q])[0]
+        native = pipeline_metric_for(metric)
+        key = weights(native, np.asarray(points, dtype=np.float64), q)
+        dist = distances(native, key)
+    ids = np.arange(len(key))
+    if radius is not None:
+        keep = dist >= radius if metric.kind == "cosine" else dist <= radius
+        ids, dist, key = ids[keep], dist[keep], key[keep]
+    order = np.argsort(key, kind="stable")[:k]
+    return [(int(ids[i]), float(dist[i])) for i in order]
+
+
+@st.composite
+def oracle_cases(draw):
+    metric = draw(st.sampled_from(ALL_METRICS))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["random", "lattice", "duplicated"]))
+    if metric.kind == "hamming3":
+        bits = ["".join(row) for row in rng.choice(["0", "1"], size=(n + 1, 3))]
+        points, q = bits[:n], bits[n]
+    else:
+        cols = 2 if metric.kind == "euclid2d" else 3
+        if layout == "random":
+            rows = rng.normal(size=(n + 1, cols))
+        elif layout == "lattice":
+            rows = rng.integers(-4, 5, size=(n + 1, cols)) * 0.125
+        else:
+            rows = np.repeat(rng.normal(size=(n // 7 + 2, cols)), 7, axis=0)[: n + 1]
+            rng.shuffle(rows)
+        if metric.kind in ("cosine", "angular"):
+            rows[~rows.any(axis=1)] = 0.125  # no zero vectors to normalise
+        points, q = rows[:n], rows[n]
+    k = draw(st.sampled_from([1, max(1, n - 1), n, n + 3]))
+    radius = None
+    if draw(st.booleans()):
+        # one point's own distance: it and every tie sit exactly on the radius
+        own = _argsort_reference(points, q, metric, n, None)
+        radius = own[draw(st.integers(0, n - 1))][1]
+    return points, q, metric, k, radius
+
+
+@given(oracle_cases())
+@settings(deadline=None, max_examples=300)
+def test_selection_matches_stable_argsort(case):
+    points, q, metric, k, radius = case
+    want = _argsort_reference(points, q, metric, k, radius)
+    assert brute_force_knn(points, q, metric, k, radius) == want
+    # the batch maps the data once and answers each query as the one-query call does
+    assert ground_truth(points, [q, q], metric, k, radius).rows == [want, want]
 
 
 def test_angular_consistent_with_chord_ranking():
