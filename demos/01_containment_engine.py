@@ -44,7 +44,8 @@ print(f"query {q.origin.as_tuple()}: {hits} hits, e.g. {sorted(hit_ids)[:5]}")
 inside = np.flatnonzero((np.abs(points - 0.5) <= 0.03).all(axis=1))
 print("linear scan agrees:", sorted(hit_ids) == list(inside))
 
-# The callback can stop traversal early (useful for existence tests).
+# The callback can stop the delivery of further hits; the node walk has
+# already run in full, so this saves callbacks, not traversal work.
 first = []
 
 

@@ -6,7 +6,7 @@ each data point (:func:`build_point_bvh`), then for a point query invoke an
 any-hit callback once for every *leaf primitive* whose own box contains the
 query point.  As in a ray-tracing any-hit program, the callback receives
 only the primitive's id, the row index of its point; it may stop the
-traversal early.
+delivery of further hits.
 
 Construction is deterministic: median split on the axis with the longest
 centroid extent (ties broken x, then y, then z), the left child taking the
@@ -17,20 +17,21 @@ and numbers nodes in level order, so the right child of node i is always
 `left[i] + 1`.  Trees are immutable once built and traversal is read-only,
 so any number of concurrent queries may share one.
 
-There are two traversals.  :func:`traverse_point` is the any-hit walk of
-one query, depth first, one node at a time; it reads Python-list copies of
-the node tables.  :func:`traverse_points` is its wavefront form for many
-queries at once, as a GPU hands the RT cores whole batches of rays: it
-keeps a frontier of (query, node) pairs, tests the whole frontier's boxes
-per step with numpy, and reads the numpy tables.  It hands over the hits
-a run of queries at a time, each run held to PAIR_BUDGET pairs, so its
-memory stays bounded.  Both test the same nodes and report the same hits.
+There are two traversals over the same numpy tables, and both end in one
+array test of the slots of the leaves they reach.  :func:`traverse_point` is
+the any-hit walk of one query, depth first, testing two sibling boxes a step.
+:func:`traverse_points` is its wavefront form for many queries at once, as a
+GPU hands the RT cores whole batches of rays: it tests a whole frontier of
+(query, node) pairs per step, and hands over the hits a run of queries at a
+time, each run held to PAIR_BUDGET pairs, so its memory stays bounded.  Both
+test the same nodes and report the same hits.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -44,6 +45,9 @@ DEFAULT_LEAF_SIZE = 4
 # once for a run of several queries.  With the refine of its hits, a pair
 # costs up to about 250 bytes, so a run of batch_query stays near 16 MiB.
 PAIR_BUDGET = 1 << 16
+
+# Two adjacent rows of Bvh.bounds: a left child's box and its right sibling's.
+_SIBLING_BOXES = struct.Struct("12d")
 
 
 class Verdict(enum.Enum):
@@ -67,53 +71,47 @@ class Bvh:
     y1, z1), `left[i]` is the left child (-1 for a leaf; the right child is
     `left[i] + 1`), and a leaf holds storage slots `starts[i]` to
     `starts[i] + counts[i] - 1`.  Slot s stores primitive `perm[s]`, whose
-    box is `boxes[s]`.  These read-only numpy arrays serve
-    :func:`traverse_points`; :func:`traverse_point` reads Python-list
-    copies of them, which are faster to index one element at a time.
+    box is `boxes[s]`.  The tables are read-only C-ordered numpy arrays,
+    float64 for `bounds` and `boxes` and int64 for the rest, and both
+    traversals read them.
     """
 
     def __init__(self, bounds, left, starts, counts, perm, boxes, leaf_size, depth):
-        for table in (bounds, left, starts, counts, perm, boxes):
+        # C order, float64 ("d") boxes and int64 ("q") indices: the formats the node walk reads
+        tables = [np.ascontiguousarray(a, f) for a, f in zip((bounds, left, starts, counts, perm, boxes), "dqqqqd")]
+        for table in tables:
             table.flags.writeable = False
-        self.bounds, self.left, self.starts, self.counts = bounds, left, starts, counts
-        self.perm, self.boxes = perm, boxes
-        self._bounds: list[list[float]] = bounds.tolist()
-        self._left: list[int] = left.tolist()
-        self._start: list[int] = starts.tolist()
-        self._count: list[int] = counts.tolist()
-        self._prim_ids: list[int] = perm.tolist()
-        self._prim_boxes: list[list[float]] = boxes.tolist()
+        self.bounds, self.left, self.starts, self.counts, self.perm, self.boxes = tables
         self.leaf_size = leaf_size
         self._depth = depth
 
     @property
     def num_nodes(self) -> int:
-        return len(self._left)
+        return len(self.left)
 
     @property
     def num_primitives(self) -> int:
-        return len(self._prim_ids)
+        return len(self.perm)
 
     @property
     def primitive_order(self) -> list[int]:
         """Dataset ids in leaf storage order (a permutation of the input)."""
-        return list(self._prim_ids)
+        return self.perm.tolist()
 
     def node_box(self, index: int) -> Aabb:
-        b = self._bounds[index]
-        return Aabb(Point3(b[0], b[1], b[2]), Point3(b[3], b[4], b[5]))
+        return Aabb(Point3(*self.bounds[index, :3].tolist()), Point3(*self.bounds[index, 3:].tolist()))
 
     def node_children(self, index: int) -> tuple[int, int] | None:
         """(left, right) for an internal node, None for a leaf."""
-        left = self._left[index]
+        left = int(self.left[index])
         return None if left < 0 else (left, left + 1)
 
     def leaf_primitives(self, index: int) -> list[int]:
         """Dataset ids stored in a leaf node."""
-        if self._left[index] >= 0:
+        if self.left[index] >= 0:
             raise ValueError(f"node {index} is internal")
-        s = self._start[index]
-        return self._prim_ids[s : s + self._count[index]]
+        s = int(self.starts[index])
+        return self.perm[s : s + self.counts[index]].tolist()
 
     def max_depth(self) -> int:
         """Longest root-to-leaf path, counting the root as depth 1."""
@@ -148,7 +146,7 @@ class Bvh:
         lines: list[str] = []
 
         def walk(idx: int, depth: int) -> None:
-            b = self._bounds[idx]
+            b = self.bounds[idx].tolist()
             head = f"{'  ' * depth}[{idx}] ({b[0]:.6g},{b[1]:.6g},{b[2]:.6g})..({b[3]:.6g},{b[4]:.6g},{b[5]:.6g})"
             kids = self.node_children(idx)
             if kids is None:
@@ -252,13 +250,10 @@ def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZ
     return _build_from_arrays(pts - h, pts + h, pts, leaf_size)
 
 
-AnyHit = Callable[[int], "Verdict | None"]
-
-
 def traverse_point(
     bvh: Bvh,
     q: PointQuery,
-    anyhit: AnyHit,
+    anyhit: Callable[[int], Verdict | None],
     counters: TraversalCounters | None = None,
 ) -> int:
     """Invoke `anyhit(id)` once per leaf primitive whose box contains the query.
@@ -266,47 +261,65 @@ def traverse_point(
     Hits are delivered in depth-first order, left child first.  Subtrees
     whose node box excludes the query point are pruned without descending.
     Returns the number of callbacks delivered; a Verdict.TERMINATE return
-    from the callback stops the traversal immediately.
+    from the callback stops the delivery.  All hits are found first, so
+    `counters.nodes_tested` counts the full node walk either way.
     """
-    ox, oy, oz = q.origin.x, q.origin.y, q.origin.z
-    bounds, lefts, starts, counts = bvh._bounds, bvh._left, bvh._start, bvh._count
-    prim_boxes = bvh._prim_boxes
-    prim_ids = bvh._prim_ids
-
-    hits = 0
-    tested = 0
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        b = bounds[node]
-        tested += 1
-        if not (b[0] <= ox <= b[3] and b[1] <= oy <= b[4] and b[2] <= oz <= b[5]):
-            continue
-        left = lefts[node]
-        if left >= 0:
-            stack.append(left + 1)
-            stack.append(left)
-            continue
-        start = starts[node]
-        for slot in range(start, start + counts[node]):
-            pb = prim_boxes[slot]
-            if pb[0] <= ox <= pb[3] and pb[1] <= oy <= pb[4] and pb[2] <= oz <= pb[5]:
-                hits += 1
-                verdict = anyhit(prim_ids[slot])
-                if verdict is Verdict.TERMINATE:
-                    if counters is not None:
-                        counters.nodes_tested += tested
-                    return hits
+    ids, tested = point_hits(bvh, q.origin.as_tuple())
     if counters is not None:
         counters.nodes_tested += tested
-    return hits
+    for delivered, hit in enumerate(ids.tolist(), 1):
+        if anyhit(hit) is Verdict.TERMINATE:
+            return delivered
+    return len(ids)
+
+
+def point_hits(bvh: Bvh, origin: tuple[float, float, float]) -> tuple[np.ndarray, int]:
+    """Ids of the primitives whose boxes contain `origin`, depth first, and the nodes tested.
+
+    The node walk reads the tables in place.  Its stack holds nodes whose box
+    contains the query, and expanding one tests both children with one read.
+    The leaves it reaches come out in slot order; one array step tests their slots.
+    Not exported; :func:`traverse_point` and :func:`bvhknn.pipeline.run_query` use it.
+    """
+    ox, oy, oz = origin
+    bounds = bvh.bounds.data
+    lefts = memoryview(bvh.left).cast("B").cast("q")
+    x0, y0, z0, x1, y1, z1 = bvh.bounds[0].tolist()
+    stack = [0] if x0 <= ox <= x1 and y0 <= oy <= y1 and z0 <= oz <= z1 else []
+    tested = 1
+    leaves = []
+    while stack:
+        node = stack.pop()
+        left = lefts[node]
+        if left < 0:
+            leaves.append(node)
+            continue
+        tested += 2
+        x0, y0, z0, x1, y1, z1, u0, v0, w0, u1, v1, w1 = _SIBLING_BOXES.unpack_from(bounds, 48 * left)
+        if u0 <= ox <= u1 and v0 <= oy <= v1 and w0 <= oz <= w1:
+            stack.append(left + 1)
+        if x0 <= ox <= x1 and y0 <= oy <= y1 and z0 <= oz <= z1:
+            stack.append(left)  # popped first: the left subtree is walked first
+    leaves = np.array(leaves, dtype=np.int64)
+    _, ids = _leaf_hits(bvh, np.zeros(len(leaves), dtype=np.int64), leaves, np.array([origin]))
+    return ids, tested
 
 
 def _contains(boxes: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Row-wise closed test lo <= point <= hi, the comparisons of traverse_point."""
+    """Row-wise closed test lo <= point <= hi, the comparisons of the node walk."""
     return ((boxes[:, 0] <= points[:, 0]) & (points[:, 0] <= boxes[:, 3])
             & (boxes[:, 1] <= points[:, 1]) & (points[:, 1] <= boxes[:, 4])
             & (boxes[:, 2] <= points[:, 2]) & (points[:, 2] <= boxes[:, 5]))
+
+
+def _leaf_hits(bvh: Bvh, rows: np.ndarray, leaves: np.ndarray, origins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hit query rows and primitive ids over the slots of (query row, leaf) pairs, in pair and slot order."""
+    counts = bvh.counts.take(leaves)
+    rows = rows.repeat(counts)
+    # Slot pairs are laid out leaf after leaf; leaf j's slots start at starts[j].
+    slot = np.arange(len(rows)) + (bvh.starts.take(leaves) - (np.cumsum(counts) - counts)).repeat(counts)
+    inside = _contains(bvh.boxes.take(slot, axis=0), origins.take(rows, axis=0))
+    return rows.compress(inside), bvh.perm.take(slot.compress(inside))
 
 
 def traverse_points(bvh: Bvh, origins: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
@@ -364,19 +377,12 @@ def traverse_points(bvh: Bvh, origins: np.ndarray) -> Iterator[tuple[int, int, n
             rows = rows.compress(~leaf).repeat(2)
             nodes = left.compress(~leaf).repeat(2)
             nodes[1::2] += 1  # the right child is left + 1
-        counts = bvh.counts.take(leaf_nodes)
-        rows = leaf_rows.repeat(counts)
-        # Slot pairs are laid out leaf after leaf; leaf j's slots start at starts[j].
-        slot = np.arange(len(rows)) + (bvh.starts.take(leaf_nodes) - (np.cumsum(counts) - counts)).repeat(counts)
-        inside = _contains(bvh.boxes.take(slot, axis=0), origins.take(rows, axis=0))
-        yield lo, hi, rows.compress(inside), bvh.perm.take(slot.compress(inside)), tested[lo:hi]
+        yield lo, hi, *_leaf_hits(bvh, leaf_rows, leaf_nodes, origins), tested[lo:hi]
 
 
 def node_visits(bvh: Bvh, q: PointQuery) -> int:
     """Number of node boxes tested while traversing q (pruning metric)."""
-    counters = TraversalCounters()
-    traverse_point(bvh, q, lambda hit: None, counters)
-    return counters.nodes_tested
+    return point_hits(bvh, q.origin.as_tuple())[1]
 
 
 def containment_scan(points, half_width: float, q: PointQuery) -> list[int]:

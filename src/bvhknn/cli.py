@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import replace
 
+from .bvh import DEFAULT_LEAF_SIZE
 from .datasets import FORMATS, DatasetFile, load_dataset, read_records, synthetic_points
 from .experiments import SWEEP_AXES, Dataset, run_experiment, sweep
 from .metrics import KIND_EUCLID2D, KIND_HAMMING3, MetricSpec
@@ -59,7 +60,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--radius", type=float, help="search radius r")
     sub.add_argument("--k", type=int, default=10)
     sub.add_argument("--enhanced", type=_parse_bool, default=False, metavar="BOOL")
-    sub.add_argument("--leaf-size", type=int, default=4)
+    sub.add_argument("--leaf-size", type=int, default=DEFAULT_LEAF_SIZE)
     sub.add_argument("--repeats", type=int, default=1)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", help="write JSON here instead of stdout")

@@ -11,6 +11,7 @@ one.  Reports are plain dicts ready for JSON; every nondeterministic value
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -167,6 +168,8 @@ def sweep(dataset: Dataset, config: ReductionConfig, axis: str, values,
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"sweep values must be finite, got {values}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"sweep values must be strictly increasing, got {values}")
 

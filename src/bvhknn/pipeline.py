@@ -12,8 +12,8 @@ A query runs in two stages:
 wavefront traversal (:func:`bvhknn.bvh.traverse_points`), which hands
 over the hits a run of queries at a time, then one kernel call and one
 sort over every hit of the run.  :func:`run_query` is the
-per-query reference path, with one any-hit callback per box
-(:func:`bvhknn.bvh.traverse_point`); the two return equal results.
+per-query reference path, with the node walk of
+:func:`bvhknn.bvh.traverse_point` but no callback; the two return equal results.
 
 The refine step computes distances exactly as the brute-force oracle
 does, so within the radius the answer is the oracle's, boundary included.
@@ -41,15 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bvh import (
-    DEFAULT_LEAF_SIZE,
-    Bvh,
-    TraversalCounters,
-    build_point_bvh,
-    traverse_point,
-    traverse_points,
-)
-from .geometry import PointQuery, as_point3
+from .bvh import DEFAULT_LEAF_SIZE, Bvh, build_point_bvh, point_hits, traverse_points
+from .geometry import as_point3
 from .metrics import (
     KIND_ANGULAR,
     KIND_COSINE,
@@ -145,23 +138,20 @@ def run_query(bvh: Bvh, points, q, config: ReductionConfig) -> QueryResult:
 
     `bvh` must come from :func:`build_index` over the same `points`, with
     a plain or enhanced scene; both return the same neighbors.  This is
-    the per-query reference path: it walks the tree with the any-hit
-    :func:`traverse_point`, which for one query beats a wavefront of one.
+    the per-query reference path: the node walk of :func:`traverse_point`,
+    which for one query beats a wavefront of one.
     """
     metric = config.metric
     points = _checked_points(bvh, points, metric)
-    qp = as_point3(q)
-    hits: list[int] = []
-    counters = TraversalCounters()
-    traverse_point(bvh, PointQuery(qp), hits.append, counters)
-    ids = np.array(hits, dtype=np.intp)
-    w = weights(metric, points[ids], qp.as_tuple())
+    origin = as_point3(q).as_tuple()
+    hits, tested = point_hits(bvh, origin)
+    w = weights(metric, points.take(hits, axis=0), origin)
     dist = distances(metric, w)
     inside = dist <= config.r
-    ids, w, dist = ids[inside], w[inside], dist[inside]
+    ids, w, dist = hits[inside], w[inside], dist[inside]
     top = np.lexsort((ids, w))[: config.k]
     neighbors = list(zip(ids[top].tolist(), dist[top].tolist()))
-    return QueryResult(neighbors, len(ids), len(hits), counters.nodes_tested)
+    return QueryResult(neighbors, len(ids), len(hits), tested)
 
 
 def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> list[QueryResult]:

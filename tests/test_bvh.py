@@ -3,8 +3,10 @@ import pytest
 
 from bvhknn import (
     Aabb,
+    Bvh,
     Point3,
     PointQuery,
+    TraversalCounters,
     Verdict,
     build_point_bvh,
     containment_scan,
@@ -239,20 +241,59 @@ def test_traverse_points_no_queries():
 
 
 def test_termination_semantics():
-    pts = np.zeros((20, 3))  # all boxes contain the origin query
-    bvh = build_point_bvh(pts, 1.0, leaf_size=4)
-    q = query(0, 0, 0)
-    total = traverse_point(bvh, q, lambda h: None)
-    assert total == 20
-    for stop_after in (1, 5, 20, 30):
-        seen = []
+    scenes = [(np.zeros((20, 3)), 1.0, query(0, 0, 0)),  # all boxes contain the query
+              (np.random.default_rng(3).random((400, 3)), 0.3, query(0.5, 0.5, 0.5))]
+    assert containment_scan(*scenes[0]) == list(range(20))
+    for pts, hw, q in scenes:
+        bvh = build_point_bvh(pts, hw, leaf_size=4)
+        full = collect_hits(bvh, q)
+        total = len(full)
+        assert sorted(full) == containment_scan(pts, hw, q)
+        assert traverse_point(bvh, q, lambda h: None) == total
+        hit_leaves = [node for node in range(bvh.num_nodes) if bvh.node_children(node) is None
+                      and set(bvh.leaf_primitives(node)) & set(full)]
+        assert len(hit_leaves) > 1
+        counters = TraversalCounters()
+        traverse_point(bvh, q, lambda h: None, counters)
+        for stop_after in (1, 5, total - 1, total, total + 10):
+            seen = []
 
-        def anyhit(hit):
-            seen.append(hit)
-            return Verdict.TERMINATE if len(seen) >= stop_after else Verdict.CONTINUE
+            def anyhit(hit):
+                seen.append(hit)
+                return Verdict.TERMINATE if len(seen) >= stop_after else Verdict.CONTINUE
 
-        delivered = traverse_point(bvh, q, anyhit)
-        assert delivered == len(seen) == min(stop_after, 20)
+            stopped = TraversalCounters()
+            delivered = traverse_point(bvh, q, anyhit, stopped)
+            assert delivered == len(seen) == min(stop_after, total)
+            assert seen == full[:delivered]
+            assert stopped.nodes_tested == counters.nodes_tested  # the whole node walk counts
+
+
+def test_bvh_holds_only_read_only_tables():
+    bvh = build_point_bvh(np.random.default_rng(4).random((300, 3)), 0.1, 4)
+    assert not [name for name, value in vars(bvh).items() if isinstance(value, list)]
+    for table in (bvh.bounds, bvh.left, bvh.starts, bvh.counts, bvh.perm, bvh.boxes):
+        assert isinstance(table, np.ndarray) and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
+def test_tables_of_other_dtypes_and_layouts():
+    rng = np.random.default_rng(6)
+    pts = rng.integers(0, 33, size=(600, 3)) / 8.0  # every box edge is exact in float32
+    a = build_point_bvh(pts, 0.25, 4)
+    b = Bvh(np.asfortranarray(a.bounds, dtype=np.float32), a.left.astype(np.int32),
+            a.starts.repeat(2)[::2], a.counts.astype(np.int32), a.perm.astype(np.int32),
+            np.asfortranarray(a.boxes), a.leaf_size, a.max_depth())  # starts: a strided view
+    assert b.bounds.dtype == b.boxes.dtype == np.float64 and b.perm.dtype == np.int64
+    assert b.dump() == a.dump()
+    for qrow in np.vstack([rng.random((30, 3)) * 4, rng.integers(0, 65, size=(20, 3)) / 16.0]):
+        q = PointQuery(Point3(*qrow))
+        ca, cb = TraversalCounters(), TraversalCounters()
+        ha, hb = [], []
+        traverse_point(a, q, ha.append, ca)
+        traverse_point(b, q, hb.append, cb)
+        assert ha == hb and ca.nodes_tested == cb.nodes_tested
 
 
 def test_deterministic_build_and_hit_order():

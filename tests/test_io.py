@@ -404,6 +404,13 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
         )
         assert code == 2 and "radius" in err
 
+    for axis in ("k", "queries"):
+        code, _, err = run_cli(
+            ["sweep", "--n", "10", "--queries", "2", "--metric", "lp:2", "--radius", "0.5",
+             "--axis", axis, "--values", "1,inf"], capsys
+        )
+        assert code == 2 and "finite" in err
+
 
 def test_cli_internal_error_exit_3(monkeypatch, capsys):
     import bvhknn.cli as cli_mod
