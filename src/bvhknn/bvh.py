@@ -25,6 +25,16 @@ GPU hands the RT cores whole batches of rays: it tests a whole frontier of
 (query, node) pairs per step, and hands over the hits a run of queries at a
 time, each run held to PAIR_BUDGET pairs, so its memory stays bounded.  Both
 test the same nodes and report the same hits.
+
+Both walks can also test every box inset by a per-query `inset`: a box
+passes when ``lo <= q - inset`` and ``q + inset <= hi``, so a tree built
+with half width h acts as one built with h - inset.  The search pipeline
+picks the inset with a probe: :func:`probe_window` and
+:func:`probe_windows` descend from the root to one leaf by the split
+planes and return the storage slots around it, spatial neighbours of the
+query, when the descent passes a big enough subtree that lies near the
+query.  Inset 0 is the plain containment query, the one that
+:func:`traverse_point` and :func:`node_visits` always run.
 """
 
 from __future__ import annotations
@@ -46,7 +56,8 @@ DEFAULT_LEAF_SIZE = 4
 # costs up to about 250 bytes, so a run of batch_query stays near 16 MiB.
 PAIR_BUDGET = 1 << 16
 
-# Two adjacent rows of Bvh.bounds: a left child's box and its right sibling's.
+# One row of Bvh.bounds, and two adjacent rows: a left child's box and its right sibling's.
+_BOX = struct.Struct("6d")
 _SIBLING_BOXES = struct.Struct("12d")
 
 
@@ -73,15 +84,28 @@ class Bvh:
     `starts[i] + counts[i] - 1`.  Slot s stores primitive `perm[s]`, whose
     box is `boxes[s]`.  The tables are read-only C-ordered numpy arrays,
     float64 for `bounds` and `boxes` and int64 for the rest, and both
-    traversals read them.
+    traversals read them.  A node's subtree holds slots `starts[i]` to
+    `starts[i] + counts[i] - 1` for internal nodes too.
+
+    Two more tables, derived from these, steer the probe descent: an
+    internal node's `split_axis` is the longest axis of its box, and
+    `split_plane` lies midway between the left child's maximum and the
+    right child's minimum on that axis (both 0 for a leaf).
     """
 
     def __init__(self, bounds, left, starts, counts, perm, boxes, leaf_size, depth):
         # C order, float64 ("d") boxes and int64 ("q") indices: the formats the node walk reads
         tables = [np.ascontiguousarray(a, f) for a, f in zip((bounds, left, starts, counts, perm, boxes), "dqqqqd")]
-        for table in tables:
-            table.flags.writeable = False
         self.bounds, self.left, self.starts, self.counts, self.perm, self.boxes = tables
+        inner = np.flatnonzero(self.left >= 0)
+        kids = self.left[inner]
+        axis = (self.bounds[inner, 3:] - self.bounds[inner, :3]).argmax(axis=1)
+        self.split_axis = np.zeros(len(self.left), dtype=np.int64)
+        self.split_plane = np.zeros(len(self.left))
+        self.split_axis[inner] = axis
+        self.split_plane[inner] = (self.bounds[kids, 3 + axis] + self.bounds[kids + 1, axis]) / 2
+        for table in tables + [self.split_axis, self.split_plane]:
+            table.flags.writeable = False
         self.leaf_size = leaf_size
         self._depth = depth
 
@@ -273,19 +297,19 @@ def traverse_point(
     return len(ids)
 
 
-def point_hits(bvh: Bvh, origin: tuple[float, float, float]) -> tuple[np.ndarray, int]:
-    """Ids of the primitives whose boxes contain `origin`, depth first, and the nodes tested.
+def point_hits(bvh: Bvh, origin: tuple[float, float, float], inset: float = 0.0) -> tuple[np.ndarray, int]:
+    """Ids of the primitives whose boxes, inset by `inset`, contain `origin`, depth first, and the nodes tested.
 
     The node walk reads the tables in place.  Its stack holds nodes whose box
-    contains the query, and expanding one tests both children with one read.
-    The leaves it reaches come out in slot order; one array step tests their slots.
+    passes, and expanding one tests both children with one read.  The leaves
+    it reaches come out in slot order; one array step tests their slots.
     Not exported; :func:`traverse_point` and :func:`bvhknn.pipeline.run_query` use it.
     """
     ox, oy, oz = origin
-    bounds = bvh.bounds.data
-    lefts = memoryview(bvh.left).cast("B").cast("q")
+    ax, ay, az, bx, by, bz = ox - inset, oy - inset, oz - inset, ox + inset, oy + inset, oz + inset
+    bounds, lefts = bvh.bounds.data, bvh.left.data
     x0, y0, z0, x1, y1, z1 = bvh.bounds[0].tolist()
-    stack = [0] if x0 <= ox <= x1 and y0 <= oy <= y1 and z0 <= oz <= z1 else []
+    stack = [0] if x0 <= ax and bx <= x1 and y0 <= ay and by <= y1 and z0 <= az and bz <= z1 else []
     tested = 1
     leaves = []
     while stack:
@@ -296,42 +320,50 @@ def point_hits(bvh: Bvh, origin: tuple[float, float, float]) -> tuple[np.ndarray
             continue
         tested += 2
         x0, y0, z0, x1, y1, z1, u0, v0, w0, u1, v1, w1 = _SIBLING_BOXES.unpack_from(bounds, 48 * left)
-        if u0 <= ox <= u1 and v0 <= oy <= v1 and w0 <= oz <= w1:
+        if u0 <= ax and bx <= u1 and v0 <= ay and by <= v1 and w0 <= az and bz <= w1:
             stack.append(left + 1)
-        if x0 <= ox <= x1 and y0 <= oy <= y1 and z0 <= oz <= z1:
+        if x0 <= ax and bx <= x1 and y0 <= ay and by <= y1 and z0 <= az and bz <= z1:
             stack.append(left)  # popped first: the left subtree is walked first
     leaves = np.array(leaves, dtype=np.int64)
-    _, ids = _leaf_hits(bvh, np.zeros(len(leaves), dtype=np.int64), leaves, np.array([origin]))
+    spans = np.array([[ax, ay, az, bx, by, bz] if inset else origin])
+    _, ids = _leaf_hits(bvh, np.zeros(len(leaves), dtype=np.int64), leaves, spans)
     return ids, tested
 
 
-def _contains(boxes: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Row-wise closed test lo <= point <= hi, the comparisons of the node walk."""
-    return ((boxes[:, 0] <= points[:, 0]) & (points[:, 0] <= boxes[:, 3])
-            & (boxes[:, 1] <= points[:, 1]) & (points[:, 1] <= boxes[:, 4])
-            & (boxes[:, 2] <= points[:, 2]) & (points[:, 2] <= boxes[:, 5]))
+def _contains(boxes: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """Row-wise closed test lo <= q - inset and q + inset <= hi, the comparisons of the node walk.
+
+    A row of `spans` is (q - inset, q + inset), or just q for inset 0.
+    """
+    a, b = spans[:, :3], spans[:, -3:]
+    return ((boxes[:, 0] <= a[:, 0]) & (b[:, 0] <= boxes[:, 3])
+            & (boxes[:, 1] <= a[:, 1]) & (b[:, 1] <= boxes[:, 4])
+            & (boxes[:, 2] <= a[:, 2]) & (b[:, 2] <= boxes[:, 5]))
 
 
-def _leaf_hits(bvh: Bvh, rows: np.ndarray, leaves: np.ndarray, origins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _leaf_hits(bvh: Bvh, rows: np.ndarray, leaves: np.ndarray, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hit query rows and primitive ids over the slots of (query row, leaf) pairs, in pair and slot order."""
     counts = bvh.counts.take(leaves)
     rows = rows.repeat(counts)
     # Slot pairs are laid out leaf after leaf; leaf j's slots start at starts[j].
     slot = np.arange(len(rows)) + (bvh.starts.take(leaves) - (np.cumsum(counts) - counts)).repeat(counts)
-    inside = _contains(bvh.boxes.take(slot, axis=0), origins.take(rows, axis=0))
+    inside = _contains(bvh.boxes.take(slot, axis=0), spans.take(rows, axis=0))
     return rows.compress(inside), bvh.perm.take(slot.compress(inside))
 
 
-def traverse_points(bvh: Bvh, origins: np.ndarray) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+def traverse_points(bvh: Bvh, origins: np.ndarray,
+                    insets: np.ndarray | None = None) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
     """Every (query, primitive) containment hit of many point queries at once.
 
-    `origins` is an (m, 3) float array.  The traversal is a wavefront: a
-    frontier of (query row, node) pairs starts at the root; each step tests
-    every pair's node box at once, sets aside the containing leaves and
-    replaces each containing internal node by its two children.  The leaf
-    pairs are then expanded into (query row, slot) pairs and the primitive
-    boxes tested.  With no early termination this tests exactly the nodes
-    that :func:`traverse_point` tests for each query.
+    `origins` is an (m, 3) float array, and `insets` an optional (m,) array
+    of per-query box insets (0 when omitted), applied as :func:`point_hits`
+    applies its `inset`.  The traversal is a wavefront: a frontier of
+    (query row, node) pairs starts at the root; each step tests every
+    pair's node box at once, sets aside the passing leaves and replaces
+    each passing internal node by its two children.  The leaf pairs are
+    then expanded into (query row, slot) pairs and the primitive boxes
+    tested.  With no early termination this tests exactly the nodes that
+    :func:`point_hits` tests for each query and inset.
 
     Yields ``(lo, hi, rows, ids, tested)`` for consecutive runs of query
     rows lo..hi-1, in order and together covering every row: the hit query
@@ -345,6 +377,11 @@ def traverse_points(bvh: Bvh, origins: np.ndarray) -> Iterator[tuple[int, int, n
     # take/compress rather than fancy indexing: same result, several times faster.
     origins = np.asarray(origins, dtype=np.float64)
     m = len(origins)
+    if insets is None:
+        spans = origins
+    else:  # one (q - inset, q + inset) row per query: each test gathers a single array
+        inset = np.asarray(insets, dtype=np.float64).reshape(m, 1)
+        spans = np.hstack([origins - inset, origins + inset])
     tested = np.zeros(m, dtype=np.int64)
     none = np.zeros(0, dtype=np.int64)
     # Runs still to traverse, the next one last: query rows lo..hi-1, their
@@ -366,7 +403,7 @@ def traverse_points(bvh: Bvh, origins: np.ndarray) -> Iterator[tuple[int, int, n
             if not rows.size:
                 break
             tested[lo:hi] += np.bincount(rows - lo, minlength=hi - lo)
-            inside = _contains(bvh.bounds.take(nodes, axis=0), origins.take(rows, axis=0))
+            inside = _contains(bvh.bounds.take(nodes, axis=0), spans.take(rows, axis=0))
             rows, nodes = rows.compress(inside), nodes.compress(inside)
             left = bvh.left.take(nodes)
             leaf = left < 0
@@ -377,7 +414,90 @@ def traverse_points(bvh: Bvh, origins: np.ndarray) -> Iterator[tuple[int, int, n
             rows = rows.compress(~leaf).repeat(2)
             nodes = left.compress(~leaf).repeat(2)
             nodes[1::2] += 1  # the right child is left + 1
-        yield lo, hi, *_leaf_hits(bvh, leaf_rows, leaf_nodes, origins), tested[lo:hi]
+        yield lo, hi, *_leaf_hits(bvh, leaf_rows, leaf_nodes, spans), tested[lo:hi]
+
+
+def _window(bvh: Bvh, leaf, size: int):
+    """First of the `size` consecutive storage slots centred on `leaf`, kept inside 0..n-1."""
+    centre = bvh.starts[leaf] + bvh.counts[leaf] // 2
+    return np.minimum(np.maximum(centre - size // 2, 0), bvh.num_primitives - size)
+
+
+def probe_window(bvh: Bvh, origin: tuple[float, float, float], reach: float, min_count: int,
+                 size: int) -> np.ndarray | None:
+    """Ids in the `size` storage slots around the leaf that `origin` descends to, or None.
+
+    The descent goes from the root to one leaf, at each internal node to
+    the side of its split plane that holds the query (the left child on
+    the plane).  It returns ids only if the deepest node on the way that
+    holds at least `min_count` primitives has its box inside ``origin ±
+    reach`` on every axis; then no window is gathered for a query far from
+    any dense subtree.  Slots of a subtree are contiguous, so the window
+    holds the query's spatial neighbours.  :func:`probe_windows` is the
+    same probe for many queries, and agrees with this one row for row.
+    Not exported; :func:`bvhknn.pipeline.run_query` uses it.
+    """
+    lefts, counts, axes, planes = bvh.left.data, bvh.counts.data, bvh.split_axis.data, bvh.split_plane.data
+    if counts[0] < min_count or size > bvh.num_primitives:
+        return None
+    node = gate = 0
+    while (left := lefts[node]) >= 0:
+        node = left + (origin[axes[node]] > planes[node])
+        if counts[node] < min_count:
+            break
+        gate = node
+    x0, y0, z0, x1, y1, z1 = _BOX.unpack_from(bvh.bounds.data, 48 * gate)
+    ox, oy, oz = origin
+    if not (ox - reach <= x0 and oy - reach <= y0 and oz - reach <= z0
+            and x1 <= ox + reach and y1 <= oy + reach and z1 <= oz + reach):
+        return None
+    while (left := lefts[node]) >= 0:
+        node = left + (origin[axes[node]] > planes[node])
+    start = int(_window(bvh, node, size))
+    return bvh.perm[start:start + size]
+
+
+def probe_windows(bvh: Bvh, origins: np.ndarray, reach: float, min_count: int,
+                  size: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`probe_window` for every row of the (m, 3) array `origins`, one tree level a step.
+
+    Returns the rows that pass the probe and a (len(rows), size) array of
+    the ids in their windows.
+    """
+    origins = np.ascontiguousarray(origins, dtype=np.float64)
+    m = len(origins)
+    if not m or bvh.counts[0] < min_count or size > bvh.num_primitives:
+        return np.zeros(0, dtype=np.int64), np.zeros((0, size), dtype=np.int64)
+    flat = origins.ravel()
+
+    def step(at, nodes):
+        """Left child and the child on the query's side, for queries at flat offsets `at` (3 * row)."""
+        left = bvh.left.take(nodes)
+        return left, left + (flat.take(at + bvh.split_axis.take(nodes)) > bvh.split_plane.take(nodes))
+
+    # Down while the child holds min_count primitives; the node where that stops is the gate node.
+    gate = np.zeros(m, dtype=np.int64)
+    at, nodes = 3 * np.arange(m), np.zeros(m, dtype=np.int64)
+    while at.size:
+        left, child = step(at, nodes)
+        go = (left >= 0) & (bvh.counts.take(child) >= min_count)  # a leaf's child is garbage, masked
+        if not go.all():
+            gate[at.compress(~go) // 3] = nodes.compress(~go)
+            at, child = at.compress(go), child.compress(go)
+        nodes = child
+    box = bvh.bounds.take(gate, axis=0)
+    rows = np.flatnonzero(((origins - reach <= box[:, :3]) & (box[:, 3:] <= origins + reach)).all(axis=1))
+    leaf = gate  # the gate node's subtree holds the leaf
+    at, nodes = 3 * rows, gate.take(rows)
+    while at.size:
+        left, child = step(at, nodes)
+        go = left >= 0
+        if not go.all():
+            leaf[at.compress(~go) // 3] = nodes.compress(~go)
+            at, child = at.compress(go), child.compress(go)
+        nodes = child
+    start = _window(bvh, leaf.take(rows), size)
+    return rows, bvh.perm.take(start[:, None] + np.arange(size))
 
 
 def node_visits(bvh: Bvh, q: PointQuery) -> int:

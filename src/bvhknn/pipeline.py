@@ -3,17 +3,31 @@
 A query runs in two stages:
 
 1. filter: the BVH reports the id of every primitive box containing the
-   query point;
+   query point, each box first inset by the query's own inset (below);
 2. refine: one call of the shared weight kernel (:mod:`bvhknn.metrics`)
    over the hit rows keeps the points whose distance is <= r and takes the
    k smallest by (weight, id).
 
-:func:`batch_query` runs both stages for many queries at once: a
-wavefront traversal (:func:`bvhknn.bvh.traverse_points`), which hands
-over the hits a run of queries at a time, then one kernel call and one
-sort over every hit of the run.  :func:`run_query` is the
-per-query reference path, with the node walk of
-:func:`bvhknn.bvh.traverse_point` but no callback; the two return equal results.
+Before the filter, a probe gives each query in a dense region its own
+radius r_q <= r that surely holds k points (RTNN's "megacell", Zhu,
+PPoPP 2022).  The descent of :func:`bvhknn.bvh.probe_window` checks that
+some subtree of at least GATE_PER_K * k points lies within r of the query
+on every axis; only then does the query take the k-th smallest distance
+over the WINDOW_PER_K * k storage slots around the leaf it descends to.
+Any k points bound the k-th nearest distance, so every point of the
+answer at r lies within r_q, ties at the k-th place included.  The boxes
+are then inset by h(r) - h(r_q), h being the scene half width, linear in
+r, so the tree built at r filters as one built at r_q would.  The refine
+still keeps distance <= r, so the answer is the oracle's at r.
+
+:func:`batch_query` runs the probe and both stages for many queries at
+once: the probe one tree level a step (:func:`bvhknn.bvh.probe_windows`),
+then a wavefront traversal (:func:`bvhknn.bvh.traverse_points`), which
+hands over the hits a run of queries at a time, then one kernel call and
+one sort over every hit of the run.  :func:`run_query` is the per-query
+reference path: the probe and the node walk of
+:func:`bvhknn.bvh.traverse_point` in Python, inset, with no callback.  The
+two pick bitwise-equal insets and return equal results.
 
 The refine step computes distances exactly as the brute-force oracle
 does, so within the radius the answer is the oracle's, boundary included.
@@ -41,13 +55,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bvh import DEFAULT_LEAF_SIZE, Bvh, build_point_bvh, point_hits, traverse_points
+from .bvh import (
+    DEFAULT_LEAF_SIZE,
+    PAIR_BUDGET,
+    Bvh,
+    build_point_bvh,
+    point_hits,
+    probe_window,
+    probe_windows,
+    traverse_points,
+)
 from .geometry import as_point3
 from .metrics import (
     KIND_ANGULAR,
     KIND_COSINE,
     KIND_EUCLID2D,
     KIND_HAMMING3,
+    KIND_LINF,
     MetricSpec,
     distances,
     inclusion_radius,
@@ -89,8 +113,11 @@ class QueryResult:
     ties).  For the cosine metric
     the reported value is the similarity, so it decreases down the list;
     the ordering key is still the ascending angle.  The counts trace the
-    filter chain: hit_count >= candidate_count >= len(neighbors), where
-    candidates are the hits within distance r.
+    filter chain of the pass that ran, with boxes inset to the query's own
+    radius r_q: hit_count boxes passed, node_visits node boxes were
+    tested, and hit_count >= candidate_count >= len(neighbors), where
+    candidates are the hits within distance r.  The probe that picks r_q
+    is not counted.
     """
 
     neighbors: list[tuple[int, float]]
@@ -133,19 +160,101 @@ def _checked_points(bvh: Bvh, points, metric: MetricSpec) -> np.ndarray:
     return points
 
 
+# The probe, both constants times k: a query is probed only if its descent
+# passes a subtree of at least GATE_PER_K * k points within r of it, and
+# then takes its radius from WINDOW_PER_K * k storage slots.
+GATE_PER_K = 2
+WINDOW_PER_K = 4
+
+
+def _rows(points: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """points[ids] as a new array; take() for C-ordered points, as it copies the whole array otherwise."""
+    return points.take(ids, axis=0) if points.flags.c_contiguous else points[ids]
+
+
+def _window_radii(points: np.ndarray, ids: np.ndarray, origins: np.ndarray, config: ReductionConfig) -> np.ndarray:
+    """min(r, k-th smallest distance) from each of the (g, 3) `origins` to the points of its row of `ids`."""
+    g, size = ids.shape
+    w = weights(config.metric, _rows(points, ids.ravel()).reshape(g, size, 3), origins[:, None, :])
+    return np.minimum(distances(config.metric, np.partition(w, config.k - 1, axis=1)[:, config.k - 1]), config.r)
+
+
+def _insets(radii: np.ndarray, config: ReductionConfig) -> np.ndarray:
+    """Box insets h(r) - h(r_q) for the radii r_q, padded so that no point within r_q is lost.
+
+    Say a point's weight is at most the k-th window weight.  Each axis
+    offset then obeys |p_i - q_i| <= r_q * (1 + 2**-40) + tau: terms and
+    sums round by a few 2**-53, the root by under one ulp plus
+    |ln w| * 2**-53 for the rounded exponent 1/p, and tau = 2**(1 - 1074/p)
+    covers a term lost to underflow (L1 and LInf terms are exact: tau = 0).
+    The inset leaves a real half width h - inset of at least that bound:
+    the product and the two differences below each round by at most
+    2**-53 * h, which the last term, h * 2**-50, covers.  So p - h <= q -
+    inset and q + inset <= p + h hold exactly, and as rounding is
+    monotone, the computed fl(p - h) <= fl(q - inset) and fl(q + inset)
+    <= fl(p + h) hold too: the inset box passes the point.  An inset > 0
+    needs the padded radius below r, so the window points within r_q also
+    lie within r.
+    """
+    metric, r = config.metric, config.r
+    h = scene_half_width(config)
+    tau = 0.0 if metric.kind == KIND_LINF or metric.p == 1.0 else 2.0 ** (1 - 1074 / metric.p)
+    inset = h - h * ((radii * (1 + 2.0 ** -40) + tau) / r) - h * 2.0 ** -50
+    return np.where(inset > 0, inset, 0.0)
+
+
+def _probe_params(bvh: Bvh, config: ReductionConfig) -> tuple[float, int, int]:
+    """The probe's reach, gate count and window size under `config`.
+
+    A node box inside q ± (r + h) holds points within r of q on every
+    axis.  The gate needs 2k points, so a window of min(4k, n) slots
+    always holds k; with n < 2k no query is probed and r_q stays r.
+    """
+    return config.r + scene_half_width(config), GATE_PER_K * config.k, min(WINDOW_PER_K * config.k, bvh.num_primitives)
+
+
+def query_radii(bvh: Bvh, points, queries, config: ReductionConfig) -> np.ndarray:
+    """The radius r_q <= r that each row of the (m, 3) `queries` is searched with.
+
+    r for a query that the probe passes over.  The gate asks for points
+    within r, not within the scene half width, so plain and enhanced
+    scenes, which share their topology, give the same radii (barring a
+    query within rounding of a split plane or a gate face).  Queries are
+    probed in blocks of at most PAIR_BUDGET window slots, so memory stays
+    bounded.
+    """
+    points = _checked_points(bvh, points, config.metric)
+    queries = np.asarray(queries, dtype=np.float64)
+    radii = np.full(len(queries), config.r)
+    params = _probe_params(bvh, config)
+    block = max(1, PAIR_BUDGET // params[2])
+    for a in range(0, len(queries), block):
+        origins = queries[a:a + block]
+        rows, ids = probe_windows(bvh, origins, *params)
+        if rows.size:
+            radii[a + rows] = _window_radii(points, ids, origins.take(rows, axis=0), config)
+    return radii
+
+
 def run_query(bvh: Bvh, points, q, config: ReductionConfig) -> QueryResult:
     """k nearest neighbors of `q` within distance `config.r`, filter then refine.
 
-    `bvh` must come from :func:`build_index` over the same `points`, with
-    a plain or enhanced scene; both return the same neighbors.  This is
-    the per-query reference path: the node walk of :func:`traverse_point`,
-    which for one query beats a wavefront of one.
+    `bvh` must come from :func:`build_index` over the same `points` and
+    `config` (plain and enhanced configs return the same neighbors).  This
+    is the per-query reference path: the probe and the node walk in
+    Python, which for one query beat a wavefront of one, with the boxes
+    inset as :func:`batch_query` insets them.
     """
     metric = config.metric
     points = _checked_points(bvh, points, metric)
     origin = as_point3(q).as_tuple()
-    hits, tested = point_hits(bvh, origin)
-    w = weights(metric, points.take(hits, axis=0), origin)
+    inset = 0.0
+    ids = probe_window(bvh, origin, *_probe_params(bvh, config))
+    if ids is not None:
+        # one radius as a numpy scalar: the same arithmetic as batch_query's arrays, with less overhead
+        inset = float(_insets(_window_radii(points, ids[None], np.array([origin]), config)[0], config))
+    hits, tested = point_hits(bvh, origin, inset)
+    w = weights(metric, _rows(points, hits), origin)
     dist = distances(metric, w)
     inside = dist <= config.r
     ids, w, dist = hits[inside], w[inside], dist[inside]
@@ -158,11 +267,12 @@ def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> list[Quer
     """:func:`run_query` for every row of the (m, 3) array `queries`, batched.
 
     The result for each query equals ``run_query(bvh, points, q, config)``,
-    counts included.  The wavefront :func:`traverse_points` hands over the
-    hits a run of queries at a time, runs sized so that memory stays
-    bounded; each run then takes one weight-kernel call over all its hits
-    and one sort on (query, weight, id), from which each query takes its
-    first k.
+    counts included.  The probe (:func:`query_radii`) runs for all
+    queries first, one tree level a step, and gives each its box inset.
+    The wavefront :func:`traverse_points` then hands over the hits a run
+    of queries at a time, runs sized so that memory stays bounded; each
+    run takes one weight-kernel call over all its hits and one sort on
+    (query, weight, id), from which each query takes its first k.
     """
     points = _checked_points(bvh, points, config.metric)
     queries = np.asarray(queries, dtype=np.float64)
@@ -171,11 +281,25 @@ def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> list[Quer
     bad = np.flatnonzero(~np.isfinite(queries).all(axis=1))
     if bad.size:
         raise ValueError(f"query index {bad[0]} has non-finite coordinates")
+    queries = np.ascontiguousarray(queries)
+    insets = _insets(query_radii(bvh, points, queries, config), config)
+    # Queries without an inset traverse on their own: their box tests
+    # gather three coordinates a pair, not six.
+    results = np.empty(len(queries), dtype=object)
+    plain, shrunk = np.flatnonzero(insets == 0), np.flatnonzero(insets > 0)
+    for group, group_insets in ((plain, None), (shrunk, insets.take(shrunk))):
+        origins = queries.take(group, axis=0)
+        results[group] = _refined(traverse_points(bvh, origins, group_insets), points, origins, config)
+    return results.tolist()
+
+
+def _refined(runs, points: np.ndarray, origins: np.ndarray, config: ReductionConfig) -> list[QueryResult]:
+    """The QueryResult of every query of :func:`traverse_points` `runs` over `origins`, in order."""
     results: list[QueryResult] = []
-    for lo, hi, rows, ids, tested in traverse_points(bvh, queries):
+    for lo, hi, rows, ids, tested in runs:
         hits = np.bincount(rows - lo, minlength=hi - lo)
         # take() gathers the same rows as fancy indexing, several times faster
-        w = weights(config.metric, points.take(ids, axis=0), queries.take(rows, axis=0))
+        w = weights(config.metric, _rows(points, ids), origins.take(rows, axis=0))
         dist = distances(config.metric, w)
         inside = dist <= config.r
         rows, ids, w, dist = (a.compress(inside) for a in (rows, ids, w, dist))

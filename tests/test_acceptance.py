@@ -36,6 +36,7 @@ from bvhknn import (
     Transform,
 )
 from bvhknn.cli import main
+from bvhknn.pipeline import query_radii
 
 L1, L2, L3, LINF = MetricSpec.lp(1), MetricSpec.lp(2), MetricSpec.lp(3), MetricSpec.linf()
 EXACTNESS_METRICS = (L1, L2, L3, LINF)
@@ -91,6 +92,9 @@ def exactness_study():
                     "enh_mean_candidates": sum(r_.candidate_count for r_ in enh) / len(enh),
                     "plain_mean_hits": sum(r_.hit_count for r_ in plain) / len(plain),
                     "enh_mean_hits": sum(r_.hit_count for r_ in enh) / len(enh),
+                    # the probe reads the tree's topology, which the scenes share
+                    "radii_equal": np.array_equal(query_radii(plain_bvh, pts, queries, plain_cfg),
+                                                  query_radii(enh_bvh, pts, queries, enh_cfg)),
                 }
             )
     return {"records": records, "elapsed_s": time.perf_counter() - t0}
@@ -125,9 +129,14 @@ def test_criterion_2_plain_enhanced_equivalence(exactness_study):
     # way, so the strict volume effect shows up in the hit counts
     linf = [rec for rec in records if rec["metric"] == "linf"]
     strict = all(rec["enh_mean_hits"] < rec["plain_mean_hits"] for rec in linf)
-    ok = lists_equal and cand_leq and hits_leq and strict
-    _report(2, ok, "identical neighbor lists; enhanced filter counts <= plain, strict for linf hits")
+    # both scenes search each query at the same radius r_q, so the counts
+    # compare the two box sizes at one radius
+    radii_equal = all(rec["radii_equal"] for rec in records)
+    ok = lists_equal and cand_leq and hits_leq and strict and radii_equal
+    _report(2, ok, "identical neighbor lists and per-query radii; enhanced filter counts <= plain, "
+                   "strict for linf hits")
     assert lists_equal
+    assert radii_equal
     assert cand_leq
     assert hits_leq
     assert strict
@@ -309,15 +318,29 @@ def test_criterion_7_fixed_radius_k_sensitivity():
     pts = rng.random((5_000, 3))
     queries = rng.random((25, 3))
     dataset = Dataset(pts, queries, {"source": "synthetic", "seed": 41})
-    reports = sweep(dataset, ReductionConfig(LINF, 0.08, 1), "k", [1, 10, 100])
+    ks = [1, 10, 100]
+    reports = sweep(dataset, ReductionConfig(LINF, 0.08, 1), "k", ks)
 
     per_query = [
         [res["candidates"] for res in rep["results"]] for rep in reports
     ]
-    identical = per_query[0] == per_query[1] == per_query[2]
-    ok = identical
-    _report(7, ok, f"candidate counts identical across k in {{1, 10, 100}} (mean {reports[0]['counts']['mean_candidates']:.1f})")
-    assert identical, per_query
+    # At a fixed radius each query's ball is the same for every k.  The
+    # filter searches a radius r_q <= r that holds k points, so a query's
+    # candidates lie between min(k, ball) and the ball, and are the whole
+    # ball where no probe shrinks r: at k = 100, whose 2k = 200 points
+    # never fit in a 0.16-wide cube of this 5,000-point cloud.
+    ball = [int(np.count_nonzero(weights(LINF, pts, q) <= 0.08)) for q in queries]
+    bounded = all(min(k, b) <= c <= b for k, row in zip(ks, per_query) for c, b in zip(row, ball))
+    full = per_query[-1] == ball
+    # the answer for a smaller k is a prefix of the answer for a larger one
+    lists = [[[i for i, _ in res["neighbors"]] for res in rep["results"]] for rep in reports]
+    nested = all(a == b[: len(a)] for small, big in zip(lists, lists[1:]) for a, b in zip(small, big))
+    ok = bounded and full and nested
+    _report(7, ok, f"candidates within [min(k, ball), ball] for k in {{1, 10, 100}}, the whole ball at k = 100 "
+                   f"(mean {sum(ball) / len(ball):.1f}); answers nest")
+    assert bounded, (per_query, ball)
+    assert full, (per_query[-1], ball)
+    assert nested
 
 
 def test_criterion_8_recall_formula():

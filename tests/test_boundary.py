@@ -5,6 +5,11 @@ same r and asserts identical (id, distance) lists, and that no reported
 distance exceeds r.  The scenes put points on or next to the radius:
 exactly r along one axis, the oracle's own k-th distance used as r, and
 duplicate points that tie on weight.
+
+Dense scenes do the same for the radius r_q < r that the probe gives a
+query (`query_radii`): points exactly r_q away along an axis, ties at
+r_q inside and outside the probe's window, duplicates that make r_q 0,
+and scenes too small for a window of 4k points.
 """
 
 import numpy as np
@@ -13,13 +18,19 @@ from hypothesis import given, settings, strategies as st
 
 from bvhknn import (
     MetricSpec,
+    Point3,
+    PointQuery,
     ReductionConfig,
     batch_query,
     brute_force_knn,
     build_index,
+    containment_scan,
     knn_search,
+    run_query,
+    scene_half_width,
     weights,
 )
+from bvhknn.pipeline import query_radii
 
 METRICS = [MetricSpec.lp(1), MetricSpec.lp(1.5), MetricSpec.lp(2), MetricSpec.lp(3), MetricSpec.linf()]
 SCENES = 100
@@ -105,6 +116,104 @@ def test_hamming3_ties_at_oracle_kth_distance(enhanced):
         results = assert_matches_oracle(codes, queries, metric, r, k, enhanced)
         assert len(results[0].neighbors) == k
 
+
+def assert_probed_matches_oracle(pts, queries, metric, r, k, enhanced):
+    """Both entry points equal the oracle at r; returns the radii the queries were searched with."""
+    cfg = ReductionConfig(metric, r, k, enhanced)
+    bvh = build_index(pts, cfg)
+    results = batch_query(bvh, pts, queries, cfg)
+    assert results == [run_query(bvh, pts, q, cfg) for q in queries]
+    for res, q in zip(results, queries):
+        assert res.neighbors == brute_force_knn(pts, q, metric, k, radius=r)
+    return query_radii(bvh, pts, queries, cfg), results
+
+
+def kth_distance(pts, q, metric, k):
+    return brute_force_knn(pts, q, metric, k)[-1][1]
+
+
+@pytest.mark.parametrize("enhanced", [False, True])
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.canonical())
+def test_points_exactly_r_q_along_an_axis(metric, enhanced):
+    # the six points s away along an axis are the k = 6 nearest, and with
+    # 20 points the window holds them all, so the probe takes r_q = s: each
+    # lies exactly on a face of the boxes inset to r_q.  r is not dyadic,
+    # so the inset rounds.
+    rng = np.random.default_rng(111)
+    k = 6
+    for _ in range(SCENES):
+        q = rng.integers(0, 64, size=3) / 64
+        s = 2.0 ** -int(rng.integers(3, 8))
+        r = float(rng.uniform(2.0, 3.0)) * s
+        far = rng.uniform(-2, 2, size=(14, 3))  # within r on every axis, farther than s on one
+        far[np.arange(14), rng.integers(0, 3, size=14)] = rng.choice([-1, 1], size=14) * rng.uniform(1.25, 2, size=14)
+        pts = rng.permutation(np.vstack([q + s * np.eye(3), q - s * np.eye(3), q + s * far]))
+        radii, results = assert_probed_matches_oracle(pts, [q], metric, r, k, enhanced)
+        assert radii[0] == kth_distance(pts, q, metric, k) < r
+        assert len(results[0].neighbors) == k
+
+
+@pytest.mark.parametrize("enhanced", [False, True])
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.canonical())
+def test_lattice_ties_at_the_probed_radius(metric, enhanced):
+    # a 5x5x5 lattice: every distance ties many times over, and the window
+    # of 4k of the 125 points holds only some of the points at its own k-th
+    # distance r_q; those outside it must still pass the inset boxes
+    rng = np.random.default_rng(606)
+    grid = np.stack(np.meshgrid(*[np.arange(-2, 3)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    shrunk = 0
+    for _ in range(SCENES // 2):
+        q = rng.integers(0, 64, size=3) / 64
+        s = 2.0 ** -int(rng.integers(3, 8))
+        pts = rng.permutation(q + s * grid)
+        queries = q + s * rng.integers(-2, 3, size=(4, 3)) / 2
+        r = float(rng.uniform(2.5, 4.0)) * s
+        k = int(rng.integers(1, 16))
+        radii, _ = assert_probed_matches_oracle(pts, queries, metric, r, k, enhanced)
+        shrunk += np.count_nonzero(radii < r)
+    assert shrunk > SCENES  # most of the 200 queries search a radius below r
+
+
+@pytest.mark.parametrize("enhanced", [False, True])
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.canonical())
+def test_duplicates_give_zero_probed_radius(metric, enhanced):
+    # 3k copies of the query point: when the window holds k of them (the
+    # build may scatter copies between subtrees), its k-th distance is 0,
+    # and the boxes inset to r_q = 0 pass the copies and nothing else
+    rng = np.random.default_rng(707)
+    zero = 0
+    for _ in range(SCENES // 2):
+        q = rng.random(3)
+        k = int(rng.integers(1, 9))
+        r = float(rng.uniform(0.05, 0.2))
+        near = q + rng.uniform(-r, r, size=(40, 3))
+        pts = rng.permutation(np.vstack([np.tile(q, (3 * k, 1)), near]))
+        radii, results = assert_probed_matches_oracle(pts, [q], metric, r, k, enhanced)
+        if radii[0] == 0.0:
+            zero += 1
+            assert results[0].hit_count == 3 * k
+    assert zero > SCENES // 4
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.canonical())
+def test_small_scenes_fall_back_or_probe_every_point(metric):
+    # fewer than 2k points: no subtree is big enough, and fewer than k would
+    # not fill a window, so the radius stays r and every box keeps its full
+    # size; 2k <= n < 4k: the window is every point, so r_q is the oracle's
+    # own k-th distance
+    rng = np.random.default_rng(808)
+    k, r = 5, 0.3
+    for n in (1, k - 1, k, 2 * k - 1, 2 * k, 4 * k - 1):
+        for _ in range(10):
+            q = rng.random(3)
+            pts = q + rng.uniform(-0.1, 0.1, size=(n, 3))
+            radii, results = assert_probed_matches_oracle(pts, [q], metric, r, k, False)
+            if n < 2 * k:
+                h = scene_half_width(ReductionConfig(metric, r, k))
+                assert radii[0] == r
+                assert results[0].hit_count == len(containment_scan(pts, h, PointQuery(Point3(*q))))
+            else:
+                assert radii[0] == kth_distance(pts, q, metric, k)
 
 
 lattice = st.integers(0, 4).map(lambda i: i * 0.25)

@@ -341,3 +341,47 @@ def test_dump_is_indented_text():
     assert len(lines) == 3
     assert lines[0].startswith("[0]") and "internal" in lines[0]
     assert lines[1].startswith("  ") and "leaf" in lines[1]
+
+
+def split_path(bvh, q):
+    """Nodes from the root to a leaf, each step to the split plane's side of q (left on the plane)."""
+    path = [0]
+    while bvh.left[path[-1]] >= 0:
+        node = path[-1]
+        path.append(int(bvh.left[node]) + int(q[bvh.split_axis[node]] > bvh.split_plane[node]))
+    return path
+
+
+@pytest.mark.parametrize("kind", ["random", "lattice", "duplicates"])
+@pytest.mark.parametrize("leaf_size", [1, 4, 8])
+def test_probe_windows_follow_the_split_path(kind, leaf_size):
+    rng = np.random.default_rng(leaf_size + 70)
+    if kind == "random":
+        pts = rng.random((700, 3))
+    elif kind == "lattice":
+        pts = rng.integers(0, 9, size=(700, 3)) * 0.125  # queries land on split planes
+    else:
+        pts = rng.permutation(np.repeat(rng.random((100, 3)), 7, axis=0))
+    origins = np.vstack([rng.random((60, 3)), rng.integers(0, 17, size=(30, 3)) * 0.0625, pts[:20],
+                         [[5.0, 5.0, 5.0]]])
+    bvh = build_point_bvh(pts, 0.05, leaf_size)
+    gated_rows = []
+    for min_count, size, reach in ((2, 8, 0.2), (8, 16, 0.25), (40, 80, 0.4), (701, 700, 9.0)):
+        rows, ids = bvh_module.probe_windows(bvh, origins, reach, min_count, size)
+        gated_rows.append(len(rows))
+        assert ids.shape == (len(rows), size)
+        for j, q in enumerate(origins):
+            one = bvh_module.probe_window(bvh, tuple(q.tolist()), reach, min_count, size)
+            path = split_path(bvh, q)
+            big = [node for node in path if bvh.counts[node] >= min_count]
+            box = bvh.bounds[big[-1]] if big else None
+            gated = box is not None and (q - reach <= box[:3]).all() and (box[3:] <= q + reach).all()
+            assert (one is not None) == gated == (j in rows)
+            if gated:
+                assert one.tolist() == ids[rows.tolist().index(j)].tolist()
+                leaf = path[-1]
+                first = bvh.perm.tolist().index(one[0])  # the window: size slots around the leaf's
+                assert 0 <= first <= bvh.starts[leaf] + bvh.counts[leaf] // 2 < first + size
+                assert one.tolist() == bvh.perm[first:first + size].tolist()
+    assert 0 < min(gated_rows[:3]) and max(gated_rows) < len(origins) and gated_rows[3] == 0
+    assert not bvh_module.probe_windows(bvh, origins[-1:], 0.2, 2, 8)[0].size  # far outside: no gate

@@ -12,6 +12,7 @@ from bvhknn import (
     read_records,
     run_experiment,
     sweep,
+    weights,
 )
 from bvhknn import experiments
 from bvhknn.cli import main
@@ -169,13 +170,17 @@ def test_sweep_radius_monotone():
 
 
 def test_sweep_k_constant_candidates():
+    # the ball within r is the same for every k; each query searches a
+    # radius r_q <= r that holds k points, so its candidates lie between
+    # min(k, ball) and the ball, and its hits are never fewer
     ds = small_dataset(n=200, q=6, seed=4)
     cfg = ReductionConfig(MetricSpec.linf(), 0.3, 1)
     reports = sweep(ds, cfg, "k", [1, 5, 20])
-    cands = {r["counts"]["mean_candidates"] for r in reports}
-    assert len(cands) == 1
-    hits = {r["counts"]["mean_hits"] for r in reports}
-    assert len(hits) == 1
+    ball = [int(np.count_nonzero(weights(MetricSpec.linf(), ds.data, q) <= 0.3)) for q in ds.queries]
+    for k, report in zip([1, 5, 20], reports):
+        for res, b in zip(report["results"], ball):
+            assert min(k, b) <= res["candidates"] <= b
+            assert res["hits"] >= res["candidates"]
 
 
 def test_sweep_queries_axis():

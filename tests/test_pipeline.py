@@ -19,6 +19,7 @@ from bvhknn import (
     transform_points,
 )
 from bvhknn import bvh as bvh_module
+from bvhknn.pipeline import query_radii
 
 L1 = MetricSpec.lp(1)
 L2 = MetricSpec.lp(2)
@@ -189,12 +190,17 @@ def test_batch_query_equals_run_query(kind, metric, enhanced, leaf_size):
 
 @pytest.mark.parametrize("budget", [1, 50, 2000])
 def test_batch_query_spans_runs(monkeypatch, budget):
-    # a small pair budget splits the queries into many runs, down to one query
+    # a small pair budget splits the queries into many runs, down to one
+    # query; a dense cluster makes many queries search a radius below r,
+    # so their insets must follow them into whichever run they land in
     rng = np.random.default_rng(61)
-    pts = rng.random((500, 3))
-    queries = rng.random((1031, 3))
+    pts = np.vstack([rng.random((500, 3)), 0.5 + rng.uniform(-0.02, 0.02, (300, 3))])
+    queries = np.vstack([rng.random((1031, 3)), 0.5 + rng.uniform(-0.02, 0.02, (200, 3))])
+    queries = queries[rng.permutation(len(queries))]
     cfg = ReductionConfig(L2, 0.1, 5)
     bvh = build_index(pts, cfg)
+    radii = query_radii(bvh, pts, queries, cfg)
+    assert 150 < np.count_nonzero(radii < cfg.r) < len(queries) - 500
     monkeypatch.setattr(bvh_module, "PAIR_BUDGET", budget)
     got = batch_query(bvh, pts, queries, cfg)
     assert got == [run_query(bvh, pts, q, cfg) for q in queries]
@@ -202,12 +208,17 @@ def test_batch_query_spans_runs(monkeypatch, budget):
 
 def test_batch_query_memory_bounded_at_large_radius():
     # every box contains every query: 1.2M (query, hit) pairs in all, which
-    # the runs must not hold at once
+    # the runs must not hold at once.  The queries sit at the centre of the
+    # cloud; all but 5 points lie outside their L2 radius, so no window
+    # holds k points within r and no query shrinks its radius.
     rng = np.random.default_rng(62)
-    pts = rng.random((2000, 3))
-    queries = rng.random((600, 3))
-    cfg = ReductionConfig(L2, 1.8, 10)
+    cloud = rng.random((6000, 3))
+    shell = cloud[np.linalg.norm(cloud - 0.5, axis=1) > 0.62][:1995]
+    pts = rng.permutation(np.vstack([shell, 0.5 + rng.uniform(-0.05, 0.05, (5, 3))]))
+    queries = 0.5 + rng.uniform(-0.02, 0.02, (600, 3))
+    cfg = ReductionConfig(L2, 0.55, 10)
     bvh = build_index(pts, cfg)
+    assert (query_radii(bvh, pts, queries, cfg) == cfg.r).all()
     tracemalloc.start()
     try:
         got = batch_query(bvh, pts, queries, cfg)
@@ -215,8 +226,33 @@ def test_batch_query_memory_bounded_at_large_radius():
     finally:
         tracemalloc.stop()
     assert [res.hit_count for res in got] == [len(pts)] * len(queries)
+    assert [res.candidate_count for res in got] == [5] * len(queries)
     assert got[::97] == [run_query(bvh, pts, q, cfg) for q in queries[::97]]
     assert peak < 512 * bvh_module.PAIR_BUDGET  # about 250 bytes a pair
+
+
+def test_strided_points_are_gathered_without_a_copy():
+    # a column slice of wider records, and a Fortran-ordered copy: gathers
+    # from them must not copy the whole array, as ndarray.take does
+    rng = np.random.default_rng(63)
+    records = rng.random((100_000, 4))
+    pts = np.ascontiguousarray(records[:, :3])
+    q = pts[7] + 0.001
+    cfg = ReductionConfig(L1, 0.05, 10)
+    bvh = build_index(pts, cfg)
+    want = run_query(bvh, pts, q, cfg)
+    assert query_radii(bvh, pts, [q], cfg)[0] < cfg.r  # the probe gathers too
+    for view in (records[:, :3], np.asfortranarray(pts)):
+        assert not view.flags.c_contiguous
+        tracemalloc.start()
+        try:
+            got = run_query(bvh, view, q, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < pts.nbytes // 8
+        assert batch_query(bvh, view, [q], cfg) == [want]
 
 
 def test_batch_query_no_queries():
