@@ -94,8 +94,10 @@ class Bvh:
     """
 
     def __init__(self, bounds, left, starts, counts, perm, boxes, leaf_size, depth):
-        # C order, float64 ("d") boxes and int64 ("q") indices: the formats the node walk reads
-        tables = [np.ascontiguousarray(a, f) for a, f in zip((bounds, left, starts, counts, perm, boxes), "dqqqqd")]
+        # C order, float64 ("d") boxes and int64 ("q") indices: the formats the node walk reads.
+        # ascontiguousarray returns such an array itself, so freeze a view, not the caller's array.
+        tables = [np.ascontiguousarray(a, f).view()
+                  for a, f in zip((bounds, left, starts, counts, perm, boxes), "dqqqqd")]
         self.bounds, self.left, self.starts, self.counts, self.perm, self.boxes = tables
         inner = np.flatnonzero(self.left >= 0)
         kids = self.left[inner]

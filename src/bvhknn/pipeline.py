@@ -23,11 +23,13 @@ still keeps distance <= r, so the answer is the oracle's at r.
 :func:`batch_query` runs the probe and both stages for many queries at
 once: the probe one tree level a step (:func:`bvhknn.bvh.probe_windows`),
 then a wavefront traversal (:func:`bvhknn.bvh.traverse_points`), which
-hands over the hits a run of queries at a time, then one kernel call and
-one sort over every hit of the run.  :func:`run_query` is the per-query
-reference path: the probe and the node walk of
-:func:`bvhknn.bvh.traverse_point` in Python, inset, with no callback.  The
-two pick bitwise-equal insets and return equal results.
+hands over the hits a run of queries at a time, then one kernel call over
+every hit of the run and one sort on (query, weight, id): an unstable
+argsort of one packed int64 key (:func:`_run_order`).  A run too large
+for that key, which takes more than 2**31 points, raises OverflowError.
+:func:`run_query` is the per-query reference path: the probe and the
+node walk of :func:`bvhknn.bvh.traverse_point` in Python, inset, with no
+callback.  The two pick bitwise-equal insets and return equal results.
 
 The refine step computes distances exactly as the brute-force oracle
 does, so within the radius the answer is the oracle's, boundary included.
@@ -272,7 +274,11 @@ def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> list[Quer
     The wavefront :func:`traverse_points` then hands over the hits a run
     of queries at a time, runs sized so that memory stays bounded; each
     run takes one weight-kernel call over all its hits and one sort on
-    (query, weight, id), from which each query takes its first k.
+    (query, weight, id), from which each query takes its first k.  The
+    sort is one unstable argsort of the packed int64 key ((query - lo) * R
+    + weight rank) * n + id over the run's R distinct weights; a run whose
+    (hi - lo) * R * n passes 2**63 raises OverflowError, which the run
+    limits of :func:`traverse_points` allow only for n > 2**31 points.
     """
     points = _checked_points(bvh, points, config.metric)
     queries = np.asarray(queries, dtype=np.float64)
@@ -293,6 +299,40 @@ def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> list[Quer
     return results.tolist()
 
 
+def _run_order(rows: np.ndarray, ids: np.ndarray, w: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:
+    """``np.lexsort((ids, w, rows))`` for the candidates of query rows lo..hi-1 over n primitives.
+
+    One unstable sort of one int64 key, ((rows - lo) * R + rank) * n + ids,
+    where rank is the dense rank of w among the R distinct weights.  Equal
+    weights share a rank (-0.0 and +0.0 too; no weight is NaN, since NaN
+    fails distance <= r), and a query reaches each primitive at most once,
+    its one leaf slot, so every key is unique and the order is exact.
+    """
+    if not len(w):
+        return np.zeros(0, dtype=np.int64)
+    by_w = w.argsort()
+    ws = w.take(by_w)
+    ranked = np.zeros(len(w), dtype=np.int64)
+    np.cumsum(ws[1:] != ws[:-1], out=ranked[1:])
+    num_ranks = int(ranked[-1]) + 1
+    # The largest key is (hi - lo) * R * n - 1, so the keys fit in an int64
+    # while (hi - lo) * R * n <= 2**63.  traverse_points keeps every run to
+    # hi - lo <= PAIR_BUDGET = 2**16 queries, and a run of several queries to
+    # at most PAIR_BUDGET slots, so R <= 2**16 and (hi - lo) * R <= 2**32; a
+    # run of one query reaches each point at most once, so R <= n.  Either
+    # way the check fails only for n > 2**31.
+    if (int(hi) - int(lo)) * num_ranks * int(n) > 2**63:
+        raise OverflowError(f"run of {hi - lo} queries, {num_ranks} weights and {n} primitives overflows an int64 key")
+    rank = np.empty_like(ranked)
+    rank[by_w] = ranked
+    key = np.subtract(rows, lo, dtype=np.int64)
+    key *= num_ranks
+    key += rank
+    key *= n
+    key += ids
+    return key.argsort()
+
+
 def _refined(runs, points: np.ndarray, origins: np.ndarray, config: ReductionConfig) -> list[QueryResult]:
     """The QueryResult of every query of :func:`traverse_points` `runs` over `origins`, in order."""
     results: list[QueryResult] = []
@@ -304,7 +344,7 @@ def _refined(runs, points: np.ndarray, origins: np.ndarray, config: ReductionCon
         inside = dist <= config.r
         rows, ids, w, dist = (a.compress(inside) for a in (rows, ids, w, dist))
         candidates = np.bincount(rows - lo, minlength=hi - lo)
-        order = np.lexsort((ids, w, rows))
+        order = _run_order(rows, ids, w, lo, hi, len(points))
         # order groups the candidates by query; each query keeps its first k
         rank = np.arange(len(order)) - np.repeat(np.cumsum(candidates) - candidates, candidates)
         top = order[rank < config.k]

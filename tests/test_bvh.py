@@ -278,6 +278,18 @@ def test_bvh_holds_only_read_only_tables():
             table[0] = 0
 
 
+def test_tables_given_in_final_form_stay_the_callers():
+    # C-ordered float64/int64 tables need no copy; the index freezes a view of
+    # each, and the caller's own arrays stay writeable
+    a = build_point_bvh(np.random.default_rng(5).random((200, 3)), 0.1, 4)
+    given = [t.copy() for t in (a.bounds, a.left, a.starts, a.counts, a.perm, a.boxes)]
+    b = Bvh(*given, a.leaf_size, a.max_depth())
+    for mine, table in zip(given, (b.bounds, b.left, b.starts, b.counts, b.perm, b.boxes)):
+        assert mine.flags.writeable and not table.flags.writeable
+        assert np.shares_memory(table, mine)
+    assert b.dump() == a.dump()
+
+
 def test_tables_of_other_dtypes_and_layouts():
     rng = np.random.default_rng(6)
     pts = rng.integers(0, 33, size=(600, 3)) / 8.0  # every box edge is exact in float32

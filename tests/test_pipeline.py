@@ -19,7 +19,7 @@ from bvhknn import (
     transform_points,
 )
 from bvhknn import bvh as bvh_module
-from bvhknn.pipeline import query_radii
+from bvhknn.pipeline import _run_order, query_radii
 
 L1 = MetricSpec.lp(1)
 L2 = MetricSpec.lp(2)
@@ -204,6 +204,55 @@ def test_batch_query_spans_runs(monkeypatch, budget):
     monkeypatch.setattr(bvh_module, "PAIR_BUDGET", budget)
     got = batch_query(bvh, pts, queries, cfg)
     assert got == [run_query(bvh, pts, q, cfg) for q in queries]
+
+
+@pytest.mark.parametrize("budget", [1, 50, 2000])
+def test_batch_query_ties_across_runs(monkeypatch, budget):
+    # a 5x5x5 lattice with duplicated points: lattice and half-lattice
+    # queries tie on weight many times over, at the k-th place too, in runs
+    # that split wherever the budget falls
+    rng = np.random.default_rng(64)
+    grid = np.stack(np.meshgrid(*[np.arange(5)] * 3, indexing="ij"), axis=-1).reshape(-1, 3) * 0.25
+    pts = rng.permutation(np.vstack([grid, grid[rng.integers(0, len(grid), 60)], grid[:20]]))
+    queries = rng.permutation(np.vstack([grid, rng.integers(0, 9, size=(100, 3)) * 0.125]))
+    monkeypatch.setattr(bvh_module, "PAIR_BUDGET", budget)
+    for metric, r, k in ((L1, 0.5, 7), (L2, 0.3, 12), (LINF, 0.25, 9)):
+        cfg = ReductionConfig(metric, r, k)
+        bvh = build_index(pts, cfg)
+        got = batch_query(bvh, pts, queries, cfg)
+        assert got == [run_query(bvh, pts, q, cfg) for q in queries]
+        assert [res.neighbors for res in got] == [brute_force_knn(pts, q, metric, k, radius=r) for q in queries]
+
+
+def test_run_order_is_the_three_key_lexsort():
+    # exact weight ties, -0.0 beside +0.0, inf and subnormal weights, the
+    # same id in several rows, single-row and empty runs
+    rng = np.random.default_rng(65)
+    pool = np.array([0.0, -0.0, np.inf, 5e-324, 0.25, 0.5, 1.0, 1.0 + 2.0 ** -52])
+    for _ in range(300):
+        lo = int(rng.integers(0, 50))
+        hi = lo + int(rng.integers(1, 9))
+        n = int(rng.integers(1, 40))
+        per_row = rng.integers(0, n + 1, size=hi - lo)
+        rows = np.repeat(np.arange(lo, hi), per_row)
+        ids = np.concatenate([rng.permutation(n)[:c] for c in per_row]).astype(np.int64)
+        w = np.where(rng.random(len(rows)) < 0.7, rng.choice(pool, len(rows)), rng.random(len(rows)))
+        mix = rng.permutation(len(rows))
+        rows, ids, w = rows[mix], ids[mix], w[mix]
+        assert np.array_equal(_run_order(rows, ids, w, lo, hi, n), np.lexsort((ids, w, rows)))
+    empty = np.zeros(0, dtype=np.int64)
+    assert _run_order(empty, empty, np.zeros(0), 3, 5, 10).size == 0
+
+
+def test_run_order_key_limit():
+    # the largest key is (hi - lo) * R * n - 1: at 2**63 it still fits, above it is refused
+    rows = np.array([2**16 - 1] * 2)
+    ids = np.array([2**47 - 1, 2**47 - 2])
+    assert _run_order(rows, ids, np.zeros(2), 0, 2**16, 2**47).tolist() == [1, 0]
+    with pytest.raises(OverflowError):
+        _run_order(rows, ids, np.zeros(2), 0, 2**16, 2**47 + 1)
+    with pytest.raises(OverflowError):
+        _run_order(rows, ids, np.array([0.0, 1.0]), 0, 2**16, 2**47)
 
 
 def test_batch_query_memory_bounded_at_large_radius():
