@@ -91,9 +91,12 @@ class Bvh:
     internal node's `split_axis` is the longest axis of its box, and
     `split_plane` lies midway between the left child's maximum and the
     right child's minimum on that axis (both 0 for a leaf).
+
+    `half_width`, a float, is the half width of every primitive box, kept
+    so that a query can inset the boxes to any smaller width.
     """
 
-    def __init__(self, bounds, left, starts, counts, perm, boxes, leaf_size, depth):
+    def __init__(self, bounds, left, starts, counts, perm, boxes, half_width, leaf_size, depth):
         # C order, float64 ("d") boxes and int64 ("q") indices: the formats the node walk reads.
         # ascontiguousarray returns such an array itself, so freeze a view, not the caller's array.
         tables = [np.ascontiguousarray(a, f).view()
@@ -108,6 +111,7 @@ class Bvh:
         self.split_plane[inner] = (self.bounds[kids, 3 + axis] + self.bounds[kids + 1, axis]) / 2
         for table in tables + [self.split_axis, self.split_plane]:
             table.flags.writeable = False
+        self.half_width = float(half_width)
         self.leaf_size = leaf_size
         self._depth = depth
 
@@ -186,8 +190,33 @@ class Bvh:
         return "\n".join(lines)
 
 
-def _build_from_arrays(box_lo, box_hi, cent, leaf_size: int) -> Bvh:
-    """Level-by-level median-split build; primitive i is row i, so its id is i."""
+def _as_point_array(points) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
+        raise ValueError(f"expected a non-empty (n, 3) point array, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points contain non-finite values")
+    return pts
+
+
+def _check_half_width(half_width: float) -> float:
+    if not math.isfinite(half_width) or half_width < 0:
+        raise ValueError(f"half_width must be finite and >= 0, got {half_width}")
+    return float(half_width)
+
+
+def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZE) -> Bvh:
+    """Build a BVH over one cube of half width `half_width` per point.
+
+    `points` is a non-empty (n, 3) array-like; primitive i is the cube
+    around row i, and its id is i.  Every node box contains all descendant
+    primitive boxes, every primitive lands in exactly one leaf, and
+    identical input always yields the identical tree.  The topology
+    depends on the points alone; `half_width`, which the index records,
+    widens every box alike.
+    """
+    h = _check_half_width(half_width)
+    cent = _as_point_array(points)
     if leaf_size < 1:
         raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
     n = len(cent)
@@ -230,7 +259,7 @@ def _build_from_arrays(box_lo, box_hi, cent, leaf_size: int) -> Bvh:
     left[internal] = 1 + 2 * np.arange(len(internal))
 
     # Leaves partition the slots, so one reduceat in slot order boxes them all.
-    boxes = np.hstack([box_lo, box_hi])[perm]
+    boxes = np.hstack([cent - h, cent + h])[perm]
     leaves = np.flatnonzero(leaf)
     leaves = leaves[np.argsort(starts[leaves])]
     bounds = np.empty((len(leaf), 6))
@@ -245,35 +274,7 @@ def _build_from_arrays(box_lo, box_hi, cent, leaf_size: int) -> Bvh:
         bounds[internal[ka:kb], 3:] = np.maximum(kids[0::2, 3:], kids[1::2, 3:])
         kb = ka
 
-    return Bvh(bounds, left, starts, counts, perm, boxes, leaf_size, len(levels))
-
-
-def _as_point_array(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
-        raise ValueError(f"expected a non-empty (n, 3) point array, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise ValueError("points contain non-finite values")
-    return pts
-
-
-def _check_half_width(half_width: float) -> float:
-    if not math.isfinite(half_width) or half_width < 0:
-        raise ValueError(f"half_width must be finite and >= 0, got {half_width}")
-    return float(half_width)
-
-
-def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZE) -> Bvh:
-    """Build a BVH over one cube of half width `half_width` per point.
-
-    `points` is a non-empty (n, 3) array-like; primitive i is the cube
-    around row i, and its id is i.  Every node box contains all descendant
-    primitive boxes, every primitive lands in exactly one leaf, and
-    identical input always yields the identical tree.
-    """
-    h = _check_half_width(half_width)
-    pts = _as_point_array(points)
-    return _build_from_arrays(pts - h, pts + h, pts, leaf_size)
+    return Bvh(bounds, left, starts, counts, perm, boxes, h, leaf_size, len(levels))
 
 
 def traverse_point(

@@ -25,7 +25,6 @@ from .pipeline import (
     ReductionConfig,
     build_index,
     pipeline_metric_for,
-    scene_half_width,
     transform_chain_for,
     transform_points,
 )
@@ -154,7 +153,7 @@ def _cmd_build_info(args) -> dict:
             "num_nodes": bvh.num_nodes,
             "max_depth": bvh.max_depth(),
             "leaf_size": bvh.leaf_size,
-            "box_half_width": scene_half_width(pcfg),
+            "box_half_width": bvh.half_width,
             **bvh.tree_stats(),
         },
         "timings": {"build_ms": build_ms},

@@ -1,7 +1,9 @@
 """Experiment drivers: timed runs, recall reporting, and parameter sweeps.
 
 A run builds the index from scratch `repeats` times and queries the whole
-query set each time, averaging wall-clock build and search times.  Result
+query set each time, averaging wall-clock build and search times.  A
+sweep searches all its values on each of those builds, made for its
+widest boxes, as an index serves any radius up to its own.  Result
 lists must be identical across repeats (anything else is an internal
 error).  Recall is measured against the unbounded exact oracle, computed
 once per run and cached, so a small radius legitimately caps recall below
@@ -22,6 +24,7 @@ from .pipeline import (
     batch_query,
     build_index,
     pipeline_metric_for,
+    scene_half_width,
     transform_chain_for,
     transform_points,
     to_source_units,
@@ -70,11 +73,11 @@ def run_experiment(dataset: Dataset, config: ReductionConfig, repeats: int = 1,
 def _run_shared_build(variants, repeats: int) -> list[dict]:
     """One report per (dataset, config, truth) variant, all searched on one build per repeat.
 
-    The variants differ only in their queries, k and truth: they share the
-    data and the scene (metric, radius, box geometry, leaf size), so the
-    index is built once per repeat from the first variant and every
-    variant's "build_ms" lists those shared builds.  A missing truth is
-    computed with the unbounded oracle.
+    The variants share the data, metric and leaf size, and may differ in
+    queries, radius, k and truth.  The index is built once per repeat for
+    the widest scene boxes, which serve every variant, and every variant's
+    "build_ms" lists those shared builds.  A missing truth is computed
+    with the unbounded oracle.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -93,12 +96,13 @@ def _run_shared_build(variants, repeats: int) -> list[dict]:
             raise ValueError(f"truth has {len(truth.rows)} rows for {len(queries3)} queries")
         searches.append((replace(cfg, metric=pipeline_metric_for(source)), queries3, truth))
 
+    widest = max((pcfg for pcfg, _, _ in searches), key=scene_half_width)
     build_ms: list[float] = []
     search_ms: list[list[float]] = [[] for _ in variants]
     results: list[list[QueryResult] | None] = [None for _ in variants]
     for _ in range(repeats):
         t0 = time.perf_counter()
-        bvh = build_index(data3, searches[0][0])
+        bvh = build_index(data3, widest)
         build_ms.append((time.perf_counter() - t0) * 1e3)
         for i, (pcfg, queries3, _) in enumerate(searches):
             t1 = time.perf_counter()
@@ -158,10 +162,10 @@ def sweep(dataset: Dataset, config: ReductionConfig, axis: str, values,
     """One report per value along a sweep axis (radius, k, or query count).
 
     The dataset slice and any seed in its meta stay fixed across the sweep;
-    ground truth is computed once and reused where the axis allows it.
-    Only the radius changes the scene boxes: along the k and queries axes
-    the index is built once per repeat and every value is searched on that
-    build, so every report's "build_ms" lists the same shared builds.
+    ground truth is computed once and reused.  On every axis the index is
+    built once per repeat, for the widest scene boxes of the sweep (its
+    largest radius), and every value is searched on that build, so every
+    report's "build_ms" lists the same shared builds.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -173,35 +177,23 @@ def sweep(dataset: Dataset, config: ReductionConfig, axis: str, values,
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"sweep values must be strictly increasing, got {values}")
 
-    if axis == "k":
-        if any(int(v) != v or v < 1 for v in values):
-            raise ValueError(f"k values must be positive integers, got {values}")
-        base_truth = ground_truth(dataset.data, dataset.queries, config.metric, int(values[-1]))
-    elif axis == "queries":
-        if any(int(v) != v or v < 1 for v in values):
-            raise ValueError(f"query counts must be positive integers, got {values}")
-        if values[-1] > len(dataset.queries):
-            raise ValueError(
-                f"query count {values[-1]} exceeds the {len(dataset.queries)} available queries"
-            )
-        base_truth = ground_truth(dataset.data, dataset.queries, config.metric, config.k)
-    else:
-        base_truth = ground_truth(dataset.data, dataset.queries, config.metric, config.k)
+    if axis != "radius" and any(int(v) != v or v < 1 for v in values):
+        raise ValueError(f"values along the {axis} axis must be positive integers, got {values}")
+    if axis == "queries" and values[-1] > len(dataset.queries):
+        raise ValueError(f"query count {values[-1]} exceeds the {len(dataset.queries)} available queries")
 
+    truth = ground_truth(dataset.data, dataset.queries, config.metric, int(values[-1]) if axis == "k" else config.k)
     if axis == "radius":
-        # each radius sizes the scene boxes, so each value needs its own builds
-        reports = [run_experiment(dataset, replace(config, r=float(v)), repeats, truth=base_truth)
-                   for v in values]
+        variants = [(dataset, replace(config, r=float(v)), truth) for v in values]
     elif axis == "k":
         variants = [(dataset, replace(config, k=int(v)),
-                     GroundTruth(base_truth.metric, int(v), [row[: int(v)] for row in base_truth.rows]))
+                     GroundTruth(truth.metric, int(v), [row[: int(v)] for row in truth.rows]))
                     for v in values]
-        reports = _run_shared_build(variants, repeats)
     else:
         variants = [(Dataset(dataset.data, dataset.queries[: int(v)], dict(dataset.meta)), config,
-                     GroundTruth(base_truth.metric, config.k, base_truth.rows[: int(v)]))
+                     GroundTruth(truth.metric, config.k, truth.rows[: int(v)]))
                     for v in values]
-        reports = _run_shared_build(variants, repeats)
+    reports = _run_shared_build(variants, repeats)
     for report, v in zip(reports, values):
         report["sweep"] = {"axis": axis, "value": v}
     return reports

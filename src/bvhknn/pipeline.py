@@ -16,9 +16,10 @@ on every axis; only then does the query take the k-th smallest distance
 over the WINDOW_PER_K * k storage slots around the leaf it descends to.
 Any k points bound the k-th nearest distance, so every point of the
 answer at r lies within r_q, ties at the k-th place included.  The boxes
-are then inset by h(r) - h(r_q), h being the scene half width, linear in
-r, so the tree built at r filters as one built at r_q would.  The refine
-still keeps distance <= r, so the answer is the oracle's at r.
+are then inset by H - h(r_q), H being the index's half width and h the
+scene half width, linear in r, so the tree filters as one built at r_q
+would: an index serves any config with h(r) <= H and rejects the others.
+The refine still keeps distance <= r, so the answer is the oracle's at r.
 
 :func:`batch_query` runs the probe and both stages for many queries at
 once: the probe one tree level a step (:func:`bvhknn.bvh.probe_windows`),
@@ -145,17 +146,20 @@ def scene_half_width(config: ReductionConfig) -> float:
 
 
 def build_index(points, config: ReductionConfig) -> Bvh:
-    """Build the BVH scene for `points` under `config` (boxes sized to match)."""
+    """Build the BVH scene for `points` under `config`, boxes of half width ``scene_half_width(config)``."""
     return build_point_bvh(points, scene_half_width(config), config.leaf_size)
 
 
-def _checked_points(bvh: Bvh, points, metric: MetricSpec) -> np.ndarray:
+def _checked_points(bvh: Bvh, points, config: ReductionConfig) -> np.ndarray:
     """`points` as a float array, after the checks every query entry point makes."""
-    if not metric.is_native:
+    if not config.metric.is_native:
         raise ValueError(
-            f"pipeline queries need a native metric, got {metric.canonical()!r}; "
+            f"pipeline queries need a native metric, got {config.metric.canonical()!r}; "
             "map the points with transform_chain_for and search with pipeline_metric_for"
         )
+    h = scene_half_width(config)
+    if h > bvh.half_width:
+        raise ValueError(f"config needs boxes of half width {h} but the index was built with {bvh.half_width}")
     points = np.asarray(points, dtype=np.float64)
     if bvh.num_primitives != len(points):
         raise ValueError(f"index holds {bvh.num_primitives} primitives but dataset has {len(points)}")
@@ -181,38 +185,39 @@ def _window_radii(points: np.ndarray, ids: np.ndarray, origins: np.ndarray, conf
     return np.minimum(distances(config.metric, np.partition(w, config.k - 1, axis=1)[:, config.k - 1]), config.r)
 
 
-def _insets(radii: np.ndarray, config: ReductionConfig) -> np.ndarray:
-    """Box insets h(r) - h(r_q) for the radii r_q, padded so that no point within r_q is lost.
+def _insets(bvh: Bvh, radii: np.ndarray, config: ReductionConfig) -> np.ndarray:
+    """Box insets H - h(r_q) for the radii r_q <= r, padded so that no point within r_q is lost.
 
+    H is the index's half width, h = h(r) >= r that of `config`, and H >= h.
     Say a point's weight is at most the k-th window weight.  Each axis
     offset then obeys |p_i - q_i| <= r_q * (1 + 2**-40) + tau: terms and
     sums round by a few 2**-53, the root by under one ulp plus
     |ln w| * 2**-53 for the rounded exponent 1/p, and tau = 2**(1 - 1074/p)
     covers a term lost to underflow (L1 and LInf terms are exact: tau = 0).
-    The inset leaves a real half width h - inset of at least that bound:
-    the product and the two differences below each round by at most
-    2**-53 * h, which the last term, h * 2**-50, covers.  So p - h <= q -
-    inset and q + inset <= p + h hold exactly, and as rounding is
-    monotone, the computed fl(p - h) <= fl(q - inset) and fl(q + inset)
-    <= fl(p + h) hold too: the inset box passes the point.  An inset > 0
-    needs the padded radius below r, so the window points within r_q also
-    lie within r.
+    A positive inset leaves a real half width H - inset of at least h / r
+    times that bound: the product (below H then) and the two differences
+    below each round by at most 2**-53 * H, which the last term, H * 2**-50,
+    covers.  So p - H <= q - inset and q + inset <= p + H hold exactly, and
+    as rounding is monotone, the computed fl(p - H) <= fl(q - inset) and
+    fl(q + inset) <= fl(p + H) hold too: the inset box passes the point.
+    r_q = r, a query the probe passes over, gives inset 0 if H == h.
     """
     metric, r = config.metric, config.r
-    h = scene_half_width(config)
+    h, H = scene_half_width(config), bvh.half_width
     tau = 0.0 if metric.kind == KIND_LINF or metric.p == 1.0 else 2.0 ** (1 - 1074 / metric.p)
-    inset = h - h * ((radii * (1 + 2.0 ** -40) + tau) / r) - h * 2.0 ** -50
+    inset = H - h * ((radii * (1 + 2.0 ** -40) + tau) / r) - H * 2.0 ** -50
     return np.where(inset > 0, inset, 0.0)
 
 
 def _probe_params(bvh: Bvh, config: ReductionConfig) -> tuple[float, int, int]:
     """The probe's reach, gate count and window size under `config`.
 
-    A node box inside q ± (r + h) holds points within r of q on every
-    axis.  The gate needs 2k points, so a window of min(4k, n) slots
-    always holds k; with n < 2k no query is probed and r_q stays r.
+    A node box inside q ± (r + H), H the index's half width, holds points
+    within r of q on every axis.  The gate needs 2k points, so a window of
+    min(4k, n) slots always holds k; with n < 2k no query is probed and
+    r_q stays r.
     """
-    return config.r + scene_half_width(config), GATE_PER_K * config.k, min(WINDOW_PER_K * config.k, bvh.num_primitives)
+    return config.r + bvh.half_width, GATE_PER_K * config.k, min(WINDOW_PER_K * config.k, bvh.num_primitives)
 
 
 def query_radii(bvh: Bvh, points, queries, config: ReductionConfig) -> np.ndarray:
@@ -225,7 +230,7 @@ def query_radii(bvh: Bvh, points, queries, config: ReductionConfig) -> np.ndarra
     probed in blocks of at most PAIR_BUDGET window slots, so memory stays
     bounded.
     """
-    points = _checked_points(bvh, points, config.metric)
+    points = _checked_points(bvh, points, config)
     queries = np.asarray(queries, dtype=np.float64)
     radii = np.full(len(queries), config.r)
     params = _probe_params(bvh, config)
@@ -241,20 +246,21 @@ def query_radii(bvh: Bvh, points, queries, config: ReductionConfig) -> np.ndarra
 def run_query(bvh: Bvh, points, q, config: ReductionConfig) -> QueryResult:
     """k nearest neighbors of `q` within distance `config.r`, filter then refine.
 
-    `bvh` must come from :func:`build_index` over the same `points` and
-    `config` (plain and enhanced configs return the same neighbors).  This
-    is the per-query reference path: the probe and the node walk in
-    Python, which for one query beat a wavefront of one, with the boxes
-    inset as :func:`batch_query` insets them.
+    `bvh` must index `points` with boxes at least as wide as `config`
+    needs, ``bvh.half_width >= scene_half_width(config)``, else ValueError:
+    :func:`build_index` over the same points at any radius >= `config.r`
+    and the same or the plain scene.  Every such index returns the same
+    neighbors.  This is the per-query reference path: the probe and the
+    node walk in Python, which for one query beat a wavefront of one, with
+    the boxes inset as :func:`batch_query` insets them.
     """
     metric = config.metric
-    points = _checked_points(bvh, points, metric)
+    points = _checked_points(bvh, points, config)
     origin = as_point3(q).as_tuple()
-    inset = 0.0
     ids = probe_window(bvh, origin, *_probe_params(bvh, config))
-    if ids is not None:
-        # one radius as a numpy scalar: the same arithmetic as batch_query's arrays, with less overhead
-        inset = float(_insets(_window_radii(points, ids[None], np.array([origin]), config)[0], config))
+    # one radius as a numpy scalar: the same arithmetic as batch_query's arrays, with less overhead
+    radius = config.r if ids is None else _window_radii(points, ids[None], np.array([origin]), config)[0]
+    inset = 0.0 if ids is None and bvh.half_width == scene_half_width(config) else float(_insets(bvh, radius, config))
     hits, tested = point_hits(bvh, origin, inset)
     w = weights(metric, _rows(points, hits), origin)
     dist = distances(metric, w)
@@ -269,8 +275,9 @@ def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> list[Quer
     """:func:`run_query` for every row of the (m, 3) array `queries`, batched.
 
     The result for each query equals ``run_query(bvh, points, q, config)``,
-    counts included.  The probe (:func:`query_radii`) runs for all
-    queries first, one tree level a step, and gives each its box inset.
+    counts included, and `bvh` is checked as there.  The probe
+    (:func:`query_radii`) runs for all queries first, one tree level a
+    step, and gives each its box inset.
     The wavefront :func:`traverse_points` then hands over the hits a run
     of queries at a time, runs sized so that memory stays bounded; each
     run takes one weight-kernel call over all its hits and one sort on
@@ -280,7 +287,7 @@ def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> list[Quer
     (hi - lo) * R * n passes 2**63 raises OverflowError, which the run
     limits of :func:`traverse_points` allow only for n > 2**31 points.
     """
-    points = _checked_points(bvh, points, config.metric)
+    points = _checked_points(bvh, points, config)
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[1] != 3:
         raise ValueError(f"queries must be an (m, 3) array, got shape {queries.shape}")
@@ -288,7 +295,7 @@ def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> list[Quer
     if bad.size:
         raise ValueError(f"query index {bad[0]} has non-finite coordinates")
     queries = np.ascontiguousarray(queries)
-    insets = _insets(query_radii(bvh, points, queries, config), config)
+    insets = _insets(bvh, query_radii(bvh, points, queries, config), config)
     # Queries without an inset traverse on their own: their box tests
     # gather three coordinates a pair, not six.
     results = np.empty(len(queries), dtype=object)

@@ -9,8 +9,13 @@ duplicate points that tie on weight.
 Dense scenes do the same for the radius r_q < r that the probe gives a
 query (`query_radii`): points exactly r_q away along an axis, ties at
 r_q inside and outside the probe's window, duplicates that make r_q 0,
-and scenes too small for a window of 4k points.
+and scenes too small for a window of 4k points.  Each dense scene is
+also searched at r on indexes built with wider boxes, which must give
+the same neighbors.
 """
+
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +35,7 @@ from bvhknn import (
     scene_half_width,
     weights,
 )
-from bvhknn.pipeline import query_radii
+from bvhknn.pipeline import _insets, query_radii
 
 METRICS = [MetricSpec.lp(1), MetricSpec.lp(1.5), MetricSpec.lp(2), MetricSpec.lp(3), MetricSpec.linf()]
 SCENES = 100
@@ -118,18 +123,45 @@ def test_hamming3_ties_at_oracle_kth_distance(enhanced):
 
 
 def assert_probed_matches_oracle(pts, queries, metric, r, k, enhanced):
-    """Both entry points equal the oracle at r; returns the radii the queries were searched with."""
+    """Both entry points equal the oracle at r, on the index built at r and on wider ones.
+
+    The wider indexes are built at 2r and 4r, and for an enhanced config
+    also plain at r, which is wider for lp:3 and linf.  Returns the radii
+    the queries were searched with and the results, both on the index
+    built at r.
+    """
     cfg = ReductionConfig(metric, r, k, enhanced)
-    bvh = build_index(pts, cfg)
-    results = batch_query(bvh, pts, queries, cfg)
-    assert results == [run_query(bvh, pts, q, cfg) for q in queries]
-    for res, q in zip(results, queries):
-        assert res.neighbors == brute_force_knn(pts, q, metric, k, radius=r)
-    return query_radii(bvh, pts, queries, cfg), results
+    builds = [cfg, replace(cfg, r=2 * r), replace(cfg, r=4 * r)] + [replace(cfg, enhanced=False)] * enhanced
+    indexes = [build_index(pts, c) for c in builds]
+    runs = [batch_query(index, pts, queries, cfg) for index in indexes]
+    want = [brute_force_knn(pts, q, metric, k, radius=r) for q in queries]
+    for index, results in zip(indexes, runs):
+        assert results == [run_query(index, pts, q, cfg) for q in queries]
+        assert [res.neighbors for res in results] == want
+    return query_radii(indexes[0], pts, queries, cfg), runs[0]
 
 
 def kth_distance(pts, q, metric, k):
     return brute_force_knn(pts, q, metric, k)[-1][1]
+
+
+@pytest.mark.parametrize("enhanced", [False, True])
+@pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.canonical())
+def test_inset_boxes_pass_points_within_r_q(metric, enhanced):
+    # the bound of _insets, with the node walk's comparison: a point p with
+    # p - q <= r_q on an axis stays inside its box of half width H >= h(r),
+    # inset for r_q, whether H is the index's own width for r or wider
+    rng = np.random.default_rng(1111)
+    for _ in range(200):
+        r = float(rng.uniform(0.01, 0.25))
+        cfg = ReductionConfig(metric, r, 1, enhanced)
+        H = scene_half_width(cfg) * float(rng.choice([1.0, 2.0, rng.uniform(1.0, 4.0)]))
+        r_q = r * 2.0 ** -rng.uniform(0, 40, size=500)
+        q = H * rng.uniform(-2, 2, size=500) * 2.0 ** -rng.uniform(0, 20, size=500)
+        p = q + r_q
+        beyond = (q - (p - (p - q))) + (r_q - (p - q)) < 0  # TwoSum: q + r_q - p, exactly
+        inset = _insets(SimpleNamespace(half_width=H), r_q, cfg)
+        assert ((p - H <= q - inset) | beyond).all()
 
 
 @pytest.mark.parametrize("enhanced", [False, True])

@@ -283,7 +283,7 @@ def test_tables_given_in_final_form_stay_the_callers():
     # each, and the caller's own arrays stay writeable
     a = build_point_bvh(np.random.default_rng(5).random((200, 3)), 0.1, 4)
     given = [t.copy() for t in (a.bounds, a.left, a.starts, a.counts, a.perm, a.boxes)]
-    b = Bvh(*given, a.leaf_size, a.max_depth())
+    b = Bvh(*given, a.half_width, a.leaf_size, a.max_depth())
     for mine, table in zip(given, (b.bounds, b.left, b.starts, b.counts, b.perm, b.boxes)):
         assert mine.flags.writeable and not table.flags.writeable
         assert np.shares_memory(table, mine)
@@ -296,8 +296,9 @@ def test_tables_of_other_dtypes_and_layouts():
     a = build_point_bvh(pts, 0.25, 4)
     b = Bvh(np.asfortranarray(a.bounds, dtype=np.float32), a.left.astype(np.int32),
             a.starts.repeat(2)[::2], a.counts.astype(np.int32), a.perm.astype(np.int32),
-            np.asfortranarray(a.boxes), a.leaf_size, a.max_depth())  # starts: a strided view
+            np.asfortranarray(a.boxes), np.float32(0.25), a.leaf_size, a.max_depth())  # starts: a strided view
     assert b.bounds.dtype == b.boxes.dtype == np.float64 and b.perm.dtype == np.int64
+    assert type(b.half_width) is float and b.half_width == a.half_width == 0.25
     assert b.dump() == a.dump()
     for qrow in np.vstack([rng.random((30, 3)) * 4, rng.integers(0, 65, size=(20, 3)) / 16.0]):
         q = PointQuery(Point3(*qrow))

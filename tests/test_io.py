@@ -200,8 +200,8 @@ def test_sweep_queries_search_time_trend():
     assert t_large >= t_small / 2
 
 
-@pytest.mark.parametrize("axis, values", [("k", [1, 4, 9]), ("queries", [2, 5, 10])])
-def test_sweep_builds_once_per_repeat_off_the_radius_axis(monkeypatch, axis, values):
+@pytest.mark.parametrize("axis, values", [("k", [1, 4, 9]), ("queries", [2, 5, 10]), ("radius", [0.1, 0.2, 0.25])])
+def test_sweep_builds_once_per_repeat_on_every_axis(monkeypatch, axis, values):
     ds = small_dataset(n=150, q=10, seed=7)
     cfg = ReductionConfig(MetricSpec.lp(3), 0.25, 3)
     calls = []
@@ -223,9 +223,18 @@ def test_sweep_builds_once_per_repeat_off_the_radius_axis(monkeypatch, axis, val
     for report, v in zip(reports, values):
         if axis == "k":
             alone = run_experiment(ds, ReductionConfig(cfg.metric, cfg.r, v), repeats=2)
-        else:
+        elif axis == "queries":
             alone = run_experiment(Dataset(ds.data, ds.queries[:v], dict(ds.meta)), cfg, repeats=2)
-        assert untimed(report) == untimed(alone)
+        else:
+            alone = run_experiment(ds, ReductionConfig(cfg.metric, v, cfg.k), repeats=2)
+        if axis == "radius":
+            # searched on the index built for the largest radius: the answers
+            # are the same, the counts of the wider boxes' filter may not be
+            assert report["config"] == alone["config"] and report["recall"] == alone["recall"]
+            assert [res["neighbors"] for res in report["results"]] == [res["neighbors"] for res in alone["results"]]
+            assert all(res["hits"] >= res["candidates"] >= len(res["neighbors"]) for res in report["results"])
+        else:
+            assert untimed(report) == untimed(alone)
         assert report["sweep"] == {"axis": axis, "value": v}
         assert set(report["timings"]) == set(alone["timings"])
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -330,15 +331,25 @@ def test_query_entry_points_share_input_checks():
     cfg = ReductionConfig(L2, 0.5, 1)
     bvh = build_index(pts, cfg)
     cases = [
-        (pts, ReductionConfig(MetricSpec.cosine(), 0.5, 1), "native metric"),
-        (pts[:1], cfg, "2 primitives but dataset has 1"),
+        (bvh, pts, ReductionConfig(MetricSpec.cosine(), 0.5, 1), "native metric"),
+        (bvh, pts[:1], cfg, "2 primitives but dataset has 1"),
+        # boxes narrower than the config needs: an index built at r/2, and
+        # enhanced lp:3 and linf indexes asked for the wider plain scene
+        (build_index(pts, ReductionConfig(L2, 0.25, 1)), pts, cfg, "half width 0.5 but the index was built with 0.25"),
     ]
-    for data, config, message in cases:
+    for metric in (L3, LINF):
+        plain = ReductionConfig(metric, 0.5, 1)
+        enhanced = build_index(pts, ReductionConfig(metric, 0.5, 1, enhanced=True))
+        cases.append((enhanced, pts, plain, f"half width {scene_half_width(plain)} but the index was built with 0.5"))
+    for index, data, config, message in cases:
+        message = re.escape(message)
         with pytest.raises(ValueError, match=message) as single:
-            run_query(bvh, data, [0, 0, 0], config)
+            run_query(index, data, [0, 0, 0], config)
         with pytest.raises(ValueError, match=message) as batch:
-            batch_query(bvh, data, [[0, 0, 0]], config)
-        assert str(single.value) == str(batch.value)
+            batch_query(index, data, [[0, 0, 0]], config)
+        with pytest.raises(ValueError, match=message) as radii:
+            query_radii(index, data, [[0, 0, 0]], config)
+        assert str(single.value) == str(batch.value) == str(radii.value)
 
 
 # --- transforms -------------------------------------------------------------
