@@ -17,14 +17,16 @@ and numbers nodes in level order, so the right child of node i is always
 `left[i] + 1`.  Trees are immutable once built and traversal is read-only,
 so any number of concurrent queries may share one.
 
-There are two traversals over the same numpy tables, and both end in one
-array test of the slots of the leaves they reach.  :func:`traverse_point` is
-the any-hit walk of one query, depth first, testing two sibling boxes a step.
+There are two traversals over the same numpy tables, and both test the
+slots of the leaves they reach with one array step.  :func:`traverse_point`
+is the any-hit walk of one query, depth first, testing two sibling boxes a
+step, and it tests all its leaves' slots at the end.
 :func:`traverse_points` is its wavefront form for many queries at once, as a
 GPU hands the RT cores whole batches of rays: it tests a whole frontier of
-(query, node) pairs per step, and hands over the hits a run of queries at a
-time, each run held to PAIR_BUDGET pairs, so its memory stays bounded.  Both
-test the same nodes and report the same hits.
+(query, node) pairs per step, tests the slots of the leaves that step
+reaches in the same step, and carries only the hits.  It hands them over a
+run of queries at a time, each run held to PAIR_BUDGET pairs, so its memory
+stays bounded.  Both test the same nodes and slots and report the same hits.
 
 Both walks can also test every box inset by a per-query `inset`: a box
 passes when ``lo <= q - inset`` and ``q + inset <= hi``, so a tree built
@@ -49,11 +51,12 @@ import numpy as np
 
 from .geometry import Aabb, Point3, PointQuery
 
-DEFAULT_LEAF_SIZE = 4
+DEFAULT_LEAF_SIZE = 8
 
-# Most (query, node) and (query, slot) pairs that traverse_points holds at
-# once for a run of several queries.  With the refine of its hits, a pair
-# costs up to about 250 bytes, so a run of batch_query stays near 16 MiB.
+# Most (query, node), (query, slot) and (query, id) pairs that
+# traverse_points holds at once for a run of several queries.  With the
+# refine of its hits, a pair costs up to about 250 bytes, so a run of
+# batch_query stays near 16 MiB.
 PAIR_BUDGET = 1 << 16
 
 # One row of Bvh.bounds, and two adjacent rows: a left child's box and its right sibling's.
@@ -360,22 +363,24 @@ def traverse_points(bvh: Bvh, origins: np.ndarray,
 
     `origins` is an (m, 3) float array, and `insets` an optional (m,) array
     of per-query box insets (0 when omitted), applied as :func:`point_hits`
-    applies its `inset`.  The traversal is a wavefront: a frontier of
-    (query row, node) pairs starts at the root; each step tests every
-    pair's node box at once, sets aside the passing leaves and replaces
-    each passing internal node by its two children.  The leaf pairs are
-    then expanded into (query row, slot) pairs and the primitive boxes
-    tested.  With no early termination this tests exactly the nodes that
+    applies its `inset`.  The traversal is a wavefront, one tree level a
+    step: a frontier of (query row, node) pairs whose boxes passed starts
+    at the root.  Each step tests the slots of the frontier's leaves at
+    once, keeping only the (query row, id) hits, and replaces each internal
+    node by its two children, whose boxes are tested at once.  With no early
+    termination this tests exactly the nodes and slots that
     :func:`point_hits` tests for each query and inset.
 
     Yields ``(lo, hi, rows, ids, tested)`` for consecutive runs of query
     rows lo..hi-1, in order and together covering every row: the hit query
     rows and the hit primitive ids, two arrays of equal length in no
     particular order, and the number of node boxes tested for each query
-    of the run.  A run of several queries is halved whenever its frontier
-    and the slots of the leaves it has reached would pass PAIR_BUDGET
-    pairs, so memory stays bounded however many boxes contain each query.
-    One query is never split; it holds at most its frontier and its slots.
+    of the run.  A run of several queries is halved whenever it holds more
+    than PAIR_BUDGET queries, or whenever its next frontier, the hits it
+    holds and the slots of this step's leaves would pass PAIR_BUDGET pairs,
+    so memory stays bounded however many boxes contain each query, and such
+    a run holds at most PAIR_BUDGET hits.  One query is never split; it
+    holds at most its frontier, its hits and one level's slots.
     """
     # take/compress rather than fancy indexing: same result, several times faster.
     origins = np.asarray(origins, dtype=np.float64)
@@ -385,39 +390,40 @@ def traverse_points(bvh: Bvh, origins: np.ndarray,
     else:  # one (q - inset, q + inset) row per query: each test gathers a single array
         inset = np.asarray(insets, dtype=np.float64).reshape(m, 1)
         spans = np.hstack([origins - inset, origins + inset])
-    tested = np.zeros(m, dtype=np.int64)
+    tested = np.ones(m, dtype=np.int64)  # every query tests the root box
+    rows = np.flatnonzero(_contains(bvh.bounds[:1], spans))  # the root box against every query
     none = np.zeros(0, dtype=np.int64)
     # Runs still to traverse, the next one last: query rows lo..hi-1, their
-    # frontier of (row, node) pairs and the (row, leaf) pairs reached so far.
-    runs = [(0, m, np.arange(m), np.zeros(m, dtype=np.int64), none, none)] if m else []
+    # frontier of (row, node) pairs whose boxes passed, and their hits so far.
+    runs = [(0, m, rows, np.zeros(rows.size, dtype=np.int64), none, none)] if m else []
     while runs:
-        lo, hi, rows, nodes, leaf_rows, leaf_nodes = runs.pop()
-        slots = int(bvh.counts.take(leaf_nodes).sum())
+        lo, hi, rows, nodes, hit_rows, hit_ids = runs.pop()
         while True:
-            if rows.size + slots > PAIR_BUDGET and hi - lo > 1:
-                mid = (lo + hi) // 2
-                up, leaf_up = rows >= mid, leaf_rows >= mid
-                runs.append((mid, hi, rows.compress(up), nodes.compress(up),
-                             leaf_rows.compress(leaf_up), leaf_nodes.compress(leaf_up)))
-                hi, rows, nodes = mid, rows.compress(~up), nodes.compress(~up)
-                leaf_rows, leaf_nodes = leaf_rows.compress(~leaf_up), leaf_nodes.compress(~leaf_up)
-                slots = int(bvh.counts.take(leaf_nodes).sum())
-                continue
-            if not rows.size:
-                break
-            tested[lo:hi] += np.bincount(rows - lo, minlength=hi - lo)
-            inside = _contains(bvh.bounds.take(nodes, axis=0), spans.take(rows, axis=0))
-            rows, nodes = rows.compress(inside), nodes.compress(inside)
             left = bvh.left.take(nodes)
             leaf = left < 0
             reached = nodes.compress(leaf)
-            slots += int(bvh.counts.take(reached).sum())
-            leaf_rows = np.concatenate([leaf_rows, rows.compress(leaf)])
-            leaf_nodes = np.concatenate([leaf_nodes, reached])
+            slots = int(bvh.counts.take(reached).sum())
+            pairs = 2 * (rows.size - reached.size) + hit_rows.size + slots
+            if max(hi - lo, pairs) > PAIR_BUDGET and hi - lo > 1:
+                mid = (lo + hi) // 2
+                up, hit_up = rows >= mid, hit_rows >= mid
+                runs.append((mid, hi, rows.compress(up), nodes.compress(up),
+                             hit_rows.compress(hit_up), hit_ids.compress(hit_up)))
+                hi, rows, nodes = mid, rows.compress(~up), nodes.compress(~up)
+                hit_rows, hit_ids = hit_rows.compress(~hit_up), hit_ids.compress(~hit_up)
+                continue
+            if not rows.size:
+                break
+            if reached.size:
+                found_rows, found_ids = _leaf_hits(bvh, rows.compress(leaf), reached, spans)
+                hit_rows, hit_ids = np.concatenate([hit_rows, found_rows]), np.concatenate([hit_ids, found_ids])
             rows = rows.compress(~leaf).repeat(2)
             nodes = left.compress(~leaf).repeat(2)
             nodes[1::2] += 1  # the right child is left + 1
-        yield lo, hi, *_leaf_hits(bvh, leaf_rows, leaf_nodes, spans), tested[lo:hi]
+            tested[lo:hi] += np.bincount(rows - lo, minlength=hi - lo)
+            inside = _contains(bvh.bounds.take(nodes, axis=0), spans.take(rows, axis=0))
+            rows, nodes = rows.compress(inside), nodes.compress(inside)
+        yield lo, hi, hit_rows, hit_ids, tested[lo:hi]
 
 
 def _window(bvh: Bvh, leaf, size: int):

@@ -323,11 +323,13 @@ def _run_order(rows: np.ndarray, ids: np.ndarray, w: np.ndarray, lo: int, hi: in
     np.cumsum(ws[1:] != ws[:-1], out=ranked[1:])
     num_ranks = int(ranked[-1]) + 1
     # The largest key is (hi - lo) * R * n - 1, so the keys fit in an int64
-    # while (hi - lo) * R * n <= 2**63.  traverse_points keeps every run to
-    # hi - lo <= PAIR_BUDGET = 2**16 queries, and a run of several queries to
-    # at most PAIR_BUDGET slots, so R <= 2**16 and (hi - lo) * R <= 2**32; a
-    # run of one query reaches each point at most once, so R <= n.  Either
-    # way the check fails only for n > 2**31.
+    # while (hi - lo) * R * n <= 2**63.  traverse_points halves every run of
+    # more than PAIR_BUDGET = 2**16 queries.  A run of several queries adds a
+    # level's hits only if its hits so far plus that level's leaf slots, which
+    # bound the new hits, stay within PAIR_BUDGET, so it ends with at most
+    # 2**16 hits: R <= 2**16 and (hi - lo) * R <= 2**32.  A run of one query
+    # reaches each point at most once, so R <= n.  Either way the check fails
+    # only for n > 2**31.
     if (int(hi) - int(lo)) * num_ranks * int(n) > 2**63:
         raise OverflowError(f"run of {hi - lo} queries, {num_ranks} weights and {n} primitives overflows an int64 key")
     rank = np.empty_like(ranked)

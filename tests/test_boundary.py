@@ -286,7 +286,7 @@ near_lattice = st.builds(nudge, lattice, st.sampled_from([-1.0, 0.0, 0.0, 1.0]))
     queries=st.lists(st.tuples(half_lattice, half_lattice, half_lattice), min_size=1, max_size=6),
     metric=st.sampled_from(METRICS),
     enhanced=st.booleans(),
-    leaf_size=st.sampled_from([1, 4]),
+    leaf_size=st.sampled_from([1, 4, 8, 16]),
     k=st.integers(1, 8),
     r=st.one_of(st.none(), st.integers(1, 8).map(lambda i: i * 0.25)),
 )

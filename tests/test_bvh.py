@@ -192,7 +192,7 @@ def all_hits(bvh, origins):
 
 
 @pytest.mark.parametrize("kind", ["random", "lattice", "duplicates"])
-@pytest.mark.parametrize("leaf_size", [1, 3, 8])
+@pytest.mark.parametrize("leaf_size", [1, 3, 8, 16])
 def test_traverse_points_matches_linear_scan(kind, leaf_size):
     rng = np.random.default_rng(leaf_size)
     if kind == "random":
@@ -214,21 +214,57 @@ def test_traverse_points_matches_linear_scan(kind, leaf_size):
     assert tested[-1] == 1  # outside the root box: nothing else is tested
 
 
-@pytest.mark.parametrize("budget", [1, 30, 400])
-@pytest.mark.parametrize("leaf_size", [1, 4])
+@pytest.mark.parametrize("budget", [1, 30, 100, 400])
+@pytest.mark.parametrize("leaf_size", [1, 4, 8, 16])
 def test_traverse_points_splits_runs_at_pair_budget(monkeypatch, budget, leaf_size):
     rng = np.random.default_rng(budget)
-    pts = rng.random((500, 3))
-    origins = np.vstack([rng.random((37, 3)), [[5.0, 5.0, 5.0]]])
+    # nodes of leaf_size + 1 primitives one level above the leaves: most
+    # leaves lie one level below the rest, so a run can be halved after
+    # the upper leaves gave it hits
+    pts = rng.random((64 * (leaf_size + 1) - 8, 3))
+    # far queries fail the root box: only the query count splits their runs
+    origins = np.vstack([rng.random((37, 3)), np.full((450, 3), 5.0)])
     bvh = build_point_bvh(pts, 0.3, leaf_size)  # about a fifth of the boxes hold each query
     monkeypatch.setattr(bvh_module, "PAIR_BUDGET", budget)
+    leaf_rows = []  # the query rows of every leaf test
+    leaf_hits = bvh_module._leaf_hits
+    monkeypatch.setattr(bvh_module, "_leaf_hits",
+                        lambda bvh, rows, *rest: (leaf_rows.append(rows), leaf_hits(bvh, rows, *rest))[1])
     rows, ids, tested, runs = all_hits(bvh, origins)
     # runs are consecutive, in order, and cover every query
     assert [lo for lo, _ in runs] == [0] + [hi for _, hi in runs[:-1]]
     assert runs[-1][1] == len(origins) and len(runs) > 1
     for lo, hi in runs:
         if hi - lo > 1:  # only a single query may pass the budget
+            assert hi - lo <= budget
             assert np.count_nonzero((lo <= rows) & (rows < hi)) <= budget
+    # A leaf test over the queries of two runs: a run was halved after it
+    # held hits.  Budgets 1 and 30 halve these runs down to one query
+    # before they reach a leaf of several slots; a leaf of one slot is
+    # counted as frontier a level earlier, so with leaf size 1 a run that
+    # fits before its first leaves fits to the end.
+    ends = [hi for _, hi in runs]
+    halved_holding_hits = any(np.unique(np.searchsorted(ends, r, side="right")).size > 1 for r in leaf_rows)
+    assert halved_holding_hits == (leaf_size > 1 and budget >= 100)
+    for j, qrow in enumerate(origins):
+        q = PointQuery(Point3(*qrow))
+        assert sorted(ids[rows == j].tolist()) == containment_scan(pts, 0.3, q)
+        assert tested[j] == node_visits(bvh, q)
+
+
+def test_traverse_points_counts_held_hits_against_the_budget(monkeypatch):
+    # half the nodes one level above the leaves are leaves: their hits are
+    # held while the level below brings its slots, and the two together pass
+    # the budget though neither does alone
+    rng = np.random.default_rng(180)
+    pts = rng.random((544, 3))
+    origins = rng.random((37, 3))
+    bvh = build_point_bvh(pts, 0.3, 8)
+    monkeypatch.setattr(bvh_module, "PAIR_BUDGET", 180)
+    rows, ids, tested, runs = all_hits(bvh, origins)
+    for lo, hi in runs:
+        if hi - lo > 1:
+            assert np.count_nonzero((lo <= rows) & (rows < hi)) <= 180
     for j, qrow in enumerate(origins):
         q = PointQuery(Point3(*qrow))
         assert sorted(ids[rows == j].tolist()) == containment_scan(pts, 0.3, q)

@@ -16,7 +16,7 @@ from bvhknn import (
 )
 from bvhknn import experiments
 from bvhknn.cli import main
-from bvhknn.oracle import aggregate_recall
+from bvhknn.oracle import aggregate_recall, ground_truth
 
 
 def write(path, text):
@@ -142,6 +142,21 @@ def test_report_recall_matches_recomputation():
     ids = [[i for i, _ in r["neighbors"]] for r in report["results"]]
     assert aggregate_recall(ids, oracle) == pytest.approx(report["recall"]["mean"])
     assert truth is not None
+
+
+@pytest.mark.parametrize("metric", [MetricSpec.lp(1), MetricSpec.lp(3), MetricSpec.cosine(), MetricSpec.linf()],
+                         ids=lambda m: m.canonical())
+def test_report_mean_recall_is_aggregate_recall(metric):
+    # the mean is taken from the per-query list, bitwise as aggregate_recall takes it
+    rng = np.random.default_rng(7)
+    ds = Dataset(rng.normal(size=(400, 3)), rng.normal(size=(30, 3)), {})
+    truth = ground_truth(ds.data, ds.queries, metric, 6)
+    radii = [0.1, 0.2, 0.4, 0.8]
+    reports = sweep(ds, ReductionConfig(metric, radii[-1], 6), "radius", radii)
+    assert sum(0 < report["recall"]["mean"] < 1 for report in reports) >= 2
+    for report in reports:
+        ids = [[i for i, _ in r["neighbors"]] for r in report["results"]]
+        assert report["recall"]["mean"] == aggregate_recall(ids, truth)
 
 
 def test_transform_metric_experiment():

@@ -163,7 +163,7 @@ def batch_scene(kind, rng):
     return rng.permutation(np.repeat(rng.random((90, 3)), 7, axis=0))  # 7 copies of each point
 
 
-@pytest.mark.parametrize("leaf_size", [1, 4])
+@pytest.mark.parametrize("leaf_size", [1, 4, 8, 16])
 @pytest.mark.parametrize("enhanced", [False, True])
 @pytest.mark.parametrize("metric", BATCH_METRICS, ids=lambda m: m.canonical())
 @pytest.mark.parametrize("kind", ["random", "lattice", "duplicates"])
@@ -187,6 +187,22 @@ def test_batch_query_equals_run_query(kind, metric, enhanced, leaf_size):
         seen += got
     assert any(0 < res.candidate_count < k for res in seen)  # lists shorter than k
     assert any(res.candidate_count > k for res in seen)
+
+
+@pytest.mark.parametrize("metric", BATCH_METRICS, ids=lambda m: m.canonical())
+def test_leaf_size_never_changes_an_answer(metric):
+    # a duplicated lattice: weights tie everywhere, at the k-th place too;
+    # every leaf size gives the same neighbors, and they are the oracle's
+    rng = np.random.default_rng(66)
+    grid = np.stack(np.meshgrid(*[np.arange(6)] * 3, indexing="ij"), axis=-1).reshape(-1, 3) * 0.2
+    pts = rng.permutation(np.vstack([grid, grid[rng.integers(0, len(grid), 80)]]))
+    queries = np.vstack([grid[::3], rng.integers(0, 11, size=(60, 3)) * 0.1])
+    for r, k in ((0.2, 4), (0.45, 11)):
+        want = [brute_force_knn(pts, q, metric, k, radius=r) for q in queries]
+        for leaf_size in (1, 4, 8, 16):
+            cfg = ReductionConfig(metric, r, k, leaf_size=leaf_size)
+            got = batch_query(build_index(pts, cfg), pts, queries, cfg)
+            assert [res.neighbors for res in got] == want
 
 
 @pytest.mark.parametrize("budget", [1, 50, 2000])
