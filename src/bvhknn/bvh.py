@@ -11,11 +11,13 @@ delivery of further hits.
 Construction is deterministic: median split on the axis with the longest
 centroid extent (ties broken x, then y, then z), the left child taking the
 first half in (coordinate, id) order, until a node holds at most
-`leaf_size` primitives, which it stores in (x, id) order.  The build splits
-all nodes of one level at once with numpy, as hardware BVH builders do,
-and numbers nodes in level order, so the right child of node i is always
-`left[i] + 1`.  Trees are immutable once built and traversal is read-only,
-so any number of concurrent queries may share one.
+`leaf_size` primitives, which it stores in (x, id) order.  The split tables
+record each split's axis and a plane midway between the centroids either
+side, so they, like the topology, depend on the points alone.  The build
+splits all nodes of one level at once with numpy, as hardware BVH builders
+do, and numbers nodes in level order, so the right child of node i is
+always `left[i] + 1`.  Trees are immutable once built and traversal is
+read-only, so any number of concurrent queries may share one.
 
 There are two traversals over the same numpy tables, and both test the
 slots of the leaves they reach with one array step.  :func:`traverse_point`
@@ -90,29 +92,21 @@ class Bvh:
     traversals read them.  A node's subtree holds slots `starts[i]` to
     `starts[i] + counts[i] - 1` for internal nodes too.
 
-    Two more tables, derived from these, steer the probe descent: an
-    internal node's `split_axis` is the longest axis of its box, and
-    `split_plane` lies midway between the left child's maximum and the
-    right child's minimum on that axis (both 0 for a leaf).
+    `split_axis` and `split_plane`, an internal node's split axis and the
+    midpoint of the two centroid coordinates either side of its split,
+    steer the probe descent (both 0 for a leaf); the build records them.
 
     `half_width`, a float, is the half width of every primitive box, kept
     so that a query can inset the boxes to any smaller width.
     """
 
-    def __init__(self, bounds, left, starts, counts, perm, boxes, half_width, leaf_size, depth):
-        # C order, float64 ("d") boxes and int64 ("q") indices: the formats the node walk reads.
+    def __init__(self, bounds, left, starts, counts, perm, boxes, split_axis, split_plane, half_width, leaf_size, depth):
+        # C order, float64 ("d") boxes and planes and int64 ("q") indices: the formats the walks read.
         # ascontiguousarray returns such an array itself, so freeze a view, not the caller's array.
         tables = [np.ascontiguousarray(a, f).view()
-                  for a, f in zip((bounds, left, starts, counts, perm, boxes), "dqqqqd")]
-        self.bounds, self.left, self.starts, self.counts, self.perm, self.boxes = tables
-        inner = np.flatnonzero(self.left >= 0)
-        kids = self.left[inner]
-        axis = (self.bounds[inner, 3:] - self.bounds[inner, :3]).argmax(axis=1)
-        self.split_axis = np.zeros(len(self.left), dtype=np.int64)
-        self.split_plane = np.zeros(len(self.left))
-        self.split_axis[inner] = axis
-        self.split_plane[inner] = (self.bounds[kids, 3 + axis] + self.bounds[kids + 1, axis]) / 2
-        for table in tables + [self.split_axis, self.split_plane]:
+                  for a, f in zip((bounds, left, starts, counts, perm, boxes, split_axis, split_plane), "dqqqqdqd")]
+        self.bounds, self.left, self.starts, self.counts, self.perm, self.boxes, self.split_axis, self.split_plane = tables
+        for table in tables:
             table.flags.writeable = False
         self.half_width = float(half_width)
         self.leaf_size = leaf_size
@@ -247,15 +241,18 @@ def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZ
         # maximum, so ties go x, then y, then z.  A leaf is stored in x order.
         axis = np.where(leaf, 0, extent.argmax(axis=1))
         perm[slots] = ids[np.argsort(seg * n + rank[axis[seg], ids])]
-        levels.append((starts, counts, leaf))
+        s, m, a = starts[~leaf], counts[~leaf], axis[~leaf]
+        half = m // 2  # the left child takes the first half in split-axis order
+        plane = np.zeros(len(counts))  # midway between the centroids either side of the split
+        plane[~leaf] = (cent[perm[s + half - 1], a] + cent[perm[s + half], a]) / 2
+        levels.append((starts, counts, axis, plane, leaf))
         if leaf.all():
             break
-        s, m = starts[~leaf], counts[~leaf]
-        half = m // 2  # the left child takes the first half in split-axis order
         starts = np.column_stack([s, s + half]).ravel()
         counts = np.column_stack([half, m - half]).ravel()
 
-    starts, counts, leaf = (np.concatenate(t) for t in zip(*levels))
+    del rank, seg, slots, ids, c  # the last level's scratch, freed before the boxes are made
+    starts, counts, split_axis, split_plane, leaf = (np.concatenate(t) for t in zip(*levels))
     internal = np.flatnonzero(~leaf)
     # Level order puts the children of the k-th internal node at 2k+1, 2k+2.
     left = np.full(len(leaf), -1, dtype=np.int64)
@@ -270,14 +267,14 @@ def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZ
     bounds[leaves, 3:] = np.maximum.reduceat(boxes[:, 3:], starts[leaves])
     # Internal boxes bottom up, one level at a time.
     kb = len(internal)
-    for _, _, level_leaf in reversed(levels):
+    for *_, level_leaf in reversed(levels):
         ka = kb - np.count_nonzero(~level_leaf)
         kids = bounds[2 * ka + 1 : 2 * kb + 1]
         bounds[internal[ka:kb], :3] = np.minimum(kids[0::2, :3], kids[1::2, :3])
         bounds[internal[ka:kb], 3:] = np.maximum(kids[0::2, 3:], kids[1::2, 3:])
         kb = ka
 
-    return Bvh(bounds, left, starts, counts, perm, boxes, h, leaf_size, len(levels))
+    return Bvh(bounds, left, starts, counts, perm, boxes, split_axis, split_plane, h, leaf_size, len(levels))
 
 
 def traverse_point(
@@ -339,7 +336,7 @@ def point_hits(bvh: Bvh, origin: tuple[float, float, float], inset: float = 0.0)
 def _contains(boxes: np.ndarray, spans: np.ndarray) -> np.ndarray:
     """Row-wise closed test lo <= q - inset and q + inset <= hi, the comparisons of the node walk.
 
-    A row of `spans` is (q - inset, q + inset), or just q for inset 0.
+    A row of `spans` is (q - inset, q + inset), or just q when every inset is 0.
     """
     a, b = spans[:, :3], spans[:, -3:]
     return ((boxes[:, 0] <= a[:, 0]) & (b[:, 0] <= boxes[:, 3])
@@ -363,12 +360,13 @@ def traverse_points(bvh: Bvh, origins: np.ndarray,
 
     `origins` is an (m, 3) float array, and `insets` an optional (m,) array
     of per-query box insets (0 when omitted), applied as :func:`point_hits`
-    applies its `inset`.  The traversal is a wavefront, one tree level a
-    step: a frontier of (query row, node) pairs whose boxes passed starts
-    at the root.  Each step tests the slots of the frontier's leaves at
-    once, keeping only the (query row, id) hits, and replaces each internal
-    node by its two children, whose boxes are tested at once.  With no early
-    termination this tests exactly the nodes and slots that
+    applies its `inset`, and with its rule: six coordinates a box test
+    only if some inset is nonzero.  The traversal is a wavefront, one tree
+    level a step: a frontier of (query row, node) pairs whose boxes passed
+    starts at the root.  Each step tests the slots of the frontier's leaves
+    at once, keeping only the (query row, id) hits, and replaces each
+    internal node by its two children, whose boxes are tested at once.
+    With no early termination this tests exactly the nodes and slots that
     :func:`point_hits` tests for each query and inset.
 
     Yields ``(lo, hi, rows, ids, tested)`` for consecutive runs of query
@@ -385,10 +383,9 @@ def traverse_points(bvh: Bvh, origins: np.ndarray,
     # take/compress rather than fancy indexing: same result, several times faster.
     origins = np.asarray(origins, dtype=np.float64)
     m = len(origins)
-    if insets is None:
-        spans = origins
-    else:  # one (q - inset, q + inset) row per query: each test gathers a single array
-        inset = np.asarray(insets, dtype=np.float64).reshape(m, 1)
+    spans = origins
+    if insets is not None and (inset := np.asarray(insets, dtype=np.float64).reshape(m, 1)).any():
+        # one (q - inset, q + inset) row per query: each test gathers a single array
         spans = np.hstack([origins - inset, origins + inset])
     tested = np.ones(m, dtype=np.int64)  # every query tests the root box
     rows = np.flatnonzero(_contains(bvh.bounds[:1], spans))  # the root box against every query

@@ -23,11 +23,12 @@ The refine still keeps distance <= r, so the answer is the oracle's at r.
 
 :func:`batch_query` runs the probe and both stages for many queries at
 once: the probe one tree level a step (:func:`bvhknn.bvh.probe_windows`),
-then a wavefront traversal (:func:`bvhknn.bvh.traverse_points`), which
-hands over the hits a run of queries at a time, then one kernel call over
-every hit of the run and one sort on (query, weight, id): an unstable
-argsort of one packed int64 key (:func:`_run_order`).  A run too large
-for that key, which takes more than 2**31 points, raises OverflowError.
+then one wavefront traversal of every query with its own inset
+(:func:`bvhknn.bvh.traverse_points`), which hands over the hits a run of
+queries at a time, then one kernel call over every hit of the run and one
+sort on (query, weight, id): an unstable argsort of one packed int64 key
+(:func:`_run_order`).  A run too large for that key, which takes more
+than 2**31 points, raises OverflowError.
 :func:`run_query` is the per-query reference path: the probe and the
 node walk of :func:`bvhknn.bvh.traverse_point` in Python, inset, with no
 callback.  The two pick bitwise-equal insets and return equal results.
@@ -166,6 +167,17 @@ def _checked_points(bvh: Bvh, points, config: ReductionConfig) -> np.ndarray:
     return points
 
 
+def _checked_queries(queries) -> np.ndarray:
+    """`queries` as a C-ordered (m, 3) float array, after the checks the batched entry points make."""
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != 3:
+        raise ValueError(f"queries must be an (m, 3) array, got shape {queries.shape}")
+    bad = np.flatnonzero(~np.isfinite(queries).all(axis=1))
+    if bad.size:
+        raise ValueError(f"query index {bad[0]} has non-finite coordinates")
+    return np.ascontiguousarray(queries)
+
+
 # The probe, both constants times k: a query is probed only if its descent
 # passes a subtree of at least GATE_PER_K * k points within r of it, and
 # then takes its radius from WINDOW_PER_K * k storage slots.
@@ -225,13 +237,16 @@ def query_radii(bvh: Bvh, points, queries, config: ReductionConfig) -> np.ndarra
 
     r for a query that the probe passes over.  The gate asks for points
     within r, not within the scene half width, so plain and enhanced
-    scenes, which share their topology, give the same radii (barring a
-    query within rounding of a split plane or a gate face).  Queries are
+    scenes, which share their topology and split planes, give the same
+    radii (barring a query within rounding of a gate face).  Queries are
     probed in blocks of at most PAIR_BUDGET window slots, so memory stays
-    bounded.
+    bounded.  Queries not an (m, 3) array of finite rows raise ValueError.
     """
-    points = _checked_points(bvh, points, config)
-    queries = np.asarray(queries, dtype=np.float64)
+    return _radii(bvh, _checked_points(bvh, points, config), _checked_queries(queries), config)
+
+
+def _radii(bvh: Bvh, points: np.ndarray, queries: np.ndarray, config: ReductionConfig) -> np.ndarray:
+    """:func:`query_radii` of checked points and queries."""
     radii = np.full(len(queries), config.r)
     params = _probe_params(bvh, config)
     block = max(1, PAIR_BUDGET // params[2])
@@ -275,11 +290,11 @@ def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> list[Quer
     """:func:`run_query` for every row of the (m, 3) array `queries`, batched.
 
     The result for each query equals ``run_query(bvh, points, q, config)``,
-    counts included, and `bvh` is checked as there.  The probe
-    (:func:`query_radii`) runs for all queries first, one tree level a
-    step, and gives each its box inset.
-    The wavefront :func:`traverse_points` then hands over the hits a run
-    of queries at a time, runs sized so that memory stays bounded; each
+    counts included, and `bvh` is checked as there.  The probe runs for
+    all queries first, one tree level a step, and gives each its box
+    inset, 0 for most.  One wavefront, :func:`traverse_points`, then walks
+    every query with its inset and hands over the hits a run of queries
+    at a time, runs sized so that memory stays bounded; each
     run takes one weight-kernel call over all its hits and one sort on
     (query, weight, id), from which each query takes its first k.  The
     sort is one unstable argsort of the packed int64 key ((query - lo) * R
@@ -288,22 +303,9 @@ def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> list[Quer
     limits of :func:`traverse_points` allow only for n > 2**31 points.
     """
     points = _checked_points(bvh, points, config)
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != 3:
-        raise ValueError(f"queries must be an (m, 3) array, got shape {queries.shape}")
-    bad = np.flatnonzero(~np.isfinite(queries).all(axis=1))
-    if bad.size:
-        raise ValueError(f"query index {bad[0]} has non-finite coordinates")
-    queries = np.ascontiguousarray(queries)
-    insets = _insets(bvh, query_radii(bvh, points, queries, config), config)
-    # Queries without an inset traverse on their own: their box tests
-    # gather three coordinates a pair, not six.
-    results = np.empty(len(queries), dtype=object)
-    plain, shrunk = np.flatnonzero(insets == 0), np.flatnonzero(insets > 0)
-    for group, group_insets in ((plain, None), (shrunk, insets.take(shrunk))):
-        origins = queries.take(group, axis=0)
-        results[group] = _refined(traverse_points(bvh, origins, group_insets), points, origins, config)
-    return results.tolist()
+    queries = _checked_queries(queries)
+    insets = _insets(bvh, _radii(bvh, points, queries, config), config)
+    return _refined(traverse_points(bvh, queries, insets), points, queries, config)
 
 
 def _run_order(rows: np.ndarray, ids: np.ndarray, w: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:

@@ -271,6 +271,30 @@ def test_traverse_points_counts_held_hits_against_the_budget(monkeypatch):
         assert tested[j] == node_visits(bvh, q)
 
 
+@pytest.mark.parametrize("leaf_size", [1, 8])
+def test_traverse_points_insets_match_point_hits(monkeypatch, leaf_size):
+    rng = np.random.default_rng(leaf_size + 90)
+    pts = rng.random((500, 3))
+    origins = np.vstack([rng.random((50, 3)), rng.integers(0, 9, size=(20, 3)) * 0.125, [[5.0, 5.0, 5.0]]])
+    bvh = build_point_bvh(pts, 0.2, leaf_size)
+    mixed = np.where(rng.random(len(origins)) < 0.5, 0.0, rng.random(len(origins)) * 0.2)
+    assert (mixed == 0).any() and (mixed > 0).any()
+    monkeypatch.setattr(bvh_module, "PAIR_BUDGET", 300)
+    shrank = 0
+    for insets in (mixed, np.zeros(len(origins)), None):
+        runs = list(traverse_points(bvh, origins, insets))
+        assert len(runs) > 1  # the budget splits the call into several runs
+        rows, ids, tested = (np.concatenate(parts) for parts in zip(*(run[2:] for run in runs)))
+        for j, q in enumerate(origins):
+            inset = 0.0 if insets is None else float(insets[j])
+            want, count = bvh_module.point_hits(bvh, tuple(q.tolist()), inset)
+            assert set(ids[rows == j].tolist()) == set(want.tolist())
+            assert np.count_nonzero(rows == j) == len(want)
+            assert tested[j] == count
+            shrank += len(want) < len(bvh_module.point_hits(bvh, tuple(q.tolist()))[0])
+    assert shrank  # some inset box drops a hit of the plain box
+
+
 def test_traverse_points_no_queries():
     bvh = build_point_bvh([[0, 0, 0], [1, 1, 1]], 0.5, 1)
     assert list(traverse_points(bvh, np.empty((0, 3)))) == []
@@ -319,7 +343,7 @@ def test_tables_given_in_final_form_stay_the_callers():
     # each, and the caller's own arrays stay writeable
     a = build_point_bvh(np.random.default_rng(5).random((200, 3)), 0.1, 4)
     given = [t.copy() for t in (a.bounds, a.left, a.starts, a.counts, a.perm, a.boxes)]
-    b = Bvh(*given, a.half_width, a.leaf_size, a.max_depth())
+    b = Bvh(*given, a.split_axis, a.split_plane, a.half_width, a.leaf_size, a.max_depth())
     for mine, table in zip(given, (b.bounds, b.left, b.starts, b.counts, b.perm, b.boxes)):
         assert mine.flags.writeable and not table.flags.writeable
         assert np.shares_memory(table, mine)
@@ -332,7 +356,8 @@ def test_tables_of_other_dtypes_and_layouts():
     a = build_point_bvh(pts, 0.25, 4)
     b = Bvh(np.asfortranarray(a.bounds, dtype=np.float32), a.left.astype(np.int32),
             a.starts.repeat(2)[::2], a.counts.astype(np.int32), a.perm.astype(np.int32),
-            np.asfortranarray(a.boxes), np.float32(0.25), a.leaf_size, a.max_depth())  # starts: a strided view
+            np.asfortranarray(a.boxes), a.split_axis, a.split_plane, np.float32(0.25), a.leaf_size,
+            a.max_depth())  # starts: a strided view
     assert b.bounds.dtype == b.boxes.dtype == np.float64 and b.perm.dtype == np.int64
     assert type(b.half_width) is float and b.half_width == a.half_width == 0.25
     assert b.dump() == a.dump()
@@ -434,3 +459,31 @@ def test_probe_windows_follow_the_split_path(kind, leaf_size):
                 assert one.tolist() == bvh.perm[first:first + size].tolist()
     assert 0 < min(gated_rows[:3]) and max(gated_rows) < len(origins) and gated_rows[3] == 0
     assert not bvh_module.probe_windows(bvh, origins[-1:], 0.2, 2, 8)[0].size  # far outside: no gate
+
+
+@pytest.mark.parametrize("kind", ["random", "lattice", "duplicates"])
+@pytest.mark.parametrize("leaf_size", [1, 8])
+def test_split_tables_depend_on_the_points_alone(kind, leaf_size):
+    rng = np.random.default_rng(leaf_size + 80)
+    if kind == "random":
+        pts = rng.random((2000, 3))
+    elif kind == "lattice":
+        pts = rng.integers(0, 9, size=(2000, 3)) * 0.125  # ties on every axis
+    else:
+        pts = rng.permutation(np.repeat(rng.random((300, 3)), 7, axis=0))
+    trees = [build_point_bvh(pts, h, leaf_size) for h in (0.0, 0.05, 0.3)]
+    for other in trees[1:]:
+        assert other.split_axis.tobytes() == trees[0].split_axis.tobytes()
+        assert other.split_plane.tobytes() == trees[0].split_plane.tobytes()
+    bvh = trees[0]
+    leaves = bvh.left < 0
+    assert not bvh.split_axis[leaves].any() and not bvh.split_plane[leaves].any()
+
+    def coords(node, axis):
+        start = bvh.starts[node]
+        return pts[bvh.perm[start:start + bvh.counts[node]], axis]
+
+    # every plane separates its children's centroids on its axis
+    for node in np.flatnonzero(~leaves):
+        left, axis = bvh.left[node], bvh.split_axis[node]
+        assert coords(left, axis).max() <= bvh.split_plane[node] <= coords(left + 1, axis).min()

@@ -331,15 +331,18 @@ def test_batch_query_rejects_bad_query_arrays():
     pts = np.array([[0, 0, 0], [1, 0, 0]], float)
     cfg = ReductionConfig(L2, 0.5, 1)
     bvh = build_index(pts, cfg)
-    with pytest.raises(ValueError, match=r"shape \(3,\)"):
-        batch_query(bvh, pts, np.array([0.0, 0.0, 0.0]), cfg)
-    with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
-        batch_query(bvh, pts, np.zeros((2, 2)), cfg)
-    for bad in (np.nan, np.inf, -np.inf):
-        queries = np.zeros((4, 3))
-        queries[2, 1] = bad
-        with pytest.raises(ValueError, match="query index 2"):
-            batch_query(bvh, pts, queries, cfg)
+    for entry in (batch_query, query_radii):
+        with pytest.raises(ValueError, match=r"shape \(3,\)"):
+            entry(bvh, pts, np.array([0.0, 0.0, 0.0]), cfg)
+        with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+            entry(bvh, pts, np.zeros((2, 2)), cfg)
+        with pytest.raises(ValueError, match=r"shape \(2, 4\)"):
+            entry(bvh, pts, np.zeros((2, 4)), cfg)
+        for bad in (np.nan, np.inf, -np.inf):
+            queries = np.zeros((4, 3))
+            queries[2, 1] = bad
+            with pytest.raises(ValueError, match="query index 2"):
+                entry(bvh, pts, queries, cfg)
 
 
 def test_query_entry_points_share_input_checks():
