@@ -18,6 +18,20 @@ key.  Without a radius, roots and `arccos` are taken only for the
 selected rows; with one, membership is decided on every row by the
 reported distance, so nothing assumes that a root or `arccos` is
 monotone in floating point.
+
+Without a radius, Lp metrics whose term is a `pow` (p not 1 or 2) weigh
+only the rows that can reach the top k: a filter-refine step, as in the
+indexed pipeline, with a bound that never drops an answer (the
+lower-bounding lemma of GEMINI, Faloutsos, Ranganathan & Manolopoulos,
+SIGMOD 1994).  Each row's L∞ offset m_i = max_j |d_j| takes no `pow`.
+With m_k the k-th smallest, at least k rows weigh at most about
+d * m_k**p over d columns, and no row weighs less than fl(m_i**p),
+because a sum of non-negative terms never rounds below its largest.  So
+a row with m_i > m_k * d**(1/p) * (1 + 2**-30) weighs strictly more than
+the k-th weight and is neither in the answer nor tied at the k-th place.
+The bound is floored where terms may underflow to 0, and every row is
+weighed where the k-th weight may overflow to `inf`; see
+:func:`_reachable`.  The rows returned are bitwise those of the full scan.
 """
 
 from __future__ import annotations
@@ -34,6 +48,7 @@ from .metrics import (
     KIND_COSINE,
     KIND_EUCLID2D,
     KIND_HAMMING3,
+    KIND_LP,
     MetricSpec,
     distances,
     weights,
@@ -109,6 +124,28 @@ def _smallest(key: np.ndarray, k: int) -> np.ndarray:
     return idx[np.lexsort((idx, key[idx]))[:k]]
 
 
+def _reachable(rows: np.ndarray, qrow, metric: MetricSpec, k: int) -> np.ndarray | None:
+    """Ids of the rows that can reach an unbounded query's top k, or None for every row.
+
+    Only Lp metrics whose term is a `pow` (p not 1 or 2) are pruned, by the
+    bound of the module docstring: the rows with
+    m_i <= m_k * d**(1/p) * (1 + 2**-30) stay.  The bound is floored at
+    2**(-1000/p), so the largest term of every dropped row is a normal
+    float and no weight lost to underflow is dropped.  A bound at or above
+    2**(1000/p) may put the k-th weight at `inf`, where every row ties, and
+    a NaN m_k leaves fewer than k comparable rows; both weigh every row.
+    `m_k**p` itself is never taken, so the prune cannot overflow.
+    """
+    if metric.kind != KIND_LP or metric.p in (1.0, 2.0) or k >= len(rows):
+        return None
+    p = metric.p
+    m = weights(MetricSpec.linf(), rows, qrow)  # each |d_j| as the Lp kernel rounds it
+    bound = float(np.partition(m, k - 1)[k - 1]) * rows.shape[1] ** (1.0 / p) * (1.0 + 2.0 ** -30)
+    if not bound < 2.0 ** (1000.0 / p):  # a NaN bound lands here too
+        return None
+    return np.flatnonzero(m <= max(bound, 2.0 ** (-1000.0 / p)))
+
+
 def _knn_rows(points, queries, metric: MetricSpec, k: int, radius: float | None) -> list[NeighborRow]:
     """Exact neighbor rows for each query; the data is mapped once for all of them."""
     if k < 1:
@@ -121,11 +158,16 @@ def _knn_rows(points, queries, metric: MetricSpec, k: int, radius: float | None)
     rows = _map_data(points, metric)
     out = []
     for q in queries:
-        key, distance_of = _rank_key(rows, _map_query(q, metric), metric)
+        qrow = _map_query(q, metric)
         if radius is None:
+            ids = _reachable(rows, qrow, metric, k)
+            key, distance_of = _rank_key(rows if ids is None else rows[ids], qrow, metric)
             top = _smallest(key, k)
             dist = distance_of(top)
+            if ids is not None:
+                top = ids[top]
         else:
+            key, distance_of = _rank_key(rows, qrow, metric)
             # membership is decided on every row by the reported distance
             dist = distance_of(slice(None))
             keep = np.flatnonzero(dist >= radius if metric.kind == KIND_COSINE else dist <= radius)

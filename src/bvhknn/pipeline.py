@@ -30,7 +30,7 @@ sort on (query, weight, id): an unstable argsort of one packed int64 key
 (:func:`_run_order`).  A run too large for that key, which takes more
 than 2**31 points, raises OverflowError.
 :func:`run_query` is the per-query reference path: the probe and the
-node walk of :func:`bvhknn.bvh.traverse_point` in Python, inset, with no
+inset node walk of :func:`bvhknn.bvh.point_hits` in Python, with no
 callback.  The two pick bitwise-equal insets and return equal results.
 
 The refine step computes distances exactly as the brute-force oracle
@@ -460,17 +460,20 @@ def pipeline_metric_for(source: MetricSpec) -> MetricSpec:
 
 
 def _source_distance(source: MetricSpec, dist: float) -> float:
-    """Re-express a pipeline-space distance in source-metric units."""
+    """Re-express a chord between unit vectors as an angle or a cosine similarity."""
     if source.kind == KIND_ANGULAR:
-        # dist is the chord between unit vectors
         return 2.0 * math.asin(min(1.0, dist / 2.0))
-    if source.kind == KIND_COSINE:
-        return 1.0 - dist * dist / 2.0  # similarity, not a distance
-    return dist
+    return 1.0 - dist * dist / 2.0  # cosine: a similarity, not a distance
 
 
 def to_source_units(source: MetricSpec, res: QueryResult) -> QueryResult:
-    """Re-express a pipeline-space result's distances in source-metric units."""
+    """Re-express a pipeline-space result's distances in source-metric units.
+
+    Only cosine and angular change a distance; for every other metric the
+    result is returned as it is.
+    """
+    if source.kind not in (KIND_COSINE, KIND_ANGULAR):
+        return res
     neighbors = [(i, _source_distance(source, dist)) for i, dist in res.neighbors]
     return QueryResult(neighbors, res.candidate_count, res.hit_count, res.node_visits)
 

@@ -17,6 +17,7 @@ from bvhknn import (
     transform_points,
     weights,
 )
+from bvhknn.oracle import _reachable
 
 
 def test_l2_example():
@@ -162,6 +163,48 @@ def test_selection_matches_stable_argsort(case):
     assert brute_force_knn(points, q, metric, k, radius) == want
     # the batch maps the data once and answers each query as the one-query call does
     assert ground_truth(points, [q, q], metric, k, radius).rows == [want, want]
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0], ids=lambda p: f"lp:{p:g}")
+@pytest.mark.parametrize("k", [1, 10])
+def test_pruned_selection_matches_stable_argsort(p, k):
+    # large enough that the L-inf prune drops rows for every query before the pow kernel
+    rng = np.random.default_rng(23)
+    metric = MetricSpec.lp(p)
+    for points in (rng.random((2000, 3)), rng.integers(-8, 9, size=(2000, 3)) * 0.125):
+        queries = np.concatenate([points[:5], rng.random((10, 3)) * 2 - 0.5])
+        kept = [len(_reachable(np.asfortranarray(points), tuple(q), metric, k)) for q in queries]
+        assert max(kept) < len(points)
+        want = [_argsort_reference(points, q, metric, k, None) for q in queries]
+        assert ground_truth(points, queries, metric, k).rows == want
+
+
+@pytest.mark.parametrize("p, tiny", [(1.5, 1e-220), (3.0, 1e-110), (4.0, 1e-85)])
+def test_pruned_selection_keeps_ties_lost_to_underflow(p, tiny):
+    # rows 0-4 lie `tiny` away, but their weight underflows to 0 and ties
+    # with the 12 copies of the query; the k-th L-inf offset is then 0
+    rng = np.random.default_rng(29)
+    points = np.concatenate([np.tile([tiny, 0.0, 0.0], (5, 1)), np.zeros((12, 3)), rng.random((30, 3))])
+    metric = MetricSpec.lp(p)
+    assert weights(metric, points[:1], [0.0, 0.0, 0.0])[0] == 0.0
+    want = _argsort_reference(points, [0.0, 0.0, 0.0], metric, 10, None)
+    assert [i for i, _ in want] == list(range(10))
+    assert brute_force_knn(points, [0.0, 0.0, 0.0], metric, 10) == want
+
+
+def test_pruned_selection_keeps_ties_at_inf():
+    # every weight past the first three overflows to inf; the inf rows tie
+    # and the smallest ids win, although rows 0-9 lie farthest on every axis
+    rng = np.random.default_rng(31)
+    points = np.concatenate([rng.random((10, 3)) * 1e155 + 1e155, rng.random((3, 3)),
+                             rng.random((20, 3)) * 1e150 + 1e150])
+    metric = MetricSpec.lp(3)
+    with np.errstate(over="ignore"):
+        want = _argsort_reference(points, [0.0, 0.0, 0.0], metric, 10, None)
+        got = brute_force_knn(points, [0.0, 0.0, 0.0], metric, 10)
+    ids = [i for i, _ in want]
+    assert sorted(ids[:3]) == [10, 11, 12] and ids[3:] == list(range(7))
+    assert got == want
 
 
 def test_angular_consistent_with_chord_ranking():
