@@ -17,7 +17,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 
-from .oracle import GroundTruth, ground_truth, recall
+from .oracle import GroundTruth, ground_truth
 from .pipeline import (
     QueryResult,
     ReductionConfig,
@@ -112,14 +112,21 @@ def _run_shared_build(variants, repeats: int) -> list[dict]:
             if results[i] is not None and not _results_equal(results[i], run):
                 raise RuntimeError("result lists differ across repeats of the same run")
             results[i] = run
-    return [_report(ds, cfg, repeats, truth, res, build_ms, ms)
+    # Each distinct truth's rows as id sets, made once: the reports of a radius sweep share one truth.
+    truth_ids: dict[int, list[set[int]]] = {}
+    for _, _, truth in searches:
+        if id(truth) not in truth_ids:
+            truth_ids[id(truth)] = [{int(i) for i, _ in row} for row in truth.rows]
+    return [_report(ds, cfg, repeats, truth_ids[id(truth)], res, build_ms, ms)
             for (ds, cfg, _), (_, _, truth), res, ms in zip(variants, searches, results, search_ms)]
 
 
-def _report(dataset: Dataset, config: ReductionConfig, repeats: int, truth: GroundTruth,
+def _report(dataset: Dataset, config: ReductionConfig, repeats: int, truth_ids: list[set[int]],
             results: list[QueryResult], build_ms: list[float], search_ms: list[float]) -> dict:
+    # oracle.recall(res, row) for every query whose truth row is not empty
     per_query_recall = [
-        recall(res, row) if row else None for res, row in zip(results, truth.rows)
+        len(ids.intersection([i for i, _ in res.neighbors])) / len(ids) if ids else None
+        for res, ids in zip(results, truth_ids)
     ]
     scored = [v for v in per_query_recall if v is not None]
     mean_recall = math.fsum(scored) / len(scored) if scored else None  # equals aggregate_recall(results, truth)

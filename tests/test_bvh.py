@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,11 @@ def test_structure_1000_random():
     assert bvh.max_depth() == max(depth.values())
 
 
+def signed_zeros(rng, n):
+    """-0.0 and 0.0, which compare equal, mixed with -1, -0.5, 0.5 and 1 on every axis."""
+    return np.where(rng.random((n, 3)) < 0.5, -1.0, 1.0) * rng.integers(0, 3, size=(n, 3)) * 0.5
+
+
 def reference_tree(pts, half_width, leaf_size):
     """The documented split rule by plain recursion.
 
@@ -122,7 +129,7 @@ def reference_tree(pts, half_width, leaf_size):
     return nodes, order, depth
 
 
-@pytest.mark.parametrize("kind", ["random", "lattice", "duplicates"])
+@pytest.mark.parametrize("kind", ["random", "lattice", "duplicates", "signed zeros"])
 @pytest.mark.parametrize("leaf_size", [1, 2, 3, 4, 8])
 def test_build_matches_reference_split_rule(kind, leaf_size):
     rng = np.random.default_rng(leaf_size)
@@ -131,6 +138,8 @@ def test_build_matches_reference_split_rule(kind, leaf_size):
             pts = rng.random((n, 3))
         elif kind == "lattice":
             pts = rng.integers(0, 4, size=(n, 3)) * 0.25  # ties on every axis
+        elif kind == "signed zeros":
+            pts = signed_zeros(rng, n)
         else:
             pts = rng.permutation(np.repeat(rng.random((n // 5 + 1, 3)), 5, axis=0))[:n]
         bvh = build_point_bvh(pts, 0.1, leaf_size)
@@ -140,6 +149,99 @@ def test_build_matches_reference_split_rule(kind, leaf_size):
         assert bvh.primitive_order == order
         assert bvh.num_nodes == len(nodes)
         assert bvh.max_depth() == depth
+
+
+def order_violations(bvh, pts):
+    """Slots that break the split rule's (coordinate, id) order, checked for all nodes at once.
+
+    A leaf stores its ids in (x, id) order, and an internal node's left
+    child holds the first m // 2 of its m primitives in (coordinate on
+    split_axis, id) order.  np.lexsort, a stable sort on each key, gives
+    the reference order of every (node, slot) pair.
+    """
+    counts = bvh.counts
+    node = np.repeat(np.arange(bvh.num_nodes), counts)
+    slot = np.arange(len(node)) + np.repeat(bvh.starts - (np.cumsum(counts) - counts), counts)
+    ids = bvh.perm[slot]
+    internal = bvh.left[node] >= 0
+    coord = pts[ids, np.where(internal, bvh.split_axis[node], 0)]
+    order = np.lexsort((ids, coord, node))
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+    # a leaf's slots follow the reference order; an internal node's left half holds its first half
+    wrong_leaf = ~internal & (place != slot - bvh.starts[node])
+    half = counts[node] // 2
+    wrong_split = internal & ((place < half) != (slot - bvh.starts[node] < half))
+    return int(np.count_nonzero(wrong_leaf | wrong_split))
+
+
+@pytest.mark.parametrize("kind", ["float32", "clipped clusters", "lattice", "signed zeros"])
+@pytest.mark.parametrize("leaf_size", [1, 8])
+def test_build_keeps_coordinate_id_order_on_large_scenes(kind, leaf_size):
+    # 20,000 points: numpy sorts arrays this large on its vectorized path
+    rng = np.random.default_rng(leaf_size + 90)
+    n = 20_000
+    if kind == "float32":
+        pts = rng.random((n, 3)).astype(np.float32).astype(np.float64)
+    elif kind == "clipped clusters":  # many exact 0.0 and 1.0
+        pts = np.clip(rng.normal(rng.random((16, 3)), 0.3, size=(n // 16, 16, 3)).reshape(n, 3), 0.0, 1.0)
+    elif kind == "lattice":
+        pts = rng.integers(0, 9, size=(n, 3)) * 0.125
+    else:
+        pts = signed_zeros(rng, n)
+    bvh = build_point_bvh(pts, 0.01, leaf_size)
+    internal = np.flatnonzero(bvh.left >= 0)
+    assert (bvh.starts[bvh.left[internal]] == bvh.starts[internal]).all()
+    assert (bvh.counts[bvh.left[internal]] == bvh.counts[internal] // 2).all()
+    assert order_violations(bvh, pts) == 0
+
+
+def test_axis_ranks_refuse_keys_past_int64():
+    class Huge:  # the smallest point count with n * n > 2**63; refused before any allocation
+        def __len__(self):
+            return 3_037_000_500
+
+    with pytest.raises(OverflowError):
+        bvh_module._axis_ranks(Huge())
+
+
+# sha256 of every table of the two scenes of test_build_tables_match_recorded_digests, as
+# the stable-sort build made them.  A change to the build that moves any table fails here.
+RECORDED_TABLE_DIGESTS = {
+    "uniform float32": {
+        "bounds": "8e637b59df3a3637845ec08f5ea1477a906de65f35d218e2a0c03313a124f3a0",
+        "left": "1a7f2f1fb4b0564bc6845f9b80c68ab62c8859a324a3a648f4856476220cf226",
+        "starts": "46837656079ccc58212220c61c9857ab70a9d03b464f103bc8f6b5d580112bb9",
+        "counts": "535d7452bd38cd7e981f33875bb5dacbeb60112a741093c163d35fc61823ed3f",
+        "perm": "dc6d321176fb30e9e0703b0556f075f3146cdd2be7460c1e8dd541bcb6d89d3d",
+        "boxes": "a5a5daebf2e16879932fa9412a274d1a018f2848e19db82440c89a94ff9e62c6",
+        "split_axis": "ddd08b4fbdaaf99794dfdd5b747a2e8c8ff48a2147cc617602297822ef2a10c0",
+        "split_plane": "706bd0ac2557cd68c5ad2ae33a8269a724f048087793909d388afeacd8bda3b2",
+    },
+    "signed lattice": {
+        "bounds": "d859b320184394a8c626431324b9019d8b1d980ce4307ecdfccb0e0bb74da441",
+        "left": "1a7f2f1fb4b0564bc6845f9b80c68ab62c8859a324a3a648f4856476220cf226",
+        "starts": "46837656079ccc58212220c61c9857ab70a9d03b464f103bc8f6b5d580112bb9",
+        "counts": "535d7452bd38cd7e981f33875bb5dacbeb60112a741093c163d35fc61823ed3f",
+        "perm": "b3636be08af4bd4294ef9aa15f2065cbdb83f90eee708702a711126fd0747013",
+        "boxes": "0a3d642c3c3988e55db0c2223cab5f6cf1cc87daca76badc83771d664d26487c",
+        "split_axis": "6b727f576798f1e32b0dbccfd99df7d0ba79af408aae5041f87de0536e6c267c",
+        "split_plane": "751c2aa5d1602d1e7349b1d9b096e6747a9d3373568fa6f55039617acc85108b",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDED_TABLE_DIGESTS))
+def test_build_tables_match_recorded_digests(kind):
+    rng = np.random.default_rng(2024)
+    if kind == "uniform float32":
+        pts, half_width = rng.random((20_000, 3)).astype(np.float32).astype(np.float64), 0.01
+    else:  # 1/8 lattice steps with -0.0 and 0.0 on every axis
+        pts = np.where(rng.random((20_000, 3)) < 0.5, -1.0, 1.0) * rng.integers(0, 9, size=(20_000, 3)) * 0.125
+        half_width = 0.05
+    bvh = build_point_bvh(pts, half_width)
+    got = {name: hashlib.sha256(getattr(bvh, name).tobytes()).hexdigest() for name in RECORDED_TABLE_DIGESTS[kind]}
+    assert got == RECORDED_TABLE_DIGESTS[kind]
 
 
 def test_build_rejects_bad_input():
