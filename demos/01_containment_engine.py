@@ -14,18 +14,20 @@ from bvhknn import (
     Point3,
     PointQuery,
     Verdict,
-    aabb_around,
-    aabb_contains,
     build_point_bvh,
+    containment_scan,
     node_visits,
     traverse_point,
 )
 
-# A box is closed: faces count as inside.
-box = aabb_around(Point3(0, 0, 0), 1.0)
-print("box around origin, half width 1:", box.min.as_tuple(), "..", box.max.as_tuple())
-print("contains (1,1,1)?", aabb_contains(box, Point3(1, 1, 1)))
-print("contains (1.0000001,0,0)?", aabb_contains(box, Point3(1.0000001, 0, 0)))
+# A box is closed: faces count as inside.  Take a one-point scene, the
+# origin with a box of half width 1; containment_scan, the linear scan the
+# traversal is checked against, lists the points whose box holds a query.
+origin = [(0.0, 0.0, 0.0)]
+box = build_point_bvh(origin, half_width=1.0).boxes[0]
+print("box around origin, half width 1:", tuple(box[:3].tolist()), "..", tuple(box[3:].tolist()))
+print("contains (1,1,1)?", containment_scan(origin, 1.0, PointQuery(Point3(1, 1, 1))) == [0])
+print("contains (1.0000001,0,0)?", containment_scan(origin, 1.0, PointQuery(Point3(1.0000001, 0, 0))) == [0])
 
 # Index 20k random points, each with a box of half width 0.03.
 rng = np.random.default_rng(0)

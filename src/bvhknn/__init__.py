@@ -4,11 +4,12 @@ The library answers k-NN queries under Lp norms (any finite p >= 1),
 Chebyshev distance, and, via order-preserving point transformations,
 cosine/angular similarity, 2D Euclidean distance, and Hamming distance
 on short bit strings.  Filtering runs on an emulated accelerator: one
-axis-aligned box per data point, indexed by a BVH, queried by point
-containment with any-hit callbacks, then refined exactly.
+axis-aligned box per data point, indexed by a BVH and queried by point
+containment, one query at a time (`run_query`) or as a wavefront of many
+(`batch_query`); the hits are then refined exactly.
 """
 
-from .geometry import Aabb, Point3, PointQuery, aabb_around, aabb_contains, l2_distance
+from .geometry import Point3, PointQuery
 from .metrics import MetricSpec, distances, in_lp_ball, inclusion_radius, weights
 from .bvh import (
     Bvh,
@@ -34,16 +35,14 @@ from .pipeline import (
     transform_points,
 )
 from .oracle import GroundTruth, aggregate_recall, brute_force_knn, ground_truth, recall
-from .datasets import DatasetFile, load_dataset, read_records, synthetic_points
+from .datasets import read_records, synthetic_points
 from .experiments import Dataset, run_experiment, sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Aabb",
     "Bvh",
     "Dataset",
-    "DatasetFile",
     "GroundTruth",
     "MetricSpec",
     "Point3",
@@ -53,8 +52,6 @@ __all__ = [
     "Transform",
     "TraversalCounters",
     "Verdict",
-    "aabb_around",
-    "aabb_contains",
     "aggregate_recall",
     "batch_query",
     "brute_force_knn",
@@ -66,8 +63,6 @@ __all__ = [
     "in_lp_ball",
     "inclusion_radius",
     "knn_search",
-    "l2_distance",
-    "load_dataset",
     "node_visits",
     "pipeline_metric_for",
     "read_records",

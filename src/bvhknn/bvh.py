@@ -57,7 +57,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .geometry import Aabb, Point3, PointQuery
+from .geometry import PointQuery
 
 DEFAULT_LEAF_SIZE = 8
 
@@ -130,9 +130,6 @@ class Bvh:
     def primitive_order(self) -> list[int]:
         """Dataset ids in leaf storage order (a permutation of the input)."""
         return self.perm.tolist()
-
-    def node_box(self, index: int) -> Aabb:
-        return Aabb(Point3(*self.bounds[index, :3].tolist()), Point3(*self.bounds[index, 3:].tolist()))
 
     def node_children(self, index: int) -> tuple[int, int] | None:
         """(left, right) for an internal node, None for a leaf."""

@@ -17,7 +17,7 @@ import time
 from dataclasses import replace
 
 from .bvh import DEFAULT_LEAF_SIZE
-from .datasets import FORMATS, DatasetFile, load_dataset, read_records, synthetic_points
+from .datasets import FORMATS, read_records, synthetic_points
 from .experiments import SWEEP_AXES, Dataset, run_experiment, sweep
 from .metrics import KIND_EUCLID2D, KIND_HAMMING3, MetricSpec
 from .oracle import ground_truth
@@ -74,33 +74,37 @@ def _check_format(metric: MetricSpec, format: str) -> None:
         raise ValueError(f"metric {metric.canonical()} needs a 3D format ({', '.join(_3D_FORMATS)})")
 
 
+def _head(records, m: int, path: str):
+    """The first m records of a file, copied so that they do not hold the whole file."""
+    if m > len(records):
+        raise ValueError(f"insufficient records in {path}: need {m}, have {len(records)}")
+    return records[:m].copy()
+
+
 def _load(args, metric: MetricSpec) -> Dataset:
     """Assemble the dataset from files or from the seeded generator."""
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     if args.queries is not None and args.queries < 0:
         raise ValueError(f"--queries must be >= 0, got {args.queries}")
+    if args.query_file is not None and args.data is None:
+        raise ValueError("--query-file needs --data: synthetic datasets generate their own queries")
     if args.data is not None:
         _check_format(metric, args.format)
-        if args.query_file is not None:
-            data = read_records(args.data, args.format)
-            if args.n > len(data):
-                raise ValueError(f"insufficient records in {args.data}: need {args.n}, have {len(data)}")
-            data = data[: args.n]
-            queries = read_records(args.query_file, args.format)
-            if args.queries is not None:
-                if args.queries > len(queries):
-                    raise ValueError(
-                        f"insufficient records in {args.query_file}: need {args.queries}, have {len(queries)}"
-                    )
-                queries = queries[: args.queries]
-            meta = {"source": args.data, "query_source": args.query_file, "format": args.format,
-                    "seed": args.seed}
-        else:
-            if args.queries is None:
-                raise ValueError("--data needs either --queries or --query-file")
-            data, queries = load_dataset(DatasetFile(args.data, args.format, args.n, args.queries))
+        if args.query_file is None and args.queries is None:
+            raise ValueError("--data needs either --queries or --query-file")
+        records = read_records(args.data, args.format)
+        if args.query_file is None:
+            # one file: the first n records are the data, the next q the queries
+            records = _head(records, args.n + args.queries, args.data)
             meta = {"source": args.data, "format": args.format, "seed": args.seed}
+            return Dataset(records[: args.n], records[args.n :], meta)
+        data = _head(records, args.n, args.data)
+        queries = read_records(args.query_file, args.format)
+        if args.queries is not None:
+            queries = _head(queries, args.queries, args.query_file)
+        meta = {"source": args.data, "query_source": args.query_file, "format": args.format,
+                "seed": args.seed}
         return Dataset(data, queries, meta)
 
     # synthetic: uniform in [0,1)^d, or random cube vertices for hamming3

@@ -1,7 +1,8 @@
 """Dataset ingestion for the experiment drivers.
 
-A dataset file is a flat sequence of records; the first n records become
-data points and the next q become queries.  Supported formats:
+A dataset file is a flat sequence of records, and :func:`read_records`
+returns all of them; the command line takes the first n as data points and
+the next q as queries.  Supported formats:
 
 * ``csv-xyz``    one point per line, "x,y,z"
 * ``bin-f32x4``  packed little-endian float32 records of 4 values, the
@@ -16,29 +17,11 @@ record index; non-finite values are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .pipeline import _parse_bits as _bit_vertex
 
 FORMATS = ("csv-xyz", "bin-f32x4", "csv-2d", "bits")
-
-
-@dataclass(frozen=True)
-class DatasetFile:
-    """Where and how to read a dataset: path, format, and the n/q split."""
-
-    path: str
-    format: str
-    n: int
-    q: int
-
-    def __post_init__(self):
-        if self.format not in FORMATS:
-            raise ValueError(f"unknown format {self.format!r}; expected one of {FORMATS}")
-        if self.n < 1 or self.q < 0:
-            raise ValueError(f"need n >= 1 and q >= 0, got n={self.n} q={self.q}")
 
 
 def _lines(path: str):
@@ -105,18 +88,6 @@ def read_records(path: str, format: str) -> np.ndarray:
     if format == "bits":
         return _parse_bits(path)
     raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
-
-
-def load_dataset(file: DatasetFile) -> tuple[np.ndarray, np.ndarray]:
-    """Split a file into (data, queries): first n records, then the next q."""
-    records = read_records(file.path, file.format)
-    need = file.n + file.q
-    if need > len(records):
-        raise ValueError(
-            f"insufficient records in {file.path}: need {need} (n={file.n} + q={file.q}), "
-            f"file has {len(records)}"
-        )
-    return records[: file.n].copy(), records[file.n : need].copy()
 
 
 def synthetic_points(n: int, seed: int, dim: int = 3, kind: str = "uniform") -> np.ndarray:

@@ -1,8 +1,9 @@
-"""Points, axis-aligned boxes, and containment tests.
+"""Query points: a checked 3D point and the containment query around it.
 
-Everything here is an immutable value with pure operations, so instances
-can be shared freely across concurrent query workers.  Boxes are closed:
-a point sitting exactly on a face counts as contained.
+Both are immutable values, so instances can be shared freely across
+concurrent query workers.  The boxes themselves live only as rows of the
+BVH's numpy tables (see bvh.py), where the walks test them closed: a
+point sitting exactly on a face counts as contained.
 """
 
 from __future__ import annotations
@@ -36,18 +37,6 @@ def as_point3(p) -> Point3:
 
 
 @dataclass(frozen=True, slots=True)
-class Aabb:
-    """Closed axis-aligned box [min, max]; zero-width boxes are allowed."""
-
-    min: Point3
-    max: Point3
-
-    def __post_init__(self):
-        if self.min.x > self.max.x or self.min.y > self.max.y or self.min.z > self.max.z:
-            raise ValueError(f"inverted box: min={self.min} max={self.max}")
-
-
-@dataclass(frozen=True, slots=True)
 class PointQuery:
     """A query against the scene, reduced to pure point containment.
 
@@ -57,31 +46,3 @@ class PointQuery:
 
     origin: Point3
 
-
-def aabb_around(center: Point3, half_width: float) -> Aabb:
-    """Cube of side 2*half_width centered on `center`."""
-    if not math.isfinite(half_width) or half_width < 0:
-        raise ValueError(f"half_width must be finite and >= 0, got {half_width}")
-    c = as_point3(center)
-    h = float(half_width)
-    return Aabb(
-        Point3(c.x - h, c.y - h, c.z - h),
-        Point3(c.x + h, c.y + h, c.z + h),
-    )
-
-
-def aabb_contains(box: Aabb, p: Point3) -> bool:
-    """True iff min <= p <= max componentwise (boundary inclusive)."""
-    return (
-        box.min.x <= p.x <= box.max.x
-        and box.min.y <= p.y <= box.max.y
-        and box.min.z <= p.z <= box.max.z
-    )
-
-
-def l2_distance(a: Point3, b: Point3) -> float:
-    """Euclidean distance between two points."""
-    dx = a.x - b.x
-    dy = a.y - b.y
-    dz = a.z - b.z
-    return math.sqrt(dx * dx + dy * dy + dz * dz)

@@ -23,7 +23,6 @@ from bvhknn import (
     distances,
     in_lp_ball,
     inclusion_radius,
-    l2_distance,
     node_visits,
     recall,
     run_query,
@@ -159,7 +158,7 @@ def test_criterion_3_inclusion_property():
         p = Point3(*p_row)
         if in_lp_ball(p, c, metric, r):
             inside += 1
-            if l2_distance(p, c) > inclusion_radius(metric, r, 3) * (1 + 1e-12):
+            if math.dist(p_row, c_row) > inclusion_radius(metric, r, 3) * (1 + 1e-12):
                 violations += 1
 
     tight = True
@@ -175,7 +174,7 @@ def test_criterion_3_inclusion_property():
             w = weights(metric, [extremal.as_tuple()], (0.0, 0.0, 0.0))
             if distances(metric, w)[0] > r * (1 + 1e-12):
                 tight = False
-            if abs(l2_distance(extremal, Point3(0, 0, 0)) - inclusion_radius(metric, r, 3)) >= 1e-9:
+            if abs(math.dist(extremal.as_tuple(), (0.0, 0.0, 0.0)) - inclusion_radius(metric, r, 3)) >= 1e-9:
                 tight = False
 
     anchor = inclusion_radius(LINF, 1.0, 2) == math.sqrt(2)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bvhknn import (
-    Aabb,
     Bvh,
     Point3,
     PointQuery,
@@ -30,11 +29,11 @@ def collect_hits(bvh, q):
 
 
 def walk_boxes(bvh):
-    """(node box, child boxes or leaf ids) for every node, by full recursion."""
+    """(node, its bounds row as a list, children or None) for every node, by full recursion."""
     out = []
 
     def walk(idx):
-        box = bvh.node_box(idx)
+        box = bvh.bounds[idx].tolist()
         kids = bvh.node_children(idx)
         out.append((idx, box, kids))
         if kids:
@@ -48,7 +47,7 @@ def walk_boxes(bvh):
 def test_single_primitive_tree():
     bvh = build_point_bvh([[1.0, 2.0, 3.0]], 0.5, leaf_size=4)
     assert bvh.num_nodes == 1
-    assert bvh.node_box(0) == Aabb(Point3(0.5, 1.5, 2.5), Point3(1.5, 2.5, 3.5))
+    assert bvh.bounds[0].tolist() == [0.5, 1.5, 2.5, 1.5, 2.5, 3.5]
     assert bvh.leaf_primitives(0) == [0]
     assert bvh.max_depth() == 1
     assert node_visits(bvh, query(1, 2, 3)) == 1
@@ -57,9 +56,9 @@ def test_single_primitive_tree():
 def test_two_separated_primitives_leaf1():
     bvh = build_point_bvh([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]], 1.0, leaf_size=1)
     assert bvh.num_nodes == 3
-    root = bvh.node_box(0)
-    assert root.min == Point3(-1, -1, -1)
-    assert root.max == Point3(11, 1, 1)
+    root = bvh.bounds[0]
+    assert root[:3].tolist() == [-1, -1, -1]
+    assert root[3:].tolist() == [11, 1, 1]
     left, right = bvh.node_children(0)
     assert bvh.leaf_primitives(left) == [0]
     assert bvh.leaf_primitives(right) == [1]
@@ -81,14 +80,10 @@ def test_structure_1000_random():
             leaves += 1
         else:
             depth[kids[0]] = depth[kids[1]] = depth[idx] + 1
-            lb, rb = bvh.node_box(kids[0]), bvh.node_box(kids[1])
+            lb, rb = bvh.bounds[kids[0]], bvh.bounds[kids[1]]
             # parent box is exactly the union of its children
-            assert box.min.x == min(lb.min.x, rb.min.x)
-            assert box.min.y == min(lb.min.y, rb.min.y)
-            assert box.min.z == min(lb.min.z, rb.min.z)
-            assert box.max.x == max(lb.max.x, rb.max.x)
-            assert box.max.y == max(lb.max.y, rb.max.y)
-            assert box.max.z == max(lb.max.z, rb.max.z)
+            assert box[:3] == np.minimum(lb[:3], rb[:3]).tolist()
+            assert box[3:] == np.maximum(lb[3:], rb[3:]).tolist()
     assert sorted(seen) == list(range(1000))
     assert bvh.num_nodes == 2 * leaves - 1
     assert bvh.max_depth() == max(depth.values())
@@ -105,14 +100,13 @@ def reference_tree(pts, half_width, leaf_size):
     Split on the longest centroid extent (ties x, then y, then z); the left
     child takes the first m // 2 primitives in (coordinate, id) order; a leaf
     holds at most leaf_size primitives, in (x, id) order.  Returns the
-    depth-first list of (node box, leaf ids or None), the leaf storage order
-    and the depth.
+    depth-first list of (node bounds row as a list, leaf ids or None), the
+    leaf storage order and the depth.
     """
     nodes, order = [], []
 
     def build(ids):
-        box = Aabb(Point3(*(pts[ids] - half_width).min(axis=0).tolist()),
-                   Point3(*(pts[ids] + half_width).max(axis=0).tolist()))
+        box = (pts[ids] - half_width).min(axis=0).tolist() + (pts[ids] + half_width).max(axis=0).tolist()
         if len(ids) <= leaf_size:
             leaf = sorted(ids, key=lambda i: (pts[i, 0], i))
             nodes.append((box, leaf))
@@ -492,7 +486,7 @@ def test_pruning_never_skips_containing_node():
         containing = [
             idx
             for idx, box, _ in walk_boxes(bvh)
-            if box.min.x <= q.x <= box.max.x and box.min.y <= q.y <= box.max.y and box.min.z <= q.z <= box.max.z
+            if box[0] <= q.x <= box[3] and box[1] <= q.y <= box[4] and box[2] <= q.z <= box[5]
         ]
         # every containing node is tested, so visits >= containing count
         assert node_visits(bvh, PointQuery(q)) >= len(containing)

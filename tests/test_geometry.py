@@ -1,9 +1,16 @@
+"""Query points, and the closed box around each data point.
+
+The boxes exist only as rows of the BVH's tables, so they are read from a
+one-point build, and the closed-box rule from its linear-scan reference,
+containment_scan.
+"""
+
 import math
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bvhknn import Aabb, Point3, aabb_around, aabb_contains, l2_distance
+from bvhknn import Point3, PointQuery, build_point_bvh, containment_scan
 
 coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 half = st.floats(min_value=0.0, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -13,28 +20,37 @@ def points(draw=None):
     return st.builds(Point3, coord, coord, coord)
 
 
+def box_around(center, half_width):
+    """The box a one-point scene gives its point, as [x0, y0, z0, x1, y1, z1]."""
+    return build_point_bvh([center], half_width).boxes[0].tolist()
+
+
+def contains(center, half_width, p):
+    """Whether the closed box of half width `half_width` around `center` holds `p`."""
+    return containment_scan([center], half_width, PointQuery(p)) == [0]
+
+
 def test_aabb_around_unit():
-    box = aabb_around(Point3(0, 0, 0), 1.0)
-    assert box.min == Point3(-1, -1, -1)
-    assert box.max == Point3(1, 1, 1)
+    assert box_around((0, 0, 0), 1.0) == [-1, -1, -1, 1, 1, 1]
 
 
 def test_aabb_around_degenerate():
-    box = aabb_around(Point3(2, 3, 4), 0.0)
-    assert box.min == Point3(2, 3, 4) == box.max
+    assert box_around((2, 3, 4), 0.0) == [2, 3, 4, 2, 3, 4]
 
 
 def test_aabb_around_sqrt3():
     # circumscribing radius of the unit cube in 3D
-    box = aabb_around(Point3(0, 0, 0), math.sqrt(3))
-    assert box.min.x == pytest.approx(-1.7320508, abs=1e-7)
-    assert box.max.y == pytest.approx(1.7320508, abs=1e-7)
+    box = box_around((0, 0, 0), math.sqrt(3))
+    assert box[0] == pytest.approx(-1.7320508, abs=1e-7)
+    assert box[4] == pytest.approx(1.7320508, abs=1e-7)
 
 
 @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
 def test_aabb_around_rejects_bad_half_width(bad):
     with pytest.raises(ValueError):
-        aabb_around(Point3(0, 0, 0), bad)
+        box_around((0, 0, 0), bad)
+    with pytest.raises(ValueError):
+        contains((0, 0, 0), bad, Point3(0, 0, 0))
 
 
 def test_point_rejects_non_finite():
@@ -44,44 +60,16 @@ def test_point_rejects_non_finite():
         Point3(float("inf"), 0.0, 0.0)
 
 
-def test_aabb_rejects_inverted():
-    with pytest.raises(ValueError):
-        Aabb(Point3(1, 0, 0), Point3(0, 1, 1))
-
-
 def test_contains_interior_boundary_exterior():
-    box = Aabb(Point3(-1, -1, -1), Point3(1, 1, 1))
-    assert aabb_contains(box, Point3(0.5, 0, 0))
-    assert aabb_contains(box, Point3(1, 1, 1))  # closed box
-    assert not aabb_contains(box, Point3(1.0000001, 0, 0))
-
-
-def test_l2_examples():
-    assert l2_distance(Point3(0, 0, 0), Point3(1, 2, 2)) == 3.0
-    assert l2_distance(Point3(1, 1, 0), Point3(0, 0, 0)) == pytest.approx(math.sqrt(2), rel=1e-12)
-    assert l2_distance(Point3(4, -2, 9), Point3(4, -2, 9)) == 0.0
+    assert contains((0, 0, 0), 1.0, Point3(0.5, 0, 0))
+    assert contains((0, 0, 0), 1.0, Point3(1, 1, 1))  # closed box
+    assert not contains((0, 0, 0), 1.0, Point3(1.0000001, 0, 0))
 
 
 @given(points(), half, points())
 @settings(deadline=None)
 def test_containment_matches_chebyshev(center, h, p):
-    box = aabb_around(center, h)
     cheb = max(abs(p.x - center.x), abs(p.y - center.y), abs(p.z - center.z))
     # rounding can flip either side exactly on the boundary; stay off it
     assume(abs(cheb - h) > 1e-9 * max(1.0, h, abs(center.x), abs(center.y), abs(center.z)))
-    assert aabb_contains(box, p) == (cheb <= h)
-
-
-@given(points(), points(), points())
-@settings(deadline=None)
-def test_l2_metric_axioms(a, b, c):
-    dab = l2_distance(a, b)
-    assert dab >= 0.0
-    assert dab == l2_distance(b, a)
-    assert l2_distance(a, a) == 0.0
-    separation = max(abs(a.x - b.x), abs(a.y - b.y), abs(a.z - b.z))
-    if separation > 1e-150:  # below this the squares underflow to zero
-        assert dab > 0.0
-    # triangle inequality with 1e-12 relative slack
-    dac, dcb = l2_distance(a, c), l2_distance(c, b)
-    assert dab <= dac + dcb + 1e-12 * max(1.0, dab)
+    assert contains(center.as_tuple(), h, p) == (cheb <= h)

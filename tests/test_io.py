@@ -5,10 +5,8 @@ import pytest
 
 from bvhknn import (
     Dataset,
-    DatasetFile,
     MetricSpec,
     ReductionConfig,
-    load_dataset,
     read_records,
     run_experiment,
     sweep,
@@ -24,76 +22,71 @@ def write(path, text):
     return str(path)
 
 
-# --- loaders ----------------------------------------------------------------
+# --- readers ----------------------------------------------------------------
 
 def test_csv_xyz_split(tmp_path):
     p = write(tmp_path / "pts.csv", "0,0,0\n1,2,2\n5,5,5\n")
-    data, queries = load_dataset(DatasetFile(p, "csv-xyz", n=2, q=1))
-    assert data.shape == (2, 3)
-    assert queries.tolist() == [[5.0, 5.0, 5.0]]
+    records = read_records(p, "csv-xyz")
+    assert records.shape == (3, 3)
+    assert records[2:].tolist() == [[5.0, 5.0, 5.0]]
 
 
 def test_csv_malformed_reports_record(tmp_path):
     p = write(tmp_path / "bad.csv", "0,0,0\n1,2\n")
     with pytest.raises(ValueError, match="record 2"):
-        load_dataset(DatasetFile(p, "csv-xyz", n=1, q=1))
+        read_records(p, "csv-xyz")
     p2 = write(tmp_path / "bad2.csv", "0,0,0\n1,2,zap\n")
     with pytest.raises(ValueError, match="record 2"):
-        load_dataset(DatasetFile(p2, "csv-xyz", n=1, q=1))
+        read_records(p2, "csv-xyz")
     p3 = write(tmp_path / "bad3.csv", "0,0,0\n1,2,inf\n")
     with pytest.raises(ValueError, match="record 2"):
-        load_dataset(DatasetFile(p3, "csv-xyz", n=1, q=1))
+        read_records(p3, "csv-xyz")
 
 
 def test_bin_f32x4(tmp_path):
     records = np.arange(12, dtype="<f4").reshape(3, 4)  # 3 records
     p = tmp_path / "pts.bin"
     records.tofile(p)
-    data, queries = load_dataset(DatasetFile(str(p), "bin-f32x4", n=2, q=1))
-    assert data.dtype == np.float64
-    assert data.tolist() == [[0, 1, 2], [4, 5, 6]]
-    assert queries.tolist() == [[8, 9, 10]]
-    with pytest.raises(ValueError, match="insufficient records"):
-        load_dataset(DatasetFile(str(p), "bin-f32x4", n=3, q=1))
+    got = read_records(str(p), "bin-f32x4")
+    assert got.dtype == np.float64
+    assert got[:2].tolist() == [[0, 1, 2], [4, 5, 6]]
+    assert got[2:].tolist() == [[8, 9, 10]]
 
 
 def test_bin_truncated(tmp_path):
     p = tmp_path / "trunc.bin"
     np.arange(10, dtype="<f4").tofile(p)  # not a multiple of 4
     with pytest.raises(ValueError, match="truncated"):
-        load_dataset(DatasetFile(str(p), "bin-f32x4", n=1, q=1))
+        read_records(str(p), "bin-f32x4")
 
 
 def test_bits_loader_maps_vertices(tmp_path):
     p = write(tmp_path / "bits.txt", "101\n110\n")
-    data, queries = load_dataset(DatasetFile(p, "bits", n=1, q=1))
-    assert data.tolist() == [[1.0, 0.0, 1.0]]
-    assert queries.tolist() == [[1.0, 1.0, 0.0]]
+    assert read_records(p, "bits").tolist() == [[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
     bad = write(tmp_path / "bad_bits.txt", "101\n20\n")
     with pytest.raises(ValueError, match="record 2"):
-        load_dataset(DatasetFile(bad, "bits", n=1, q=1))
+        read_records(bad, "bits")
 
 
 def test_bits_empty_file_has_no_records(tmp_path):
     for name, text in (("empty.txt", ""), ("blank.txt", "\n  \n\n")):
         p = write(tmp_path / name, text)
         assert read_records(p, "bits").shape == (0, 3)
-        with pytest.raises(ValueError, match="insufficient records"):
-            load_dataset(DatasetFile(p, "bits", n=1, q=0))
 
 
 def test_csv_2d(tmp_path):
     p = write(tmp_path / "pts2.csv", "0,0\n1,2\n0.5,0.25\n")
-    data, queries = load_dataset(DatasetFile(p, "csv-2d", n=2, q=1))
-    assert data.shape == (2, 2)
-    assert queries.tolist() == [[0.5, 0.25]]
+    records = read_records(p, "csv-2d")
+    assert records.shape == (3, 2)
+    assert records[2:].tolist() == [[0.5, 0.25]]
 
 
-def test_dataset_file_validation(tmp_path):
-    with pytest.raises(ValueError):
-        DatasetFile("x", "vec", 1, 1)
-    with pytest.raises(ValueError):
-        DatasetFile("x", "csv-xyz", 0, 1)
+def test_dataset_file_validation(tmp_path, capsys):
+    p = write(tmp_path / "pts.csv", "0,0,0\n")
+    with pytest.raises(ValueError, match="unknown format"):
+        read_records(p, "vec")
+    code, _, err = run_cli(["oracle", "--data", p, "--n", "0", "--queries", "1", "--metric", "lp:2"], capsys)
+    assert code == 2 and "--n" in err
 
 
 # --- experiment driver ------------------------------------------------------
@@ -467,3 +460,45 @@ def test_cli_query_file(tmp_path, capsys):
     assert code == 0, err
     report = json.loads(out)
     assert report["results"][0]["neighbors"][0][0] == 1
+
+    # --queries takes the first records of the query file
+    qf3 = write(tmp_path / "q3.csv", "0.9,0,0\n1.9,0,0\n0.1,0,0\n")
+    code, out, err = run_cli(
+        ["oracle", "--data", data, "--n", "3", "--query-file", qf3, "--queries", "2", "--metric", "lp:2",
+         "--k", "1"],
+        capsys,
+    )
+    assert code == 0, err
+    truth = json.loads(out)
+    assert truth["dataset"]["q"] == 2 and truth["dataset"]["query_source"] == qf3
+    assert truth["rows"] == [[[1, pytest.approx(0.1)]], [[2, pytest.approx(0.1)]]]
+
+
+def test_cli_short_files_exit_2(tmp_path, capsys):
+    data = write(tmp_path / "d.csv", "0,0,0\n1,0,0\n2,0,0\n")
+    qf = write(tmp_path / "q.csv", "0.9,0,0\n")
+    binary = tmp_path / "pts.bin"
+    np.arange(12, dtype="<f4").tofile(binary)  # 3 records
+    empty = write(tmp_path / "empty.txt", "\n  \n")
+    cases = [
+        (data, ["--data", data, "--n", "3", "--queries", "1"], 4, 3),  # one file: n + q records
+        (str(binary), ["--data", str(binary), "--format", "bin-f32x4", "--n", "3", "--queries", "1"], 4, 3),
+        (data, ["--data", data, "--n", "5", "--query-file", qf], 5, 3),  # a short data file
+        (qf, ["--data", data, "--n", "3", "--query-file", qf, "--queries", "2"], 2, 1),  # a short query file
+    ]
+    for path, source, need, have in cases:
+        code, _, err = run_cli(["oracle", *source, "--metric", "lp:2", "--k", "1"], capsys)
+        assert code == 2
+        assert f"insufficient records in {path}: need {need}, have {have}" in err
+    code, _, err = run_cli(["oracle", "--data", empty, "--format", "bits", "--n", "1", "--queries", "0",
+                            "--metric", "hamming3", "--k", "1"], capsys)
+    assert code == 2 and f"insufficient records in {empty}: need 1, have 0" in err
+
+
+def test_cli_query_file_needs_data(tmp_path, capsys):
+    qf = write(tmp_path / "q.csv", "0.5,0.5,0.5\n")
+    for command in (["query", "--queries", "3", "--radius", "0.3", "--k", "2"],
+                    ["build-info", "--radius", "0.3"]):
+        code, out, err = run_cli([*command, "--n", "50", "--query-file", qf, "--metric", "lp:2"], capsys)
+        assert code == 2 and out == ""
+        assert "--query-file" in err and "--data" in err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bvhknn import MetricSpec, Point3, distances, in_lp_ball, inclusion_radius, l2_distance, weights
+from bvhknn import MetricSpec, Point3, distances, in_lp_ball, inclusion_radius, weights
 
 ORIGIN = Point3(0, 0, 0)
 LINF = MetricSpec.linf()
@@ -151,7 +151,7 @@ def test_inclusion_radius_rejects_bad_inputs():
 
 def test_in_lp_ball_examples():
     assert in_lp_ball(Point3(0.9, 0.9, 0.9), ORIGIN, MetricSpec.linf(), 1.0)
-    assert l2_distance(Point3(0.9, 0.9, 0.9), ORIGIN) > 1.0  # inside cube, outside sphere
+    assert math.dist((0.9, 0.9, 0.9), ORIGIN.as_tuple()) > 1.0  # inside cube, outside sphere
     assert not in_lp_ball(Point3(0.5, 0.5, 0.5), ORIGIN, MetricSpec.lp(1), 1.0)
     assert in_lp_ball(Point3(1, 0, 0), ORIGIN, MetricSpec.lp(1), 1.0)  # boundary inclusive
 
@@ -160,7 +160,7 @@ def test_in_lp_ball_examples():
 @settings(deadline=None)
 def test_inclusion_superset(center, p, metric, r):
     if in_lp_ball(p, center, metric, r):
-        assert l2_distance(p, center) <= inclusion_radius(metric, r, 3) * (1 + 1e-12)
+        assert math.dist(p.as_tuple(), center.as_tuple()) <= inclusion_radius(metric, r, 3) * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("metric", [MetricSpec.lp(1), MetricSpec.lp(2), MetricSpec.lp(3), MetricSpec.lp(4), MetricSpec.linf()])
@@ -175,7 +175,7 @@ def test_inclusion_tightness_at_extremes(metric, r):
         t = r * 3 ** (-1.0 / metric.p)
         extremal = Point3(t, t, t)
     assert distance(metric, extremal, ORIGIN) <= r * (1 + 1e-12)
-    assert abs(l2_distance(extremal, ORIGIN) - inclusion_radius(metric, r, 3)) < 1e-9
+    assert abs(math.dist(extremal.as_tuple(), ORIGIN.as_tuple()) - inclusion_radius(metric, r, 3)) < 1e-9
 
 
 @given(pt, pt, pt, metric_st)
