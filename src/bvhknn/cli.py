@@ -29,9 +29,6 @@ from .pipeline import (
     transform_points,
 )
 
-_3D_FORMATS = ("csv-xyz", "bin-f32x4")
-
-
 def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("true", "1", "yes"):
@@ -50,7 +47,7 @@ def _parse_values(text: str) -> list[float]:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--data", help="dataset file; omit to generate a seeded synthetic dataset")
-    sub.add_argument("--format", choices=FORMATS, default="csv-xyz")
+    sub.add_argument("--format", choices=FORMATS, help="format of --data (default csv-xyz)")
     sub.add_argument("--n", type=int, required=True, help="number of data points")
     sub.add_argument("--queries", type=int, help="number of query points")
     sub.add_argument("--query-file", help="read queries from a separate file (same format)")
@@ -65,13 +62,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write JSON here instead of stdout")
 
 
-def _check_format(metric: MetricSpec, format: str) -> None:
-    if metric.kind == KIND_EUCLID2D and format != "csv-2d":
-        raise ValueError("metric euclid2d needs --format csv-2d")
-    if metric.kind == KIND_HAMMING3 and format != "bits":
-        raise ValueError("metric hamming3 needs --format bits")
-    if metric.kind not in (KIND_EUCLID2D, KIND_HAMMING3) and format not in _3D_FORMATS:
-        raise ValueError(f"metric {metric.canonical()} needs a 3D format ({', '.join(_3D_FORMATS)})")
+def _inputs(metric: MetricSpec) -> tuple[tuple[str, ...], str, int]:
+    """The dataset formats `metric` reads, and the kind and width of its synthetic records."""
+    return {
+        KIND_EUCLID2D: (("csv-2d",), "uniform", 2),
+        KIND_HAMMING3: (("bits",), "bits", 3),
+    }.get(metric.kind, (("csv-xyz", "bin-f32x4"), "uniform", 3))
 
 
 def _head(records, m: int, path: str):
@@ -89,33 +85,32 @@ def _load(args, metric: MetricSpec) -> Dataset:
         raise ValueError(f"--queries must be >= 0, got {args.queries}")
     if args.query_file is not None and args.data is None:
         raise ValueError("--query-file needs --data: synthetic datasets generate their own queries")
+    if args.format is not None and args.data is None:
+        raise ValueError("--format needs --data: synthetic datasets take their records' shape from --metric")
+    formats, kind, dim = _inputs(metric)
     if args.data is not None:
-        _check_format(metric, args.format)
+        format = args.format or "csv-xyz"
+        if format not in formats:
+            raise ValueError(f"metric {metric.canonical()} needs --format {' or '.join(formats)}")
         if args.query_file is None and args.queries is None:
             raise ValueError("--data needs either --queries or --query-file")
-        records = read_records(args.data, args.format)
+        records = read_records(args.data, format)
         if args.query_file is None:
             # one file: the first n records are the data, the next q the queries
             records = _head(records, args.n + args.queries, args.data)
-            meta = {"source": args.data, "format": args.format, "seed": args.seed}
+            meta = {"source": args.data, "format": format, "seed": args.seed}
             return Dataset(records[: args.n], records[args.n :], meta)
         data = _head(records, args.n, args.data)
-        queries = read_records(args.query_file, args.format)
+        queries = read_records(args.query_file, format)
         if args.queries is not None:
             queries = _head(queries, args.queries, args.query_file)
-        meta = {"source": args.data, "query_source": args.query_file, "format": args.format,
+        meta = {"source": args.data, "query_source": args.query_file, "format": format,
                 "seed": args.seed}
         return Dataset(data, queries, meta)
 
     # synthetic: uniform in [0,1)^d, or random cube vertices for hamming3
     if args.queries is None:
         raise ValueError("synthetic datasets need --queries")
-    if metric.kind == KIND_HAMMING3:
-        kind, dim = "bits", 3
-    elif metric.kind == KIND_EUCLID2D:
-        kind, dim = "uniform", 2
-    else:
-        kind, dim = "uniform", 3
     records = synthetic_points(args.n + args.queries, args.seed, dim, kind)
     meta = {"source": "synthetic", "kind": kind, "format": None, "seed": args.seed}
     return Dataset(records[: args.n], records[args.n :], meta)

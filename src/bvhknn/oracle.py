@@ -6,18 +6,18 @@ the reference the indexed pipelines are judged against.  Recall is the
 fraction of true nearest neighbors an approximate result recovered,
 compared as id sets.
 
-The data is mapped once per call (converted to floats, normalised for
-cosine/angular, parsed for Hamming) and reused for every query.  Per
-query, one call of the shared column-wise weight kernel (or one
-dot product for cosine/angular) gives each row's rank key.  The k
-smallest are then selected, not sorted in full: the keys are partitioned
-at k - 1, every row whose key is at or below the k-th key is kept, so
-that all ties at the k-th place survive, and that small set is sorted by
-(key, id).  The answer is exactly the first k of a stable sort of every
-key.  Without a radius, roots and `arccos` are taken only for the
-selected rows; with one, membership is decided on every row by the
-reported distance, so nothing assumes that a root or `arccos` is
-monotone in floating point.
+The data and the queries are each mapped once per call, by one mapper
+(converted to floats, normalised for cosine/angular, parsed for Hamming;
+a non-finite coordinate is rejected by index).  Per query, one call of
+the shared column-wise weight kernel (or one dot product for
+cosine/angular) gives each row's rank key.  The k smallest are then
+selected, not sorted in full: the keys are partitioned at k - 1, every
+row whose key is at or below the k-th key is kept, so that all ties at
+the k-th place survive, and that small set is sorted by (key, id).  The
+answer is exactly the first k of a stable sort of every key.  Without a
+radius, roots and `arccos` are taken only for the selected rows; with
+one, membership is decided on every row by the reported distance, so
+nothing assumes that a root or `arccos` is monotone in floating point.
 
 Without a radius, Lp metrics whose term is a `pow` (p not 1 or 2) weigh
 only the rows that can reach the top k: a filter-refine step, as in the
@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import as_point3
 from .metrics import (
     KIND_ANGULAR,
     KIND_COSINE,
@@ -58,36 +57,28 @@ from .pipeline import Transform, pipeline_metric_for, transform_points
 NeighborRow = list[tuple[int, float]]
 
 
-def _map_data(points, metric: MetricSpec) -> np.ndarray:
-    """The data rows a query's rank key is computed from; done once per oracle call.
+def _mapped(points, metric: MetricSpec, label: str) -> np.ndarray:
+    """The rows a rank key is computed from: the data, or a whole query batch.
 
     Unit vectors for cosine and angular, cube vertices for Hamming, and
-    the coordinates themselves otherwise, stored column-major so that
-    each column the weight kernel reads is contiguous.
+    the coordinates themselves otherwise, (n, 2) for euclid2d and (n, 3)
+    for the rest.  Coordinate and Hamming rows are stored column-major, so
+    that each column the weight kernel reads is contiguous; unit vectors
+    stay C-ordered for the dot products.  A row of the wrong width or with
+    a non-finite coordinate is rejected, naming its `label` and index.
     """
-    kind = metric.kind
-    if kind in (KIND_COSINE, KIND_ANGULAR):
-        return transform_points([Transform.NORMALIZE], points, label="data")
-    if kind == KIND_HAMMING3:
-        rows = transform_points([Transform.HAMMING_VERTEX], points, label="data")
-    else:
-        rows = np.asarray(points, dtype=np.float64)
-        if kind == KIND_EUCLID2D and (rows.ndim != 2 or rows.shape[1] != 2):
-            raise ValueError(f"euclid2d expects (n, 2) points, got shape {rows.shape}")
+    if metric.kind == KIND_HAMMING3:
+        return np.asfortranarray(transform_points([Transform.HAMMING_VERTEX], points, label))
+    width = 2 if metric.kind == KIND_EUCLID2D else 3
+    rows = np.asarray(points, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"{metric.canonical()} expects (n, {width}) {label} points, got shape {rows.shape}")
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{label} index {bad[0]} has non-finite coordinates")
+    if metric.kind in (KIND_COSINE, KIND_ANGULAR):
+        return transform_points([Transform.NORMALIZE], rows, label)
     return np.asfortranarray(rows)
-
-
-def _map_query(q, metric: MetricSpec):
-    """One query in the form :func:`_map_data` gives the data."""
-    kind = metric.kind
-    if kind in (KIND_COSINE, KIND_ANGULAR):
-        return transform_points([Transform.NORMALIZE], [as_point3(q).as_tuple()], label="query")[0]
-    if kind == KIND_EUCLID2D:
-        return np.asarray(q, dtype=np.float64).reshape(2)
-    if kind == KIND_HAMMING3:
-        return transform_points([Transform.HAMMING_VERTEX], [q] if isinstance(q, str) else [tuple(q)],
-                                label="query")[0]
-    return as_point3(q).as_tuple()
 
 
 def _rank_key(rows, qrow, metric: MetricSpec):
@@ -147,7 +138,7 @@ def _reachable(rows: np.ndarray, qrow, metric: MetricSpec, k: int) -> np.ndarray
 
 
 def _knn_rows(points, queries, metric: MetricSpec, k: int, radius: float | None) -> list[NeighborRow]:
-    """Exact neighbor rows for each query; the data is mapped once for all of them."""
+    """Exact neighbor rows for each query; the data and the queries are each mapped once."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if radius is not None:
@@ -155,10 +146,9 @@ def _knn_rows(points, queries, metric: MetricSpec, k: int, radius: float | None)
             raise ValueError("radius must not be NaN")
         if radius < 0 and metric.kind != KIND_COSINE:  # a cosine radius is a similarity
             raise ValueError(f"radius must be >= 0 for metric {metric.canonical()}, got {radius}")
-    rows = _map_data(points, metric)
+    rows = _mapped(points, metric, "data")
     out = []
-    for q in queries:
-        qrow = _map_query(q, metric)
+    for qrow in _mapped(queries, metric, "query") if len(queries) else ():
         if radius is None:
             ids = _reachable(rows, qrow, metric, k)
             key, distance_of = _rank_key(rows if ids is None else rows[ids], qrow, metric)
@@ -177,12 +167,8 @@ def _knn_rows(points, queries, metric: MetricSpec, k: int, radius: float | None)
     return out
 
 
-def _is_strings(points) -> bool:
-    return len(points) > 0 and isinstance(points[0], str)
-
-
 def brute_force_knn(points, q, metric: MetricSpec, k: int, radius: float | None = None) -> NeighborRow:
-    """Exact k nearest neighbors of q by exhaustive scan.
+    """Exact k nearest neighbors of q, one row in the form of the data, by exhaustive scan.
 
     Returns up to k (id, distance) pairs, ascending by distance with ties
     broken by smaller id (for cosine the distance column is the similarity
@@ -234,17 +220,11 @@ class GroundTruth:
 def ground_truth(points, queries, metric: MetricSpec, k: int, radius: float | None = None) -> GroundTruth:
     """Brute-force truth for a whole query batch, as :func:`brute_force_knn` per query.
 
-    The data is mapped (converted, normalised or parsed) once for the batch.
+    The data and the queries are each mapped (converted, normalised or
+    parsed) once for the batch.
     """
-    rows = _knn_rows(points, _iter_queries(queries), metric, k, radius)
+    rows = _knn_rows(points, queries, metric, k, radius)
     return GroundTruth(metric=metric.canonical(), k=k, rows=rows)
-
-
-def _iter_queries(queries):
-    if _is_strings(queries):
-        return list(queries)
-    arr = np.asarray(queries, dtype=np.float64)
-    return [arr[i] for i in range(arr.shape[0])]
 
 
 def _result_ids(result) -> set[int]:

@@ -38,12 +38,14 @@ does, so within the radius the answer is the oracle's, boundary included.
 The plain and enhanced pipelines differ only in scene box size; their
 neighbor lists are always identical.
 
-Every metric reaches the pipeline by one route.  :func:`transform_chain_for`
-maps source-form points into pipeline space: an empty chain for the native
-Lp and LInf metrics, an order-preserving transformation for the metrics
-without a finite circumscribing L2 radius (cosine, angular, 2D Euclidean,
-Hamming).  :func:`pipeline_metric_for` names the native metric searched
-there, :func:`build_index` and :func:`batch_query` filter and refine, and
+Every metric reaches the pipeline by one route, and one table decides
+it: ``_REDUCTIONS`` pairs each metric without a finite circumscribing L2
+radius (cosine, angular, 2D Euclidean, Hamming) with an order-preserving
+transformation and the native metric searched in its image.  From it
+:func:`transform_chain_for` gives the chain that maps source-form points
+into pipeline space, empty for the native Lp and LInf metrics, and
+:func:`pipeline_metric_for` names the native metric searched there.
+:func:`build_index` and :func:`batch_query` filter and refine, and
 :func:`to_source_units` turns the reported distances back into source units.
 
 Indexes are immutable after build and queries share them read-only; each
@@ -432,18 +434,23 @@ def transform_points(chain: list[Transform], points, label: str = "point") -> np
     return out
 
 
+# Each transform-backed metric's route into pipeline space: the transform
+# that maps its points there and the native metric searched there.  A
+# metric not listed is native and is searched as it is.
+_REDUCTIONS = {
+    KIND_COSINE: (Transform.NORMALIZE, MetricSpec.lp(2)),
+    KIND_ANGULAR: (Transform.NORMALIZE, MetricSpec.lp(2)),
+    KIND_EUCLID2D: (Transform.EMBED_2D, MetricSpec.lp(2)),
+    KIND_HAMMING3: (Transform.HAMMING_VERTEX, MetricSpec.lp(1)),
+}
+
+
 def transform_chain_for(source: MetricSpec) -> list[Transform]:
     """The transform chain that maps `source`-form points into pipeline space.
 
     Empty for a native metric, whose points are searched as they are.
     """
-    chains = {
-        KIND_COSINE: [Transform.NORMALIZE],
-        KIND_ANGULAR: [Transform.NORMALIZE],
-        KIND_EUCLID2D: [Transform.EMBED_2D],
-        KIND_HAMMING3: [Transform.HAMMING_VERTEX],
-    }
-    return chains.get(source.kind, [])
+    return [_REDUCTIONS[source.kind][0]] if source.kind in _REDUCTIONS else []
 
 
 def pipeline_metric_for(source: MetricSpec) -> MetricSpec:
@@ -452,29 +459,22 @@ def pipeline_metric_for(source: MetricSpec) -> MetricSpec:
     L1 for Hamming, L2 for the other transform-backed metrics, and the
     metric itself for a native one.
     """
-    if source.kind == KIND_HAMMING3:
-        return MetricSpec.lp(1)
-    if source.kind in (KIND_COSINE, KIND_ANGULAR, KIND_EUCLID2D):
-        return MetricSpec.lp(2)
-    return source
-
-
-def _source_distance(source: MetricSpec, dist: float) -> float:
-    """Re-express a chord between unit vectors as an angle or a cosine similarity."""
-    if source.kind == KIND_ANGULAR:
-        return 2.0 * math.asin(min(1.0, dist / 2.0))
-    return 1.0 - dist * dist / 2.0  # cosine: a similarity, not a distance
+    return _REDUCTIONS[source.kind][1] if source.kind in _REDUCTIONS else source
 
 
 def to_source_units(source: MetricSpec, res: QueryResult) -> QueryResult:
     """Re-express a pipeline-space result's distances in source-metric units.
 
-    Only cosine and angular change a distance; for every other metric the
-    result is returned as it is.
+    Only cosine and angular change a distance: a chord c between unit
+    vectors is the angle 2 asin(c / 2) and the cosine similarity
+    1 - c**2 / 2.  For every other metric the result is returned as it is.
     """
-    if source.kind not in (KIND_COSINE, KIND_ANGULAR):
+    if source.kind == KIND_ANGULAR:
+        neighbors = [(i, 2.0 * math.asin(min(1.0, c / 2.0))) for i, c in res.neighbors]
+    elif source.kind == KIND_COSINE:
+        neighbors = [(i, 1.0 - c * c / 2.0) for i, c in res.neighbors]  # a similarity, not a distance
+    else:
         return res
-    neighbors = [(i, _source_distance(source, dist)) for i, dist in res.neighbors]
     return QueryResult(neighbors, res.candidate_count, res.hit_count, res.node_visits)
 
 

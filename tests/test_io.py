@@ -502,3 +502,25 @@ def test_cli_query_file_needs_data(tmp_path, capsys):
         code, out, err = run_cli([*command, "--n", "50", "--query-file", qf, "--metric", "lp:2"], capsys)
         assert code == 2 and out == ""
         assert "--query-file" in err and "--data" in err
+
+
+def test_cli_format_needs_data(tmp_path, capsys):
+    for command in (["query", "--queries", "2", "--radius", "0.3", "--k", "2"],
+                    ["oracle", "--queries", "2"],
+                    ["build-info", "--radius", "0.3"]):
+        code, out, err = run_cli([*command, "--n", "50", "--format", "bits", "--metric", "lp:2"], capsys)
+        assert code == 2 and out == ""
+        assert "--format" in err and "--data" in err
+    p = write(tmp_path / "pts.csv", "0,0,0\n1,0,0\n0.5,0,0\n")
+    code, out, err = run_cli(["oracle", "--data", p, "--n", "2", "--queries", "1", "--metric", "lp:2"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["dataset"]["format"] == "csv-xyz"
+
+
+def test_cli_oracle_names_the_zero_query(tmp_path, capsys):
+    p = write(tmp_path / "pts.csv", "1,0,0\n0,1,0\n0,0,1\n1,1,0\n0,0,0\n")
+    for command in ("oracle", "query"):
+        code, out, err = run_cli([command, "--data", p, "--n", "3", "--queries", "2", "--metric", "cosine",
+                                  "--radius", "1.0", "--k", "1"], capsys)
+        assert code == 2 and out == ""
+        assert "zero vector at query index 1" in err

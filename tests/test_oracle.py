@@ -82,6 +82,57 @@ def test_rejects_bad_radius(metric):
         assert brute_force_knn(pts, q, metric, 2, radius=0.0) == []
 
 
+def test_zero_query_vector_named_by_its_batch_index():
+    pts = np.eye(3)
+    for metric in (MetricSpec.cosine(), MetricSpec.angular()):
+        with pytest.raises(ValueError, match="zero vector at query index 1"):
+            ground_truth(pts, [[1, 0, 0], [0, 0, 0]], metric, 1)
+
+
+@pytest.mark.parametrize("metric", [m for m in ALL_METRICS if m.kind != "hamming3"],
+                         ids=lambda m: m.canonical())
+def test_rejects_non_finite_queries(metric):
+    pts, q = _scene(metric, 3)
+    for bad in (math.nan, math.inf, -math.inf):
+        row = q.copy()
+        row[0] = bad
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            brute_force_knn(pts, row, metric, 2)
+        with pytest.raises(ValueError, match="non-finite coordinates"):
+            ground_truth(pts, [q, q, row], metric, 2)
+
+
+def test_rejects_bad_euclid2d_queries_naming_them():
+    pts, q = _scene(MetricSpec.euclid2d(), 3)
+    with pytest.raises(ValueError, match="query index 1 has non-finite"):
+        ground_truth(pts, [q, [math.nan, 0.5]], MetricSpec.euclid2d(), 2)
+    with pytest.raises(ValueError, match=r"\(n, 2\)"):
+        brute_force_knn(pts, [0.5, 0.5, 0.5], MetricSpec.euclid2d(), 2)
+
+
+@pytest.mark.parametrize("metric", [MetricSpec.lp(2), MetricSpec.hamming3()], ids=lambda m: m.canonical())
+def test_no_queries_give_no_rows(metric):
+    pts, _ = _scene(metric, 3)
+    assert ground_truth(pts, [], metric, 2).rows == []
+    assert ground_truth(pts, [], metric, 2, radius=1.0).rows == []
+
+
+def test_query_forms_give_the_one_query_rows():
+    rng = np.random.default_rng(5)
+    pts = rng.random((60, 3))
+    queries = rng.random((4, 3)).astype(np.float32)
+    for metric in (MetricSpec.lp(2), MetricSpec.lp(3), MetricSpec.cosine()):
+        want = [brute_force_knn(pts, q.tolist(), metric, 5) for q in queries]
+        assert ground_truth(pts, queries, metric, 5).rows == want
+        assert ground_truth(pts, queries.tolist(), metric, 5).rows == want
+    bits = ["0", "01", "110", "111", "101"]
+    vertices = transform_points([Transform.HAMMING_VERTEX], bits)
+    want = [brute_force_knn(bits, b, MetricSpec.hamming3(), 3) for b in bits]
+    assert want == [brute_force_knn(bits, v, MetricSpec.hamming3(), 3) for v in vertices]
+    for form in (bits, vertices, vertices.tolist()):
+        assert ground_truth(bits, form, MetricSpec.hamming3(), 3).rows == want
+
+
 def test_matches_math_reference():
     # distances by math.fsum/math.sqrt and a Python sort on (distance, id),
     # independent of the weight kernel
