@@ -57,7 +57,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .geometry import PointQuery
+from .geometry import PointQuery, checked_rows
 
 DEFAULT_LEAF_SIZE = 8
 
@@ -191,11 +191,9 @@ class Bvh:
 
 
 def _as_point_array(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] == 0:
-        raise ValueError(f"expected a non-empty (n, 3) point array, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise ValueError("points contain non-finite values")
+    pts = checked_rows(points, "data")
+    if not len(pts):
+        raise ValueError(f"expected a non-empty (n, 3) array of data points, got shape {pts.shape}")
     return pts
 
 
@@ -234,9 +232,9 @@ def _axis_ranks(cent: np.ndarray) -> np.ndarray:
 def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZE) -> Bvh:
     """Build a BVH over one cube of half width `half_width` per point.
 
-    `points` is a non-empty (n, 3) array-like; primitive i is the cube
-    around row i, and its id is i.  Every node box contains all descendant
-    primitive boxes, every primitive lands in exactly one leaf, and
+    `points` is a non-empty (n, 3) array-like of finite rows; primitive i
+    is the cube around row i, and its id is i.  Every node box contains all
+    descendant primitive boxes, every primitive lands in exactly one leaf, and
     identical input always yields the identical tree.  The topology
     depends on the points alone; `half_width`, which the index records,
     widens every box alike.

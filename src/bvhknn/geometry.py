@@ -1,15 +1,35 @@
-"""Query points: a checked 3D point and the containment query around it.
+"""Checked points: the one rule for point and query rows, a 3D point, and the containment query.
 
-Both are immutable values, so instances can be shared freely across
-concurrent query workers.  The boxes themselves live only as rows of the
-BVH's numpy tables (see bvh.py), where the walks test them closed: a
-point sitting exactly on a face counts as contained.
+Every data and query array passes :func:`checked_rows` where it enters.
+`Point3` and `PointQuery` are immutable, so they can be shared across
+concurrent query workers.  The boxes live only as rows of the BVH's numpy
+tables (see bvh.py), where the walks test them closed: a point sitting
+exactly on a face counts as contained.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+
+def float_rows(points, label: str, width: int = 3) -> np.ndarray:
+    """`points` as a float64 (n, `width`) array, else ValueError naming its shape."""
+    rows = np.asarray(points, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"expected an (n, {width}) array of {label} points, got shape {rows.shape}")
+    return rows
+
+
+def checked_rows(points, label: str, width: int = 3) -> np.ndarray:
+    """:func:`float_rows` with finite rows, else ValueError naming the first bad one, sought only then."""
+    rows = float_rows(points, label, width)
+    if np.count_nonzero(np.isfinite(rows)) != rows.size:
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
+        raise ValueError(f"{label} index {bad} has non-finite coordinates")
+    return rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,14 +48,6 @@ class Point3:
         return (self.x, self.y, self.z)
 
 
-def as_point3(p) -> Point3:
-    """Coerce a Point3 or any (x, y, z) sequence to Point3."""
-    if isinstance(p, Point3):
-        return p
-    x, y, z = p
-    return Point3(float(x), float(y), float(z))
-
-
 @dataclass(frozen=True, slots=True)
 class PointQuery:
     """A query against the scene, reduced to pure point containment.
@@ -45,4 +57,3 @@ class PointQuery:
     """
 
     origin: Point3
-

@@ -52,6 +52,7 @@ from .metrics import (
     distances,
     weights,
 )
+from .geometry import checked_rows
 from .pipeline import Transform, pipeline_metric_for, transform_points
 
 NeighborRow = list[tuple[int, float]]
@@ -69,16 +70,9 @@ def _mapped(points, metric: MetricSpec, label: str) -> np.ndarray:
     """
     if metric.kind == KIND_HAMMING3:
         return np.asfortranarray(transform_points([Transform.HAMMING_VERTEX], points, label))
-    width = 2 if metric.kind == KIND_EUCLID2D else 3
-    rows = np.asarray(points, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != width:
-        raise ValueError(f"{metric.canonical()} expects (n, {width}) {label} points, got shape {rows.shape}")
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{label} index {bad[0]} has non-finite coordinates")
     if metric.kind in (KIND_COSINE, KIND_ANGULAR):
-        return transform_points([Transform.NORMALIZE], rows, label)
-    return np.asfortranarray(rows)
+        return transform_points([Transform.NORMALIZE], points, label)
+    return np.asfortranarray(checked_rows(points, label, 2 if metric.kind == KIND_EUCLID2D else 3))
 
 
 def _rank_key(rows, qrow, metric: MetricSpec):

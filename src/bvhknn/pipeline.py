@@ -48,6 +48,9 @@ into pipeline space, empty for the native Lp and LInf metrics, and
 :func:`build_index` and :func:`batch_query` filter and refine, and
 :func:`to_source_units` turns the reported distances back into source units.
 
+A query is one finite row of 3 (:func:`bvhknn.geometry.checked_rows`); the
+build checks every data row, and a query call only the data's width and count.
+
 Indexes are immutable after build and queries share them read-only; each
 call owns its hit arrays and counters, so query fan-out across workers is
 safe.
@@ -71,7 +74,7 @@ from .bvh import (
     probe_windows,
     traverse_points,
 )
-from .geometry import as_point3
+from .geometry import checked_rows, float_rows
 from .metrics import (
     KIND_ANGULAR,
     KIND_COSINE,
@@ -163,21 +166,15 @@ def _checked_points(bvh: Bvh, points, config: ReductionConfig) -> np.ndarray:
     h = scene_half_width(config)
     if h > bvh.half_width:
         raise ValueError(f"config needs boxes of half width {h} but the index was built with {bvh.half_width}")
-    points = np.asarray(points, dtype=np.float64)
+    points = float_rows(points, "data")
     if bvh.num_primitives != len(points):
         raise ValueError(f"index holds {bvh.num_primitives} primitives but dataset has {len(points)}")
     return points
 
 
 def _checked_queries(queries) -> np.ndarray:
-    """`queries` as a C-ordered (m, 3) float array, after the checks the batched entry points make."""
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != 3:
-        raise ValueError(f"queries must be an (m, 3) array, got shape {queries.shape}")
-    bad = np.flatnonzero(~np.isfinite(queries).all(axis=1))
-    if bad.size:
-        raise ValueError(f"query index {bad[0]} has non-finite coordinates")
-    return np.ascontiguousarray(queries)
+    """`queries` as a C-ordered (m, 3) array of finite rows, after the checks the batched entry points make."""
+    return np.ascontiguousarray(checked_rows(queries, "query"))
 
 
 # The probe, both constants times k: a query is probed only if its descent
@@ -273,13 +270,14 @@ def run_query(bvh: Bvh, points, q, config: ReductionConfig) -> QueryResult:
     """
     metric = config.metric
     points = _checked_points(bvh, points, config)
-    origin = as_point3(q).as_tuple()
+    row = checked_rows(np.asarray(q, dtype=np.float64)[None], "query")  # [q]: fails as batch_query([q]) does
+    origin = row[0].tolist()  # the node walks read Python floats
     ids = probe_window(bvh, origin, *_probe_params(bvh, config))
     # one radius as a numpy scalar: the same arithmetic as batch_query's arrays, with less overhead
-    radius = config.r if ids is None else _window_radii(points, ids[None], np.array([origin]), config)[0]
+    radius = config.r if ids is None else _window_radii(points, ids[None], row, config)[0]
     inset = 0.0 if ids is None and bvh.half_width == scene_half_width(config) else float(_insets(bvh, radius, config))
     hits, tested = point_hits(bvh, origin, inset)
-    w = weights(metric, _rows(points, hits), origin)
+    w = weights(metric, _rows(points, hits), row[0])
     dist = distances(metric, w)
     inside = dist <= config.r
     ids, w, dist = hits[inside], w[inside], dist[inside]
@@ -390,28 +388,30 @@ def _parse_bits(s) -> tuple[float, float, float]:
 def transform_points(chain: list[Transform], points, label: str = "point") -> np.ndarray:
     """Apply a transform chain to a whole collection, returning an (n, 3) array.
 
-    NORMALIZE takes nonzero 3-vectors to the unit sphere; EMBED_2D lifts
-    (x, y) to (x, y, 0); HAMMING_VERTEX takes bit strings of length <= 3
-    (left-padded with zeros) to the matching unit-cube vertices.  Rejects
-    inputs a transform cannot accept, naming the offending row (e.g. the
-    index of a zero vector under NORMALIZE).
+    NORMALIZE takes finite nonzero 3-vectors to the unit sphere, scaling by
+    m = max |x_i| a norm whose square overflows or is subnormal, as `hypot`
+    does; EMBED_2D lifts (x, y) to (x, y, 0); HAMMING_VERTEX takes bit
+    strings of length <= 3 (left-padded with zeros) to the matching cube
+    vertices.  Rejects inputs a transform cannot accept, naming the shape
+    or the offending `label` row (e.g. a zero vector under NORMALIZE).
     """
     current = points
     for t in chain:
         if t is Transform.NORMALIZE:
-            arr = np.asarray(current, dtype=np.float64)
-            if arr.ndim != 2 or arr.shape[1] != 3:
-                raise ValueError(f"normalize expects (n, 3) input, got shape {arr.shape}")
-            norms = np.sqrt((arr * arr).sum(axis=1))
+            arr = checked_rows(current, label)
+            with np.errstate(over="ignore", under="ignore"):
+                squares = (arr * arr).sum(axis=1)
+            norms = np.sqrt(squares)
+            scaled = np.flatnonzero((squares < np.finfo(np.float64).tiny) | (squares == np.inf))
+            m = np.abs(arr[scaled]).max(axis=1)
+            scaled, m = scaled[m > 0], m[m > 0]  # a zero vector keeps norm 0
+            norms[scaled] = m * np.sqrt(((arr[scaled] / m[:, None]) ** 2).sum(axis=1))
             zero = np.flatnonzero(norms == 0.0)
             if zero.size:
                 raise ValueError(f"cannot normalize zero vector at {label} index {zero[0]}")
             current = arr / norms[:, None]
         elif t is Transform.EMBED_2D:
-            arr = np.asarray(current, dtype=np.float64)
-            if arr.ndim != 2 or arr.shape[1] != 2:
-                raise ValueError(f"embed2d expects (n, 2) input, got shape {arr.shape}")
-            current = np.hstack([arr, np.zeros((arr.shape[0], 1))])
+            current = np.pad(float_rows(current, label, 2), ((0, 0), (0, 1)))  # a zero z column
         elif t is Transform.HAMMING_VERTEX:
             if len(current) and isinstance(current[0], str):
                 rows = []
@@ -422,16 +422,12 @@ def transform_points(chain: list[Transform], points, label: str = "point") -> np
                         raise ValueError(f"{label} index {i}: {exc}") from None
                 current = np.asarray(rows, dtype=np.float64)
             else:
-                arr = np.asarray(current, dtype=np.float64)
-                if arr.ndim != 2 or arr.shape[1] != 3 or not np.isin(arr, (0.0, 1.0)).all():
+                current = float_rows(current, label)
+                if not np.isin(current, (0.0, 1.0)).all():
                     raise ValueError("hamming input must be bit strings or 0/1 vertex rows")
-                current = arr
         else:
             raise ValueError(f"unknown transform {t!r}")
-    out = np.asarray(current, dtype=np.float64)
-    if out.ndim != 2 or out.shape[1] != 3:
-        raise ValueError(f"transform chain must end in 3D points, got shape {out.shape}")
-    return out
+    return float_rows(current, label)
 
 
 # Each transform-backed metric's route into pipeline space: the transform

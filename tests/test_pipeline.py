@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -360,6 +361,9 @@ def test_query_entry_points_share_input_checks():
         plain = ReductionConfig(metric, 0.5, 1)
         enhanced = build_index(pts, ReductionConfig(metric, 0.5, 1, enhanced=True))
         cases.append((enhanced, pts, plain, f"half width {scene_half_width(plain)} but the index was built with 0.5"))
+    # data of the wrong width or rank: 2-D distances, say, must not answer a 3-D index
+    for data in (pts[:, :2], np.zeros((2, 4)), pts.ravel()[:2]):
+        cases.append((bvh, data, cfg, f"expected an (n, 3) array of data points, got shape {data.shape}"))
     for index, data, config, message in cases:
         message = re.escape(message)
         with pytest.raises(ValueError, match=message) as single:
@@ -369,6 +373,31 @@ def test_query_entry_points_share_input_checks():
         with pytest.raises(ValueError, match=message) as radii:
             query_radii(index, data, [[0, 0, 0]], config)
         assert str(single.value) == str(batch.value) == str(radii.value)
+    # one bad query fails alike at every entry point, as a one-query batch
+    for q, message in (([0, np.nan, 0], "query index 0 has non-finite coordinates"),
+                       (np.array([np.inf, 0, 0]), "query index 0 has non-finite coordinates"),
+                       ([0, 0], "expected an (n, 3) array of query points, got shape (1, 2)"),
+                       (np.zeros(4), "expected an (n, 3) array of query points, got shape (1, 4)")):
+        message = re.escape(message)
+        with pytest.raises(ValueError, match=message) as single:
+            run_query(bvh, pts, q, cfg)
+        with pytest.raises(ValueError, match=message) as batch:
+            batch_query(bvh, pts, [q], cfg)
+        with pytest.raises(ValueError, match=message) as radii:
+            query_radii(bvh, pts, [q], cfg)
+        assert str(single.value) == str(batch.value) == str(radii.value)
+
+
+def test_build_and_search_name_the_bad_data_row():
+    data = np.array([[0, 0, 0], [np.nan, 0, 0], [1, 1, 1]])
+    cfg = ReductionConfig(L2, 1.0, 1)
+    with pytest.raises(ValueError, match="data index 1 has non-finite coordinates"):
+        build_index(data, cfg)
+    for metric in (L2, MetricSpec.cosine()):
+        with pytest.raises(ValueError, match="data index 1 has non-finite coordinates"):
+            knn_search(data, [[0.5, 0.5, 0.5]], metric, 1.0, 1)
+        with pytest.raises(ValueError, match="data index 1 has non-finite coordinates"):
+            brute_force_knn(data, [0.5, 0.5, 0.5], metric, 1)
 
 
 # --- transforms -------------------------------------------------------------
@@ -385,6 +414,32 @@ def test_normalize_rejects_zero_vector():
         transform_points([Transform.NORMALIZE], [(0, 0, 0)])
     with pytest.raises(ValueError, match="index 1"):
         transform_points([Transform.NORMALIZE], np.array([[1, 0, 0], [0, 0, 0]], float))
+
+
+def test_normalize_scales_norms_that_overflow_or_underflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or underflow warning escapes
+        unit = transform_points([Transform.NORMALIZE], [[1e-170, 0, 0], [0, -1e-320, 0], [1e200, 0, 0],
+                                                        [3e300, 4e300, 0], [3e-200, 4e-200, 0]])
+        assert unit.tolist() == [[1, 0, 0], [0, -1, 0], [1, 0, 0], [0.6, 0.8, 0], [0.6, 0.8, 0]]
+        big = transform_points([Transform.NORMALIZE], [[1e200] * 3])
+        assert np.allclose(big, 3 ** -0.5, rtol=1e-15, atol=0)
+        # every other row keeps its unscaled norm, bit for bit
+        rows = np.random.default_rng(8).normal(size=(500, 3))
+        assert np.array_equal(transform_points([Transform.NORMALIZE], rows),
+                              rows / np.sqrt((rows * rows).sum(axis=1))[:, None])
+    with pytest.raises(ValueError, match="zero vector at point index 1"):
+        transform_points([Transform.NORMALIZE], [[1e-170, 0, 0], [0, 0, 0]])
+
+
+def test_cosine_finds_the_parallel_vector_of_a_huge_query():
+    data = [[1, 1, 1], [1, 0, 0], [0, 1, 0]]
+    for q in ([1e200] * 3, [1e-170] * 3):
+        truth = brute_force_knn(data, q, MetricSpec.cosine(), 2)
+        found = knn_search(data, [q], MetricSpec.cosine(), 1.9, 2)[0].neighbors
+        for row in (truth, found):
+            assert row[0][0] == 0 and row[0][1] == pytest.approx(1.0, abs=1e-12)
+        assert [i for i, _ in found] == [i for i, _ in truth]
 
 
 def test_hamming_vertex_rejects_bad_strings():
