@@ -35,6 +35,9 @@ GPU hands the RT cores whole batches of rays: it tests a whole frontier of
 reaches in the same step, and carries only the hits.  It hands them over a
 run of queries at a time, each run held to PAIR_BUDGET pairs, so its memory
 stays bounded.  Both test the same nodes and slots and report the same hits.
+The slot test gathers the slots' boxes and the queries' spans, and a level
+of a wavefront reaches tens of thousands of slots, so it gathers and tests
+them in blocks of _SLOT_BLOCK rows, whose gathers fit in L2.
 
 Both walks can also test every box inset by a per-query `inset`: a box
 passes when ``lo <= q - inset`` and ``q + inset <= hi``, so a tree built
@@ -63,9 +66,17 @@ DEFAULT_LEAF_SIZE = 8
 
 # Most (query, node), (query, slot) and (query, id) pairs that
 # traverse_points holds at once for a run of several queries.  With the
-# refine of its hits, a pair costs up to about 250 bytes, so a run of
-# batch_query stays near 16 MiB.
+# refine of its hits, a pair costs up to about 140 bytes (traced), so a run
+# of batch_query stays within 16 MiB.  The slot test holds each slot's query
+# row, slot number and mask, 17 bytes, beside the gathers of one block.
 PAIR_BUDGET = 1 << 16
+
+# Most leaf slots whose boxes and query spans _leaf_hits gathers and tests
+# at once: 0.6 MB of gathers, 0.8 MB with inset spans, inside a 2 MiB L2.
+# A level's slots tested whole, 3.8-5 MB of gathers on the benchmark's
+# 1,000-query chunks, spilled it, and the test then took about 5 times as
+# long per slot.
+_SLOT_BLOCK = 8192
 
 # One row of Bvh.bounds, and two adjacent rows: a left child's box and its right sibling's.
 _BOX = struct.Struct("6d")
@@ -375,12 +386,24 @@ def _contains(boxes: np.ndarray, spans: np.ndarray) -> np.ndarray:
 
 
 def _leaf_hits(bvh: Bvh, rows: np.ndarray, leaves: np.ndarray, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hit query rows and primitive ids over the slots of (query row, leaf) pairs, in pair and slot order."""
+    """Hit query rows and primitive ids over the slots of (query row, leaf) pairs, in pair and slot order.
+
+    The slots are gathered and tested _SLOT_BLOCK at a time into one mask,
+    so that the gathered boxes and spans stay in L2.
+    """
     counts = bvh.counts.take(leaves)
     rows = rows.repeat(counts)
     # Slot pairs are laid out leaf after leaf; leaf j's slots start at starts[j].
     slot = np.arange(len(rows)) + (bvh.starts.take(leaves) - (np.cumsum(counts) - counts)).repeat(counts)
-    inside = _contains(bvh.boxes.take(slot, axis=0), spans.take(rows, axis=0))
+    if len(slot) <= _SLOT_BLOCK:
+        # One block, as a single query's slots almost always are: its test is
+        # the mask.  Filling a mask instead adds about 2 us (3%) to run_query.
+        inside = _contains(bvh.boxes.take(slot, axis=0), spans.take(rows, axis=0))
+    else:
+        inside = np.empty(len(slot), dtype=bool)
+        for a in range(0, len(slot), _SLOT_BLOCK):
+            b = a + _SLOT_BLOCK
+            inside[a:b] = _contains(bvh.boxes.take(slot[a:b], axis=0), spans.take(rows[a:b], axis=0))
     return rows.compress(inside), bvh.perm.take(slot.compress(inside))
 
 

@@ -1,6 +1,7 @@
 """Checked points: the one rule for point and query rows, a 3D point, and the containment query.
 
-Every data and query array passes :func:`checked_rows` where it enters.
+Every data and query array passes :func:`checked_rows` where it enters,
+and its shape rule, :func:`shaped_rows`, reads an empty list as no rows.
 `Point3` and `PointQuery` are immutable, so they can be shared across
 concurrent query workers.  The boxes live only as rows of the BVH's numpy
 tables (see bvh.py), where the walks test them closed: a point sitting
@@ -15,12 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def float_rows(points, label: str, width: int = 3) -> np.ndarray:
-    """`points` as a float64 (n, `width`) array, else ValueError naming its shape."""
-    rows = np.asarray(points, dtype=np.float64)
+def shaped_rows(rows: np.ndarray, label: str, width: int = 3) -> np.ndarray:
+    """The array `rows` as (n, `width`), else ValueError naming its shape; an empty 1-D array is no rows."""
     if rows.ndim != 2 or rows.shape[1] != width:
+        if rows.shape == (0,):
+            return rows.reshape(0, width)
         raise ValueError(f"expected an (n, {width}) array of {label} points, got shape {rows.shape}")
     return rows
+
+
+def float_rows(points, label: str, width: int = 3) -> np.ndarray:
+    """`points` as a float64 (n, `width`) array, by :func:`shaped_rows`."""
+    return shaped_rows(np.asarray(points, dtype=np.float64), label, width)
 
 
 def checked_rows(points, label: str, width: int = 3) -> np.ndarray:

@@ -142,7 +142,7 @@ def _knn_rows(points, queries, metric: MetricSpec, k: int, radius: float | None)
             raise ValueError(f"radius must be >= 0 for metric {metric.canonical()}, got {radius}")
     rows = _mapped(points, metric, "data")
     out = []
-    for qrow in _mapped(queries, metric, "query") if len(queries) else ():
+    for qrow in _mapped(queries, metric, "query"):
         if radius is None:
             ids = _reachable(rows, qrow, metric, k)
             key, distance_of = _rank_key(rows if ids is None else rows[ids], qrow, metric)

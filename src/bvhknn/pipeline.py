@@ -48,8 +48,10 @@ into pipeline space, empty for the native Lp and LInf metrics, and
 :func:`build_index` and :func:`batch_query` filter and refine, and
 :func:`to_source_units` turns the reported distances back into source units.
 
-A query is one finite row of 3 (:func:`bvhknn.geometry.checked_rows`); the
-build checks every data row, and a query call only the data's width and count.
+A query is one finite row of 3 (:func:`bvhknn.geometry.checked_rows`), and
+an empty list is no queries; the build checks every data row, and a query
+call only the data's width and count.  A query call searches float32 data
+as it is, widening only the rows it gathers.
 
 Indexes are immutable after build and queries share them read-only; each
 call owns its hit arrays and counters, so query fan-out across workers is
@@ -74,7 +76,7 @@ from .bvh import (
     probe_windows,
     traverse_points,
 )
-from .geometry import checked_rows, float_rows
+from .geometry import checked_rows, float_rows, shaped_rows
 from .metrics import (
     KIND_ANGULAR,
     KIND_COSINE,
@@ -157,7 +159,7 @@ def build_index(points, config: ReductionConfig) -> Bvh:
 
 
 def _checked_points(bvh: Bvh, points, config: ReductionConfig) -> np.ndarray:
-    """`points` as a float array, after the checks every query entry point makes."""
+    """`points` as a float32 or float64 array, after the O(1) checks every query entry point makes."""
     if not config.metric.is_native:
         raise ValueError(
             f"pipeline queries need a native metric, got {config.metric.canonical()!r}; "
@@ -166,7 +168,11 @@ def _checked_points(bvh: Bvh, points, config: ReductionConfig) -> np.ndarray:
     h = scene_half_width(config)
     if h > bvh.half_width:
         raise ValueError(f"config needs boxes of half width {h} but the index was built with {bvh.half_width}")
-    points = float_rows(points, "data")
+    # float32 data is kept as given, not copied whole on every call:
+    # weights widens the rows it gathers to float64, which is exact.
+    if not (isinstance(points, np.ndarray) and points.dtype == np.float32):
+        points = np.asarray(points, dtype=np.float64)
+    points = shaped_rows(points, "data")
     if bvh.num_primitives != len(points):
         raise ValueError(f"index holds {bvh.num_primitives} primitives but dataset has {len(points)}")
     return points

@@ -367,8 +367,11 @@ def test_traverse_points_counts_held_hits_against_the_budget(monkeypatch):
         assert tested[j] == node_visits(bvh, q)
 
 
-@pytest.mark.parametrize("leaf_size", [1, 8])
-def test_traverse_points_insets_match_point_hits(monkeypatch, leaf_size):
+# Slot-test block sizes, None for the default: blocks of 1 and 7 split every
+# multi-slot call, and 64 splits the wavefront's calls but few single queries'.
+@pytest.mark.parametrize("leaf_size, block", [pytest.param(s, b, id=str(s) if b is None else f"{s}-block{b}")
+                                              for s in (1, 8) for b in (None, 1, 7, 64)])
+def test_traverse_points_insets_match_point_hits(monkeypatch, leaf_size, block):
     rng = np.random.default_rng(leaf_size + 90)
     pts = rng.random((500, 3))
     origins = np.vstack([rng.random((50, 3)), rng.integers(0, 9, size=(20, 3)) * 0.125, [[5.0, 5.0, 5.0]]])
@@ -376,6 +379,8 @@ def test_traverse_points_insets_match_point_hits(monkeypatch, leaf_size):
     mixed = np.where(rng.random(len(origins)) < 0.5, 0.0, rng.random(len(origins)) * 0.2)
     assert (mixed == 0).any() and (mixed > 0).any()
     monkeypatch.setattr(bvh_module, "PAIR_BUDGET", 300)
+    if block is not None:
+        monkeypatch.setattr(bvh_module, "_SLOT_BLOCK", block)
     shrank = 0
     for insets in (mixed, np.zeros(len(origins)), None):
         runs = list(traverse_points(bvh, origins, insets))
@@ -384,6 +389,9 @@ def test_traverse_points_insets_match_point_hits(monkeypatch, leaf_size):
         for j, q in enumerate(origins):
             inset = 0.0 if insets is None else float(insets[j])
             want, count = bvh_module.point_hits(bvh, tuple(q.tolist()), inset)
+            # the build's box faces, pts -+ 0.2, tested as the walks test them
+            scan = ((pts - 0.2 <= q - inset) & (q + inset <= pts + 0.2)).all(axis=1)
+            assert sorted(want.tolist()) == np.flatnonzero(scan).tolist()
             assert set(ids[rows == j].tolist()) == set(want.tolist())
             assert np.count_nonzero(rows == j) == len(want)
             assert tested[j] == count

@@ -13,6 +13,7 @@ from bvhknn import (
     batch_query,
     brute_force_knn,
     build_index,
+    ground_truth,
     knn_search,
     pipeline_metric_for,
     run_query,
@@ -206,8 +207,11 @@ def test_leaf_size_never_changes_an_answer(metric):
             assert [res.neighbors for res in got] == want
 
 
-@pytest.mark.parametrize("budget", [1, 50, 2000])
-def test_batch_query_spans_runs(monkeypatch, budget):
+# Slot-test block sizes, None for the default: multi-block slot tests on
+# both paths, and on 3-column spans as well as 6-column inset ones.
+@pytest.mark.parametrize("budget, block", [pytest.param(p, b, id=str(p) if b is None else f"{p}-block{b}")
+                                           for p in (1, 50, 2000) for b in (None, 1, 7, 64)])
+def test_batch_query_spans_runs(monkeypatch, budget, block):
     # a small pair budget splits the queries into many runs, down to one
     # query; a dense cluster makes many queries search a radius below r,
     # so their insets must follow them into whichever run they land in
@@ -220,6 +224,8 @@ def test_batch_query_spans_runs(monkeypatch, budget):
     radii = query_radii(bvh, pts, queries, cfg)
     assert 150 < np.count_nonzero(radii < cfg.r) < len(queries) - 500
     monkeypatch.setattr(bvh_module, "PAIR_BUDGET", budget)
+    if block is not None:
+        monkeypatch.setattr(bvh_module, "_SLOT_BLOCK", block)
     got = batch_query(bvh, pts, queries, cfg)
     assert got == [run_query(bvh, pts, q, cfg) for q in queries]
 
@@ -298,6 +304,31 @@ def test_batch_query_memory_bounded_at_large_radius():
     assert peak < 512 * bvh_module.PAIR_BUDGET  # about 250 bytes a pair
 
 
+def test_float32_data_is_searched_as_it_is():
+    # the same points as float32 and widened to float64 give the same
+    # results, counts included, and a query call does not copy the float32 data
+    rng = np.random.default_rng(67)
+    pts32 = np.vstack([rng.random((200_000, 3)), 0.5 + rng.uniform(-0.01, 0.01, (400, 3))]).astype(np.float32)
+    pts64 = pts32.astype(np.float64)
+    queries = np.vstack([rng.random((300, 3)), 0.5 + rng.uniform(-0.01, 0.01, (100, 3))])
+    for metric, r in ((L2, 0.02), (L1, 0.03), (L3, 0.02), (LINF, 0.015)):
+        cfg = ReductionConfig(metric, r, 10)
+        bvh = build_index(pts64, cfg)
+        assert build_index(pts32, cfg).boxes.tobytes() == bvh.boxes.tobytes()
+        want = batch_query(bvh, pts64, queries, cfg)
+        assert any(res.candidate_count > 10 for res in want)  # the k-th place is decided
+        assert batch_query(bvh, pts32, queries, cfg) == want
+        assert query_radii(bvh, pts32, queries, cfg).tobytes() == query_radii(bvh, pts64, queries, cfg).tobytes()
+        assert [run_query(bvh, pts32, q, cfg) for q in queries[::20]] == want[::20]
+    tracemalloc.start()
+    try:
+        run_query(bvh, pts32, queries[0], cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < pts64.nbytes
+
+
 def test_strided_points_are_gathered_without_a_copy():
     # a column slice of wider records, and a Fortran-ordered copy: gathers
     # from them must not copy the whole array, as ndarray.take does
@@ -323,9 +354,20 @@ def test_strided_points_are_gathered_without_a_copy():
 
 
 def test_batch_query_no_queries():
+    # an empty list is an empty batch, as an empty (0, 3) array is; run_query
+    # reads [] as one query of no coordinates
     pts = np.array([[0, 0, 0], [1, 0, 0]], float)
     cfg = ReductionConfig(L2, 0.5, 1)
-    assert batch_query(build_index(pts, cfg), pts, np.empty((0, 3)), cfg) == []
+    bvh = build_index(pts, cfg)
+    for none in (np.empty((0, 3)), []):
+        assert batch_query(bvh, pts, none, cfg) == []
+        assert query_radii(bvh, pts, none, cfg).shape == (0,)
+    for metric, data in ((L2, pts), (MetricSpec.cosine(), pts + 1), (MetricSpec.euclid2d(), pts[:, :2]),
+                         (MetricSpec.hamming3(), pts)):
+        assert knn_search(data, [], metric, 0.5, 1) == []
+        assert ground_truth(data, [], metric, 1).rows == []
+    with pytest.raises(ValueError, match=re.escape("expected an (n, 3) array of query points, got shape (1, 0)")):
+        run_query(bvh, pts, [], cfg)
 
 
 def test_batch_query_rejects_bad_query_arrays():
