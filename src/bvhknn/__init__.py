@@ -14,10 +14,8 @@ from .metrics import MetricSpec, distances, in_lp_ball, inclusion_radius, weight
 from .bvh import (
     Bvh,
     TraversalCounters,
-    Verdict,
     build_point_bvh,
     containment_scan,
-    node_visits,
     traverse_point,
     traverse_points,
 )
@@ -51,7 +49,6 @@ __all__ = [
     "ReductionConfig",
     "Transform",
     "TraversalCounters",
-    "Verdict",
     "aggregate_recall",
     "batch_query",
     "brute_force_knn",
@@ -63,7 +60,6 @@ __all__ = [
     "in_lp_ball",
     "inclusion_radius",
     "knn_search",
-    "node_visits",
     "pipeline_metric_for",
     "read_records",
     "recall",

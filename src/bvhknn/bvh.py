@@ -2,11 +2,9 @@
 
 This emulates the accelerator contract the search pipeline relies on: build
 a binary tree of nested boxes over the scene primitives, one cube around
-each data point (:func:`build_point_bvh`), then for a point query invoke an
-any-hit callback once for every *leaf primitive* whose own box contains the
-query point.  As in a ray-tracing any-hit program, the callback receives
-only the primitive's id, the row index of its point; it may stop the
-delivery of further hits.
+each data point (:func:`build_point_bvh`), then for a point query report
+the id, the row index of its point, of every *leaf primitive* whose own box
+contains the query point, as a ray-tracing any-hit program does.
 
 Construction is deterministic: median split on the axis with the longest
 centroid extent (ties broken x, then y, then z), the left child taking the
@@ -26,9 +24,10 @@ n * n <= 2**63.  Trees are immutable once built and traversal is
 read-only, so any number of concurrent queries may share one.
 
 There are two traversals over the same numpy tables, and both test the
-slots of the leaves they reach with one array step.  :func:`traverse_point`
-is the any-hit walk of one query, depth first, testing two sibling boxes a
-step, and it tests all its leaves' slots at the end.
+slots of the leaves they reach with one array step.  :func:`point_hits`
+is the walk of one query, depth first, testing two sibling boxes a step,
+and it tests all its leaves' slots at the end; :func:`traverse_point`
+hands its hits one at a time to an any-hit callback.
 :func:`traverse_points` is its wavefront form for many queries at once, as a
 GPU hands the RT cores whole batches of rays: it tests a whole frontier of
 (query, node) pairs per step, tests the slots of the leaves that step
@@ -47,12 +46,11 @@ picks the inset with a probe: :func:`probe_window` and
 planes and return the storage slots around it, spatial neighbours of the
 query, when the descent passes a big enough subtree that lies near the
 query.  Inset 0 is the plain containment query, the one that
-:func:`traverse_point` and :func:`node_visits` always run.
+:func:`traverse_point` always runs.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import struct
 from dataclasses import dataclass
@@ -60,7 +58,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .geometry import PointQuery, checked_rows
+from .geometry import PointQuery, checked_count, checked_rows
 
 DEFAULT_LEAF_SIZE = 8
 
@@ -81,13 +79,6 @@ _SLOT_BLOCK = 8192
 # One row of Bvh.bounds, and two adjacent rows: a left child's box and its right sibling's.
 _BOX = struct.Struct("6d")
 _SIBLING_BOXES = struct.Struct("12d")
-
-
-class Verdict(enum.Enum):
-    """Any-hit callback outcome; returning None also continues."""
-
-    CONTINUE = "continue"
-    TERMINATE = "terminate"
 
 
 @dataclass
@@ -136,11 +127,6 @@ class Bvh:
     @property
     def num_primitives(self) -> int:
         return len(self.perm)
-
-    @property
-    def primitive_order(self) -> list[int]:
-        """Dataset ids in leaf storage order (a permutation of the input)."""
-        return self.perm.tolist()
 
     def node_children(self, index: int) -> tuple[int, int] | None:
         """(left, right) for an internal node, None for a leaf."""
@@ -252,8 +238,7 @@ def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZ
     """
     h = _check_half_width(half_width)
     cent = _as_point_array(points)
-    if leaf_size < 1:
-        raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
+    leaf_size = checked_count(leaf_size, "leaf_size")
     n = len(cent)
 
     # Sorting a node by rank is sorting it by (coordinate, id) on its axis.
@@ -321,23 +306,20 @@ def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZ
 def traverse_point(
     bvh: Bvh,
     q: PointQuery,
-    anyhit: Callable[[int], Verdict | None],
+    anyhit: Callable[[int], object],
     counters: TraversalCounters | None = None,
 ) -> int:
-    """Invoke `anyhit(id)` once per leaf primitive whose box contains the query.
+    """Invoke `anyhit(id)` once per leaf primitive whose box contains the query; return the number of hits.
 
-    Hits are delivered in depth-first order, left child first.  Subtrees
-    whose node box excludes the query point are pruned without descending.
-    Returns the number of callbacks delivered; a Verdict.TERMINATE return
-    from the callback stops the delivery.  All hits are found first, so
-    `counters.nodes_tested` counts the full node walk either way.
+    Hits are delivered in :func:`point_hits` order, depth first, left child
+    first, whatever the callback returns.  `counters.nodes_tested` grows by
+    the node boxes the walk tested.
     """
     ids, tested = point_hits(bvh, q.origin.as_tuple())
     if counters is not None:
         counters.nodes_tested += tested
-    for delivered, hit in enumerate(ids.tolist(), 1):
-        if anyhit(hit) is Verdict.TERMINATE:
-            return delivered
+    for hit in ids.tolist():
+        anyhit(hit)
     return len(ids)
 
 
@@ -419,8 +401,8 @@ def traverse_points(bvh: Bvh, origins: np.ndarray,
     starts at the root.  Each step tests the slots of the frontier's leaves
     at once, keeping only the (query row, id) hits, and replaces each
     internal node by its two children, whose boxes are tested at once.
-    With no early termination this tests exactly the nodes and slots that
-    :func:`point_hits` tests for each query and inset.
+    It tests exactly the nodes and slots that :func:`point_hits` tests for
+    each query and inset.
 
     Yields ``(lo, hi, rows, ids, tested)`` for consecutive runs of query
     rows lo..hi-1, in order and together covering every row: the hit query
@@ -559,18 +541,13 @@ def probe_windows(bvh: Bvh, origins: np.ndarray, reach: float, min_count: int,
     return rows, bvh.perm.take(start[:, None] + np.arange(size))
 
 
-def node_visits(bvh: Bvh, q: PointQuery) -> int:
-    """Number of node boxes tested while traversing q (pruning metric)."""
-    return point_hits(bvh, q.origin.as_tuple())[1]
-
-
-def containment_scan(points, half_width: float, q: PointQuery) -> list[int]:
-    """Brute-force hit set: ids of all points whose cube contains q.
+def containment_scan(points, half_width: float, q) -> list[int]:
+    """Brute-force hit set: ids of all points whose cube contains the query row `q`.
 
     Independent linear-scan oracle for the traversal of
     ``build_point_bvh(points, half_width)``; O(n) per query.
     """
     h = _check_half_width(half_width)
     pts = _as_point_array(points)
-    o = np.asarray(q.origin.as_tuple())
+    o = checked_rows([q], "query")
     return np.flatnonzero(((pts - h <= o) & (o <= pts + h)).all(axis=1)).tolist()

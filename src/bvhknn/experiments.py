@@ -92,6 +92,9 @@ def _run_shared_build(variants, repeats: int) -> list[dict]:
         queries3 = transform_points(chain, ds.queries, label="query")
         if truth is None:
             truth = ground_truth(ds.data, ds.queries, cfg.metric, cfg.k)
+        if (truth.metric, truth.k) != (cfg.metric.canonical(), cfg.k):
+            raise ValueError(f"truth is for metric {truth.metric} and k {truth.k}, "
+                             f"but the config searches metric {cfg.metric.canonical()} and k {cfg.k}")
         if len(truth.rows) != len(queries3):
             raise ValueError(f"truth has {len(truth.rows)} rows for {len(queries3)} queries")
         searches.append((replace(cfg, metric=pipeline_metric_for(source)), queries3, truth))

@@ -1,16 +1,19 @@
-"""Checked points: the one rule for point and query rows, a 3D point, and the containment query.
+"""Checked input: the one rule for rows and the one for counts, a 3D point, and the containment query.
 
 Every data and query array passes :func:`checked_rows` where it enters,
-and its shape rule, :func:`shaped_rows`, reads an empty list as no rows.
-`Point3` and `PointQuery` are immutable, so they can be shared across
-concurrent query workers.  The boxes live only as rows of the BVH's numpy
-tables (see bvh.py), where the walks test them closed: a point sitting
-exactly on a face counts as contained.
+and its shape rule, :func:`shaped_rows`, reads an empty list as no rows;
+every k and leaf size passes :func:`checked_count`.  `Point3` and
+`PointQuery` are the argument of the any-hit
+:func:`bvhknn.bvh.traverse_point` alone; every other entry point takes
+plain rows.  The boxes live only as rows of the BVH's numpy tables (see
+bvh.py), where the walks test them closed: a point sitting exactly on a
+face counts as contained.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +40,17 @@ def checked_rows(points, label: str, width: int = 3) -> np.ndarray:
         bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
         raise ValueError(f"{label} index {bad} has non-finite coordinates")
     return rows
+
+
+def checked_count(value, name: str) -> int:
+    """`value`, a Python or numpy integer, as an int >= 1, else ValueError naming `name`."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise ValueError(f"{name} must be >= 1, got {count}")
+    return count
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Point3
+from .geometry import checked_rows
 
 KIND_LP = "lp"
 KIND_LINF = "linf"
@@ -190,8 +190,8 @@ def inclusion_radius(metric: MetricSpec, r: float, d: int = 3) -> float:
     return r * d ** (0.5 - 1.0 / metric.p)
 
 
-def in_lp_ball(q: Point3, center: Point3, metric: MetricSpec, r: float) -> bool:
-    """True iff q lies in the closed metric ball of radius r around center.
+def in_lp_ball(q, center, metric: MetricSpec, r: float) -> bool:
+    """True iff the row q lies in the closed metric ball of radius r around the row center.
 
     This is the membership test behind the user-filter geometries: sphere
     (p=2), square bi-pyramid (p=1), cube (LInf), and the surfaces between.
@@ -203,5 +203,5 @@ def in_lp_ball(q: Point3, center: Point3, metric: MetricSpec, r: float) -> bool:
         raise ValueError(f"metric {metric.canonical()!r} has no ball geometry")
     if not (r > 0):
         raise ValueError(f"radius must be > 0, got {r}")
-    w = weights(metric, [q.as_tuple()], center.as_tuple())[0]
+    w = weights(metric, checked_rows([q], "query"), checked_rows([center], "center"))[0]
     return bool(w <= weights(metric, [(r, 0.0, 0.0)], (0.0, 0.0, 0.0))[0])

@@ -52,7 +52,7 @@ from .metrics import (
     distances,
     weights,
 )
-from .geometry import checked_rows
+from .geometry import checked_count, checked_rows
 from .pipeline import Transform, pipeline_metric_for, transform_points
 
 NeighborRow = list[tuple[int, float]]
@@ -133,8 +133,7 @@ def _reachable(rows: np.ndarray, qrow, metric: MetricSpec, k: int) -> np.ndarray
 
 def _knn_rows(points, queries, metric: MetricSpec, k: int, radius: float | None) -> list[NeighborRow]:
     """Exact neighbor rows for each query; the data and the queries are each mapped once."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = checked_count(k, "k")
     if radius is not None:
         if math.isnan(radius):
             raise ValueError("radius must not be NaN")
@@ -218,7 +217,7 @@ def ground_truth(points, queries, metric: MetricSpec, k: int, radius: float | No
     parsed) once for the batch.
     """
     rows = _knn_rows(points, queries, metric, k, radius)
-    return GroundTruth(metric=metric.canonical(), k=k, rows=rows)
+    return GroundTruth(metric=metric.canonical(), k=int(k), rows=rows)  # a numpy k saves as JSON
 
 
 def _result_ids(result) -> set[int]:

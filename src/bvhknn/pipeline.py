@@ -76,7 +76,7 @@ from .bvh import (
     probe_windows,
     traverse_points,
 )
-from .geometry import checked_rows, float_rows, shaped_rows
+from .geometry import checked_count, checked_rows, float_rows, shaped_rows
 from .metrics import (
     KIND_ANGULAR,
     KIND_COSINE,
@@ -109,10 +109,9 @@ class ReductionConfig:
     def __post_init__(self):
         if not math.isfinite(self.r) or self.r <= 0:
             raise ValueError(f"radius must be finite and > 0, got {self.r}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.leaf_size < 1:
-            raise ValueError(f"leaf_size must be >= 1, got {self.leaf_size}")
+        # numpy integers are stored as ints, which the reports' JSON takes
+        object.__setattr__(self, "k", checked_count(self.k, "k"))
+        object.__setattr__(self, "leaf_size", checked_count(self.leaf_size, "leaf_size"))
 
 
 @dataclass(frozen=True, slots=True)

@@ -13,8 +13,6 @@ import pytest
 
 from bvhknn import (
     MetricSpec,
-    Point3,
-    PointQuery,
     ReductionConfig,
     batch_query,
     build_index,
@@ -23,13 +21,12 @@ from bvhknn import (
     distances,
     in_lp_ball,
     inclusion_radius,
-    node_visits,
     recall,
     run_query,
     scene_half_width,
     sweep,
     transform_points,
-    traverse_point,
+    traverse_points,
     weights,
     Dataset,
     Transform,
@@ -154,9 +151,7 @@ def test_criterion_3_inclusion_property():
     inside = 0
     for c_row, p_row, r, mi in zip(centers.tolist(), points.tolist(), radii.tolist(), picks):
         metric = metrics[mi]
-        c = Point3(*c_row)
-        p = Point3(*p_row)
-        if in_lp_ball(p, c, metric, r):
+        if in_lp_ball(p_row, c_row, metric, r):
             inside += 1
             if math.dist(p_row, c_row) > inclusion_radius(metric, r, 3) * (1 + 1e-12):
                 violations += 1
@@ -165,16 +160,16 @@ def test_criterion_3_inclusion_property():
     for metric in metrics:
         for r in (0.5, 1.0, 7.25):
             if metric.kind == "linf":
-                extremal = Point3(r, r, r)
+                extremal = (r, r, r)
             elif metric.p <= 2:
-                extremal = Point3(r, 0.0, 0.0)
+                extremal = (r, 0.0, 0.0)
             else:
                 t = r * 3 ** (-1.0 / metric.p)
-                extremal = Point3(t, t, t)
-            w = weights(metric, [extremal.as_tuple()], (0.0, 0.0, 0.0))
+                extremal = (t, t, t)
+            w = weights(metric, [extremal], (0.0, 0.0, 0.0))
             if distances(metric, w)[0] > r * (1 + 1e-12):
                 tight = False
-            if abs(math.dist(extremal.as_tuple(), (0.0, 0.0, 0.0)) - inclusion_radius(metric, r, 3)) >= 1e-9:
+            if abs(math.dist(extremal, (0.0, 0.0, 0.0)) - inclusion_radius(metric, r, 3)) >= 1e-9:
                 tight = False
 
     anchor = inclusion_radius(LINF, 1.0, 2) == math.sqrt(2)
@@ -255,19 +250,19 @@ def test_criterion_5_bvh_contract():
         bvh = build_point_bvh(pts, hw, leaf_size=4)
         lo, hi = pts - hw, pts + hw
         queries = np.vstack([srng.uniform(0, 2, size=(6, 3)), srng.uniform(-1, 3, size=(2, 3))])
-        for q in queries:
-            got = []
-            traverse_point(bvh, PointQuery(Point3(*q)), got.append)
-            want = np.flatnonzero(((lo <= q) & (q <= hi)).all(axis=1))
-            if sorted(got) != list(want):
-                mismatches += 1
+        for first, end, rows, ids, _ in traverse_points(bvh, queries):
+            for j in range(first, end):
+                want = np.flatnonzero(((lo <= queries[j]) & (queries[j] <= hi)).all(axis=1))
+                if sorted(ids[rows == j]) != list(want):
+                    mismatches += 1
 
     crng = np.random.default_rng(77)
     width = 0.5
     cluster_a = crng.random((512, 3)) * 5.0
     cluster_b = crng.random((512, 3)) * 5.0 + 100.0
     cluster_bvh = build_point_bvh(np.vstack([cluster_a, cluster_b]), width, leaf_size=1)
-    visits = node_visits(cluster_bvh, PointQuery(Point3(2.5, 2.5, 2.5)))
+    [(_, _, _, _, tested)] = traverse_points(cluster_bvh, [[2.5, 2.5, 2.5]])
+    visits = int(tested[0])
     total_nodes = cluster_bvh.num_nodes
     pruned = visits < 0.15 * total_nodes
 

@@ -23,8 +23,6 @@ from hypothesis import given, settings, strategies as st
 
 from bvhknn import (
     MetricSpec,
-    Point3,
-    PointQuery,
     ReductionConfig,
     batch_query,
     brute_force_knn,
@@ -243,7 +241,7 @@ def test_small_scenes_fall_back_or_probe_every_point(metric):
             if n < 2 * k:
                 h = scene_half_width(ReductionConfig(metric, r, k))
                 assert radii[0] == r
-                assert results[0].hit_count == len(containment_scan(pts, h, PointQuery(Point3(*q))))
+                assert results[0].hit_count == len(containment_scan(pts, h, q))
             else:
                 assert radii[0] == kth_distance(pts, q, metric, k)
 

@@ -8,10 +8,8 @@ from bvhknn import (
     Point3,
     PointQuery,
     TraversalCounters,
-    Verdict,
     build_point_bvh,
     containment_scan,
-    node_visits,
     traverse_point,
     traverse_points,
 )
@@ -26,6 +24,11 @@ def collect_hits(bvh, q):
     got = []
     traverse_point(bvh, q, got.append)
     return got
+
+
+def nodes_tested(bvh, q):
+    """Node boxes the walk of the query row `q` tests."""
+    return bvh_module.point_hits(bvh, tuple(q))[1]
 
 
 def walk_boxes(bvh):
@@ -50,7 +53,7 @@ def test_single_primitive_tree():
     assert bvh.bounds[0].tolist() == [0.5, 1.5, 2.5, 1.5, 2.5, 3.5]
     assert bvh.leaf_primitives(0) == [0]
     assert bvh.max_depth() == 1
-    assert node_visits(bvh, query(1, 2, 3)) == 1
+    assert nodes_tested(bvh, (1, 2, 3)) == 1
 
 
 def test_two_separated_primitives_leaf1():
@@ -140,7 +143,7 @@ def test_build_matches_reference_split_rule(kind, leaf_size):
         nodes, order, depth = reference_tree(pts, 0.1, leaf_size)
         got = [(box, None if kids else bvh.leaf_primitives(idx)) for idx, box, kids in walk_boxes(bvh)]
         assert got == nodes
-        assert bvh.primitive_order == order
+        assert bvh.perm.tolist() == order
         assert bvh.num_nodes == len(nodes)
         assert bvh.max_depth() == depth
 
@@ -251,7 +254,7 @@ def test_traverse_trivial_scene():
     bvh = build_point_bvh([[0, 0, 0], [10, 10, 10]], 1.0, 4)
     assert collect_hits(bvh, query(0.5, 0, 0)) == [0]
     assert collect_hits(bvh, query(5, 5, 5)) == []
-    assert node_visits(bvh, query(100, 0, 0)) == 1  # root excludes, nothing else tested
+    assert nodes_tested(bvh, (100, 0, 0)) == 1  # root excludes, nothing else tested
 
 
 def test_anyhit_receives_primitive_id():
@@ -270,12 +273,11 @@ def test_traverse_matches_linear_scan(leaf_size):
     pts = rng.random((3000, 3))
     bvh = build_point_bvh(pts, 0.04, leaf_size)
     for qrow in rng.random((40, 3)):
-        q = PointQuery(Point3(*qrow))
-        hits = collect_hits(bvh, q)
-        scan = containment_scan(pts, 0.04, q)
+        hits = collect_hits(bvh, query(*qrow))
+        scan = containment_scan(pts, 0.04, qrow)
         assert sorted(hits) == sorted(scan)
         # hits arrive depth first, left child first: in leaf storage order
-        assert hits == [i for i in bvh.primitive_order if i in scan]
+        assert hits == [i for i in bvh.perm.tolist() if i in scan]
 
 
 def all_hits(bvh, origins):
@@ -304,9 +306,8 @@ def test_traverse_points_matches_linear_scan(kind, leaf_size):
     assert runs == [(0, len(origins))]  # far below the pair budget: one run
     assert len(rows) == len(ids) and len(tested) == len(origins)
     for j, qrow in enumerate(origins):
-        q = PointQuery(Point3(*qrow))
-        assert sorted(ids[rows == j].tolist()) == containment_scan(pts, 0.0625, q)
-        assert tested[j] == node_visits(bvh, q)
+        assert sorted(ids[rows == j].tolist()) == containment_scan(pts, 0.0625, qrow)
+        assert tested[j] == nodes_tested(bvh, qrow)
     assert tested[-1] == 1  # outside the root box: nothing else is tested
 
 
@@ -343,9 +344,8 @@ def test_traverse_points_splits_runs_at_pair_budget(monkeypatch, budget, leaf_si
     halved_holding_hits = any(np.unique(np.searchsorted(ends, r, side="right")).size > 1 for r in leaf_rows)
     assert halved_holding_hits == (leaf_size > 1 and budget >= 100)
     for j, qrow in enumerate(origins):
-        q = PointQuery(Point3(*qrow))
-        assert sorted(ids[rows == j].tolist()) == containment_scan(pts, 0.3, q)
-        assert tested[j] == node_visits(bvh, q)
+        assert sorted(ids[rows == j].tolist()) == containment_scan(pts, 0.3, qrow)
+        assert tested[j] == nodes_tested(bvh, qrow)
 
 
 def test_traverse_points_counts_held_hits_against_the_budget(monkeypatch):
@@ -362,9 +362,8 @@ def test_traverse_points_counts_held_hits_against_the_budget(monkeypatch):
         if hi - lo > 1:
             assert np.count_nonzero((lo <= rows) & (rows < hi)) <= 180
     for j, qrow in enumerate(origins):
-        q = PointQuery(Point3(*qrow))
-        assert sorted(ids[rows == j].tolist()) == containment_scan(pts, 0.3, q)
-        assert tested[j] == node_visits(bvh, q)
+        assert sorted(ids[rows == j].tolist()) == containment_scan(pts, 0.3, qrow)
+        assert tested[j] == nodes_tested(bvh, qrow)
 
 
 # Slot-test block sizes, None for the default: blocks of 1 and 7 split every
@@ -404,33 +403,23 @@ def test_traverse_points_no_queries():
     assert list(traverse_points(bvh, np.empty((0, 3)))) == []
 
 
-def test_termination_semantics():
-    scenes = [(np.zeros((20, 3)), 1.0, query(0, 0, 0)),  # all boxes contain the query
-              (np.random.default_rng(3).random((400, 3)), 0.3, query(0.5, 0.5, 0.5))]
+def test_traverse_point_delivers_every_hit():
+    scenes = [(np.zeros((20, 3)), 1.0, (0.0, 0.0, 0.0)),  # all boxes contain the query
+              (np.random.default_rng(3).random((400, 3)), 0.3, (0.5, 0.5, 0.5))]
     assert containment_scan(*scenes[0]) == list(range(20))
     for pts, hw, q in scenes:
         bvh = build_point_bvh(pts, hw, leaf_size=4)
-        full = collect_hits(bvh, q)
-        total = len(full)
-        assert sorted(full) == containment_scan(pts, hw, q)
-        assert traverse_point(bvh, q, lambda h: None) == total
+        ids, tested = bvh_module.point_hits(bvh, q)
         hit_leaves = [node for node in range(bvh.num_nodes) if bvh.node_children(node) is None
-                      and set(bvh.leaf_primitives(node)) & set(full)]
+                      and set(bvh.leaf_primitives(node)) & set(ids.tolist())]
         assert len(hit_leaves) > 1
         counters = TraversalCounters()
-        traverse_point(bvh, q, lambda h: None, counters)
-        for stop_after in (1, 5, total - 1, total, total + 10):
+        for returned in (None, True, "stop"):  # what the callback returns is ignored
             seen = []
-
-            def anyhit(hit):
-                seen.append(hit)
-                return Verdict.TERMINATE if len(seen) >= stop_after else Verdict.CONTINUE
-
-            stopped = TraversalCounters()
-            delivered = traverse_point(bvh, q, anyhit, stopped)
-            assert delivered == len(seen) == min(stop_after, total)
-            assert seen == full[:delivered]
-            assert stopped.nodes_tested == counters.nodes_tested  # the whole node walk counts
+            assert traverse_point(bvh, query(*q), lambda h: seen.append(h) or returned, counters) == len(ids)
+            assert seen == ids.tolist()
+            assert sorted(seen) == containment_scan(pts, hw, q)
+        assert counters.nodes_tested == 3 * tested  # the counters add up over calls
 
 
 def test_bvh_holds_only_read_only_tables():
@@ -466,12 +455,8 @@ def test_tables_of_other_dtypes_and_layouts():
     assert type(b.half_width) is float and b.half_width == a.half_width == 0.25
     assert b.dump() == a.dump()
     for qrow in np.vstack([rng.random((30, 3)) * 4, rng.integers(0, 65, size=(20, 3)) / 16.0]):
-        q = PointQuery(Point3(*qrow))
-        ca, cb = TraversalCounters(), TraversalCounters()
-        ha, hb = [], []
-        traverse_point(a, q, ha.append, ca)
-        traverse_point(b, q, hb.append, cb)
-        assert ha == hb and ca.nodes_tested == cb.nodes_tested
+        (ha, ca), (hb, cb) = (bvh_module.point_hits(bvh, tuple(qrow)) for bvh in (a, b))
+        assert ha.tolist() == hb.tolist() and ca == cb
 
 
 def test_deterministic_build_and_hit_order():
@@ -480,24 +465,23 @@ def test_deterministic_build_and_hit_order():
     a = build_point_bvh(pts, 0.3, 4)
     b = build_point_bvh(pts, 0.3, 4)
     assert a.dump() == b.dump()
-    assert a.primitive_order == b.primitive_order
-    q = query(0.5, 0.5, 0.5)
-    assert collect_hits(a, q) == collect_hits(b, q)
+    assert a.perm.tolist() == b.perm.tolist()
+    q = (0.5, 0.5, 0.5)
+    assert bvh_module.point_hits(a, q)[0].tolist() == bvh_module.point_hits(b, q)[0].tolist()
 
 
 def test_pruning_never_skips_containing_node():
     rng = np.random.default_rng(11)
     pts = rng.random((800, 3))
     bvh = build_point_bvh(pts, 0.05, 4)
-    for qrow in rng.random((10, 3)):
-        q = Point3(*qrow)
+    for x, y, z in rng.random((10, 3)):
         containing = [
             idx
             for idx, box, _ in walk_boxes(bvh)
-            if box[0] <= q.x <= box[3] and box[1] <= q.y <= box[4] and box[2] <= q.z <= box[5]
+            if box[0] <= x <= box[3] and box[1] <= y <= box[4] and box[2] <= z <= box[5]
         ]
         # every containing node is tested, so visits >= containing count
-        assert node_visits(bvh, PointQuery(q)) >= len(containing)
+        assert nodes_tested(bvh, (x, y, z)) >= len(containing)
 
 
 def test_two_cluster_pruning():
@@ -507,10 +491,9 @@ def test_two_cluster_pruning():
     b = rng.random((512, 3)) * 5.0 + 100.0
     pts = np.vstack([a, b])
     bvh = build_point_bvh(pts, width, leaf_size=1)
-    q = PointQuery(Point3(2.5, 2.5, 2.5))
-    visits = node_visits(bvh, q)
+    visits = nodes_tested(bvh, (2.5, 2.5, 2.5))
     assert visits < 2 * 512
-    assert node_visits(bvh, PointQuery(Point3(300, 300, 300))) == 1  # outside the union box
+    assert nodes_tested(bvh, (300, 300, 300)) == 1  # outside the union box
 
 
 def test_dump_is_indented_text():

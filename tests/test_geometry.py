@@ -2,22 +2,23 @@
 
 The boxes exist only as rows of the BVH's tables, so they are read from a
 one-point build, and the closed-box rule from its linear-scan reference,
-containment_scan.
+containment_scan, which takes a plain query row.
 """
 
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bvhknn import Point3, PointQuery, build_point_bvh, containment_scan
+from bvhknn import Point3, build_point_bvh, containment_scan
 
 coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 half = st.floats(min_value=0.0, max_value=1e3, allow_nan=False, allow_infinity=False)
 
 
-def points(draw=None):
-    return st.builds(Point3, coord, coord, coord)
+def points():
+    return st.tuples(coord, coord, coord)
 
 
 def box_around(center, half_width):
@@ -27,7 +28,7 @@ def box_around(center, half_width):
 
 def contains(center, half_width, p):
     """Whether the closed box of half width `half_width` around `center` holds `p`."""
-    return containment_scan([center], half_width, PointQuery(p)) == [0]
+    return containment_scan([center], half_width, p) == [0]
 
 
 def test_aabb_around_unit():
@@ -50,7 +51,7 @@ def test_aabb_around_rejects_bad_half_width(bad):
     with pytest.raises(ValueError):
         box_around((0, 0, 0), bad)
     with pytest.raises(ValueError):
-        contains((0, 0, 0), bad, Point3(0, 0, 0))
+        contains((0, 0, 0), bad, (0, 0, 0))
 
 
 def test_point_rejects_non_finite():
@@ -60,16 +61,24 @@ def test_point_rejects_non_finite():
         Point3(float("inf"), 0.0, 0.0)
 
 
+def test_containment_scan_rejects_bad_query_rows():
+    for bad in ((0.0, float("nan"), 0.0), (float("inf"), 0.0, 0.0)):
+        with pytest.raises(ValueError, match="query index 0 has non-finite coordinates"):
+            contains((0, 0, 0), 1.0, bad)
+    with pytest.raises(ValueError, match=re.escape("array of query points, got shape (1, 2)")):
+        contains((0, 0, 0), 1.0, (0.0, 0.0))
+
+
 def test_contains_interior_boundary_exterior():
-    assert contains((0, 0, 0), 1.0, Point3(0.5, 0, 0))
-    assert contains((0, 0, 0), 1.0, Point3(1, 1, 1))  # closed box
-    assert not contains((0, 0, 0), 1.0, Point3(1.0000001, 0, 0))
+    assert contains((0, 0, 0), 1.0, (0.5, 0, 0))
+    assert contains((0, 0, 0), 1.0, (1, 1, 1))  # closed box
+    assert not contains((0, 0, 0), 1.0, (1.0000001, 0, 0))
 
 
 @given(points(), half, points())
 @settings(deadline=None)
 def test_containment_matches_chebyshev(center, h, p):
-    cheb = max(abs(p.x - center.x), abs(p.y - center.y), abs(p.z - center.z))
+    cheb = max(abs(a - c) for a, c in zip(p, center))
     # rounding can flip either side exactly on the boundary; stay off it
-    assume(abs(cheb - h) > 1e-9 * max(1.0, h, abs(center.x), abs(center.y), abs(center.z)))
-    assert contains(center.as_tuple(), h, p) == (cheb <= h)
+    assume(abs(cheb - h) > 1e-9 * max(1.0, h, *map(abs, center)))
+    assert contains(center, h, p) == (cheb <= h)

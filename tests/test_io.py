@@ -5,6 +5,7 @@ import pytest
 
 from bvhknn import (
     Dataset,
+    GroundTruth,
     MetricSpec,
     ReductionConfig,
     read_records,
@@ -118,6 +119,21 @@ def test_run_experiment_rejects_empty_queries():
     ds = Dataset(np.random.default_rng(0).random((10, 3)), np.empty((0, 3)))
     with pytest.raises(ValueError, match="at least one query"):
         run_experiment(ds, ReductionConfig(MetricSpec.lp(2), 0.1, 3))
+
+
+def test_run_experiment_rejects_truth_for_another_metric_or_k(tmp_path):
+    rng = np.random.default_rng(5)
+    ds = Dataset(rng.random((200, 3)), rng.random((15, 3)))
+    cfg = ReductionConfig(MetricSpec.lp(2), 0.3, 5)
+    own = ground_truth(ds.data, ds.queries, cfg.metric, cfg.k)
+    own.save(tmp_path / "truth.json")
+    reports = [run_experiment(ds, cfg, truth=truth) for truth in (own, GroundTruth.load(tmp_path / "truth.json"))]
+    assert [report["recall"]["mean"] for report in reports] == [1.0, 1.0]
+    for metric, k in ((MetricSpec.lp(1), 5), (MetricSpec.lp(2), 10)):
+        other = ground_truth(ds.data, ds.queries, metric, k)
+        with pytest.raises(ValueError, match=f"metric {metric.canonical()} and k {k}, "
+                                             f"but the config searches metric lp:2 and k 5"):
+            run_experiment(ds, cfg, truth=other)
 
 
 def test_report_recall_matches_recomputation():

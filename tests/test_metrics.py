@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bvhknn import MetricSpec, Point3, distances, in_lp_ball, inclusion_radius, weights
+from bvhknn import MetricSpec, distances, in_lp_ball, inclusion_radius, weights
 
-ORIGIN = Point3(0, 0, 0)
+ORIGIN = (0.0, 0.0, 0.0)
 LINF = MetricSpec.linf()
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False, allow_infinity=False)
-pt = st.builds(Point3, coord, coord, coord)
+pt = st.tuples(coord, coord, coord)
 metric_st = st.sampled_from(
     [MetricSpec.lp(1), MetricSpec.lp(1.5), MetricSpec.lp(2), MetricSpec.lp(3), MetricSpec.lp(4), MetricSpec.linf()]
 )
@@ -18,31 +18,31 @@ metric_st = st.sampled_from(
 
 def weight(metric, a, b):
     """The kernel's weight between two single points."""
-    return float(weights(metric, [a.as_tuple()], b.as_tuple())[0])
+    return float(weights(metric, [a], b)[0])
 
 
 def distance(metric, a, b):
     """The kernel's distance between two single points."""
-    return float(distances(metric, weights(metric, [a.as_tuple()], b.as_tuple()))[0])
+    return float(distances(metric, weights(metric, [a], b))[0])
 
 
 def test_lp_weight_examples():
-    assert weight(MetricSpec.lp(1), ORIGIN, Point3(1, 2, 2)) == 5.0
-    assert weight(MetricSpec.lp(2), ORIGIN, Point3(1, 2, 2)) == 9.0
-    assert weight(MetricSpec.lp(3), ORIGIN, Point3(0.5, 0.5, 0.5)) == pytest.approx(0.375, rel=1e-15)
+    assert weight(MetricSpec.lp(1), ORIGIN, (1, 2, 2)) == 5.0
+    assert weight(MetricSpec.lp(2), ORIGIN, (1, 2, 2)) == 9.0
+    assert weight(MetricSpec.lp(3), ORIGIN, (0.5, 0.5, 0.5)) == pytest.approx(0.375, rel=1e-15)
 
 
 def test_lp_weight_rejects_quasinorm():
     with pytest.raises(ValueError):
-        weight(MetricSpec.lp(0.5), ORIGIN, Point3(1, 1, 1))
+        weight(MetricSpec.lp(0.5), ORIGIN, (1, 1, 1))
     with pytest.raises(ValueError):
         MetricSpec.lp(0.99)
 
 
 def test_linf_weight_examples():
-    assert weight(LINF, ORIGIN, Point3(1, 2, 2)) == 2.0
-    assert weight(LINF, Point3(0.9, 0.9, 0.9), ORIGIN) == 0.9
-    assert weight(LINF, Point3(3, -1, 2), Point3(3, -1, 2)) == 0.0
+    assert weight(LINF, ORIGIN, (1, 2, 2)) == 2.0
+    assert weight(LINF, (0.9, 0.9, 0.9), ORIGIN) == 0.9
+    assert weight(LINF, (3, -1, 2), (3, -1, 2)) == 0.0
 
 
 def _reference_distance(metric, a, b):
@@ -150,17 +150,26 @@ def test_inclusion_radius_rejects_bad_inputs():
 
 
 def test_in_lp_ball_examples():
-    assert in_lp_ball(Point3(0.9, 0.9, 0.9), ORIGIN, MetricSpec.linf(), 1.0)
-    assert math.dist((0.9, 0.9, 0.9), ORIGIN.as_tuple()) > 1.0  # inside cube, outside sphere
-    assert not in_lp_ball(Point3(0.5, 0.5, 0.5), ORIGIN, MetricSpec.lp(1), 1.0)
-    assert in_lp_ball(Point3(1, 0, 0), ORIGIN, MetricSpec.lp(1), 1.0)  # boundary inclusive
+    assert in_lp_ball((0.9, 0.9, 0.9), ORIGIN, MetricSpec.linf(), 1.0)
+    assert math.dist((0.9, 0.9, 0.9), ORIGIN) > 1.0  # inside cube, outside sphere
+    assert not in_lp_ball((0.5, 0.5, 0.5), ORIGIN, MetricSpec.lp(1), 1.0)
+    assert in_lp_ball((1, 0, 0), ORIGIN, MetricSpec.lp(1), 1.0)  # boundary inclusive
+
+
+def test_in_lp_ball_rejects_bad_rows():
+    with pytest.raises(ValueError, match="query index 0 has non-finite coordinates"):
+        in_lp_ball((0.0, math.nan, 0.0), ORIGIN, MetricSpec.lp(2), 1.0)
+    with pytest.raises(ValueError, match="center index 0 has non-finite coordinates"):
+        in_lp_ball(ORIGIN, (math.inf, 0.0, 0.0), MetricSpec.lp(2), 1.0)
+    with pytest.raises(ValueError, match=r"array of query points, got shape \(1, 2\)"):
+        in_lp_ball((0.0, 0.0), ORIGIN, MetricSpec.lp(2), 1.0)
 
 
 @given(pt, pt, metric_st, st.floats(min_value=0.01, max_value=50, allow_nan=False))
 @settings(deadline=None)
 def test_inclusion_superset(center, p, metric, r):
     if in_lp_ball(p, center, metric, r):
-        assert math.dist(p.as_tuple(), center.as_tuple()) <= inclusion_radius(metric, r, 3) * (1 + 1e-12)
+        assert math.dist(p, center) <= inclusion_radius(metric, r, 3) * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("metric", [MetricSpec.lp(1), MetricSpec.lp(2), MetricSpec.lp(3), MetricSpec.lp(4), MetricSpec.linf()])
@@ -168,20 +177,20 @@ def test_inclusion_superset(center, p, metric, r):
 def test_inclusion_tightness_at_extremes(metric, r):
     # some boundary point of the metric ball reaches the circumscribing radius
     if metric.kind == "linf":
-        extremal = Point3(r, r, r)
+        extremal = (r, r, r)
     elif metric.p <= 2:
-        extremal = Point3(r, 0, 0)
+        extremal = (r, 0, 0)
     else:
         t = r * 3 ** (-1.0 / metric.p)
-        extremal = Point3(t, t, t)
+        extremal = (t, t, t)
     assert distance(metric, extremal, ORIGIN) <= r * (1 + 1e-12)
-    assert abs(math.dist(extremal.as_tuple(), ORIGIN.as_tuple()) - inclusion_radius(metric, r, 3)) < 1e-9
+    assert abs(math.dist(extremal, ORIGIN) - inclusion_radius(metric, r, 3)) < 1e-9
 
 
 @given(pt, pt, pt, metric_st)
 @settings(deadline=None)
 def test_weight_orders_like_distance(q, a, b, metric):
-    w = weights(metric, [a.as_tuple(), b.as_tuple()], q.as_tuple())
+    w = weights(metric, [a, b], q)
     (wa, wb), (da, db) = w.tolist(), distances(metric, w).tolist()
     if wa < wb:
         assert da <= db

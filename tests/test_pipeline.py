@@ -13,6 +13,7 @@ from bvhknn import (
     batch_query,
     brute_force_knn,
     build_index,
+    build_point_bvh,
     ground_truth,
     knn_search,
     pipeline_metric_for,
@@ -53,6 +54,30 @@ def test_config_validation():
         ReductionConfig(L1, 1.0, 0)
     with pytest.raises(ValueError):
         ReductionConfig(L1, 1.0, 1, leaf_size=0)
+
+
+def test_k_and_leaf_size_must_be_integers():
+    pts = np.random.default_rng(3).random((50, 3))
+    for bad in (2.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            ReductionConfig(L2, 0.3, bad)
+        with pytest.raises(ValueError, match="leaf_size must be an integer"):
+            ReductionConfig(L2, 0.3, 2, leaf_size=bad)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            knn_search(pts, pts[:2], L2, r=0.3, k=bad)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            brute_force_knn(pts, pts[0], L2, k=bad)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            ground_truth(pts, pts[:2], L2, k=bad)
+        with pytest.raises(ValueError, match="leaf_size must be an integer"):
+            build_point_bvh(pts, 0.1, leaf_size=bad)
+    # numpy integers are integers, and the config keeps them as ints
+    cfg = ReductionConfig(L2, 0.3, np.int64(2), leaf_size=np.int32(4))
+    assert (cfg.k, cfg.leaf_size) == (2, 4) and type(cfg.k) is type(cfg.leaf_size) is int
+    assert build_point_bvh(pts, 0.1, leaf_size=np.int64(4)).leaf_size == 4
+    assert knn_search(pts, pts[:2], L2, r=0.3, k=np.int64(2)) == knn_search(pts, pts[:2], L2, r=0.3, k=2)
+    assert brute_force_knn(pts, pts[0], L2, k=np.uint8(3)) == brute_force_knn(pts, pts[0], L2, k=3)
+    assert type(ground_truth(pts, pts[:2], L2, k=np.int64(3)).k) is int
 
 
 # --- filter-refine pipelines ------------------------------------------------
@@ -301,7 +326,8 @@ def test_batch_query_memory_bounded_at_large_radius():
     assert [res.hit_count for res in got] == [len(pts)] * len(queries)
     assert [res.candidate_count for res in got] == [5] * len(queries)
     assert got[::97] == [run_query(bvh, pts, q, cfg) for q in queries[::97]]
-    assert peak < 512 * bvh_module.PAIR_BUDGET  # about 250 bytes a pair
+    # 5,184,710 bytes traced, about 79 bytes a pair; PAIR_BUDGET's comment allows about 140
+    assert peak < 160 * bvh_module.PAIR_BUDGET
 
 
 def test_float32_data_is_searched_as_it_is():
