@@ -128,18 +128,6 @@ class Bvh:
     def num_primitives(self) -> int:
         return len(self.perm)
 
-    def node_children(self, index: int) -> tuple[int, int] | None:
-        """(left, right) for an internal node, None for a leaf."""
-        left = int(self.left[index])
-        return None if left < 0 else (left, left + 1)
-
-    def leaf_primitives(self, index: int) -> list[int]:
-        """Dataset ids stored in a leaf node."""
-        if self.left[index] >= 0:
-            raise ValueError(f"node {index} is internal")
-        s = int(self.starts[index])
-        return self.perm[s : s + self.counts[index]].tolist()
-
     def max_depth(self) -> int:
         """Longest root-to-leaf path, counting the root as depth 1."""
         return self._depth
@@ -167,24 +155,6 @@ class Bvh:
             "surface_area_sum": float(area.sum()),
             "overlap_volume_sum": float(overlap.sum()),
         }
-
-    def dump(self) -> str:
-        """Indented text rendering of the tree, for debugging and tests."""
-        lines: list[str] = []
-
-        def walk(idx: int, depth: int) -> None:
-            b = self.bounds[idx].tolist()
-            head = f"{'  ' * depth}[{idx}] ({b[0]:.6g},{b[1]:.6g},{b[2]:.6g})..({b[3]:.6g},{b[4]:.6g},{b[5]:.6g})"
-            kids = self.node_children(idx)
-            if kids is None:
-                lines.append(f"{head} leaf ids={self.leaf_primitives(idx)}")
-            else:
-                lines.append(f"{head} internal")
-                walk(kids[0], depth + 1)
-                walk(kids[1], depth + 1)
-
-        walk(0, 0)
-        return "\n".join(lines)
 
 
 def _as_point_array(points) -> np.ndarray:
@@ -393,14 +363,17 @@ def traverse_points(bvh: Bvh, origins: np.ndarray,
                     insets: np.ndarray | None = None) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
     """Every (query, primitive) containment hit of many point queries at once.
 
-    `origins` is an (m, 3) float array, and `insets` an optional (m,) array
-    of per-query box insets (0 when omitted), applied as :func:`point_hits`
-    applies its `inset`, and with its rule: six coordinates a box test
-    only if some inset is nonzero.  The traversal is a wavefront, one tree
-    level a step: a frontier of (query row, node) pairs whose boxes passed
-    starts at the root.  Each step tests the slots of the frontier's leaves
-    at once, keeping only the (query row, id) hits, and replaces each
-    internal node by its two children, whose boxes are tested at once.
+    `origins` is an (m, 3) array of finite rows, checked by
+    :func:`bvhknn.geometry.checked_rows`, and `insets` an optional (m,)
+    array of finite per-query box insets >= 0 (0 when omitted), applied as
+    :func:`point_hits` applies its `inset`, and with its rule: six
+    coordinates a box test only if some inset is nonzero.  A bad row or
+    inset raises ValueError naming its index.  The traversal is a
+    wavefront, one tree level a step: a frontier of (query row, node)
+    pairs whose boxes passed starts at the root.  Each step tests the
+    slots of the frontier's leaves at once, keeping only the (query row,
+    id) hits, and replaces each internal node by its two children, whose
+    boxes are tested at once.
     It tests exactly the nodes and slots that :func:`point_hits` tests for
     each query and inset.
 
@@ -416,12 +389,18 @@ def traverse_points(bvh: Bvh, origins: np.ndarray,
     holds at most its frontier, its hits and one level's slots.
     """
     # take/compress rather than fancy indexing: same result, several times faster.
-    origins = np.asarray(origins, dtype=np.float64)
+    origins = checked_rows(origins, "query")
     m = len(origins)
     spans = origins
-    if insets is not None and (inset := np.asarray(insets, dtype=np.float64).reshape(m, 1)).any():
-        # one (q - inset, q + inset) row per query: each test gathers a single array
-        spans = np.hstack([origins - inset, origins + inset])
+    if insets is not None:
+        inset = np.asarray(insets, dtype=np.float64).reshape(m, 1)
+        ok = (inset >= 0) & (inset < np.inf)  # NaN fails both
+        if not ok.all():
+            bad = np.flatnonzero(~ok)[0]
+            raise ValueError(f"inset index {bad} must be finite and >= 0, got {inset[bad, 0]}")
+        if inset.any():
+            # one (q - inset, q + inset) row per query: each test gathers a single array
+            spans = np.hstack([origins - inset, origins + inset])
     tested = np.ones(m, dtype=np.int64)  # every query tests the root box
     rows = np.flatnonzero(_contains(bvh.bounds[:1], spans))  # the root box against every query
     none = np.zeros(0, dtype=np.int64)

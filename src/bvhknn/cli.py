@@ -16,7 +16,6 @@ import sys
 import time
 from dataclasses import replace
 
-from .bvh import DEFAULT_LEAF_SIZE
 from .datasets import FORMATS, read_records, synthetic_points
 from .experiments import SWEEP_AXES, Dataset, run_experiment, sweep
 from .metrics import KIND_EUCLID2D, KIND_HAMMING3, MetricSpec
@@ -56,7 +55,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--radius", type=float, help="search radius r")
     sub.add_argument("--k", type=int, default=10)
     sub.add_argument("--enhanced", type=_parse_bool, default=False, metavar="BOOL")
-    sub.add_argument("--leaf-size", type=int, default=DEFAULT_LEAF_SIZE)
     sub.add_argument("--repeats", type=int, default=1)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", help="write JSON here instead of stdout")
@@ -120,7 +118,7 @@ def _config(args) -> ReductionConfig:
     metric = MetricSpec.parse(args.metric)
     if args.radius is None:
         raise ValueError("--radius is required for this command")
-    return ReductionConfig(metric, args.radius, args.k, args.enhanced, args.leaf_size)
+    return ReductionConfig(metric, args.radius, args.k, args.enhanced)
 
 
 def _emit(obj, out_path) -> None:
@@ -144,8 +142,7 @@ def _cmd_build_info(args) -> dict:
     build_ms = (time.perf_counter() - t0) * 1e3
     return {
         "schema": "bvhknn.build-info/1",
-        "config": {"metric": config.metric.canonical(), "radius": config.r,
-                   "leaf_size": config.leaf_size, "enhanced": config.enhanced},
+        "config": {"metric": config.metric.canonical(), "radius": config.r, "enhanced": config.enhanced},
         "dataset": dataset.described(),
         "index": {
             "num_primitives": bvh.num_primitives,

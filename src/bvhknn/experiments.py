@@ -55,7 +55,6 @@ def _config_echo(config: ReductionConfig, repeats: int) -> dict:
         "radius": config.r,
         "k": config.k,
         "enhanced": config.enhanced,
-        "leaf_size": config.leaf_size,
         "repeats": repeats,
     }
 
@@ -73,7 +72,7 @@ def run_experiment(dataset: Dataset, config: ReductionConfig, repeats: int = 1,
 def _run_shared_build(variants, repeats: int) -> list[dict]:
     """One report per (dataset, config, truth) variant, all searched on one build per repeat.
 
-    The variants share the data, metric and leaf size, and may differ in
+    The variants share the data and metric, and may differ in
     queries, radius, k and truth.  The index is built once per repeat for
     the widest scene boxes, which serve every variant, and every variant's
     "build_ms" lists those shared builds.  A missing truth is computed

@@ -67,7 +67,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bvh import (
-    DEFAULT_LEAF_SIZE,
     PAIR_BUDGET,
     Bvh,
     build_point_bvh,
@@ -92,26 +91,29 @@ from .metrics import (
 
 @dataclass(frozen=True, slots=True)
 class ReductionConfig:
-    """How to run a search: target metric, radius, k, and pipeline knobs.
+    """How to run a search: target metric, radius, k, and scene geometry.
 
     `r` is the search radius in target-metric units (for transform-backed
     metrics: in the mapped space, e.g. chord length for cosine/angular).
-    `enhanced` selects the tighter scene geometry; it changes filtering
-    cost, never results.
+    `enhanced`, a Python or numpy bool stored as a bool, selects the
+    tighter scene geometry; it changes filtering cost, never results.
+    The tree's leaf size is a build parameter, not a search setting (see
+    :func:`build_index`).
     """
 
     metric: MetricSpec
     r: float
     k: int
     enhanced: bool = False
-    leaf_size: int = DEFAULT_LEAF_SIZE
 
     def __post_init__(self):
         if not math.isfinite(self.r) or self.r <= 0:
             raise ValueError(f"radius must be finite and > 0, got {self.r}")
-        # numpy integers are stored as ints, which the reports' JSON takes
+        if not isinstance(self.enhanced, (bool, np.bool_)):
+            raise ValueError(f"enhanced must be a bool, got {self.enhanced!r}")
+        # numpy integers and bools are stored as ints and bools, which the reports' JSON takes
         object.__setattr__(self, "k", checked_count(self.k, "k"))
-        object.__setattr__(self, "leaf_size", checked_count(self.leaf_size, "leaf_size"))
+        object.__setattr__(self, "enhanced", bool(self.enhanced))
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,8 +155,12 @@ def scene_half_width(config: ReductionConfig) -> float:
 
 
 def build_index(points, config: ReductionConfig) -> Bvh:
-    """Build the BVH scene for `points` under `config`, boxes of half width ``scene_half_width(config)``."""
-    return build_point_bvh(points, scene_half_width(config), config.leaf_size)
+    """Build the BVH scene for `points` under `config`, boxes of half width ``scene_half_width(config)``.
+
+    The tree has the default leaf size; :func:`bvhknn.bvh.build_point_bvh`
+    builds one of any other, and every leaf size gives the same answers.
+    """
+    return build_point_bvh(points, scene_half_width(config))
 
 
 def _checked_points(bvh: Bvh, points, config: ReductionConfig) -> np.ndarray:
@@ -479,8 +485,7 @@ def to_source_units(source: MetricSpec, res: QueryResult) -> QueryResult:
     return QueryResult(neighbors, res.candidate_count, res.hit_count, res.node_visits)
 
 
-def knn_search(data, queries, metric: MetricSpec, r: float, k: int,
-               enhanced: bool = False, leaf_size: int = DEFAULT_LEAF_SIZE) -> list[QueryResult]:
+def knn_search(data, queries, metric: MetricSpec, r: float, k: int, enhanced: bool = False) -> list[QueryResult]:
     """One-call search: builds the scene and runs every query.
 
     `data` and `queries` are given in source form: (n, 3) vectors for the
@@ -491,7 +496,7 @@ def knn_search(data, queries, metric: MetricSpec, r: float, k: int,
     distance (for cosine: ascending angle, i.e. descending similarity).
     """
     chain = transform_chain_for(metric)
-    config = ReductionConfig(pipeline_metric_for(metric), r, k, enhanced, leaf_size)
+    config = ReductionConfig(pipeline_metric_for(metric), r, k, enhanced)
     data3 = transform_points(chain, data, label="data")
     queries3 = transform_points(chain, queries, label="query")
     bvh = build_index(data3, config)

@@ -27,6 +27,7 @@ from bvhknn import (
     batch_query,
     brute_force_knn,
     build_index,
+    build_point_bvh,
     containment_scan,
     knn_search,
     run_query,
@@ -295,8 +296,8 @@ def test_batch_query_matches_oracle_near_lattice(pts, queries, metric, enhanced,
     pts, queries = np.array(pts), np.array(queries)
     if r is None:  # the oracle's own k-th distance for the first query, when positive
         r = brute_force_knn(pts, queries[0], metric, k)[-1][1] or 0.25
-    cfg = ReductionConfig(metric, r, k, enhanced, leaf_size)
-    results = batch_query(build_index(pts, cfg), pts, queries, cfg)
+    cfg = ReductionConfig(metric, r, k, enhanced)
+    results = batch_query(build_point_bvh(pts, scene_half_width(cfg), leaf_size), pts, queries, cfg)
     assert len(results) == len(queries)
     for res, q in zip(results, queries):
         assert res.neighbors == brute_force_knn(pts, q, metric, k, radius=r)

@@ -31,13 +31,33 @@ def nodes_tested(bvh, q):
     return bvh_module.point_hits(bvh, tuple(q))[1]
 
 
+def children(bvh, node):
+    """(left, right) for an internal node, None for a leaf: the right child is left + 1."""
+    left = int(bvh.left[node])
+    return None if left < 0 else (left, left + 1)
+
+
+def leaf_ids(bvh, node):
+    """Dataset ids stored in a leaf, read from its slots of `perm`."""
+    assert bvh.left[node] < 0
+    start = int(bvh.starts[node])
+    return bvh.perm[start:start + bvh.counts[node]].tolist()
+
+
+def same_tree(a, b):
+    """Whether two indexes hold equal tables, compared table by table, and equal scalars."""
+    tables = ("bounds", "left", "starts", "counts", "perm", "boxes", "split_axis", "split_plane")
+    return (all(np.array_equal(getattr(a, t), getattr(b, t)) for t in tables)
+            and (a.half_width, a.leaf_size, a.max_depth()) == (b.half_width, b.leaf_size, b.max_depth()))
+
+
 def walk_boxes(bvh):
     """(node, its bounds row as a list, children or None) for every node, by full recursion."""
     out = []
 
     def walk(idx):
         box = bvh.bounds[idx].tolist()
-        kids = bvh.node_children(idx)
+        kids = children(bvh, idx)
         out.append((idx, box, kids))
         if kids:
             walk(kids[0])
@@ -51,7 +71,7 @@ def test_single_primitive_tree():
     bvh = build_point_bvh([[1.0, 2.0, 3.0]], 0.5, leaf_size=4)
     assert bvh.num_nodes == 1
     assert bvh.bounds[0].tolist() == [0.5, 1.5, 2.5, 1.5, 2.5, 3.5]
-    assert bvh.leaf_primitives(0) == [0]
+    assert leaf_ids(bvh, 0) == [0]
     assert bvh.max_depth() == 1
     assert nodes_tested(bvh, (1, 2, 3)) == 1
 
@@ -62,9 +82,9 @@ def test_two_separated_primitives_leaf1():
     root = bvh.bounds[0]
     assert root[:3].tolist() == [-1, -1, -1]
     assert root[3:].tolist() == [11, 1, 1]
-    left, right = bvh.node_children(0)
-    assert bvh.leaf_primitives(left) == [0]
-    assert bvh.leaf_primitives(right) == [1]
+    left, right = children(bvh, 0)
+    assert leaf_ids(bvh, left) == [0]
+    assert leaf_ids(bvh, right) == [1]
     assert bvh.max_depth() == 2
 
 
@@ -77,7 +97,7 @@ def test_structure_1000_random():
     depth = {0: 1}  # walk_boxes is pre-order, so a parent precedes its children
     for idx, box, kids in walk_boxes(bvh):
         if kids is None:
-            ids = bvh.leaf_primitives(idx)
+            ids = leaf_ids(bvh, idx)
             assert 1 <= len(ids) <= 4
             seen.extend(ids)
             leaves += 1
@@ -141,7 +161,7 @@ def test_build_matches_reference_split_rule(kind, leaf_size):
             pts = rng.permutation(np.repeat(rng.random((n // 5 + 1, 3)), 5, axis=0))[:n]
         bvh = build_point_bvh(pts, 0.1, leaf_size)
         nodes, order, depth = reference_tree(pts, 0.1, leaf_size)
-        got = [(box, None if kids else bvh.leaf_primitives(idx)) for idx, box, kids in walk_boxes(bvh)]
+        got = [(box, None if kids else leaf_ids(bvh, idx)) for idx, box, kids in walk_boxes(bvh)]
         assert got == nodes
         assert bvh.perm.tolist() == order
         assert bvh.num_nodes == len(nodes)
@@ -403,6 +423,24 @@ def test_traverse_points_no_queries():
     assert list(traverse_points(bvh, np.empty((0, 3)))) == []
 
 
+def test_traverse_points_rejects_bad_rows_and_insets():
+    # a bad row or inset is refused by its index, not walked to a wrong
+    # answer: a NaN row fails every box, a negative inset widens them
+    pts = np.random.default_rng(8).random((100, 3))
+    bvh = build_point_bvh(pts, 0.1, 4)
+    queries = np.array([[0.5, 0.5, 0.5], [np.nan, 0.5, 0.5]])
+    with pytest.raises(ValueError, match="query index 1 has non-finite coordinates"):
+        list(traverse_points(bvh, queries))
+    for bad in (np.zeros((2, 2)), np.zeros(3)):
+        with pytest.raises(ValueError, match=r"expected an \(n, 3\) array of query points"):
+            list(traverse_points(bvh, bad))
+    for inset in (-0.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"inset index 1 must be finite and >= 0, got {inset}"):
+            list(traverse_points(bvh, queries[:1].repeat(2, axis=0), [0.0, inset]))
+    assert [len(ids) for *_, ids, _ in traverse_points(bvh, queries[:1], [0.0])] == [
+        len(containment_scan(pts, 0.1, queries[0]))]
+
+
 def test_traverse_point_delivers_every_hit():
     scenes = [(np.zeros((20, 3)), 1.0, (0.0, 0.0, 0.0)),  # all boxes contain the query
               (np.random.default_rng(3).random((400, 3)), 0.3, (0.5, 0.5, 0.5))]
@@ -410,8 +448,8 @@ def test_traverse_point_delivers_every_hit():
     for pts, hw, q in scenes:
         bvh = build_point_bvh(pts, hw, leaf_size=4)
         ids, tested = bvh_module.point_hits(bvh, q)
-        hit_leaves = [node for node in range(bvh.num_nodes) if bvh.node_children(node) is None
-                      and set(bvh.leaf_primitives(node)) & set(ids.tolist())]
+        hit_leaves = [node for node in range(bvh.num_nodes) if children(bvh, node) is None
+                      and set(leaf_ids(bvh, node)) & set(ids.tolist())]
         assert len(hit_leaves) > 1
         counters = TraversalCounters()
         for returned in (None, True, "stop"):  # what the callback returns is ignored
@@ -440,7 +478,7 @@ def test_tables_given_in_final_form_stay_the_callers():
     for mine, table in zip(given, (b.bounds, b.left, b.starts, b.counts, b.perm, b.boxes)):
         assert mine.flags.writeable and not table.flags.writeable
         assert np.shares_memory(table, mine)
-    assert b.dump() == a.dump()
+    assert same_tree(b, a)
 
 
 def test_tables_of_other_dtypes_and_layouts():
@@ -453,7 +491,7 @@ def test_tables_of_other_dtypes_and_layouts():
             a.max_depth())  # starts: a strided view
     assert b.bounds.dtype == b.boxes.dtype == np.float64 and b.perm.dtype == np.int64
     assert type(b.half_width) is float and b.half_width == a.half_width == 0.25
-    assert b.dump() == a.dump()
+    assert same_tree(b, a)
     for qrow in np.vstack([rng.random((30, 3)) * 4, rng.integers(0, 65, size=(20, 3)) / 16.0]):
         (ha, ca), (hb, cb) = (bvh_module.point_hits(bvh, tuple(qrow)) for bvh in (a, b))
         assert ha.tolist() == hb.tolist() and ca == cb
@@ -464,7 +502,7 @@ def test_deterministic_build_and_hit_order():
     pts = rng.random((500, 3))
     a = build_point_bvh(pts, 0.3, 4)
     b = build_point_bvh(pts, 0.3, 4)
-    assert a.dump() == b.dump()
+    assert same_tree(a, b)
     assert a.perm.tolist() == b.perm.tolist()
     q = (0.5, 0.5, 0.5)
     assert bvh_module.point_hits(a, q)[0].tolist() == bvh_module.point_hits(b, q)[0].tolist()
@@ -494,14 +532,6 @@ def test_two_cluster_pruning():
     visits = nodes_tested(bvh, (2.5, 2.5, 2.5))
     assert visits < 2 * 512
     assert nodes_tested(bvh, (300, 300, 300)) == 1  # outside the union box
-
-
-def test_dump_is_indented_text():
-    text = build_point_bvh([[0, 0, 0], [4, 0, 0]], 1.0, 1).dump()
-    lines = text.splitlines()
-    assert len(lines) == 3
-    assert lines[0].startswith("[0]") and "internal" in lines[0]
-    assert lines[1].startswith("  ") and "leaf" in lines[1]
 
 
 def split_path(bvh, q):

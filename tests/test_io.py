@@ -8,6 +8,7 @@ from bvhknn import (
     GroundTruth,
     MetricSpec,
     ReductionConfig,
+    build_point_bvh,
     read_records,
     run_experiment,
     sweep,
@@ -329,26 +330,37 @@ def test_cli_build_info(tmp_path, capsys):
 
     # tree-quality stats, exactly, on a fixed scene: boxes of side 1 around
     # x = 0, 1, 3; with leaf size 1 the root splits into {0} and {1, 3}
-    data = write(tmp_path / "pts.csv", "0,0,0\n1,0,0\n3,0,0\n")
+    pts = [[0, 0, 0], [1, 0, 0], [3, 0, 0]]
     expected = {
         # leaves 3 x 6, the {1, 3} node 2 * (3 + 1 + 3), the root 2 * (4 + 1 + 4);
         # sibling boxes at most touch, so nothing overlaps
-        (1, "0.5"): {"num_nodes": 5, "max_depth": 3, "num_leaves": 3, "leaf_fill_mean": 1.0,
-                     "surface_area_sum": 50.0, "overlap_volume_sum": 0.0},
-        (4, "0.5"): {"num_nodes": 1, "max_depth": 1, "num_leaves": 1, "leaf_fill_mean": 0.75,
-                     "surface_area_sum": 18.0, "overlap_volume_sum": 0.0},
+        (1, 0.5): {"num_nodes": 5, "max_depth": 3, "num_leaves": 3, "leaf_fill_mean": 1.0,
+                   "surface_area_sum": 50.0, "overlap_volume_sum": 0.0},
+        (4, 0.5): {"num_nodes": 1, "max_depth": 1, "num_leaves": 1, "leaf_fill_mean": 0.75,
+                   "surface_area_sum": 18.0, "overlap_volume_sum": 0.0},
         # side 1.5: the root's children [-0.75, 0.75] and [0.25, 3.75] share
         # 0.5 x 1.5 x 1.5 in x, y, z; the boxes around 1 and 3 stay apart
-        (1, "0.75"): {"num_nodes": 5, "num_leaves": 3, "overlap_volume_sum": 1.125},
+        (1, 0.75): {"num_nodes": 5, "num_leaves": 3, "overlap_volume_sum": 1.125},
     }
-    for (leaf_size, radius), want in expected.items():
-        code, out, err = run_cli(
-            ["build-info", "--data", data, "--n", "3", "--metric", "lp:2", "--radius", radius,
-             "--leaf-size", str(leaf_size)], capsys
-        )
-        assert code == 0, err
-        index = json.loads(out)["index"]
+    for (leaf_size, half_width), want in expected.items():
+        bvh = build_point_bvh(pts, half_width, leaf_size)
+        index = {"num_nodes": bvh.num_nodes, "max_depth": bvh.max_depth(), **bvh.tree_stats()}
         assert {key: index[key] for key in want} == want
+
+    # the CLI builds at the default leaf size, 8: one leaf holding 3 of its 8 slots
+    data = write(tmp_path / "pts.csv", "0,0,0\n1,0,0\n3,0,0\n")
+    args = ["build-info", "--data", data, "--n", "3", "--metric", "lp:2", "--radius", "0.5"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0, err
+    info = json.loads(out)
+    assert "leaf_size" not in info["config"]
+    want = {"leaf_size": 8, "num_nodes": 1, "max_depth": 1, "num_leaves": 1, "leaf_fill_mean": 0.375,
+            "surface_area_sum": 18.0, "overlap_volume_sum": 0.0}
+    assert {key: info["index"][key] for key in want} == want
+    with pytest.raises(SystemExit) as exc:  # the leaf size is no search option
+        main(args + ["--leaf-size", "16"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --leaf-size 16" in capsys.readouterr().err
 
 
 def test_cli_build_info_needs_no_queries(tmp_path, capsys):

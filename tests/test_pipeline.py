@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from bvhknn import (
+    Dataset,
     MetricSpec,
     ReductionConfig,
     Transform,
@@ -17,6 +19,7 @@ from bvhknn import (
     ground_truth,
     knn_search,
     pipeline_metric_for,
+    run_experiment,
     run_query,
     scene_half_width,
     transform_chain_for,
@@ -53,7 +56,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ReductionConfig(L1, 1.0, 0)
     with pytest.raises(ValueError):
-        ReductionConfig(L1, 1.0, 1, leaf_size=0)
+        build_point_bvh([[0.0, 0.0, 0.0]], 0.1, leaf_size=0)
 
 
 def test_k_and_leaf_size_must_be_integers():
@@ -61,8 +64,6 @@ def test_k_and_leaf_size_must_be_integers():
     for bad in (2.5, 2.0, "2", None):
         with pytest.raises(ValueError, match="k must be an integer"):
             ReductionConfig(L2, 0.3, bad)
-        with pytest.raises(ValueError, match="leaf_size must be an integer"):
-            ReductionConfig(L2, 0.3, 2, leaf_size=bad)
         with pytest.raises(ValueError, match="k must be an integer"):
             knn_search(pts, pts[:2], L2, r=0.3, k=bad)
         with pytest.raises(ValueError, match="k must be an integer"):
@@ -71,13 +72,31 @@ def test_k_and_leaf_size_must_be_integers():
             ground_truth(pts, pts[:2], L2, k=bad)
         with pytest.raises(ValueError, match="leaf_size must be an integer"):
             build_point_bvh(pts, 0.1, leaf_size=bad)
-    # numpy integers are integers, and the config keeps them as ints
-    cfg = ReductionConfig(L2, 0.3, np.int64(2), leaf_size=np.int32(4))
-    assert (cfg.k, cfg.leaf_size) == (2, 4) and type(cfg.k) is type(cfg.leaf_size) is int
-    assert build_point_bvh(pts, 0.1, leaf_size=np.int64(4)).leaf_size == 4
+    # numpy integers are integers, and the config and the index keep them as ints
+    cfg = ReductionConfig(L2, 0.3, np.int64(2))
+    assert cfg.k == 2 and type(cfg.k) is int
+    for size in (np.int32(4), np.int64(4)):
+        bvh = build_point_bvh(pts, 0.1, leaf_size=size)
+        assert bvh.leaf_size == 4 and type(bvh.leaf_size) is int
     assert knn_search(pts, pts[:2], L2, r=0.3, k=np.int64(2)) == knn_search(pts, pts[:2], L2, r=0.3, k=2)
     assert brute_force_knn(pts, pts[0], L2, k=np.uint8(3)) == brute_force_knn(pts, pts[0], L2, k=3)
     assert type(ground_truth(pts, pts[:2], L2, k=np.int64(3)).k) is int
+
+
+def test_enhanced_must_be_a_bool():
+    # a numpy bool is stored as a bool, so the report's JSON takes it; any
+    # other value is refused rather than read as true, which builds the
+    # narrower enhanced scene
+    pts = np.random.default_rng(3).random((50, 3))
+    for flag in (np.True_, np.False_):
+        cfg = ReductionConfig(L2, 0.3, 2, enhanced=flag)
+        assert cfg.enhanced is bool(flag)
+        json.dumps(run_experiment(Dataset(pts, pts[:2]), cfg))
+    for bad in ("no", 1, 0, None, np.array([True])):
+        with pytest.raises(ValueError, match="enhanced must be a bool"):
+            ReductionConfig(L3, 0.3, 2, enhanced=bad)
+        with pytest.raises(ValueError, match="enhanced must be a bool"):
+            knn_search(pts, pts[:2], L2, r=0.3, k=2, enhanced=bad)
 
 
 # --- filter-refine pipelines ------------------------------------------------
@@ -206,8 +225,8 @@ def test_batch_query_equals_run_query(kind, metric, enhanced, leaf_size):
     k = 8
     seen = []
     for r in (0.03, 0.2):
-        cfg = ReductionConfig(metric, r, k, enhanced, leaf_size)
-        bvh = build_index(pts, cfg)
+        cfg = ReductionConfig(metric, r, k, enhanced)
+        bvh = build_point_bvh(pts, scene_half_width(cfg), leaf_size)
         got = batch_query(bvh, pts, queries, cfg)
         assert got == [run_query(bvh, pts, q, cfg) for q in queries]
         assert got[-1].hit_count == got[-2].hit_count == 0
@@ -227,8 +246,8 @@ def test_leaf_size_never_changes_an_answer(metric):
     for r, k in ((0.2, 4), (0.45, 11)):
         want = [brute_force_knn(pts, q, metric, k, radius=r) for q in queries]
         for leaf_size in (1, 4, 8, 16):
-            cfg = ReductionConfig(metric, r, k, leaf_size=leaf_size)
-            got = batch_query(build_index(pts, cfg), pts, queries, cfg)
+            cfg = ReductionConfig(metric, r, k)
+            got = batch_query(build_point_bvh(pts, scene_half_width(cfg), leaf_size), pts, queries, cfg)
             assert [res.neighbors for res in got] == want
 
 
