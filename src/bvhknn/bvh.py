@@ -368,7 +368,8 @@ def traverse_points(bvh: Bvh, origins: np.ndarray,
     array of finite per-query box insets >= 0 (0 when omitted), applied as
     :func:`point_hits` applies its `inset`, and with its rule: six
     coordinates a box test only if some inset is nonzero.  A bad row or
-    inset raises ValueError naming its index.  The traversal is a
+    inset raises ValueError naming its index, and insets not m in number
+    one naming both counts.  The traversal is a
     wavefront, one tree level a step: a frontier of (query row, node)
     pairs whose boxes passed starts at the root.  Each step tests the
     slots of the frontier's leaves at once, keeping only the (query row,
@@ -393,7 +394,10 @@ def traverse_points(bvh: Bvh, origins: np.ndarray,
     m = len(origins)
     spans = origins
     if insets is not None:
-        inset = np.asarray(insets, dtype=np.float64).reshape(m, 1)
+        inset = np.asarray(insets, dtype=np.float64)
+        if inset.size != m:
+            raise ValueError(f"insets must hold one value per query: expected length {m}, got {inset.size}")
+        inset = inset.reshape(m, 1)
         ok = (inset >= 0) & (inset < np.inf)  # NaN fails both
         if not ok.all():
             bad = np.flatnonzero(~ok)[0]

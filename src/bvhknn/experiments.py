@@ -3,12 +3,14 @@
 A run builds the index from scratch `repeats` times and queries the whole
 query set each time, averaging wall-clock build and search times.  A
 sweep searches all its values on each of those builds, made for its
-widest boxes, as an index serves any radius up to its own.  Result
-lists must be identical across repeats (anything else is an internal
-error).  Recall is measured against the unbounded exact oracle, computed
-once per run and cached, so a small radius legitimately caps recall below
-one.  Reports are plain dicts ready for JSON; every nondeterministic value
-(the timings) lives under the single "timings" key.
+widest boxes, as an index serves any radius up to its own.  The id
+and distance arrays must be identical across repeats (anything else is
+an internal error), and the reports are read from those arrays, with no
+per-query result object built.  Recall is measured against the unbounded
+exact oracle, computed once per run and cached, so a small radius
+legitimately caps recall below one.  Reports are plain dicts ready for
+JSON; every nondeterministic value (the timings) lives under the single
+"timings" key.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .oracle import GroundTruth, ground_truth
 from .pipeline import (
-    QueryResult,
+    BatchResult,
     ReductionConfig,
     batch_query,
     build_index,
@@ -57,10 +61,6 @@ def _config_echo(config: ReductionConfig, repeats: int) -> dict:
         "enhanced": config.enhanced,
         "repeats": repeats,
     }
-
-
-def _results_equal(a: list[QueryResult], b: list[QueryResult]) -> bool:
-    return all(x.neighbors == y.neighbors for x, y in zip(a, b))
 
 
 def run_experiment(dataset: Dataset, config: ReductionConfig, repeats: int = 1,
@@ -101,7 +101,7 @@ def _run_shared_build(variants, repeats: int) -> list[dict]:
     widest = max((pcfg for pcfg, _, _ in searches), key=scene_half_width)
     build_ms: list[float] = []
     search_ms: list[list[float]] = [[] for _ in variants]
-    results: list[list[QueryResult] | None] = [None for _ in variants]
+    results: list[BatchResult | None] = [None for _ in variants]
     for _ in range(repeats):
         t0 = time.perf_counter()
         bvh = build_index(data3, widest)
@@ -110,8 +110,9 @@ def _run_shared_build(variants, repeats: int) -> list[dict]:
             t1 = time.perf_counter()
             run = batch_query(bvh, data3, queries3, pcfg)
             search_ms[i].append((time.perf_counter() - t1) * 1e3)
-            run = [to_source_units(source, res) for res in run]
-            if results[i] is not None and not _results_equal(results[i], run):
+            run = to_source_units(source, run)
+            if results[i] is not None and not (np.array_equal(results[i].ids, run.ids)
+                                               and np.array_equal(results[i].distances, run.distances)):
                 raise RuntimeError("result lists differ across repeats of the same run")
             results[i] = run
     # Each distinct truth's rows as id sets, made once: the reports of a radius sweep share one truth.
@@ -124,11 +125,14 @@ def _run_shared_build(variants, repeats: int) -> list[dict]:
 
 
 def _report(dataset: Dataset, config: ReductionConfig, repeats: int, truth_ids: list[set[int]],
-            results: list[QueryResult], build_ms: list[float], search_ms: list[float]) -> dict:
+            results: BatchResult, build_ms: list[float], search_ms: list[float]) -> dict:
+    ids, dists = results.ids.tolist(), results.distances.tolist()
+    candidates, hits, tested = results.candidates.tolist(), results.hits.tolist(), results.nodes_tested.tolist()
+    filled = results.filled.tolist()
     # oracle.recall(res, row) for every query whose truth row is not empty
     per_query_recall = [
-        len(ids.intersection([i for i, _ in res.neighbors])) / len(ids) if ids else None
-        for res, ids in zip(results, truth_ids)
+        len(truth.intersection(row[:f])) / len(truth) if truth else None
+        for truth, row, f in zip(truth_ids, ids, filled)
     ]
     scored = [v for v in per_query_recall if v is not None]
     mean_recall = math.fsum(scored) / len(scored) if scored else None  # equals aggregate_recall(results, truth)
@@ -144,18 +148,18 @@ def _report(dataset: Dataset, config: ReductionConfig, repeats: int, truth_ids: 
             "skipped_empty_truth": n_queries - len(scored),
         },
         "counts": {
-            "mean_candidates": sum(r.candidate_count for r in results) / n_queries,
-            "mean_hits": sum(r.hit_count for r in results) / n_queries,
-            "node_visits_total": sum(r.node_visits for r in results),
+            "mean_candidates": int(results.candidates.sum()) / n_queries,
+            "mean_hits": int(results.hits.sum()) / n_queries,
+            "node_visits_total": int(results.nodes_tested.sum()),
         },
         "results": [
             {
-                "neighbors": [[i, d] for i, d in r.neighbors],
-                "candidates": r.candidate_count,
-                "hits": r.hit_count,
-                "node_visits": r.node_visits,
+                "neighbors": [[i, d] for i, d in zip(row_ids[:f], row_dists[:f])],
+                "candidates": c,
+                "hits": h,
+                "node_visits": t,
             }
-            for r in results
+            for row_ids, row_dists, f, c, h, t in zip(ids, dists, filled, candidates, hits, tested)
         ],
         "timings": {
             "build_ms": list(build_ms),

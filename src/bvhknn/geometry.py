@@ -43,8 +43,10 @@ def checked_rows(points, label: str, width: int = 3) -> np.ndarray:
 
 
 def checked_count(value, name: str) -> int:
-    """`value`, a Python or numpy integer, as an int >= 1, else ValueError naming `name`."""
+    """`value`, a Python or numpy integer, as an int >= 1, else ValueError naming `name`; a bool is no integer."""
     try:
+        if isinstance(value, (bool, np.bool_)):  # operator.index(True) is 1
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

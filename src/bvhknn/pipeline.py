@@ -28,7 +28,11 @@ then one wavefront traversal of every query with its own inset
 queries at a time, then one kernel call over every hit of the run and one
 sort on (query, weight, id): an unstable argsort of one packed int64 key
 (:func:`_run_order`).  A run too large for that key, which takes more
-than 2**31 points, raises OverflowError.
+than 2**31 points, raises OverflowError.  Each query's first k land at
+(query, rank) in (m, k) id and distance arrays, the layout of
+``scipy.spatial.cKDTree.query``, padded with id n and distance inf; a
+:class:`BatchResult` holds them with the per-query counts and builds a
+query's :class:`QueryResult` only when asked for it.
 :func:`run_query` is the per-query reference path: the probe and the
 inset node walk of :func:`bvhknn.bvh.point_hits` in Python, with no
 callback.  The two pick bitwise-equal insets and return equal results.
@@ -46,7 +50,7 @@ transformation and the native metric searched in its image.  From it
 into pipeline space, empty for the native Lp and LInf metrics, and
 :func:`pipeline_metric_for` names the native metric searched there.
 :func:`build_index` and :func:`batch_query` filter and refine, and
-:func:`to_source_units` turns the reported distances back into source units.
+:func:`to_source_units` turns a batch's distance array back into source units.
 
 A query is one finite row of 3 (:func:`bvhknn.geometry.checked_rows`), and
 an empty list is no queries; the build checks every data row, and a query
@@ -62,6 +66,8 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +145,60 @@ class QueryResult:
 
     def ids(self) -> list[int]:
         return [i for i, _ in self.neighbors]
+
+
+@dataclass(frozen=True, eq=False)
+class BatchResult(Sequence):
+    """The outcome of m queries as arrays, in the layout of ``scipy.spatial.cKDTree.query``.
+
+    Row i of the (m, k) `ids` and `distances` holds query i's neighbors in
+    :class:`QueryResult` order, then padding: id n, the number of points,
+    and distance inf.  The first ``filled[i] = min(candidates[i], k)``
+    slots are filled.  `candidates`, `hits` and `nodes_tested` are (m,)
+    arrays of QueryResult's counts.  As a sequence, item i is query i's
+    QueryResult, built when asked for; iteration builds them all in one
+    pass, a slice is a BatchResult, and the batch equals any sequence of
+    equal QueryResults.
+    """
+
+    ids: np.ndarray
+    distances: np.ndarray
+    candidates: np.ndarray
+    hits: np.ndarray
+    nodes_tested: np.ndarray
+
+    @property
+    def filled(self) -> np.ndarray:
+        """The number of filled slots of each row, min(candidates, k)."""
+        return np.minimum(self.candidates, self.ids.shape[1])
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return BatchResult(self.ids[i], self.distances[i], self.candidates[i], self.hits[i], self.nodes_tested[i])
+        i = operator.index(i)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"query index {i} out of range for {len(self)} queries")
+        c = int(self.candidates[i])
+        filled = min(c, self.ids.shape[1])
+        neighbors = list(zip(self.ids[i, :filled].tolist(), self.distances[i, :filled].tolist()))
+        return QueryResult(neighbors, c, int(self.hits[i]), int(self.nodes_tested[i]))
+
+    def __iter__(self):
+        # one flat pass over the filled slots, row by row, cut at the cumulative counts
+        filled = self.filled
+        mask = np.arange(self.ids.shape[1]) < filled[:, None]
+        pairs = list(zip(self.ids[mask].tolist(), self.distances[mask].tolist()))
+        ends = np.cumsum(filled).tolist()
+        return iter([QueryResult(pairs[a:b], c, h, t) for a, b, c, h, t in zip(
+            [0] + ends, ends, self.candidates.tolist(), self.hits.tolist(), self.nodes_tested.tolist())])
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 def scene_half_width(config: ReductionConfig) -> float:
@@ -297,15 +357,18 @@ def run_query(bvh: Bvh, points, q, config: ReductionConfig) -> QueryResult:
     return QueryResult(neighbors, len(ids), len(hits), tested)
 
 
-def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> list[QueryResult]:
+def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> BatchResult:
     """:func:`run_query` for every row of the (m, 3) array `queries`, batched.
 
-    The result for each query equals ``run_query(bvh, points, q, config)``,
-    counts included, and `bvh` is checked as there.  The probe runs for
-    all queries first, one tree level a step, and gives each its box
-    inset, 0 for most.  One wavefront, :func:`traverse_points`, then walks
-    every query with its inset and hands over the hits a run of queries
-    at a time, runs sized so that memory stays bounded; each
+    Returns a :class:`BatchResult`: (m, k) id and distance arrays, in the
+    layout of ``cKDTree.query`` (a missing neighbor reads id n and
+    distance inf), and per-query counts.  Its item i equals
+    ``run_query(bvh, points, queries[i], config)``, counts included, and
+    is built only when asked for; `bvh` is checked as there.  The probe
+    runs for all queries first, one tree level a step, and gives each its
+    box inset, 0 for most.  One wavefront, :func:`traverse_points`, then
+    walks every query with its inset and hands over the hits a run of
+    queries at a time, runs sized so that memory stays bounded; each
     run takes one weight-kernel call over all its hits and one sort on
     (query, weight, id), from which each query takes its first k.  The
     sort is one unstable argsort of the packed int64 key ((query - lo) * R
@@ -355,26 +418,30 @@ def _run_order(rows: np.ndarray, ids: np.ndarray, w: np.ndarray, lo: int, hi: in
     return key.argsort()
 
 
-def _refined(runs, points: np.ndarray, origins: np.ndarray, config: ReductionConfig) -> list[QueryResult]:
-    """The QueryResult of every query of :func:`traverse_points` `runs` over `origins`, in order."""
-    results: list[QueryResult] = []
+def _refined(runs, points: np.ndarray, origins: np.ndarray, config: ReductionConfig) -> BatchResult:
+    """The BatchResult of :func:`traverse_points` `runs` over `origins`."""
+    m, k, n = len(origins), config.k, len(points)
+    out = BatchResult(np.full((m, k), n, dtype=np.int64), np.full((m, k), np.inf),
+                      np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64))
     for lo, hi, rows, ids, tested in runs:
-        hits = np.bincount(rows - lo, minlength=hi - lo)
+        out.hits[lo:hi] = np.bincount(rows - lo, minlength=hi - lo)
+        out.nodes_tested[lo:hi] = tested
         # take() gathers the same rows as fancy indexing, several times faster
         w = weights(config.metric, _rows(points, ids), origins.take(rows, axis=0))
         dist = distances(config.metric, w)
         inside = dist <= config.r
         rows, ids, w, dist = (a.compress(inside) for a in (rows, ids, w, dist))
         candidates = np.bincount(rows - lo, minlength=hi - lo)
-        order = _run_order(rows, ids, w, lo, hi, len(points))
-        # order groups the candidates by query; each query keeps its first k
+        out.candidates[lo:hi] = candidates
+        order = _run_order(rows, ids, w, lo, hi, n)
+        # order groups the candidates by query; each query keeps its first k, at (row, rank)
         rank = np.arange(len(order)) - np.repeat(np.cumsum(candidates) - candidates, candidates)
-        top = order[rank < config.k]
-        pairs = list(zip(ids[top].tolist(), dist[top].tolist()))
-        ends = np.cumsum(np.minimum(candidates, config.k)).tolist()
-        results += [QueryResult(pairs[a:b], c, h, t) for a, b, c, h, t
-                    in zip([0] + ends, ends, candidates.tolist(), hits.tolist(), tested.tolist())]
-    return results
+        first = rank < k
+        top = order.compress(first)
+        slots = rows.take(top) * k + rank.compress(first)
+        out.ids.put(slots, ids.take(top))
+        out.distances.put(slots, dist.take(top))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -469,30 +536,36 @@ def pipeline_metric_for(source: MetricSpec) -> MetricSpec:
     return _REDUCTIONS[source.kind][1] if source.kind in _REDUCTIONS else source
 
 
-def to_source_units(source: MetricSpec, res: QueryResult) -> QueryResult:
-    """Re-express a pipeline-space result's distances in source-metric units.
+def to_source_units(source: MetricSpec, batch: BatchResult) -> BatchResult:
+    """Re-express a pipeline-space batch's distances in source-metric units.
 
     Only cosine and angular change a distance: a chord c between unit
     vectors is the angle 2 asin(c / 2) and the cosine similarity
-    1 - c**2 / 2.  For every other metric the result is returned as it is.
+    1 - c**2 / 2.  The padding stays (n, inf) in every unit.  For every
+    other metric the batch is returned as it is.
     """
+    if source.kind not in (KIND_ANGULAR, KIND_COSINE):
+        return batch
+    d = batch.distances
+    filled = d < np.inf  # a neighbor's distance is at most r, so finite
     if source.kind == KIND_ANGULAR:
-        neighbors = [(i, 2.0 * math.asin(min(1.0, c / 2.0))) for i, c in res.neighbors]
-    elif source.kind == KIND_COSINE:
-        neighbors = [(i, 1.0 - c * c / 2.0) for i, c in res.neighbors]  # a similarity, not a distance
+        # math.asin per value: np.arcsin rounds differently on some inputs
+        converted = np.full_like(d, np.inf)
+        converted[filled] = [2.0 * math.asin(min(1.0, c / 2.0)) for c in d[filled].tolist()]
     else:
-        return res
-    return QueryResult(neighbors, res.candidate_count, res.hit_count, res.node_visits)
+        converted = np.where(filled, 1.0 - d * d / 2.0, np.inf)  # a similarity, not a distance
+    return BatchResult(batch.ids, converted, batch.candidates, batch.hits, batch.nodes_tested)
 
 
-def knn_search(data, queries, metric: MetricSpec, r: float, k: int, enhanced: bool = False) -> list[QueryResult]:
+def knn_search(data, queries, metric: MetricSpec, r: float, k: int, enhanced: bool = False) -> BatchResult:
     """One-call search: builds the scene and runs every query.
 
     `data` and `queries` are given in source form: (n, 3) vectors for the
     native metrics and cosine/angular, (n, 2) points for the 2D metric,
     and bit strings (or 0/1 vertex rows) for Hamming.  `r` is a radius in
-    pipeline space (a chord length for cosine/angular).  Reported
-    distances are in source units; ordering follows ascending source
+    pipeline space (a chord length for cosine/angular).  Returns the
+    :class:`BatchResult` of :func:`batch_query`, its distances in source
+    units by :func:`to_source_units`; ordering follows ascending source
     distance (for cosine: ascending angle, i.e. descending similarity).
     """
     chain = transform_chain_for(metric)
@@ -500,4 +573,4 @@ def knn_search(data, queries, metric: MetricSpec, r: float, k: int, enhanced: bo
     data3 = transform_points(chain, data, label="data")
     queries3 = transform_points(chain, queries, label="query")
     bvh = build_index(data3, config)
-    return [to_source_units(metric, res) for res in batch_query(bvh, data3, queries3, config)]
+    return to_source_units(metric, batch_query(bvh, data3, queries3, config))

@@ -441,6 +441,15 @@ def test_traverse_points_rejects_bad_rows_and_insets():
         len(containment_scan(pts, 0.1, queries[0]))]
 
 
+def test_traverse_points_needs_one_inset_per_query():
+    pts = np.random.default_rng(8).random((100, 3))
+    bvh = build_point_bvh(pts, 0.1, 4)
+    for insets in ([0.0, 0.0, 0.0], [0.0], np.zeros((1, 3))):
+        with pytest.raises(ValueError, match=f"insets must hold one value per query: expected length 2, "
+                                             f"got {np.size(insets)}"):
+            list(traverse_points(bvh, np.full((2, 3), 0.5), insets))
+
+
 def test_traverse_point_delivers_every_hit():
     scenes = [(np.zeros((20, 3)), 1.0, (0.0, 0.0, 0.0)),  # all boxes contain the query
               (np.random.default_rng(3).random((400, 3)), 0.3, (0.5, 0.5, 0.5))]

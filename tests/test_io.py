@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,10 +9,15 @@ from bvhknn import (
     GroundTruth,
     MetricSpec,
     ReductionConfig,
+    build_index,
     build_point_bvh,
+    pipeline_metric_for,
     read_records,
     run_experiment,
+    run_query,
     sweep,
+    transform_chain_for,
+    transform_points,
     weights,
 )
 from bvhknn import experiments
@@ -167,6 +173,36 @@ def test_report_mean_recall_is_aggregate_recall(metric):
     for report in reports:
         ids = [[i for i, _ in r["neighbors"]] for r in report["results"]]
         assert report["recall"]["mean"] == aggregate_recall(ids, truth)
+
+
+@pytest.mark.parametrize("metric, r", [(MetricSpec.lp(3), 0.12), (MetricSpec.cosine(), 0.2)],
+                         ids=lambda v: v.canonical() if isinstance(v, MetricSpec) else str(v))
+def test_report_fields_equal_the_per_query_result_formulas(metric, r):
+    # the report is read from the batch's arrays; its results, counts and
+    # recall equal those built from run_query's QueryResults one by one
+    rng = np.random.default_rng(71)
+    ds = Dataset(rng.normal(size=(500, 3)) * 0.3, rng.normal(size=(40, 3)) * 0.3, {})
+    cfg = ReductionConfig(metric, r, 6)
+    report = run_experiment(ds, cfg)
+    chain, pcfg = transform_chain_for(metric), ReductionConfig(pipeline_metric_for(metric), r, 6)
+    data3, queries3 = (transform_points(chain, x) for x in (ds.data, ds.queries))
+    bvh = build_index(data3, pcfg)
+    results = [run_query(bvh, data3, q, pcfg) for q in queries3]
+    unit = (lambda c: 1.0 - c * c / 2.0) if metric == MetricSpec.cosine() else (lambda c: c)
+    assert any(len(res.neighbors) < 6 for res in results) and any(res.candidate_count > 6 for res in results)
+    assert report["results"] == [{"neighbors": [[i, unit(d)] for i, d in res.neighbors],
+                                  "candidates": res.candidate_count, "hits": res.hit_count,
+                                  "node_visits": res.node_visits} for res in results]
+    n = len(results)
+    assert report["counts"] == {"mean_candidates": sum(res.candidate_count for res in results) / n,
+                                "mean_hits": sum(res.hit_count for res in results) / n,
+                                "node_visits_total": sum(res.node_visits for res in results)}
+    truth = [{i for i, _ in row} for row in ground_truth(ds.data, ds.queries, metric, 6).rows]
+    per_query = [len(ids.intersection(res.ids())) / len(ids) if ids else None for res, ids in zip(results, truth)]
+    scored = [v for v in per_query if v is not None]
+    assert 0 < math.fsum(scored) / len(scored) < 1
+    assert report["recall"] == {"mean": math.fsum(scored) / len(scored), "per_query": per_query,
+                                "skipped_empty_truth": n - len(scored)}
 
 
 def test_transform_metric_experiment():

@@ -26,7 +26,7 @@ from bvhknn import (
     transform_points,
 )
 from bvhknn import bvh as bvh_module
-from bvhknn.pipeline import _run_order, query_radii
+from bvhknn.pipeline import BatchResult, _run_order, query_radii
 
 L1 = MetricSpec.lp(1)
 L2 = MetricSpec.lp(2)
@@ -81,6 +81,16 @@ def test_k_and_leaf_size_must_be_integers():
     assert knn_search(pts, pts[:2], L2, r=0.3, k=np.int64(2)) == knn_search(pts, pts[:2], L2, r=0.3, k=2)
     assert brute_force_knn(pts, pts[0], L2, k=np.uint8(3)) == brute_force_knn(pts, pts[0], L2, k=3)
     assert type(ground_truth(pts, pts[:2], L2, k=np.int64(3)).k) is int
+
+
+def test_counts_refuse_bools():
+    # operator.index(True) is 1: a bool must not pass as k or leaf size 1
+    pts = np.random.default_rng(3).random((50, 3))
+    for flag in (True, np.True_, False, np.False_):
+        with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {flag!r}")):
+            ReductionConfig(L2, 0.3, flag)
+        with pytest.raises(ValueError, match=re.escape(f"leaf_size must be an integer, got {flag!r}")):
+            build_point_bvh(pts, 0.1, flag)
 
 
 def test_enhanced_must_be_a_bool():
@@ -413,6 +423,62 @@ def test_batch_query_no_queries():
         assert ground_truth(data, [], metric, 1).rows == []
     with pytest.raises(ValueError, match=re.escape("expected an (n, 3) array of query points, got shape (1, 0)")):
         run_query(bvh, pts, [], cfg)
+
+
+def test_batch_result_layout():
+    # (m, k) arrays in cKDTree.query's layout: a short row is padded with
+    # id n and distance inf; items are run_query's results, built on access
+    rng = np.random.default_rng(72)
+    pts = rng.random((400, 3))
+    queries = np.vstack([rng.random((30, 3)), [[5.0, 5.0, 5.0]]])
+    cfg = ReductionConfig(L2, 0.15, 6)
+    bvh = build_index(pts, cfg)
+    got = batch_query(bvh, pts, queries, cfg)
+    want = [run_query(bvh, pts, q, cfg) for q in queries]
+    assert isinstance(got, BatchResult) and len(got) == len(queries)
+    assert got.ids.shape == got.distances.shape == (len(queries), 6)
+    assert got.ids.dtype == np.int64 and got.distances.dtype == np.float64
+    filled = np.minimum(got.candidates, 6)
+    assert {0, 6} <= set(filled.tolist()) and ((0 < filled) & (filled < 6)).any()  # empty, short and full rows
+    for row, res in enumerate(want):
+        f = len(res.neighbors)
+        assert got.ids[row, :f].tolist() == res.ids()
+        assert got.distances[row, :f].tolist() == [d for _, d in res.neighbors]
+        assert (got.ids[row, f:] == len(pts)).all() and (got.distances[row, f:] == np.inf).all()
+    assert got.candidates.tolist() == [res.candidate_count for res in want]
+    assert got.hits.tolist() == [res.hit_count for res in want]
+    assert got.nodes_tested.tolist() == [res.node_visits for res in want]
+    assert got[0] == want[0] and got[-1] == want[-1] and got[np.int64(3)] == want[3]
+    assert got[-1].neighbors == [] and got[-1].hit_count == 0
+    with pytest.raises(IndexError):
+        got[len(queries)]
+    with pytest.raises(IndexError):
+        got[-len(queries) - 1]
+    assert list(got) == want and got == want and got == tuple(want) and want == got
+    assert got[5:9] == want[5:9] and isinstance(got[5:9], BatchResult)
+    assert got != want[:-1] and got != want[::-1] and got != "x" * len(want)
+    none = batch_query(bvh, pts, [], cfg)
+    assert none.ids.shape == none.distances.shape == (0, 6) and none == [] and list(none) == []
+
+
+def test_source_units_are_the_per_pair_formulas():
+    # cosine and angular distances convert bitwise as c -> 1 - c * c / 2 and
+    # c -> 2 asin(min(1, c / 2)) do on Python floats; the padding stays (n, inf)
+    rng = np.random.default_rng(37)
+    data = rng.normal(size=(100_000, 3))
+    queries = rng.normal(size=(40, 3))
+    unit = transform_points([Transform.NORMALIZE], data)
+    cfg = ReductionConfig(L2, 0.02, 10)
+    chords = batch_query(build_index(unit, cfg), unit, transform_points([Transform.NORMALIZE], queries), cfg)
+    assert (chords.candidates < 10).any() and (chords.candidates > 10).any()
+    formulas = {"cosine": lambda c: 1.0 - c * c / 2.0, "angular": lambda c: 2.0 * math.asin(min(1.0, c / 2.0))}
+    for name, formula in formulas.items():
+        got = knn_search(data, queries, MetricSpec.parse(name), 0.02, 10)
+        assert np.array_equal(got.ids, chords.ids)
+        padded = chords.distances == np.inf
+        assert (got.distances[padded] == np.inf).all()
+        want = [formula(c) for c in chords.distances[~padded].tolist()]
+        assert got.distances[~padded].tobytes() == np.array(want).tobytes()
 
 
 def test_batch_query_rejects_bad_query_arrays():
