@@ -42,11 +42,11 @@ Both walks can also test every box inset by a per-query `inset`: a box
 passes when ``lo <= q - inset`` and ``q + inset <= hi``, so a tree built
 with half width h acts as one built with h - inset.  The search pipeline
 picks the inset with a probe: :func:`probe_window` and
-:func:`probe_windows` descend from the root to one leaf by the split
-planes and return the storage slots around it, spatial neighbours of the
-query, when the descent passes a big enough subtree that lies near the
-query.  Inset 0 is the plain containment query, the one that
-:func:`traverse_point` always runs.
+:func:`probe_windows` descend from the root by the split planes to the
+last node on the way that holds enough primitives, the gate, and return
+the storage slots centred on it, spatial neighbours of the query, when
+the gate's box lies near the query.  Inset 0 is the plain containment
+query, the one that :func:`traverse_point` always runs.
 """
 
 from __future__ import annotations
@@ -441,43 +441,43 @@ def traverse_points(bvh: Bvh, origins: np.ndarray,
         yield lo, hi, hit_rows, hit_ids, tested[lo:hi]
 
 
-def _window(bvh: Bvh, leaf, size: int):
-    """First of the `size` consecutive storage slots centred on `leaf`, kept inside 0..n-1."""
-    centre = bvh.starts[leaf] + bvh.counts[leaf] // 2
+def _window(bvh: Bvh, node, size: int):
+    """First of the `size` consecutive storage slots centred on `node`, kept inside 0..n-1."""
+    centre = bvh.starts[node] + bvh.counts[node] // 2
     return np.minimum(np.maximum(centre - size // 2, 0), bvh.num_primitives - size)
 
 
 def probe_window(bvh: Bvh, origin: tuple[float, float, float], reach: float, min_count: int,
                  size: int) -> np.ndarray | None:
-    """Ids in the `size` storage slots around the leaf that `origin` descends to, or None.
+    """Ids in the `size` storage slots centred on the gate node of `origin`, or None.
 
-    The descent goes from the root to one leaf, at each internal node to
-    the side of its split plane that holds the query (the left child on
-    the plane).  It returns ids only if the deepest node on the way that
-    holds at least `min_count` primitives has its box inside ``origin ±
-    reach`` on every axis; then no window is gathered for a query far from
-    any dense subtree.  Slots of a subtree are contiguous, so the window
-    holds the query's spatial neighbours.  :func:`probe_windows` is the
+    The descent goes from the root, at each internal node to the side of
+    its split plane that holds the query (the left child on the plane),
+    and ends at the gate node: the last node on the way that holds at
+    least `min_count` primitives.  It returns ids only if the gate's box
+    lies inside ``origin ± reach`` on every axis; then no window is
+    gathered for a query far from any dense subtree.  Slots of a subtree
+    are contiguous, so the window holds the query's spatial neighbours;
+    one of 2 * min_count slots holds an internal gate whole (see
+    :func:`bvhknn.pipeline._probe_params`).  :func:`probe_windows` is the
     same probe for many queries, and agrees with this one row for row.
     Not exported; :func:`bvhknn.pipeline.run_query` uses it.
     """
     lefts, counts, axes, planes = bvh.left.data, bvh.counts.data, bvh.split_axis.data, bvh.split_plane.data
     if counts[0] < min_count or size > bvh.num_primitives:
         return None
-    node = gate = 0
-    while (left := lefts[node]) >= 0:
-        node = left + (origin[axes[node]] > planes[node])
-        if counts[node] < min_count:
+    gate = 0
+    while (left := lefts[gate]) >= 0:
+        child = left + (origin[axes[gate]] > planes[gate])
+        if counts[child] < min_count:
             break
-        gate = node
+        gate = child
     x0, y0, z0, x1, y1, z1 = _BOX.unpack_from(bvh.bounds.data, 48 * gate)
     ox, oy, oz = origin
     if not (ox - reach <= x0 and oy - reach <= y0 and oz - reach <= z0
             and x1 <= ox + reach and y1 <= oy + reach and z1 <= oz + reach):
         return None
-    while (left := lefts[node]) >= 0:
-        node = left + (origin[axes[node]] > planes[node])
-    start = int(_window(bvh, node, size))
+    start = int(_window(bvh, gate, size))
     return bvh.perm[start:start + size]
 
 
@@ -493,17 +493,12 @@ def probe_windows(bvh: Bvh, origins: np.ndarray, reach: float, min_count: int,
     if not m or bvh.counts[0] < min_count or size > bvh.num_primitives:
         return np.zeros(0, dtype=np.int64), np.zeros((0, size), dtype=np.int64)
     flat = origins.ravel()
-
-    def step(at, nodes):
-        """Left child and the child on the query's side, for queries at flat offsets `at` (3 * row)."""
-        left = bvh.left.take(nodes)
-        return left, left + (flat.take(at + bvh.split_axis.take(nodes)) > bvh.split_plane.take(nodes))
-
-    # Down while the child holds min_count primitives; the node where that stops is the gate node.
+    # Down while the child on the query's side holds min_count primitives; the node where that stops is the gate.
     gate = np.zeros(m, dtype=np.int64)
-    at, nodes = 3 * np.arange(m), np.zeros(m, dtype=np.int64)
+    at, nodes = 3 * np.arange(m), np.zeros(m, dtype=np.int64)  # flat offsets 3 * row, and nodes, of queries going down
     while at.size:
-        left, child = step(at, nodes)
+        left = bvh.left.take(nodes)
+        child = left + (flat.take(at + bvh.split_axis.take(nodes)) > bvh.split_plane.take(nodes))
         go = (left >= 0) & (bvh.counts.take(child) >= min_count)  # a leaf's child is garbage, masked
         if not go.all():
             gate[at.compress(~go) // 3] = nodes.compress(~go)
@@ -511,16 +506,7 @@ def probe_windows(bvh: Bvh, origins: np.ndarray, reach: float, min_count: int,
         nodes = child
     box = bvh.bounds.take(gate, axis=0)
     rows = np.flatnonzero(((origins - reach <= box[:, :3]) & (box[:, 3:] <= origins + reach)).all(axis=1))
-    leaf = gate  # the gate node's subtree holds the leaf
-    at, nodes = 3 * rows, gate.take(rows)
-    while at.size:
-        left, child = step(at, nodes)
-        go = left >= 0
-        if not go.all():
-            leaf[at.compress(~go) // 3] = nodes.compress(~go)
-            at, child = at.compress(go), child.compress(go)
-        nodes = child
-    start = _window(bvh, leaf.take(rows), size)
+    start = _window(bvh, gate.take(rows), size)
     return rows, bvh.perm.take(start[:, None] + np.arange(size))
 
 

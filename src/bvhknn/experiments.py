@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .geometry import checked_count
 from .oracle import GroundTruth, ground_truth
 from .pipeline import (
     BatchResult,
@@ -78,8 +79,7 @@ def _run_shared_build(variants, repeats: int) -> list[dict]:
     "build_ms" lists those shared builds.  A missing truth is computed
     with the unbounded oracle.
     """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    repeats = checked_count(repeats, "repeats")
     if any(len(ds.queries) == 0 for ds, _, _ in variants):
         raise ValueError("an experiment needs at least one query")
     dataset, config, _ = variants[0]
@@ -208,5 +208,5 @@ def sweep(dataset: Dataset, config: ReductionConfig, axis: str, values,
                     for v in values]
     reports = _run_shared_build(variants, repeats)
     for report, v in zip(reports, values):
-        report["sweep"] = {"axis": axis, "value": v}
+        report["sweep"] = {"axis": axis, "value": float(v) if axis == "radius" else int(v)}
     return reports

@@ -10,10 +10,12 @@ A query runs in two stages:
 
 Before the filter, a probe gives each query in a dense region its own
 radius r_q <= r that surely holds k points (RTNN's "megacell", Zhu,
-PPoPP 2022).  The descent of :func:`bvhknn.bvh.probe_window` checks that
-some subtree of at least GATE_PER_K * k points lies within r of the query
-on every axis; only then does the query take the k-th smallest distance
-over the WINDOW_PER_K * k storage slots around the leaf it descends to.
+PPoPP 2022).  The descent of :func:`bvhknn.bvh.probe_window` ends at the
+gate node, the last on the query's way that holds at least GATE_PER_K * k
+points, and checks that its box lies within r of the query on every axis;
+only then does the query take the k-th smallest distance over the
+2 * GATE_PER_K * k storage slots centred on the gate, all of an internal
+gate's.
 Any k points bound the k-th nearest distance, so every point of the
 answer at r lies within r_q, ties at the k-th place included.  The boxes
 are then inset by H - h(r_q), H being the index's half width and h the
@@ -66,6 +68,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -100,7 +103,8 @@ class ReductionConfig:
     """How to run a search: target metric, radius, k, and scene geometry.
 
     `r` is the search radius in target-metric units (for transform-backed
-    metrics: in the mapped space, e.g. chord length for cosine/angular).
+    metrics: in the mapped space, e.g. chord length for cosine/angular),
+    a Python or numpy real number stored as a float.
     `enhanced`, a Python or numpy bool stored as a bool, selects the
     tighter scene geometry; it changes filtering cost, never results.
     The tree's leaf size is a build parameter, not a search setting (see
@@ -113,11 +117,14 @@ class ReductionConfig:
     enhanced: bool = False
 
     def __post_init__(self):
+        if isinstance(self.r, bool) or not isinstance(self.r, numbers.Real):  # numpy bools are no Real
+            raise ValueError(f"radius must be a real number, got {self.r!r}")
+        object.__setattr__(self, "r", float(self.r))
         if not math.isfinite(self.r) or self.r <= 0:
             raise ValueError(f"radius must be finite and > 0, got {self.r}")
         if not isinstance(self.enhanced, (bool, np.bool_)):
             raise ValueError(f"enhanced must be a bool, got {self.enhanced!r}")
-        # numpy integers and bools are stored as ints and bools, which the reports' JSON takes
+        # numpy numbers and bools are stored as floats, ints and bools, which the reports' JSON takes
         object.__setattr__(self, "k", checked_count(self.k, "k"))
         object.__setattr__(self, "enhanced", bool(self.enhanced))
 
@@ -248,11 +255,9 @@ def _checked_queries(queries) -> np.ndarray:
     return np.ascontiguousarray(checked_rows(queries, "query"))
 
 
-# The probe, both constants times k: a query is probed only if its descent
-# passes a subtree of at least GATE_PER_K * k points within r of it, and
-# then takes its radius from WINDOW_PER_K * k storage slots.
+# The probe's gate count, times k: a query is probed only if its descent
+# passes a subtree of at least GATE_PER_K * k points within r of it.
 GATE_PER_K = 2
-WINDOW_PER_K = 4
 
 
 def _rows(points: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -295,11 +300,14 @@ def _probe_params(bvh: Bvh, config: ReductionConfig) -> tuple[float, int, int]:
     """The probe's reach, gate count and window size under `config`.
 
     A node box inside q ± (r + H), H the index's half width, holds points
-    within r of q on every axis.  The gate needs 2k points, so a window of
-    min(4k, n) slots always holds k; with n < 2k no query is probed and
-    r_q stays r.
+    within r of q on every axis.  The gate needs g = GATE_PER_K * k >= 2k
+    points, and the window takes min(2g, n) slots, so it holds k.  Twice
+    g makes it hold every slot of an internal gate node: the gate's child
+    on the query's way holds fewer than g, and the median split gives the
+    other child at most one more.  With n < g no query is probed.
     """
-    return config.r + bvh.half_width, GATE_PER_K * config.k, min(WINDOW_PER_K * config.k, bvh.num_primitives)
+    gate = GATE_PER_K * config.k
+    return config.r + bvh.half_width, gate, min(2 * gate, bvh.num_primitives)
 
 
 def query_radii(bvh: Bvh, points, queries, config: ReductionConfig) -> np.ndarray:

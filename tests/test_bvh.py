@@ -574,15 +574,19 @@ def test_probe_windows_follow_the_split_path(kind, leaf_size):
             one = bvh_module.probe_window(bvh, tuple(q.tolist()), reach, min_count, size)
             path = split_path(bvh, q)
             big = [node for node in path if bvh.counts[node] >= min_count]
-            box = bvh.bounds[big[-1]] if big else None
+            assert big == path[:len(big)]  # counts fall along the path: the gate is the last big node
+            gate = big[-1] if big else None
+            box = bvh.bounds[gate] if big else None
             gated = box is not None and (q - reach <= box[:3]).all() and (box[3:] <= q + reach).all()
             assert (one is not None) == gated == (j in rows)
             if gated:
                 assert one.tolist() == ids[rows.tolist().index(j)].tolist()
-                leaf = path[-1]
-                first = bvh.perm.tolist().index(one[0])  # the window: size slots around the leaf's
-                assert 0 <= first <= bvh.starts[leaf] + bvh.counts[leaf] // 2 < first + size
+                start, count = int(bvh.starts[gate]), int(bvh.counts[gate])
+                first = bvh.perm.tolist().index(one[0])  # the window: size slots centred on the gate's
+                assert first == min(max(start + count // 2 - size // 2, 0), len(pts) - size)
                 assert one.tolist() == bvh.perm[first:first + size].tolist()
+                if bvh.left[gate] >= 0:  # an internal gate lies whole in the window
+                    assert first <= start and start + count <= first + size
     assert 0 < min(gated_rows[:3]) and max(gated_rows) < len(origins) and gated_rows[3] == 0
     assert not bvh_module.probe_windows(bvh, origins[-1:], 0.2, 2, 8)[0].size  # far outside: no gate
 

@@ -122,6 +122,22 @@ def test_run_experiment_repeats_structure():
     )
 
 
+def test_run_experiment_repeats_must_be_a_count():
+    # a numpy integer is stored as an int, so the report's JSON takes it;
+    # a float or a bool is refused rather than run or echoed as given
+    ds = small_dataset()
+    cfg = ReductionConfig(MetricSpec.lp(2), 0.5, 3)
+    report = run_experiment(ds, cfg, repeats=np.int64(2))
+    assert type(report["config"]["repeats"]) is int and len(report["timings"]["build_ms"]) == 2
+    json.dumps(report)
+    for bad in (1.5, True, np.True_, "2", None):
+        with pytest.raises(ValueError, match="repeats must be an integer"):
+            run_experiment(ds, cfg, repeats=bad)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"repeats must be >= 1, got {bad}"):
+            run_experiment(ds, cfg, repeats=bad)
+
+
 def test_run_experiment_rejects_empty_queries():
     ds = Dataset(np.random.default_rng(0).random((10, 3)), np.empty((0, 3)))
     with pytest.raises(ValueError, match="at least one query"):
@@ -261,7 +277,11 @@ def test_sweep_queries_search_time_trend():
     assert t_large >= t_small / 2
 
 
-@pytest.mark.parametrize("axis, values", [("k", [1, 4, 9]), ("queries", [2, 5, 10]), ("radius", [0.1, 0.2, 0.25])])
+@pytest.mark.parametrize("axis, values", [
+    ("k", [1, 4, 9]), ("queries", [2, 5, 10]), ("radius", [0.1, 0.2, 0.25]),
+    # numpy scalars, and the floats the CLI parses on every axis
+    ("k", [np.int64(1), 4.0, 9]), ("queries", [2.0, np.int32(5), 10]), ("radius", [np.float32(0.125), 0.2, 0.25]),
+])
 def test_sweep_builds_once_per_repeat_on_every_axis(monkeypatch, axis, values):
     ds = small_dataset(n=150, q=10, seed=7)
     cfg = ReductionConfig(MetricSpec.lp(3), 0.25, 3)
@@ -283,9 +303,9 @@ def test_sweep_builds_once_per_repeat_on_every_axis(monkeypatch, axis, values):
 
     for report, v in zip(reports, values):
         if axis == "k":
-            alone = run_experiment(ds, ReductionConfig(cfg.metric, cfg.r, v), repeats=2)
+            alone = run_experiment(ds, ReductionConfig(cfg.metric, cfg.r, int(v)), repeats=2)
         elif axis == "queries":
-            alone = run_experiment(Dataset(ds.data, ds.queries[:v], dict(ds.meta)), cfg, repeats=2)
+            alone = run_experiment(Dataset(ds.data, ds.queries[:int(v)], dict(ds.meta)), cfg, repeats=2)
         else:
             alone = run_experiment(ds, ReductionConfig(cfg.metric, v, cfg.k), repeats=2)
         if axis == "radius":
@@ -297,6 +317,9 @@ def test_sweep_builds_once_per_repeat_on_every_axis(monkeypatch, axis, values):
         else:
             assert untimed(report) == untimed(alone)
         assert report["sweep"] == {"axis": axis, "value": v}
+        # a radius is reported as a float, a k or query count as an int, each as its config holds it
+        assert type(report["sweep"]["value"]) is (float if axis == "radius" else int)
+        json.dumps(report)
         assert set(report["timings"]) == set(alone["timings"])
 
 

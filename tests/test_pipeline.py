@@ -109,6 +109,24 @@ def test_enhanced_must_be_a_bool():
             knn_search(pts, pts[:2], L2, r=0.3, k=2, enhanced=bad)
 
 
+def test_radius_must_be_a_real_number():
+    # a numpy float is stored as a float, so the report's JSON takes it; a
+    # bool or a string is refused rather than searched at 1.0 or failing in math
+    pts = np.random.default_rng(3).random((50, 3))
+    for r in (np.float32(0.3), np.float64(0.3), 1, np.int64(1)):
+        cfg = ReductionConfig(L2, r, 2)
+        assert type(cfg.r) is float and cfg.r == float(r)
+        json.dumps(run_experiment(Dataset(pts, pts[:2]), cfg))
+    assert ReductionConfig(L2, 0.3, 2).r == 0.3
+    for bad in (True, np.True_, "0.3", None, np.array([0.3]), 1j):
+        with pytest.raises(ValueError, match="radius must be a real number"):
+            ReductionConfig(L2, bad, 2)
+        with pytest.raises(ValueError, match="radius must be a real number"):
+            knn_search(pts, pts[:2], L2, r=bad, k=2)
+    with pytest.raises(ValueError, match=r"radius must be a real number, got '0.3'"):
+        ReductionConfig(L2, "0.3", 2)
+
+
 # --- filter-refine pipelines ------------------------------------------------
 
 def test_plain_three_point_l1():
