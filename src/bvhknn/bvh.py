@@ -51,14 +51,13 @@ query, the one that :func:`traverse_point` always runs.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .geometry import PointQuery, checked_count, checked_rows
+from .geometry import PointQuery, checked_count, checked_real, checked_rows
 
 DEFAULT_LEAF_SIZE = 8
 
@@ -116,7 +115,7 @@ class Bvh:
         self.bounds, self.left, self.starts, self.counts, self.perm, self.boxes, self.split_axis, self.split_plane = tables
         for table in tables:
             table.flags.writeable = False
-        self.half_width = float(half_width)
+        self.half_width = checked_real(half_width, "half_width", 0.0)
         self.leaf_size = leaf_size
         self._depth = depth
 
@@ -164,12 +163,6 @@ def _as_point_array(points) -> np.ndarray:
     return pts
 
 
-def _check_half_width(half_width: float) -> float:
-    if not math.isfinite(half_width) or half_width < 0:
-        raise ValueError(f"half_width must be finite and >= 0, got {half_width}")
-    return float(half_width)
-
-
 def _axis_ranks(cent: np.ndarray) -> np.ndarray:
     """(3, n) int64 ranks: rank[a, i] is the place of point i in (coordinate, id) order on axis a.
 
@@ -202,11 +195,11 @@ def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZ
     `points` is a non-empty (n, 3) array-like of finite rows; primitive i
     is the cube around row i, and its id is i.  Every node box contains all
     descendant primitive boxes, every primitive lands in exactly one leaf, and
-    identical input always yields the identical tree.  The topology
-    depends on the points alone; `half_width`, which the index records,
-    widens every box alike.
+    identical input always yields the identical tree.  The topology depends
+    on the points alone; `half_width`, a real number >= 0 that the index
+    records as a float, widens every box alike.
     """
-    h = _check_half_width(half_width)
+    h = checked_real(half_width, "half_width", 0.0)
     cent = _as_point_array(points)
     leaf_size = checked_count(leaf_size, "leaf_size")
     n = len(cent)
@@ -516,7 +509,7 @@ def containment_scan(points, half_width: float, q) -> list[int]:
     Independent linear-scan oracle for the traversal of
     ``build_point_bvh(points, half_width)``; O(n) per query.
     """
-    h = _check_half_width(half_width)
+    h = checked_real(half_width, "half_width", 0.0)
     pts = _as_point_array(points)
     o = checked_rows([q], "query")
     return np.flatnonzero(((pts - h <= o) & (o <= pts + h)).all(axis=1)).tolist()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import checked_count
+from .geometry import checked_count, checked_real
 from .oracle import GroundTruth, ground_truth
 from .pipeline import (
     BatchResult,
@@ -178,15 +178,14 @@ def sweep(dataset: Dataset, config: ReductionConfig, axis: str, values,
     ground truth is computed once and reused.  On every axis the index is
     built once per repeat, for the widest scene boxes of the sweep (its
     largest radius), and every value is searched on that build, so every
-    report's "build_ms" lists the same shared builds.
+    report's "build_ms" lists the same shared builds.  The values are real
+    numbers in increasing order, whole on the k and queries axes (4.0 is 4).
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    values = list(values)
+    values = [checked_real(v, axis) for v in values]
     if not values:
         raise ValueError("sweep needs at least one value")
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"sweep values must be finite, got {values}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"sweep values must be strictly increasing, got {values}")
 
@@ -197,7 +196,7 @@ def sweep(dataset: Dataset, config: ReductionConfig, axis: str, values,
 
     truth = ground_truth(dataset.data, dataset.queries, config.metric, int(values[-1]) if axis == "k" else config.k)
     if axis == "radius":
-        variants = [(dataset, replace(config, r=float(v)), truth) for v in values]
+        variants = [(dataset, replace(config, r=v), truth) for v in values]
     elif axis == "k":
         variants = [(dataset, replace(config, k=int(v)),
                      GroundTruth(truth.metric, int(v), [row[: int(v)] for row in truth.rows]))
@@ -208,5 +207,5 @@ def sweep(dataset: Dataset, config: ReductionConfig, axis: str, values,
                     for v in values]
     reports = _run_shared_build(variants, repeats)
     for report, v in zip(reports, values):
-        report["sweep"] = {"axis": axis, "value": float(v) if axis == "radius" else int(v)}
+        report["sweep"] = {"axis": axis, "value": v if axis == "radius" else int(v)}
     return reports

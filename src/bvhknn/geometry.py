@@ -1,18 +1,19 @@
-"""Checked input: the one rule for rows and the one for counts, a 3D point, and the containment query.
+"""Checked input: one rule each for rows, counts and real numbers, a 3D point, and the containment query.
 
 Every data and query array passes :func:`checked_rows` where it enters,
 and its shape rule, :func:`shaped_rows`, reads an empty list as no rows;
-every k and leaf size passes :func:`checked_count`.  `Point3` and
-`PointQuery` are the argument of the any-hit
-:func:`bvhknn.bvh.traverse_point` alone; every other entry point takes
-plain rows.  The boxes live only as rows of the BVH's numpy tables (see
-bvh.py), where the walks test them closed: a point sitting exactly on a
-face counts as contained.
+every count passes :func:`checked_count`, and every radius, half width
+and exponent :func:`checked_real`.  `Point3` and `PointQuery` are the
+argument of the any-hit :func:`bvhknn.bvh.traverse_point` alone; every
+other entry point takes plain rows.  The boxes live only as rows of the
+BVH's numpy tables (see bvh.py), where the walks test them closed: a
+point sitting exactly on a face counts as contained.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -53,6 +54,22 @@ def checked_count(value, name: str) -> int:
     if count < 1:
         raise ValueError(f"{name} must be >= 1, got {count}")
     return count
+
+
+def checked_real(value, name: str, low: float | None = None, strict: bool = False) -> float:
+    """`value`, a Python or numpy real number, as a finite float >= `low` (> if `strict`), else ValueError naming `name`.
+
+    A bool is no real number, nor is a string.  A Python float skips the
+    type test, as the search checks its radius a few times per query.
+    """
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):  # numpy bools are no Real
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        value = float(value)
+    if not math.isfinite(value) or (low is not None and (value <= low if strict else value < low)):
+        bound = "" if low is None else f" and {'>' if strict else '>='} {low:g}"
+        raise ValueError(f"{name} must be finite{bound}, got {value}")
+    return value
 
 
 @dataclass(frozen=True, slots=True)

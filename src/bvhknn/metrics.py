@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import checked_rows
+from .geometry import checked_real, checked_rows
 
 KIND_LP = "lp"
 KIND_LINF = "linf"
@@ -38,15 +38,14 @@ _TRANSFORM_KINDS = (KIND_COSINE, KIND_ANGULAR, KIND_EUCLID2D, KIND_HAMMING3)
 
 @dataclass(frozen=True, slots=True)
 class MetricSpec:
-    """A target distance measure. For kind "lp", `p` is the exponent (>= 1)."""
+    """A target distance measure. For kind "lp", `p` is the exponent, a real number >= 1 stored as a float."""
 
     kind: str
     p: float | None = None
 
     def __post_init__(self):
         if self.kind == KIND_LP:
-            if self.p is None or not math.isfinite(self.p) or self.p < 1:
-                raise ValueError(f"lp metric needs finite p >= 1, got {self.p}")
+            object.__setattr__(self, "p", checked_real(self.p, "p", 1.0))
         elif self.kind in (KIND_LINF,) + _TRANSFORM_KINDS:
             if self.p is not None:
                 raise ValueError(f"metric {self.kind!r} takes no exponent")
@@ -55,7 +54,7 @@ class MetricSpec:
 
     @classmethod
     def lp(cls, p: float) -> "MetricSpec":
-        return cls(KIND_LP, float(p))
+        return cls(KIND_LP, p)
 
     @classmethod
     def linf(cls) -> "MetricSpec":
@@ -85,8 +84,7 @@ class MetricSpec:
     def canonical(self) -> str:
         """Canonical string form, e.g. "lp:2", "linf", "cosine"."""
         if self.kind == KIND_LP:
-            p = self.p
-            return f"lp:{int(p)}" if float(p).is_integer() else f"lp:{p}"
+            return f"lp:{int(self.p)}" if self.p.is_integer() else f"lp:{self.p}"
         return self.kind
 
     @classmethod
@@ -172,15 +170,14 @@ def inclusion_radius(metric: MetricSpec, r: float, d: int = 3) -> float:
     * LInf:        f(r) = r * sqrt(d), the corner of the cube.
 
     No finite f exists for the transform-backed metrics, so they are
-    rejected; resolve them to a native pipeline metric first.
+    rejected; resolve them to a native pipeline metric first.  `r` is a real number > 0.
     """
     if not metric.is_native:
         raise ValueError(
             f"metric {metric.canonical()!r} has no L2 inclusion radius; "
             "apply its transform and query in the range space instead"
         )
-    if not (r > 0) or not math.isfinite(r):
-        raise ValueError(f"radius must be finite and > 0, got {r}")
+    r = checked_real(r, "radius", 0.0, strict=True)
     if d not in (2, 3):
         raise ValueError(f"dimension must be 2 or 3, got {d}")
     if metric.kind == KIND_LINF:
@@ -197,11 +194,10 @@ def in_lp_ball(q, center, metric: MetricSpec, r: float) -> bool:
     (p=2), square bi-pyramid (p=1), cube (LInf), and the surfaces between.
     It compares weights, against the weight of the ball's point r along an
     axis, so that point is inside for every p; a p-th root of r**p need not
-    round back to r, and the balls would then not nest exactly.
+    round back to r, and the balls would then not nest exactly.  `r` is a real number > 0.
     """
     if not metric.is_native:
         raise ValueError(f"metric {metric.canonical()!r} has no ball geometry")
-    if not (r > 0):
-        raise ValueError(f"radius must be > 0, got {r}")
+    r = checked_real(r, "radius", 0.0, strict=True)
     w = weights(metric, checked_rows([q], "query"), checked_rows([center], "center"))[0]
     return bool(w <= weights(metric, [(r, 0.0, 0.0)], (0.0, 0.0, 0.0))[0])

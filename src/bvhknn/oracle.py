@@ -52,7 +52,7 @@ from .metrics import (
     distances,
     weights,
 )
-from .geometry import checked_count, checked_rows
+from .geometry import checked_count, checked_real, checked_rows
 from .pipeline import Transform, pipeline_metric_for, transform_points
 
 NeighborRow = list[tuple[int, float]]
@@ -134,11 +134,8 @@ def _reachable(rows: np.ndarray, qrow, metric: MetricSpec, k: int) -> np.ndarray
 def _knn_rows(points, queries, metric: MetricSpec, k: int, radius: float | None) -> list[NeighborRow]:
     """Exact neighbor rows for each query; the data and the queries are each mapped once."""
     k = checked_count(k, "k")
-    if radius is not None:
-        if math.isnan(radius):
-            raise ValueError("radius must not be NaN")
-        if radius < 0 and metric.kind != KIND_COSINE:  # a cosine radius is a similarity
-            raise ValueError(f"radius must be >= 0 for metric {metric.canonical()}, got {radius}")
+    if radius is not None:  # a cosine radius is a similarity, of either sign
+        radius = checked_real(radius, "radius", None if metric.kind == KIND_COSINE else 0.0)
     rows = _mapped(points, metric, "data")
     out = []
     for qrow in _mapped(queries, metric, "query"):
@@ -165,9 +162,9 @@ def brute_force_knn(points, q, metric: MetricSpec, k: int, radius: float | None 
 
     Returns up to k (id, distance) pairs, ascending by distance with ties
     broken by smaller id (for cosine the distance column is the similarity
-    and the order is ascending angle).  A radius bound keeps only points
-    with distance <= radius (for cosine: similarity >= radius).  A NaN
-    radius is rejected, and so is a negative one except for cosine.
+    and the order is ascending angle).  A radius, a real number >= 0 but of
+    any sign for cosine, keeps only points with distance <= radius (for
+    cosine: similarity >= radius); ``radius=None`` is the unbounded search.
 
     Lp, LInf, 2D Euclidean and Hamming distances come from the weight
     kernel the pipeline uses, ranked by (weight, id); cosine and angular
@@ -197,7 +194,7 @@ class GroundTruth:
     @classmethod
     def from_dict(cls, obj: dict) -> "GroundTruth":
         rows = [[(int(i), float(d)) for i, d in row] for row in obj["rows"]]
-        return cls(metric=obj["metric"], k=int(obj["k"]), rows=rows)
+        return cls(metric=obj["metric"], k=checked_count(obj["k"], "k"), rows=rows)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

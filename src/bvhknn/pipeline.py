@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -84,7 +83,7 @@ from .bvh import (
     probe_windows,
     traverse_points,
 )
-from .geometry import checked_count, checked_rows, float_rows, shaped_rows
+from .geometry import checked_count, checked_real, checked_rows, float_rows, shaped_rows
 from .metrics import (
     KIND_ANGULAR,
     KIND_COSINE,
@@ -104,7 +103,7 @@ class ReductionConfig:
 
     `r` is the search radius in target-metric units (for transform-backed
     metrics: in the mapped space, e.g. chord length for cosine/angular),
-    a Python or numpy real number stored as a float.
+    a Python or numpy real number > 0, stored as a float.
     `enhanced`, a Python or numpy bool stored as a bool, selects the
     tighter scene geometry; it changes filtering cost, never results.
     The tree's leaf size is a build parameter, not a search setting (see
@@ -117,11 +116,7 @@ class ReductionConfig:
     enhanced: bool = False
 
     def __post_init__(self):
-        if isinstance(self.r, bool) or not isinstance(self.r, numbers.Real):  # numpy bools are no Real
-            raise ValueError(f"radius must be a real number, got {self.r!r}")
-        object.__setattr__(self, "r", float(self.r))
-        if not math.isfinite(self.r) or self.r <= 0:
-            raise ValueError(f"radius must be finite and > 0, got {self.r}")
+        object.__setattr__(self, "r", checked_real(self.r, "radius", 0.0, strict=True))
         if not isinstance(self.enhanced, (bool, np.bool_)):
             raise ValueError(f"enhanced must be a bool, got {self.enhanced!r}")
         # numpy numbers and bools are stored as floats, ints and bools, which the reports' JSON takes

@@ -268,6 +268,16 @@ def test_build_rejects_bad_input():
         build_point_bvh([[0, 0, 0]], 1.0, 0)
     with pytest.raises(ValueError):
         build_point_bvh([[0, 0, 0]], -1.0, 4)  # a box needs a half width >= 0
+    a = build_point_bvh([[0, 0, 0]], 1.0)
+    tables = (a.bounds, a.left, a.starts, a.counts, a.perm, a.boxes, a.split_axis, a.split_plane)
+    makers = (lambda h: build_point_bvh([[0, 0, 0]], h), lambda h: containment_scan([[0, 0, 0]], h, [0, 0, 0]),
+              lambda h: Bvh(*tables, h, a.leaf_size, a.max_depth()))
+    for bad, message in ((True, "a real number, got True"), (np.True_, "a real number, got"),
+                         ("0.5", "a real number, got '0.5'"), (-1.0, "finite and >= 0, got -1.0"),
+                         (np.inf, "finite and >= 0, got inf")):
+        for make in makers:
+            with pytest.raises(ValueError, match=f"half_width must be {message}"):
+                make(bad)
 
 
 def test_traverse_trivial_scene():

@@ -16,6 +16,7 @@ from bvhknn import (
     run_experiment,
     run_query,
     sweep,
+    synthetic_points,
     transform_chain_for,
     transform_points,
     weights,
@@ -66,6 +67,11 @@ def test_bin_truncated(tmp_path):
     np.arange(10, dtype="<f4").tofile(p)  # not a multiple of 4
     with pytest.raises(ValueError, match="truncated"):
         read_records(str(p), "bin-f32x4")
+    records = np.arange(12, dtype="<f4").reshape(3, 4)
+    records[1, 2] = np.nan
+    records.tofile(p)
+    with pytest.raises(ValueError, match="record 2: non-finite value"):
+        read_records(str(p), "bin-f32x4")
 
 
 def test_bits_loader_maps_vertices(tmp_path):
@@ -74,6 +80,14 @@ def test_bits_loader_maps_vertices(tmp_path):
     bad = write(tmp_path / "bad_bits.txt", "101\n20\n")
     with pytest.raises(ValueError, match="record 2"):
         read_records(bad, "bits")
+
+
+def test_synthetic_points_kinds():
+    assert synthetic_points(5, 1, 2).shape == (5, 2)
+    bits = synthetic_points(40, 1, kind="bits")
+    assert bits.shape == (40, 3) and set(bits.ravel().tolist()) == {0.0, 1.0}
+    with pytest.raises(ValueError, match="unknown synthetic kind 'gauss'"):
+        synthetic_points(5, 1, kind="gauss")
 
 
 def test_bits_empty_file_has_no_records(tmp_path):
@@ -336,6 +350,11 @@ def test_sweep_validates_values():
         sweep(ds, cfg, "queries", [4, 99])
     with pytest.raises(ValueError):
         sweep(ds, cfg, "k", [0, 2])
+    for axis in ("k", "queries"):  # a bool is no count, though int(True) == True
+        with pytest.raises(ValueError, match=f"{axis} must be a real number, got True"):
+            sweep(ds, cfg, axis, [True, 2])
+    with pytest.raises(ValueError, match="radius must be a real number, got '0.1'"):
+        sweep(ds, cfg, "radius", ["0.1", "0.2"])
 
 
 # --- CLI --------------------------------------------------------------------
@@ -519,6 +538,32 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
              "--axis", axis, "--values", "1,inf"], capsys
         )
         assert code == 2 and "finite" in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["query", "--n", "50", "--queries", "2", "--metric", "linf", "--radius", "0.3", "--enhanced", "maybe"],
+     "argument --enhanced: expected a boolean, got 'maybe'"),
+    (["sweep", "--n", "50", "--queries", "2", "--metric", "lp:2", "--radius", "0.3", "--axis", "k",
+      "--values", "1,x"], "argument --values: bad value list '1,x'"),
+    (["query", "--data", "DATA", "--n", "2", "--metric", "lp:2", "--radius", "0.3"],
+     "--data needs either --queries or --query-file"),
+    (["query", "--n", "50", "--metric", "lp:2", "--radius", "0.3"], "synthetic datasets need --queries"),
+    (["query", "--n", "50", "--queries", "2", "--metric", "lp:2"], "--radius is required for this command"),
+])
+def test_cli_usage_errors_exit_2(tmp_path, capsys, args, message):
+    data = write(tmp_path / "d.csv", "0,0,0\n1,0,0\n")
+    try:
+        code = main([data if a == "DATA" else a for a in args])
+    except SystemExit as exc:  # argparse errors leave through SystemExit(2)
+        code = exc.code
+    assert code == 2 and message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, enhanced", [("yes", True), ("0", False), (" True ", True), ("no", False)])
+def test_cli_parses_enhanced(capsys, text, enhanced):
+    code, out, _ = run_cli(["query", "--n", "50", "--queries", "2", "--metric", "linf", "--radius", "0.3",
+                            "--enhanced", text], capsys)
+    assert code == 0 and json.loads(out)["config"]["enhanced"] is enhanced
 
 
 def test_cli_internal_error_exit_3(monkeypatch, capsys):

@@ -37,6 +37,13 @@ def test_lp_weight_rejects_quasinorm():
         weight(MetricSpec.lp(0.5), ORIGIN, (1, 1, 1))
     with pytest.raises(ValueError):
         MetricSpec.lp(0.99)
+    for bad in (True, "2"):  # a bool or a string is no exponent
+        with pytest.raises(ValueError, match="p must be a real number, got"):
+            MetricSpec("lp", bad)
+        with pytest.raises(ValueError, match="p must be a real number, got"):
+            MetricSpec.lp(bad)
+    for good in (2, np.int64(2), np.float32(2.0), 2.0):
+        assert type(MetricSpec("lp", good).p) is float and MetricSpec.lp(good) == MetricSpec.lp(2.0)
 
 
 def test_linf_weight_examples():
@@ -109,6 +116,8 @@ def test_kernel_rejects_transform_metrics():
             weights(m, [(0.0, 0.0, 0.0)], (1.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             distances(m, np.zeros(1))
+        with pytest.raises(ValueError, match="has no ball geometry"):
+            in_lp_ball(ORIGIN, ORIGIN, m, 1.0)
 
 
 def test_inclusion_radius_values():
@@ -147,6 +156,12 @@ def test_inclusion_radius_rejects_bad_inputs():
         inclusion_radius(MetricSpec.lp(2), 0.0, 3)
     with pytest.raises(ValueError):
         inclusion_radius(MetricSpec.lp(2), 1.0, 4)
+    for bad, message in ((True, "a real number, got True"), ("0.3", "a real number, got '0.3'"),
+                         (math.inf, "finite and > 0, got inf"), (0.0, "finite and > 0, got 0.0")):
+        with pytest.raises(ValueError, match=f"radius must be {message}"):
+            inclusion_radius(MetricSpec.lp(2), bad, 3)
+        with pytest.raises(ValueError, match=f"radius must be {message}"):
+            in_lp_ball(ORIGIN, ORIGIN, MetricSpec.lp(2), bad)
 
 
 def test_in_lp_ball_examples():
@@ -219,3 +234,7 @@ def test_canonical_roundtrip():
         MetricSpec.parse("manhattan")
     with pytest.raises(ValueError):
         MetricSpec.parse("lp:abc")
+    with pytest.raises(ValueError, match="metric 'linf' takes no exponent"):
+        MetricSpec("linf", 2)
+    with pytest.raises(ValueError, match="unknown metric kind 'foo'"):
+        MetricSpec("foo")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -70,10 +71,17 @@ def _scene(metric, n):
 @pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.canonical())
 def test_rejects_bad_radius(metric):
     pts, q = _scene(metric, 3)
-    with pytest.raises(ValueError, match="NaN"):
+    with pytest.raises(ValueError, match="radius must be finite.*, got nan"):
         brute_force_knn(pts, q, metric, 2, radius=math.nan)
-    with pytest.raises(ValueError, match="NaN"):
+    with pytest.raises(ValueError, match="radius must be finite.*, got nan"):
         ground_truth(pts, [q], metric, 2, radius=float("nan"))
+    # radius=None is the unbounded search, so an infinite radius is refused like a NaN one
+    for bad, message in ((np.True_, "a real number, got"), ("0.3", "a real number, got '0.3'"),
+                         (math.inf, "finite.*, got inf")):
+        with pytest.raises(ValueError, match=f"radius must be {message}"):
+            brute_force_knn(pts, q, metric, 2, radius=bad)
+        with pytest.raises(ValueError, match=f"radius must be {message}"):
+            ground_truth(pts, [q], metric, 2, radius=bad)
     if metric.kind == "cosine":  # the radius is a similarity in [-1, 1]
         assert len(brute_force_knn(pts, q, metric, 2, radius=-1.0)) == 2
     else:
@@ -131,6 +139,8 @@ def test_query_forms_give_the_one_query_rows():
     assert want == [brute_force_knn(bits, v, MetricSpec.hamming3(), 3) for v in vertices]
     for form in (bits, vertices, vertices.tolist()):
         assert ground_truth(bits, form, MetricSpec.hamming3(), 3).rows == want
+    with pytest.raises(ValueError, match="hamming input must be bit strings or 0/1 vertex rows"):
+        ground_truth(bits, [[0.0, 2.0, 1.0]], MetricSpec.hamming3(), 3)
 
 
 def test_matches_math_reference():
@@ -297,6 +307,8 @@ def test_aggregate_recall():
     assert aggregate_recall([[1], [2, 3]], truths) == 1.0
     with pytest.raises(ValueError):
         aggregate_recall([], [])
+    with pytest.raises(ValueError, match="3 results vs 2 truth rows"):
+        aggregate_recall([[1], [2], [3]], truths)
     # empty-truth queries are skipped, not averaged as zero
     assert aggregate_recall([[1], [5]], [[(1, 0.0)], []]) == 1.0
 
@@ -311,3 +323,8 @@ def test_ground_truth_roundtrip(tmp_path):
     assert loaded.metric == "linf"
     assert loaded.k == 5
     assert loaded.rows == truth.rows
+    # a file's k is a count: a float, a bool or a string is refused, not truncated or parsed
+    for bad in (2.5, True, "3"):
+        path.write_text(json.dumps({**truth.to_dict(), "k": bad}))
+        with pytest.raises(ValueError, match=f"k must be an integer, got {bad!r}"):
+            GroundTruth.load(path)
