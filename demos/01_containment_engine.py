@@ -15,9 +15,11 @@ from bvhknn import build_point_bvh, containment_scan, traverse_points
 # A box is closed: faces count as inside.  Take a one-point scene, the
 # origin with a box of half width 1; containment_scan, the linear scan the
 # traversal is checked against, lists the points whose box holds a query.
+# The index stores a box as (lo, -hi), its upper faces negated, so that a
+# walk tests a box with one comparison; negating them back gives hi.
 origin = [(0.0, 0.0, 0.0)]
 box = build_point_bvh(origin, half_width=1.0).boxes[0]
-print("box around origin, half width 1:", tuple(box[:3].tolist()), "..", tuple(box[3:].tolist()))
+print("box around origin, half width 1:", tuple(box[:3].tolist()), "..", tuple((-box[3:]).tolist()))
 print("contains (1,1,1)?", containment_scan(origin, 1.0, (1, 1, 1)) == [0])
 print("contains (1.0000001,0,0)?", containment_scan(origin, 1.0, (1.0000001, 0, 0)) == [0])
 

@@ -40,7 +40,13 @@ them in blocks of _SLOT_BLOCK rows, whose gathers fit in L2.
 
 Both walks can also test every box inset by a per-query `inset`: a box
 passes when ``lo <= q - inset`` and ``q + inset <= hi``, so a tree built
-with half width h acts as one built with h - inset.  The search pipeline
+with half width h acts as one built with h - inset.  Every box is stored
+as the row ``(x0, y0, z0, -x1, -y1, -z1)``, its upper faces negated, and a
+query as the span ``(q - inset, -(q + inset))``: since ``b <= hi`` exactly
+when ``-hi <= -b``, a box holds a span when each column of its row is <=
+the span's, one comparison over contiguous rows (see :func:`_contains`).
+Negation is exact, so this tests what the six comparisons of ``lo`` and
+``hi`` test, and inset 0 is no special case.  The search pipeline
 picks the inset with a probe: :func:`probe_window` and
 :func:`probe_windows` descend from the root by the split planes to the
 last node on the way that holds enough primitives, the gate, and return
@@ -69,7 +75,7 @@ DEFAULT_LEAF_SIZE = 8
 PAIR_BUDGET = 1 << 16
 
 # Most leaf slots whose boxes and query spans _leaf_hits gathers and tests
-# at once: 0.6 MB of gathers, 0.8 MB with inset spans, inside a 2 MiB L2.
+# at once: 0.8 MB of gathers, a box row and a span row a slot, inside a 2 MiB L2.
 # A level's slots tested whole, 3.8-5 MB of gathers on the benchmark's
 # 1,000-query chunks, spilled it, and the test then took about 5 times as
 # long per slot.
@@ -90,13 +96,16 @@ class TraversalCounters:
 class Bvh:
     """Immutable containment-query index; build with :func:`build_point_bvh`.
 
-    Nodes live in flat level-order tables: `bounds[i]` is (x0, y0, z0, x1,
-    y1, z1), `left[i]` is the left child (-1 for a leaf; the right child is
-    `left[i] + 1`), and a leaf holds storage slots `starts[i]` to
-    `starts[i] + counts[i] - 1`.  Slot s stores primitive `perm[s]`, whose
-    box is `boxes[s]`.  The tables are read-only C-ordered numpy arrays,
-    float64 for `bounds` and `boxes` and int64 for the rest, and both
-    traversals read them.  A node's subtree holds slots `starts[i]` to
+    Nodes live in flat level-order tables: `bounds[i]` is the box (x0, y0,
+    z0, -x1, -y1, -z1), its upper faces negated, `left[i]` is the left
+    child (-1 for a leaf; the right child is `left[i] + 1`), and a leaf
+    holds storage slots `starts[i]` to `starts[i] + counts[i] - 1`.  Slot s
+    stores primitive `perm[s]`, whose box is `boxes[s]`, in the same
+    layout, which lets a walk test a box with one comparison of its row
+    (see :func:`_contains`); the lower faces and the negated upper ones are
+    all minima over a node's primitives.  The tables are read-only
+    C-ordered numpy arrays, float64 for `bounds` and `boxes` and int64 for
+    the rest, and both traversals read them.  A node's subtree holds slots `starts[i]` to
     `starts[i] + counts[i] - 1` for internal nodes too.
 
     `split_axis` and `split_plane`, an internal node's split axis and the
@@ -104,7 +113,9 @@ class Bvh:
     steer the probe descent (both 0 for a leaf); the build records them.
 
     `half_width`, a float, is the half width of every primitive box, kept
-    so that a query can inset the boxes to any smaller width.
+    so that a query can inset the boxes to any smaller width.  `leaf_size`
+    and the depth that :meth:`max_depth` returns are counts, checked as
+    :func:`bvhknn.geometry.checked_count` checks them.
     """
 
     def __init__(self, bounds, left, starts, counts, perm, boxes, split_axis, split_plane, half_width, leaf_size, depth):
@@ -116,8 +127,8 @@ class Bvh:
         for table in tables:
             table.flags.writeable = False
         self.half_width = checked_real(half_width, "half_width", 0.0)
-        self.leaf_size = leaf_size
-        self._depth = depth
+        self.leaf_size = checked_count(leaf_size, "leaf_size")
+        self._depth = checked_count(depth, "depth")
 
     @property
     def num_nodes(self) -> int:
@@ -142,11 +153,11 @@ class Bvh:
         only touch): space a query must descend both children to cover.
         """
         leaves = self.left < 0
-        ext = self.bounds[:, 3:] - self.bounds[:, :3]
+        lo, hi = self.bounds[:, :3], -self.bounds[:, 3:]
+        ext = hi - lo
         area = 2.0 * (ext[:, 0] * ext[:, 1] + ext[:, 1] * ext[:, 2] + ext[:, 2] * ext[:, 0])
-        first = self.bounds[self.left[~leaves]]
-        second = self.bounds[self.left[~leaves] + 1]
-        side = np.minimum(first[:, 3:], second[:, 3:]) - np.maximum(first[:, :3], second[:, :3])
+        first = self.left[~leaves]
+        side = np.minimum(hi[first], hi[first + 1]) - np.maximum(lo[first], lo[first + 1])
         overlap = np.clip(side, 0.0, None).prod(axis=1)
         return {
             "num_leaves": int(np.count_nonzero(leaves)),
@@ -249,18 +260,19 @@ def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZ
     boxes = np.empty((n, 6))  # filled in place: no (n, 6) temporary, which raised the resident peak
     np.subtract(slot_cent, h, out=boxes[:, :3])
     np.add(slot_cent, h, out=boxes[:, 3:])
+    np.negative(boxes[:, 3:], out=boxes[:, 3:])  # -(c + h), the exact negation of the upper face
+    # Every column of a (lo, -hi) row is a minimum over the primitives below:
+    # the minimum of negated faces is bitwise the negated maximum.
     leaves = np.flatnonzero(leaf)
     leaves = leaves[np.argsort(starts[leaves])]
     bounds = np.empty((len(leaf), 6))
-    bounds[leaves, :3] = np.minimum.reduceat(boxes[:, :3], starts[leaves])
-    bounds[leaves, 3:] = np.maximum.reduceat(boxes[:, 3:], starts[leaves])
+    bounds[leaves] = np.minimum.reduceat(boxes, starts[leaves])
     # Internal boxes bottom up, one level at a time.
     kb = len(internal)
     for *_, level_leaf in reversed(levels):
         ka = kb - np.count_nonzero(~level_leaf)
         kids = bounds[2 * ka + 1 : 2 * kb + 1]
-        bounds[internal[ka:kb], :3] = np.minimum(kids[0::2, :3], kids[1::2, :3])
-        bounds[internal[ka:kb], 3:] = np.maximum(kids[0::2, 3:], kids[1::2, 3:])
+        bounds[internal[ka:kb]] = np.minimum(kids[0::2], kids[1::2])
         kb = ka
 
     return Bvh(bounds, left, starts, counts, perm, boxes, split_axis, split_plane, h, leaf_size, len(levels))
@@ -292,13 +304,15 @@ def point_hits(bvh: Bvh, origin: tuple[float, float, float], inset: float = 0.0)
     The node walk reads the tables in place.  Its stack holds nodes whose box
     passes, and expanding one tests both children with one read.  The leaves
     it reaches come out in slot order; one array step tests their slots.
+    Like that step, the walk compares each (lo, -hi) box row with the span
+    (q - inset, -(q + inset)), column by column.
     Not exported; :func:`traverse_point` and :func:`bvhknn.pipeline.run_query` use it.
     """
     ox, oy, oz = origin
-    ax, ay, az, bx, by, bz = ox - inset, oy - inset, oz - inset, ox + inset, oy + inset, oz + inset
+    ax, ay, az, bx, by, bz = ox - inset, oy - inset, oz - inset, -(ox + inset), -(oy + inset), -(oz + inset)
     bounds, lefts = bvh.bounds.data, bvh.left.data
-    x0, y0, z0, x1, y1, z1 = bvh.bounds[0].tolist()
-    stack = [0] if x0 <= ax and bx <= x1 and y0 <= ay and by <= y1 and z0 <= az and bz <= z1 else []
+    x0, y0, z0, x1, y1, z1 = bvh.bounds[0].tolist()  # x1, y1, z1: the negated upper faces
+    stack = [0] if x0 <= ax and x1 <= bx and y0 <= ay and y1 <= by and z0 <= az and z1 <= bz else []
     tested = 1
     leaves = []
     while stack:
@@ -309,12 +323,12 @@ def point_hits(bvh: Bvh, origin: tuple[float, float, float], inset: float = 0.0)
             continue
         tested += 2
         x0, y0, z0, x1, y1, z1, u0, v0, w0, u1, v1, w1 = _SIBLING_BOXES.unpack_from(bounds, 48 * left)
-        if u0 <= ax and bx <= u1 and v0 <= ay and by <= v1 and w0 <= az and bz <= w1:
+        if u0 <= ax and u1 <= bx and v0 <= ay and v1 <= by and w0 <= az and w1 <= bz:
             stack.append(left + 1)
-        if x0 <= ax and bx <= x1 and y0 <= ay and by <= y1 and z0 <= az and bz <= z1:
+        if x0 <= ax and x1 <= bx and y0 <= ay and y1 <= by and z0 <= az and z1 <= bz:
             stack.append(left)  # popped first: the left subtree is walked first
     leaves = np.array(leaves, dtype=np.int64)
-    spans = np.array([[ax, ay, az, bx, by, bz] if inset else origin])
+    spans = np.array([[ax, ay, az, bx, by, bz]])
     _, ids = _leaf_hits(bvh, np.zeros(len(leaves), dtype=np.int64), leaves, spans)
     return ids, tested
 
@@ -322,12 +336,19 @@ def point_hits(bvh: Bvh, origin: tuple[float, float, float], inset: float = 0.0)
 def _contains(boxes: np.ndarray, spans: np.ndarray) -> np.ndarray:
     """Row-wise closed test lo <= q - inset and q + inset <= hi, the comparisons of the node walk.
 
-    A row of `spans` is (q - inset, q + inset), or just q when every inset is 0.
+    A row of `boxes` is (lo, -hi) and a row of `spans` (q - inset,
+    -(q + inset)), and the two broadcast against each other.  Then
+    ``-hi <= -(q + inset)`` is ``q + inset <= hi``, so a box holds a span
+    when all six columns of ``boxes <= spans`` hold: one comparison over
+    contiguous rows.  Its (L, 6) bools, 0 or 1 a byte, are read as three
+    uint16 words a row, and a row passes when the three words ANDed are
+    0x0101.  ANDing the three word columns costs less than half of
+    ``.all(axis=1)``, which reduces the short rows slowly.
     """
-    a, b = spans[:, :3], spans[:, -3:]
-    return ((boxes[:, 0] <= a[:, 0]) & (b[:, 0] <= boxes[:, 3])
-            & (boxes[:, 1] <= a[:, 1]) & (b[:, 1] <= boxes[:, 4])
-            & (boxes[:, 2] <= a[:, 2]) & (b[:, 2] <= boxes[:, 5]))
+    words = (boxes <= spans).view(np.uint16)
+    both = words[:, 0] & words[:, 1]
+    both &= words[:, 2]
+    return both == 0x0101
 
 
 def _leaf_hits(bvh: Bvh, rows: np.ndarray, leaves: np.ndarray, spans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -359,8 +380,7 @@ def traverse_points(bvh: Bvh, origins: np.ndarray,
     `origins` is an (m, 3) array of finite rows, checked by
     :func:`bvhknn.geometry.checked_rows`, and `insets` an optional (m,)
     array of finite per-query box insets >= 0 (0 when omitted), applied as
-    :func:`point_hits` applies its `inset`, and with its rule: six
-    coordinates a box test only if some inset is nonzero.  A bad row or
+    :func:`point_hits` applies its `inset`.  A bad row or
     inset raises ValueError naming its index, and insets not m in number
     one naming both counts.  The traversal is a
     wavefront, one tree level a step: a frontier of (query row, node)
@@ -385,7 +405,7 @@ def traverse_points(bvh: Bvh, origins: np.ndarray,
     # take/compress rather than fancy indexing: same result, several times faster.
     origins = checked_rows(origins, "query")
     m = len(origins)
-    spans = origins
+    inset = 0.0
     if insets is not None:
         inset = np.asarray(insets, dtype=np.float64)
         if inset.size != m:
@@ -395,9 +415,8 @@ def traverse_points(bvh: Bvh, origins: np.ndarray,
         if not ok.all():
             bad = np.flatnonzero(~ok)[0]
             raise ValueError(f"inset index {bad} must be finite and >= 0, got {inset[bad, 0]}")
-        if inset.any():
-            # one (q - inset, q + inset) row per query: each test gathers a single array
-            spans = np.hstack([origins - inset, origins + inset])
+    # one (q - inset, -(q + inset)) row per query: each test gathers a single array
+    spans = np.hstack([origins - inset, -(origins + inset)])
     tested = np.ones(m, dtype=np.int64)  # every query tests the root box
     rows = np.flatnonzero(_contains(bvh.bounds[:1], spans))  # the root box against every query
     none = np.zeros(0, dtype=np.int64)
@@ -465,10 +484,10 @@ def probe_window(bvh: Bvh, origin: tuple[float, float, float], reach: float, min
         if counts[child] < min_count:
             break
         gate = child
-    x0, y0, z0, x1, y1, z1 = _BOX.unpack_from(bvh.bounds.data, 48 * gate)
+    x0, y0, z0, x1, y1, z1 = _BOX.unpack_from(bvh.bounds.data, 48 * gate)  # x1, y1, z1 negated
     ox, oy, oz = origin
     if not (ox - reach <= x0 and oy - reach <= y0 and oz - reach <= z0
-            and x1 <= ox + reach and y1 <= oy + reach and z1 <= oz + reach):
+            and -(ox + reach) <= x1 and -(oy + reach) <= y1 and -(oz + reach) <= z1):
         return None
     start = int(_window(bvh, gate, size))
     return bvh.perm[start:start + size]
@@ -497,8 +516,9 @@ def probe_windows(bvh: Bvh, origins: np.ndarray, reach: float, min_count: int,
             gate[at.compress(~go) // 3] = nodes.compress(~go)
             at, child = at.compress(go), child.compress(go)
         nodes = child
-    box = bvh.bounds.take(gate, axis=0)
-    rows = np.flatnonzero(((origins - reach <= box[:, :3]) & (box[:, 3:] <= origins + reach)).all(axis=1))
+    # The gate's box lies inside origin ± reach when the (lo, -hi) row of origin ± reach contains it as a span.
+    around = np.hstack([origins - reach, -(origins + reach)])
+    rows = np.flatnonzero(_contains(around, bvh.bounds.take(gate, axis=0)))
     start = _window(bvh, gate.take(rows), size)
     return rows, bvh.perm.take(start[:, None] + np.arange(size))
 

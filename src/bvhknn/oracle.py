@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,6 +177,20 @@ def brute_force_knn(points, q, metric: MetricSpec, k: int, radius: float | None 
     return _knn_rows(points, [q], metric, k, radius)[0]
 
 
+def _truth_pair(pair, row: int, slot: int) -> tuple[int, float]:
+    """One (id, distance) pair of a truth file as (int, float), else ValueError naming its row and slot.
+
+    The id is a Python or numpy integer >= 0, and no bool; the distance
+    passes :func:`bvhknn.geometry.checked_real` with no lower bound, as a
+    cosine similarity may be negative.
+    """
+    i, d = pair
+    place = f"truth row {row} slot {slot}"
+    if isinstance(i, bool) or not isinstance(i, numbers.Integral) or i < 0:  # numpy bools are no Integral
+        raise ValueError(f"{place} id must be an integer >= 0, got {i!r}")
+    return int(i), checked_real(d, f"{place} distance")
+
+
 @dataclass
 class GroundTruth:
     """Exact per-query neighbor lists for one (metric, k) setting."""
@@ -193,7 +208,7 @@ class GroundTruth:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "GroundTruth":
-        rows = [[(int(i), float(d)) for i, d in row] for row in obj["rows"]]
+        rows = [[_truth_pair(pair, r, s) for s, pair in enumerate(row)] for r, row in enumerate(obj["rows"])]
         return cls(metric=obj["metric"], k=checked_count(obj["k"], "k"), rows=rows)
 
     def save(self, path) -> None:

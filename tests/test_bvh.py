@@ -44,6 +44,12 @@ def leaf_ids(bvh, node):
     return bvh.perm[start:start + bvh.counts[node]].tolist()
 
 
+def lo_hi(rows):
+    """Box rows as the index stores them, (lo, -hi), turned back into (lo, hi): the negation is exact."""
+    rows = np.asarray(rows)
+    return np.concatenate([rows[..., :3], -rows[..., 3:]], axis=-1)
+
+
 def same_tree(a, b):
     """Whether two indexes hold equal tables, compared table by table, and equal scalars."""
     tables = ("bounds", "left", "starts", "counts", "perm", "boxes", "split_axis", "split_plane")
@@ -52,11 +58,11 @@ def same_tree(a, b):
 
 
 def walk_boxes(bvh):
-    """(node, its bounds row as a list, children or None) for every node, by full recursion."""
+    """(node, its box as a (lo, hi) list, children or None) for every node, by full recursion."""
     out = []
 
     def walk(idx):
-        box = bvh.bounds[idx].tolist()
+        box = lo_hi(bvh.bounds[idx]).tolist()
         kids = children(bvh, idx)
         out.append((idx, box, kids))
         if kids:
@@ -70,7 +76,8 @@ def walk_boxes(bvh):
 def test_single_primitive_tree():
     bvh = build_point_bvh([[1.0, 2.0, 3.0]], 0.5, leaf_size=4)
     assert bvh.num_nodes == 1
-    assert bvh.bounds[0].tolist() == [0.5, 1.5, 2.5, 1.5, 2.5, 3.5]
+    assert bvh.bounds[0].tolist() == [0.5, 1.5, 2.5, -1.5, -2.5, -3.5]  # the upper faces negated
+    assert lo_hi(bvh.bounds[0]).tolist() == [0.5, 1.5, 2.5, 1.5, 2.5, 3.5]
     assert leaf_ids(bvh, 0) == [0]
     assert bvh.max_depth() == 1
     assert nodes_tested(bvh, (1, 2, 3)) == 1
@@ -79,7 +86,7 @@ def test_single_primitive_tree():
 def test_two_separated_primitives_leaf1():
     bvh = build_point_bvh([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]], 1.0, leaf_size=1)
     assert bvh.num_nodes == 3
-    root = bvh.bounds[0]
+    root = lo_hi(bvh.bounds[0])
     assert root[:3].tolist() == [-1, -1, -1]
     assert root[3:].tolist() == [11, 1, 1]
     left, right = children(bvh, 0)
@@ -103,7 +110,7 @@ def test_structure_1000_random():
             leaves += 1
         else:
             depth[kids[0]] = depth[kids[1]] = depth[idx] + 1
-            lb, rb = bvh.bounds[kids[0]], bvh.bounds[kids[1]]
+            lb, rb = lo_hi(bvh.bounds[kids[0]]), lo_hi(bvh.bounds[kids[1]])
             # parent box is exactly the union of its children
             assert box[:3] == np.minimum(lb[:3], rb[:3]).tolist()
             assert box[3:] == np.maximum(lb[3:], rb[3:]).tolist()
@@ -123,7 +130,7 @@ def reference_tree(pts, half_width, leaf_size):
     Split on the longest centroid extent (ties x, then y, then z); the left
     child takes the first m // 2 primitives in (coordinate, id) order; a leaf
     holds at most leaf_size primitives, in (x, id) order.  Returns the
-    depth-first list of (node bounds row as a list, leaf ids or None), the
+    depth-first list of (node box as a (lo, hi) list, leaf ids or None), the
     leaf storage order and the depth.
     """
     nodes, order = [], []
@@ -223,7 +230,9 @@ def test_axis_ranks_refuse_keys_past_int64():
 
 
 # sha256 of every table of the two scenes of test_build_tables_match_recorded_digests, as
-# the stable-sort build made them.  A change to the build that moves any table fails here.
+# the stable-sort build made them, with bounds and boxes hashed as (lo, hi) rows: the
+# (lo, -hi) layout holds the same boxes bit for bit.  A change to the build that moves
+# any table fails here.
 RECORDED_TABLE_DIGESTS = {
     "uniform float32": {
         "bounds": "8e637b59df3a3637845ec08f5ea1477a906de65f35d218e2a0c03313a124f3a0",
@@ -257,7 +266,9 @@ def test_build_tables_match_recorded_digests(kind):
         pts = np.where(rng.random((20_000, 3)) < 0.5, -1.0, 1.0) * rng.integers(0, 9, size=(20_000, 3)) * 0.125
         half_width = 0.05
     bvh = build_point_bvh(pts, half_width)
-    got = {name: hashlib.sha256(getattr(bvh, name).tobytes()).hexdigest() for name in RECORDED_TABLE_DIGESTS[kind]}
+    tables = {name: getattr(bvh, name) for name in RECORDED_TABLE_DIGESTS[kind]}
+    tables["bounds"], tables["boxes"] = lo_hi(bvh.bounds), lo_hi(bvh.boxes)
+    got = {name: hashlib.sha256(table.tobytes()).hexdigest() for name, table in tables.items()}
     assert got == RECORDED_TABLE_DIGESTS[kind]
 
 
@@ -278,6 +289,77 @@ def test_build_rejects_bad_input():
         for make in makers:
             with pytest.raises(ValueError, match=f"half_width must be {message}"):
                 make(bad)
+    # the index's leaf size and depth are counts, as build_point_bvh's leaf size is
+    assert Bvh(*tables, 1.0, np.int32(8), np.int64(1)).max_depth() == 1
+    for leaf_size, depth, message in ((True, 1, "leaf_size must be an integer, got True"),
+                                      ("4", 1, "leaf_size must be an integer, got '4'"),
+                                      (0, 1, "leaf_size must be >= 1, got 0"),
+                                      (8, 2.5, "depth must be an integer, got 2.5"),
+                                      (8, np.True_, "depth must be an integer, got"),
+                                      (8, 0, "depth must be >= 1, got 0")):
+        with pytest.raises(ValueError, match=message):
+            Bvh(*tables, 1.0, leaf_size, depth)
+
+
+def test_tree_stats_of_a_fixed_scene():
+    # the figures as the (lo, hi) layout gave them; the (lo, -hi) layout must keep every bit
+    bvh = build_point_bvh(np.random.default_rng(31).random((2000, 3)), 0.05, 8)
+    assert bvh.tree_stats() == {"num_leaves": 256, "leaf_fill_mean": 0.9765625,
+                                "surface_area_sum": 289.19694721137375, "overlap_volume_sum": 2.2989634015487628}
+
+
+def six_comparisons(pts, half_width, q, inset):
+    """Ids whose box (c - h, c + h) holds q inset by `inset`, by six plain Python comparisons a box."""
+    a, b = [v - inset for v in q], [v + inset for v in q]
+    return [i for i, c in enumerate(pts.tolist())
+            if all(ci - half_width <= ai and bi <= ci + half_width for ci, ai, bi in zip(c, a, b))]
+
+
+def edge_scene(kind, rng):
+    """Points, half widths and insets whose box faces and query spans meet exactly, and the scene's scale."""
+    if kind == "signed zeros":  # faces at -0.0 and 0.0 from h = 0.0, h = -0.0 and 0.25 - 0.25
+        return signed_zeros(rng, 300) * 0.5, (0.0, -0.0, 0.25), (0.0, 0.125), 0.5
+    if kind == "near 1e300":
+        return rng.integers(-4, 5, size=(300, 3)) * 0.25e300, (0.25e300,), (0.0, 0.125e300), 0.5e300
+    tiny = 5e-324  # subnormal: every multiple below is exact
+    return rng.integers(-8, 9, size=(300, 3)) * (4 * tiny), (8 * tiny,), (0.0, tiny), 16 * tiny
+
+
+@pytest.mark.parametrize("kind", ["signed zeros", "near 1e300", "subnormal"])
+def test_one_comparison_rule_on_exact_faces(kind):
+    # Each box row is tested as (lo, -hi) <= (q - inset, -(q + inset)) in one comparison;
+    # it must admit exactly what six comparisons of lo and hi admit, faces included.
+    rng = np.random.default_rng(len(kind))
+    pts, half_widths, insets, scale = edge_scene(kind, rng)
+    for h in half_widths:
+        faces = np.concatenate([pts.ravel() - h, pts.ravel() + h, pts.ravel(), [0.0, -0.0]])
+        queries = np.vstack([rng.choice(faces, size=(80, 3)), pts[:20] + h, pts[20:40] - h, [[4 * scale] * 3]])
+        bvh = build_point_bvh(pts, h, 4)
+        for inset in insets:
+            want = [six_comparisons(pts, h, q, inset) for q in queries.tolist()]
+            assert (any(want) or inset > h) and not all(want)  # an inset past h leaves every box empty
+            runs = list(traverse_points(bvh, queries, np.full(len(queries), inset)))
+            rows, ids = (np.concatenate(parts) for parts in zip(*(run[2:4] for run in runs)))
+            plain_rows, plain_ids = all_hits(bvh, queries)[:2]  # no insets given
+            for j, q in enumerate(queries.tolist()):
+                assert sorted(bvh_module.point_hits(bvh, tuple(q), inset)[0].tolist()) == want[j]
+                assert sorted(ids[rows == j].tolist()) == want[j]
+                if inset == 0:
+                    assert containment_scan(pts, h, q) == want[j]
+                    assert sorted(plain_ids[plain_rows == j].tolist()) == want[j]
+        # the probe gate: the gate box lies inside q ± reach, by six plain comparisons too
+        mixed = False
+        for reach in (scale / 2, scale):
+            gated = []
+            for j, q in enumerate(queries.tolist()):
+                gate = [node for node in split_path(bvh, q) if bvh.counts[node] >= 2][-1]
+                box = lo_hi(bvh.bounds[gate]).tolist()
+                if all(qa - reach <= a and b <= qa + reach for qa, a, b in zip(q, box[:3], box[3:])):
+                    gated.append(j)
+                assert (bvh_module.probe_window(bvh, tuple(q), reach, 2, 8) is not None) == (gated[-1:] == [j])
+            assert bvh_module.probe_windows(bvh, queries, reach, 2, 8)[0].tolist() == gated
+            mixed |= 0 < len(gated) < len(queries)
+        assert mixed
 
 
 def test_traverse_trivial_scene():
@@ -319,7 +401,7 @@ def all_hits(bvh, origins):
     return rows, ids, tested, [run[:2] for run in runs]
 
 
-@pytest.mark.parametrize("kind", ["random", "lattice", "duplicates"])
+@pytest.mark.parametrize("kind", ["random", "lattice", "duplicates", "signed zeros"])
 @pytest.mark.parametrize("leaf_size", [1, 3, 8, 16])
 def test_traverse_points_matches_linear_scan(kind, leaf_size):
     rng = np.random.default_rng(leaf_size)
@@ -327,6 +409,8 @@ def test_traverse_points_matches_linear_scan(kind, leaf_size):
         pts = rng.random((2000, 3))
     elif kind == "lattice":
         pts = rng.integers(0, 9, size=(2000, 3)) * 0.125  # query points land on box faces
+    elif kind == "signed zeros":  # ±0.0625 ∓ 0.0625: faces at 0.0, stored as 0.0 and -0.0
+        pts = signed_zeros(rng, 2000) * 0.125
     else:
         pts = rng.permutation(np.repeat(rng.random((300, 3)), 7, axis=0))
     origins = np.vstack([rng.random((40, 3)), rng.integers(0, 17, size=(20, 3)) * 0.0625,
@@ -586,7 +670,7 @@ def test_probe_windows_follow_the_split_path(kind, leaf_size):
             big = [node for node in path if bvh.counts[node] >= min_count]
             assert big == path[:len(big)]  # counts fall along the path: the gate is the last big node
             gate = big[-1] if big else None
-            box = bvh.bounds[gate] if big else None
+            box = lo_hi(bvh.bounds[gate]) if big else None
             gated = box is not None and (q - reach <= box[:3]).all() and (box[3:] <= q + reach).all()
             assert (one is not None) == gated == (j in rows)
             if gated:

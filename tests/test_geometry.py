@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bvhknn import Point3, build_point_bvh, containment_scan
+from test_bvh import lo_hi
 
 coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 half = st.floats(min_value=0.0, max_value=1e3, allow_nan=False, allow_infinity=False)
@@ -23,7 +24,7 @@ def points():
 
 def box_around(center, half_width):
     """The box a one-point scene gives its point, as [x0, y0, z0, x1, y1, z1]."""
-    return build_point_bvh([center], half_width).boxes[0].tolist()
+    return lo_hi(build_point_bvh([center], half_width).boxes[0]).tolist()
 
 
 def contains(center, half_width, p):

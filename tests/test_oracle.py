@@ -328,3 +328,20 @@ def test_ground_truth_roundtrip(tmp_path):
         path.write_text(json.dumps({**truth.to_dict(), "k": bad}))
         with pytest.raises(ValueError, match=f"k must be an integer, got {bad!r}"):
             GroundTruth.load(path)
+    # a row's ids are integers >= 0 and its distances finite reals: nothing is truncated, cast or parsed
+    good = {**truth.to_dict(), "rows": [[[np.int64(3), -0.5], [0, np.float32(0.25)]]]}
+    assert GroundTruth.from_dict(good).rows == [[(3, -0.5), (0, 0.25)]]  # a cosine similarity may be negative
+    assert [type(v) for pair in GroundTruth.from_dict(good).rows[0] for v in pair] == [int, float] * 2
+    for row, message in (([[2.5, "0.1"], [True, "inf"]], r"truth row 0 slot 0 id must be an integer >= 0, got 2\.5"),
+                         ([[2, "0.1"], [True, "inf"]], "truth row 0 slot 0 distance must be a real number, got '0.1'"),
+                         ([[2, 0.1], [True, "inf"]], "truth row 0 slot 1 id must be an integer >= 0, got True"),
+                         ([[2, 0.1], [1, "inf"]], "truth row 0 slot 1 distance must be a real number, got 'inf'"),
+                         ([[2, 0.1], [1, math.inf]], "truth row 0 slot 1 distance must be finite, got inf"),
+                         ([[2, 0.1], [-1, 0.2]], "truth row 0 slot 1 id must be an integer >= 0, got -1"),
+                         ([[2, 0.1], [np.True_, 0.2]], "truth row 0 slot 1 id must be an integer >= 0, got")):
+        with pytest.raises(ValueError, match=message):
+            GroundTruth.from_dict({**truth.to_dict(), "rows": [row]})
+        # in a file, after a good row; JSON writes a numpy bool as true
+        path.write_text(json.dumps({**truth.to_dict(), "rows": truth.to_dict()["rows"][:1] + [row]}, default=bool))
+        with pytest.raises(ValueError, match=message.replace("row 0", "row 1")):
+            GroundTruth.load(path)

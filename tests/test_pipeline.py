@@ -280,7 +280,7 @@ def test_leaf_size_never_changes_an_answer(metric):
 
 
 # Slot-test block sizes, None for the default: multi-block slot tests on
-# both paths, and on 3-column spans as well as 6-column inset ones.
+# both paths, for inset queries and for queries at inset 0.
 @pytest.mark.parametrize("budget, block", [pytest.param(p, b, id=str(p) if b is None else f"{p}-block{b}")
                                            for p in (1, 50, 2000) for b in (None, 1, 7, 64)])
 def test_batch_query_spans_runs(monkeypatch, budget, block):
