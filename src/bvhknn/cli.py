@@ -54,8 +54,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="lp:<p> | linf | cosine | angular | euclid2d | hamming3")
     sub.add_argument("--radius", type=float, help="search radius r")
     sub.add_argument("--k", type=int, default=10)
-    sub.add_argument("--enhanced", type=_parse_bool, default=False, metavar="BOOL")
-    sub.add_argument("--repeats", type=int, default=1)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", help="write JSON here instead of stdout")
 
@@ -181,26 +179,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bvhknn",
                                      description="generalized k-NN search benchmark driver")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("build-info", help="build the index and report its structure")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_build_info)
-
-    p = subs.add_parser("query", help="run a timed search and report recall")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_query)
-
-    p = subs.add_parser("sweep", help="run a series of searches along one axis")
-    _add_common(p)
-    p.add_argument("--axis", choices=SWEEP_AXES, required=True)
-    p.add_argument("--values", type=_parse_values, required=True,
-                   help="comma-separated, strictly increasing")
-    p.set_defaults(fn=_cmd_sweep)
-
-    p = subs.add_parser("oracle", help="brute-force ground truth (radius optional)")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_oracle)
-
+    info = subs.add_parser("build-info", help="build the index and report its structure")
+    query = subs.add_parser("query", help="run a timed search and report recall")
+    series = subs.add_parser("sweep", help="run a series of searches along one axis")
+    oracle = subs.add_parser("oracle", help="brute-force ground truth (radius optional)")
+    for p, fn in ((info, _cmd_build_info), (query, _cmd_query), (series, _cmd_sweep), (oracle, _cmd_oracle)):
+        _add_common(p)
+        p.set_defaults(fn=fn)
+    # each subcommand takes only the flags it reads, so an ignored flag is an error
+    for p in (info, query, series):
+        p.add_argument("--enhanced", type=_parse_bool, default=False, metavar="BOOL")
+    for p in (query, series):
+        p.add_argument("--repeats", type=int, default=1)
+    series.add_argument("--axis", choices=SWEEP_AXES, required=True)
+    series.add_argument("--values", type=_parse_values, required=True,
+                        help="comma-separated, strictly increasing")
     return parser
 
 

@@ -2,10 +2,11 @@
 
 Every data and query array passes :func:`checked_rows` where it enters,
 and its shape rule, :func:`shaped_rows`, reads an empty list as no rows;
-every count passes :func:`checked_count`, and every radius, half width
-and exponent :func:`checked_real`.  `Point3` and `PointQuery` are the
-argument of the any-hit :func:`bvhknn.bvh.traverse_point` alone; every
-other entry point takes plain rows.  The boxes live only as rows of the
+every count passes :func:`checked_count`, and every radius, half width,
+exponent and `Point3` coordinate :func:`checked_real`.  `Point3` and
+`PointQuery` are the argument of the any-hit
+:func:`bvhknn.bvh.traverse_point` alone; every other entry point takes
+plain rows.  The boxes live only as rows of the
 BVH's numpy tables (see bvh.py), where the walks test them closed: a
 point sitting exactly on a face counts as contained.
 """
@@ -74,15 +75,15 @@ def checked_real(value, name: str, low: float | None = None, strict: bool = Fals
 
 @dataclass(frozen=True, slots=True)
 class Point3:
-    """A point (or vector) in 3D space. Coordinates must be finite."""
+    """A point (or vector) in 3D space: each coordinate passes :func:`checked_real` and is stored as a float."""
 
     x: float
     y: float
     z: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise ValueError(f"non-finite coordinates: ({self.x}, {self.y}, {self.z})")
+        for name in ("x", "y", "z"):
+            object.__setattr__(self, name, checked_real(getattr(self, name), name))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)

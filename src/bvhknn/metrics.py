@@ -175,7 +175,7 @@ def inclusion_radius(metric: MetricSpec, r: float, d: int = 3) -> float:
     if not metric.is_native:
         raise ValueError(
             f"metric {metric.canonical()!r} has no L2 inclusion radius; "
-            "apply its transform and query in the range space instead"
+            "map the points with transform_chain_for and search with pipeline_metric_for"
         )
     r = checked_real(r, "radius", 0.0, strict=True)
     if d not in (2, 3):

@@ -21,7 +21,8 @@ answer at r lies within r_q, ties at the k-th place included.  The boxes
 are then inset by H - h(r_q), H being the index's half width and h the
 scene half width, linear in r, so the tree filters as one built at r_q
 would: an index serves any config with h(r) <= H and rejects the others.
-The refine still keeps distance <= r, so the answer is the oracle's at r.
+The refine still keeps distance <= r, so the answer is the oracle's at r,
+and each result reports the r_q it was searched with.
 
 :func:`batch_query` runs the probe and both stages for many queries at
 once: the probe one tree level a step (:func:`bvhknn.bvh.probe_windows`),
@@ -33,8 +34,8 @@ sort on (query, weight, id): an unstable argsort of one packed int64 key
 than 2**31 points, raises OverflowError.  Each query's first k land at
 (query, rank) in (m, k) id and distance arrays, the layout of
 ``scipy.spatial.cKDTree.query``, padded with id n and distance inf; a
-:class:`BatchResult` holds them with the per-query counts and builds a
-query's :class:`QueryResult` only when asked for it.
+:class:`BatchResult` holds them with the per-query counts and radii r_q
+and builds a query's :class:`QueryResult` only when asked for it.
 :func:`run_query` is the per-query reference path: the probe and the
 inset node walk of :func:`bvhknn.bvh.point_hits` in Python, with no
 callback.  The two pick bitwise-equal insets and return equal results.
@@ -70,7 +71,7 @@ import enum
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -137,13 +138,16 @@ class QueryResult:
     radius r_q: hit_count boxes passed, node_visits node boxes were
     tested, and hit_count >= candidate_count >= len(neighbors), where
     candidates are the hits within distance r.  The probe that picks r_q
-    is not counted.
+    is not counted.  `radius` is that r_q, in pipeline units like
+    ``config.r`` (a chord for cosine and angular), and exactly ``config.r``
+    for a query the probe passes over.
     """
 
     neighbors: list[tuple[int, float]]
     candidate_count: int
     hit_count: int
-    node_visits: int = 0
+    node_visits: int
+    radius: float
 
     def ids(self) -> list[int]:
         return [i for i, _ in self.neighbors]
@@ -157,10 +161,10 @@ class BatchResult(Sequence):
     :class:`QueryResult` order, then padding: id n, the number of points,
     and distance inf.  The first ``filled[i] = min(candidates[i], k)``
     slots are filled.  `candidates`, `hits` and `nodes_tested` are (m,)
-    arrays of QueryResult's counts.  As a sequence, item i is query i's
-    QueryResult, built when asked for; iteration builds them all in one
-    pass, a slice is a BatchResult, and the batch equals any sequence of
-    equal QueryResults.
+    arrays of QueryResult's counts, and `radii` the (m,) float64 array of
+    its `radius`.  As a sequence, item i is query i's QueryResult, built
+    when asked for; iteration builds them all in one pass, a slice is a
+    BatchResult, and the batch equals any sequence of equal QueryResults.
     """
 
     ids: np.ndarray
@@ -168,6 +172,7 @@ class BatchResult(Sequence):
     candidates: np.ndarray
     hits: np.ndarray
     nodes_tested: np.ndarray
+    radii: np.ndarray
 
     @property
     def filled(self) -> np.ndarray:
@@ -179,14 +184,13 @@ class BatchResult(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return BatchResult(self.ids[i], self.distances[i], self.candidates[i], self.hits[i], self.nodes_tested[i])
+            return BatchResult(self.ids[i], self.distances[i], self.candidates[i], self.hits[i],
+                               self.nodes_tested[i], self.radii[i])
         i = operator.index(i)
         if not -len(self) <= i < len(self):
             raise IndexError(f"query index {i} out of range for {len(self)} queries")
-        c = int(self.candidates[i])
-        filled = min(c, self.ids.shape[1])
-        neighbors = list(zip(self.ids[i, :filled].tolist(), self.distances[i, :filled].tolist()))
-        return QueryResult(neighbors, c, int(self.hits[i]), int(self.nodes_tested[i]))
+        i %= len(self)
+        return next(iter(self[i:i + 1]))
 
     def __iter__(self):
         # one flat pass over the filled slots, row by row, cut at the cumulative counts
@@ -194,8 +198,9 @@ class BatchResult(Sequence):
         mask = np.arange(self.ids.shape[1]) < filled[:, None]
         pairs = list(zip(self.ids[mask].tolist(), self.distances[mask].tolist()))
         ends = np.cumsum(filled).tolist()
-        return iter([QueryResult(pairs[a:b], c, h, t) for a, b, c, h, t in zip(
-            [0] + ends, ends, self.candidates.tolist(), self.hits.tolist(), self.nodes_tested.tolist())])
+        return iter([QueryResult(pairs[a:b], c, h, t, r) for a, b, c, h, t, r in zip(
+            [0] + ends, ends, self.candidates.tolist(), self.hits.tolist(), self.nodes_tested.tolist(),
+            self.radii.tolist())])
 
     def __eq__(self, other):
         if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
@@ -227,12 +232,7 @@ def build_index(points, config: ReductionConfig) -> Bvh:
 
 def _checked_points(bvh: Bvh, points, config: ReductionConfig) -> np.ndarray:
     """`points` as a float32 or float64 array, after the O(1) checks every query entry point makes."""
-    if not config.metric.is_native:
-        raise ValueError(
-            f"pipeline queries need a native metric, got {config.metric.canonical()!r}; "
-            "map the points with transform_chain_for and search with pipeline_metric_for"
-        )
-    h = scene_half_width(config)
+    h = scene_half_width(config)  # refuses a transform-backed metric
     if h > bvh.half_width:
         raise ValueError(f"config needs boxes of half width {h} but the index was built with {bvh.half_width}")
     # float32 data is kept as given, not copied whole on every call:
@@ -243,11 +243,6 @@ def _checked_points(bvh: Bvh, points, config: ReductionConfig) -> np.ndarray:
     if bvh.num_primitives != len(points):
         raise ValueError(f"index holds {bvh.num_primitives} primitives but dataset has {len(points)}")
     return points
-
-
-def _checked_queries(queries) -> np.ndarray:
-    """`queries` as a C-ordered (m, 3) array of finite rows, after the checks the batched entry points make."""
-    return np.ascontiguousarray(checked_rows(queries, "query"))
 
 
 # The probe's gate count, times k: a query is probed only if its descent
@@ -305,21 +300,16 @@ def _probe_params(bvh: Bvh, config: ReductionConfig) -> tuple[float, int, int]:
     return config.r + bvh.half_width, gate, min(2 * gate, bvh.num_primitives)
 
 
-def query_radii(bvh: Bvh, points, queries, config: ReductionConfig) -> np.ndarray:
-    """The radius r_q <= r that each row of the (m, 3) `queries` is searched with.
+def _radii(bvh: Bvh, points: np.ndarray, queries: np.ndarray, config: ReductionConfig) -> np.ndarray:
+    """The radius r_q <= r that each row of the checked (m, 3) `queries` is searched with.
 
     r for a query that the probe passes over.  The gate asks for points
     within r, not within the scene half width, so plain and enhanced
     scenes, which share their topology and split planes, give the same
     radii (barring a query within rounding of a gate face).  Queries are
     probed in blocks of at most PAIR_BUDGET window slots, so memory stays
-    bounded.  Queries not an (m, 3) array of finite rows raise ValueError.
+    bounded.
     """
-    return _radii(bvh, _checked_points(bvh, points, config), _checked_queries(queries), config)
-
-
-def _radii(bvh: Bvh, points: np.ndarray, queries: np.ndarray, config: ReductionConfig) -> np.ndarray:
-    """:func:`query_radii` of checked points and queries."""
     radii = np.full(len(queries), config.r)
     params = _probe_params(bvh, config)
     block = max(1, PAIR_BUDGET // params[2])
@@ -357,7 +347,7 @@ def run_query(bvh: Bvh, points, q, config: ReductionConfig) -> QueryResult:
     ids, w, dist = hits[inside], w[inside], dist[inside]
     top = np.lexsort((ids, w))[: config.k]
     neighbors = list(zip(ids[top].tolist(), dist[top].tolist()))
-    return QueryResult(neighbors, len(ids), len(hits), tested)
+    return QueryResult(neighbors, len(ids), len(hits), tested, float(radius))
 
 
 def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> BatchResult:
@@ -365,7 +355,7 @@ def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> BatchResu
 
     Returns a :class:`BatchResult`: (m, k) id and distance arrays, in the
     layout of ``cKDTree.query`` (a missing neighbor reads id n and
-    distance inf), and per-query counts.  Its item i equals
+    distance inf), per-query counts and radii r_q.  Its item i equals
     ``run_query(bvh, points, queries[i], config)``, counts included, and
     is built only when asked for; `bvh` is checked as there.  The probe
     runs for all queries first, one tree level a step, and gives each its
@@ -380,9 +370,9 @@ def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> BatchResu
     limits of :func:`traverse_points` allow only for n > 2**31 points.
     """
     points = _checked_points(bvh, points, config)
-    queries = _checked_queries(queries)
-    insets = _insets(bvh, _radii(bvh, points, queries, config), config)
-    return _refined(traverse_points(bvh, queries, insets), points, queries, config)
+    queries = np.ascontiguousarray(checked_rows(queries, "query"))
+    radii = _radii(bvh, points, queries, config)
+    return _refined(traverse_points(bvh, queries, _insets(bvh, radii, config)), points, queries, radii, config)
 
 
 def _run_order(rows: np.ndarray, ids: np.ndarray, w: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:
@@ -421,11 +411,11 @@ def _run_order(rows: np.ndarray, ids: np.ndarray, w: np.ndarray, lo: int, hi: in
     return key.argsort()
 
 
-def _refined(runs, points: np.ndarray, origins: np.ndarray, config: ReductionConfig) -> BatchResult:
-    """The BatchResult of :func:`traverse_points` `runs` over `origins`."""
+def _refined(runs, points: np.ndarray, origins: np.ndarray, radii: np.ndarray, config: ReductionConfig) -> BatchResult:
+    """The BatchResult of :func:`traverse_points` `runs` over `origins`, searched with `radii`."""
     m, k, n = len(origins), config.k, len(points)
     out = BatchResult(np.full((m, k), n, dtype=np.int64), np.full((m, k), np.inf),
-                      np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64))
+                      np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64), radii)
     for lo, hi, rows, ids, tested in runs:
         out.hits[lo:hi] = np.bincount(rows - lo, minlength=hi - lo)
         out.nodes_tested[lo:hi] = tested
@@ -544,8 +534,9 @@ def to_source_units(source: MetricSpec, batch: BatchResult) -> BatchResult:
 
     Only cosine and angular change a distance: a chord c between unit
     vectors is the angle 2 asin(c / 2) and the cosine similarity
-    1 - c**2 / 2.  The padding stays (n, inf) in every unit.  For every
-    other metric the batch is returned as it is.
+    1 - c**2 / 2.  The padding stays (n, inf) in every unit, and the
+    radii stay in pipeline units.  For every other metric the batch is
+    returned as it is.
     """
     if source.kind not in (KIND_ANGULAR, KIND_COSINE):
         return batch
@@ -557,7 +548,7 @@ def to_source_units(source: MetricSpec, batch: BatchResult) -> BatchResult:
         converted[filled] = [2.0 * math.asin(min(1.0, c / 2.0)) for c in d[filled].tolist()]
     else:
         converted = np.where(filled, 1.0 - d * d / 2.0, np.inf)  # a similarity, not a distance
-    return BatchResult(batch.ids, converted, batch.candidates, batch.hits, batch.nodes_tested)
+    return replace(batch, distances=converted)
 
 
 def knn_search(data, queries, metric: MetricSpec, r: float, k: int, enhanced: bool = False) -> BatchResult:

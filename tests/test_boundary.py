@@ -7,7 +7,7 @@ exactly r along one axis, the oracle's own k-th distance used as r, and
 duplicate points that tie on weight.
 
 Dense scenes do the same for the radius r_q < r that the probe gives a
-query (`query_radii`): points exactly r_q away along an axis, ties at
+query (`BatchResult.radii`): points exactly r_q away along an axis, ties at
 r_q inside and outside the probe's window, duplicates that make r_q 0,
 and scenes too small for a window of 4k points.  Each dense scene is
 also searched at r on indexes built with wider boxes, which must give
@@ -34,7 +34,7 @@ from bvhknn import (
     scene_half_width,
     weights,
 )
-from bvhknn.pipeline import _insets, query_radii
+from bvhknn.pipeline import _insets
 
 METRICS = [MetricSpec.lp(1), MetricSpec.lp(1.5), MetricSpec.lp(2), MetricSpec.lp(3), MetricSpec.linf()]
 SCENES = 100
@@ -125,9 +125,9 @@ def assert_probed_matches_oracle(pts, queries, metric, r, k, enhanced):
     """Both entry points equal the oracle at r, on the index built at r and on wider ones.
 
     The wider indexes are built at 2r and 4r, and for an enhanced config
-    also plain at r, which is wider for lp:3 and linf.  Returns the radii
-    the queries were searched with and the results, both on the index
-    built at r.
+    also plain at r, which is wider for lp:3 and linf.  Returns the
+    batch on the index built at r, with the radii its queries were
+    searched with.
     """
     cfg = ReductionConfig(metric, r, k, enhanced)
     builds = [cfg, replace(cfg, r=2 * r), replace(cfg, r=4 * r)] + [replace(cfg, enhanced=False)] * enhanced
@@ -137,7 +137,7 @@ def assert_probed_matches_oracle(pts, queries, metric, r, k, enhanced):
     for index, results in zip(indexes, runs):
         assert results == [run_query(index, pts, q, cfg) for q in queries]
         assert [res.neighbors for res in results] == want
-    return query_radii(indexes[0], pts, queries, cfg), runs[0]
+    return runs[0]
 
 
 def kth_distance(pts, q, metric, k):
@@ -179,8 +179,8 @@ def test_points_exactly_r_q_along_an_axis(metric, enhanced):
         far = rng.uniform(-2, 2, size=(14, 3))  # within r on every axis, farther than s on one
         far[np.arange(14), rng.integers(0, 3, size=14)] = rng.choice([-1, 1], size=14) * rng.uniform(1.25, 2, size=14)
         pts = rng.permutation(np.vstack([q + s * np.eye(3), q - s * np.eye(3), q + s * far]))
-        radii, results = assert_probed_matches_oracle(pts, [q], metric, r, k, enhanced)
-        assert radii[0] == kth_distance(pts, q, metric, k) < r
+        results = assert_probed_matches_oracle(pts, [q], metric, r, k, enhanced)
+        assert results.radii[0] == kth_distance(pts, q, metric, k) < r
         assert len(results[0].neighbors) == k
 
 
@@ -200,8 +200,8 @@ def test_lattice_ties_at_the_probed_radius(metric, enhanced):
         queries = q + s * rng.integers(-2, 3, size=(4, 3)) / 2
         r = float(rng.uniform(2.5, 4.0)) * s
         k = int(rng.integers(1, 16))
-        radii, _ = assert_probed_matches_oracle(pts, queries, metric, r, k, enhanced)
-        shrunk += np.count_nonzero(radii < r)
+        results = assert_probed_matches_oracle(pts, queries, metric, r, k, enhanced)
+        shrunk += np.count_nonzero(results.radii < r)
     assert shrunk > SCENES  # most of the 200 queries search a radius below r
 
 
@@ -219,8 +219,8 @@ def test_duplicates_give_zero_probed_radius(metric, enhanced):
         r = float(rng.uniform(0.05, 0.2))
         near = q + rng.uniform(-r, r, size=(40, 3))
         pts = rng.permutation(np.vstack([np.tile(q, (3 * k, 1)), near]))
-        radii, results = assert_probed_matches_oracle(pts, [q], metric, r, k, enhanced)
-        if radii[0] == 0.0:
+        results = assert_probed_matches_oracle(pts, [q], metric, r, k, enhanced)
+        if results.radii[0] == 0.0:
             zero += 1
             assert results[0].hit_count == 3 * k
     assert zero > SCENES // 4
@@ -238,13 +238,13 @@ def test_small_scenes_fall_back_or_probe_every_point(metric):
         for _ in range(10):
             q = rng.random(3)
             pts = q + rng.uniform(-0.1, 0.1, size=(n, 3))
-            radii, results = assert_probed_matches_oracle(pts, [q], metric, r, k, False)
+            results = assert_probed_matches_oracle(pts, [q], metric, r, k, False)
             if n < 2 * k:
                 h = scene_half_width(ReductionConfig(metric, r, k))
-                assert radii[0] == r
+                assert results.radii[0] == r
                 assert results[0].hit_count == len(containment_scan(pts, h, q))
             else:
-                assert radii[0] == kth_distance(pts, q, metric, k)
+                assert results.radii[0] == kth_distance(pts, q, metric, k)
 
 
 lattice = st.integers(0, 4).map(lambda i: i * 0.25)

@@ -8,6 +8,7 @@ containment_scan, which takes a plain query row.
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -60,6 +61,14 @@ def test_point_rejects_non_finite():
         Point3(0.0, float("nan"), 0.0)
     with pytest.raises(ValueError):
         Point3(float("inf"), 0.0, 0.0)
+    # a bool or a string is no coordinate, and each refusal names its axis
+    for bad, name in ((True, "x"), (np.True_, "y"), ("1", "z")):
+        coords = {"x": 0.0, "y": 0.0, "z": 0.0, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            Point3(**coords)
+    # numpy and integer coordinates are stored as floats
+    p = Point3(np.float32(0.5), np.float64(1.5), 2)
+    assert p == Point3(0.5, 1.5, 2.0) and all(type(c) is float for c in p.as_tuple())
 
 
 def test_containment_scan_rejects_bad_query_rows():

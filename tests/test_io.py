@@ -441,6 +441,25 @@ def test_cli_build_info(tmp_path, capsys):
     assert "unrecognized arguments: --leaf-size 16" in capsys.readouterr().err
 
 
+def test_cli_subcommands_take_only_the_flags_they_read(capsys):
+    # build-info and oracle ignore --repeats, and oracle --enhanced, so they
+    # refuse them as they refuse any unknown flag
+    info = ["build-info", "--n", "200", "--metric", "lp:3", "--radius", "0.1"]
+    oracle = ["oracle", "--n", "200", "--queries", "5", "--metric", "lp:2", "--k", "3"]
+    for args, flag in ((info, ["--repeats", "2"]), (oracle, ["--repeats", "2"]), (oracle, ["--enhanced", "true"])):
+        with pytest.raises(SystemExit) as exc:
+            main(args + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    # build-info reads --enhanced: the enhanced lp:3 scene has boxes of half width r
+    code, out, err = run_cli(info + ["--enhanced", "true"], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["config"]["enhanced"] is True and report["index"]["box_half_width"] == 0.1
+    code, out, err = run_cli(info, capsys)
+    assert code == 0 and json.loads(out)["index"]["box_half_width"] > 0.1
+
+
 def test_cli_build_info_needs_no_queries(tmp_path, capsys):
     data = write(tmp_path / "pts.csv", "0,0,0\n1,0,0\n2,0,0\n")
     for source, n in ((["--n", "1000"], 1000), (["--data", data, "--n", "3"], 3)):

@@ -26,7 +26,7 @@ from bvhknn import (
     transform_points,
 )
 from bvhknn import bvh as bvh_module
-from bvhknn.pipeline import BatchResult, _run_order, query_radii
+from bvhknn.pipeline import BatchResult, _run_order
 
 L1 = MetricSpec.lp(1)
 L2 = MetricSpec.lp(2)
@@ -293,12 +293,11 @@ def test_batch_query_spans_runs(monkeypatch, budget, block):
     queries = queries[rng.permutation(len(queries))]
     cfg = ReductionConfig(L2, 0.1, 5)
     bvh = build_index(pts, cfg)
-    radii = query_radii(bvh, pts, queries, cfg)
-    assert 150 < np.count_nonzero(radii < cfg.r) < len(queries) - 500
     monkeypatch.setattr(bvh_module, "PAIR_BUDGET", budget)
     if block is not None:
         monkeypatch.setattr(bvh_module, "_SLOT_BLOCK", block)
     got = batch_query(bvh, pts, queries, cfg)
+    assert 150 < np.count_nonzero(got.radii < cfg.r) < len(queries) - 500
     assert got == [run_query(bvh, pts, q, cfg) for q in queries]
 
 
@@ -363,13 +362,13 @@ def test_batch_query_memory_bounded_at_large_radius():
     queries = 0.5 + rng.uniform(-0.02, 0.02, (600, 3))
     cfg = ReductionConfig(L2, 0.55, 10)
     bvh = build_index(pts, cfg)
-    assert (query_radii(bvh, pts, queries, cfg) == cfg.r).all()
     tracemalloc.start()
     try:
         got = batch_query(bvh, pts, queries, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert (got.radii == cfg.r).all()
     assert [res.hit_count for res in got] == [len(pts)] * len(queries)
     assert [res.candidate_count for res in got] == [5] * len(queries)
     assert got[::97] == [run_query(bvh, pts, q, cfg) for q in queries[::97]]
@@ -390,8 +389,8 @@ def test_float32_data_is_searched_as_it_is():
         assert build_index(pts32, cfg).boxes.tobytes() == bvh.boxes.tobytes()
         want = batch_query(bvh, pts64, queries, cfg)
         assert any(res.candidate_count > 10 for res in want)  # the k-th place is decided
-        assert batch_query(bvh, pts32, queries, cfg) == want
-        assert query_radii(bvh, pts32, queries, cfg).tobytes() == query_radii(bvh, pts64, queries, cfg).tobytes()
+        got = batch_query(bvh, pts32, queries, cfg)
+        assert got == want and got.radii.tobytes() == want.radii.tobytes()
         assert [run_query(bvh, pts32, q, cfg) for q in queries[::20]] == want[::20]
     tracemalloc.start()
     try:
@@ -412,7 +411,7 @@ def test_strided_points_are_gathered_without_a_copy():
     cfg = ReductionConfig(L1, 0.05, 10)
     bvh = build_index(pts, cfg)
     want = run_query(bvh, pts, q, cfg)
-    assert query_radii(bvh, pts, [q], cfg)[0] < cfg.r  # the probe gathers too
+    assert want.radius < cfg.r  # the probe gathers too
     for view in (records[:, :3], np.asfortranarray(pts)):
         assert not view.flags.c_contiguous
         tracemalloc.start()
@@ -433,8 +432,8 @@ def test_batch_query_no_queries():
     cfg = ReductionConfig(L2, 0.5, 1)
     bvh = build_index(pts, cfg)
     for none in (np.empty((0, 3)), []):
-        assert batch_query(bvh, pts, none, cfg) == []
-        assert query_radii(bvh, pts, none, cfg).shape == (0,)
+        got = batch_query(bvh, pts, none, cfg)
+        assert got == [] and got.radii.shape == (0,)
     for metric, data in ((L2, pts), (MetricSpec.cosine(), pts + 1), (MetricSpec.euclid2d(), pts[:, :2]),
                          (MetricSpec.hamming3(), pts)):
         assert knn_search(data, [], metric, 0.5, 1) == []
@@ -466,8 +465,11 @@ def test_batch_result_layout():
     assert got.candidates.tolist() == [res.candidate_count for res in want]
     assert got.hits.tolist() == [res.hit_count for res in want]
     assert got.nodes_tested.tolist() == [res.node_visits for res in want]
+    assert got.radii.dtype == np.float64 and got.radii.tolist() == [res.radius for res in want]
     assert got[0] == want[0] and got[-1] == want[-1] and got[np.int64(3)] == want[3]
     assert got[-1].neighbors == [] and got[-1].hit_count == 0
+    # the probe passes over the far query: both entry points report r itself, as a float
+    assert got[-1].radius == got.radii[-1] == want[-1].radius == cfg.r and type(want[-1].radius) is float
     with pytest.raises(IndexError):
         got[len(queries)]
     with pytest.raises(IndexError):
@@ -499,22 +501,39 @@ def test_source_units_are_the_per_pair_formulas():
         assert got.distances[~padded].tobytes() == np.array(want).tobytes()
 
 
+def test_source_units_keep_the_radii_in_chords():
+    # knn_search converts the distances of cosine and angular, but not the
+    # radii r_q: they stay chords <= r, bitwise the pipeline-space batch's
+    rng = np.random.default_rng(38)
+    data = rng.normal(size=(20_000, 3))
+    queries = rng.normal(size=(200, 3))
+    unit = transform_points([Transform.NORMALIZE], data)
+    cfg = ReductionConfig(L2, 0.1, 10)
+    chords = batch_query(build_index(unit, cfg), unit, transform_points([Transform.NORMALIZE], queries), cfg)
+    assert (chords.radii < cfg.r).any() and (chords.radii == cfg.r).any()
+    for name in ("cosine", "angular"):
+        got = knn_search(data, queries, MetricSpec.parse(name), cfg.r, 10)
+        assert got.radii.tobytes() == chords.radii.tobytes() and (got.radii <= cfg.r).all()
+        assert [res.radius for res in got] == chords.radii.tolist()
+        filled = chords.distances < np.inf
+        assert filled.any() and (got.distances[filled] != chords.distances[filled]).all()
+
+
 def test_batch_query_rejects_bad_query_arrays():
     pts = np.array([[0, 0, 0], [1, 0, 0]], float)
     cfg = ReductionConfig(L2, 0.5, 1)
     bvh = build_index(pts, cfg)
-    for entry in (batch_query, query_radii):
-        with pytest.raises(ValueError, match=r"shape \(3,\)"):
-            entry(bvh, pts, np.array([0.0, 0.0, 0.0]), cfg)
-        with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
-            entry(bvh, pts, np.zeros((2, 2)), cfg)
-        with pytest.raises(ValueError, match=r"shape \(2, 4\)"):
-            entry(bvh, pts, np.zeros((2, 4)), cfg)
-        for bad in (np.nan, np.inf, -np.inf):
-            queries = np.zeros((4, 3))
-            queries[2, 1] = bad
-            with pytest.raises(ValueError, match="query index 2"):
-                entry(bvh, pts, queries, cfg)
+    with pytest.raises(ValueError, match=r"shape \(3,\)"):
+        batch_query(bvh, pts, np.array([0.0, 0.0, 0.0]), cfg)
+    with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+        batch_query(bvh, pts, np.zeros((2, 2)), cfg)
+    with pytest.raises(ValueError, match=r"shape \(2, 4\)"):
+        batch_query(bvh, pts, np.zeros((2, 4)), cfg)
+    for bad in (np.nan, np.inf, -np.inf):
+        queries = np.zeros((4, 3))
+        queries[2, 1] = bad
+        with pytest.raises(ValueError, match="query index 2"):
+            batch_query(bvh, pts, queries, cfg)
 
 
 def test_query_entry_points_share_input_checks():
@@ -522,7 +541,6 @@ def test_query_entry_points_share_input_checks():
     cfg = ReductionConfig(L2, 0.5, 1)
     bvh = build_index(pts, cfg)
     cases = [
-        (bvh, pts, ReductionConfig(MetricSpec.cosine(), 0.5, 1), "native metric"),
         (bvh, pts[:1], cfg, "2 primitives but dataset has 1"),
         # boxes narrower than the config needs: an index built at r/2, and
         # enhanced lp:3 and linf indexes asked for the wider plain scene
@@ -541,9 +559,7 @@ def test_query_entry_points_share_input_checks():
             run_query(index, data, [0, 0, 0], config)
         with pytest.raises(ValueError, match=message) as batch:
             batch_query(index, data, [[0, 0, 0]], config)
-        with pytest.raises(ValueError, match=message) as radii:
-            query_radii(index, data, [[0, 0, 0]], config)
-        assert str(single.value) == str(batch.value) == str(radii.value)
+        assert str(single.value) == str(batch.value)
     # one bad query fails alike at every entry point, as a one-query batch
     for q, message in (([0, np.nan, 0], "query index 0 has non-finite coordinates"),
                        (np.array([np.inf, 0, 0]), "query index 0 has non-finite coordinates"),
@@ -554,9 +570,22 @@ def test_query_entry_points_share_input_checks():
             run_query(bvh, pts, q, cfg)
         with pytest.raises(ValueError, match=message) as batch:
             batch_query(bvh, pts, [q], cfg)
-        with pytest.raises(ValueError, match=message) as radii:
-            query_radii(bvh, pts, [q], cfg)
-        assert str(single.value) == str(batch.value) == str(radii.value)
+        assert str(single.value) == str(batch.value)
+
+
+def test_query_calls_refuse_a_transform_backed_metric():
+    # one refusal, from the scene's inclusion radius, names the route into pipeline space
+    pts = np.array([[0, 0, 0], [1, 0, 0]], float)
+    bvh = build_index(pts, ReductionConfig(L2, 0.5, 1))
+    for metric in (MetricSpec.cosine(), MetricSpec.angular(), MetricSpec.euclid2d(), MetricSpec.hamming3()):
+        cfg = ReductionConfig(metric, 0.5, 1)
+        message = (f"metric {metric.canonical()!r} has no L2 inclusion radius; "
+                   "map the points with transform_chain_for and search with pipeline_metric_for")
+        with pytest.raises(ValueError, match=re.escape(message)) as single:
+            run_query(bvh, pts, [0, 0, 0], cfg)
+        with pytest.raises(ValueError, match=re.escape(message)) as batch:
+            batch_query(bvh, pts, [[0, 0, 0]], cfg)
+        assert str(single.value) == str(batch.value)
 
 
 def test_build_and_search_name_the_bad_data_row():
