@@ -48,12 +48,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--data", help="dataset file; omit to generate a seeded synthetic dataset")
     sub.add_argument("--format", choices=FORMATS, help="format of --data (default csv-xyz)")
     sub.add_argument("--n", type=int, required=True, help="number of data points")
-    sub.add_argument("--queries", type=int, help="number of query points")
-    sub.add_argument("--query-file", help="read queries from a separate file (same format)")
     sub.add_argument("--metric", required=True,
                      help="lp:<p> | linf | cosine | angular | euclid2d | hamming3")
     sub.add_argument("--radius", type=float, help="search radius r")
-    sub.add_argument("--k", type=int, default=10)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", help="write JSON here instead of stdout")
 
@@ -130,8 +127,6 @@ def _emit(obj, out_path) -> None:
 
 def _cmd_build_info(args) -> dict:
     config = _config(args)
-    if args.queries is None and args.query_file is None:
-        args.queries = 0  # the index is built from the data alone
     dataset = _load(args, config.metric)
     pcfg = replace(config, metric=pipeline_metric_for(config.metric))
     data3 = transform_points(transform_chain_for(config.metric), dataset.data, label="data")
@@ -187,6 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p)
         p.set_defaults(fn=fn)
     # each subcommand takes only the flags it reads, so an ignored flag is an error
+    for p in (query, series, oracle):
+        p.add_argument("--queries", type=int, help="number of query points")
+        p.add_argument("--query-file", help="read queries from a separate file (same format)")
+        p.add_argument("--k", type=int, default=10)
+    # the index depends on the data, the metric, the radius and the scene, never on the queries or k
+    info.set_defaults(queries=0, query_file=None, k=1)
     for p in (info, query, series):
         p.add_argument("--enhanced", type=_parse_bool, default=False, metavar="BOOL")
     for p in (query, series):

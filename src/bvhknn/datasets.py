@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import checked_count
 from .pipeline import _parse_bits as _bit_vertex
 
 FORMATS = ("csv-xyz", "bin-f32x4", "csv-2d", "bits")
@@ -91,10 +92,16 @@ def read_records(path: str, format: str) -> np.ndarray:
 
 
 def synthetic_points(n: int, seed: int, dim: int = 3, kind: str = "uniform") -> np.ndarray:
-    """Seeded uniform draws in [0, 1)^dim ("uniform") or cube vertices ("bits")."""
+    """Seeded uniform draws in [0, 1)^dim ("uniform") or vertices of the unit cube ("bits", dim 3).
+
+    `n` and `dim` are counts, checked by :func:`bvhknn.geometry.checked_count`.
+    """
+    n, dim = checked_count(n, "n"), checked_count(dim, "dim")
     rng = np.random.default_rng(seed)
     if kind == "uniform":
         return rng.random((n, dim))
     if kind == "bits":
-        return rng.integers(0, 2, size=(n, 3)).astype(np.float64)
+        if dim != 3:
+            raise ValueError(f"synthetic bits records are cube vertices of dim 3, got dim {dim}")
+        return rng.integers(0, 2, size=(n, dim)).astype(np.float64)
     raise ValueError(f"unknown synthetic kind {kind!r}")

@@ -184,11 +184,34 @@ def _truth_pair(pair, row: int, slot: int) -> tuple[int, float]:
     passes :func:`bvhknn.geometry.checked_real` with no lower bound, as a
     cosine similarity may be negative.
     """
-    i, d = pair
     place = f"truth row {row} slot {slot}"
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"{place} must be an [id, distance] pair, got {pair!r}")
+    i, d = pair
     if isinstance(i, bool) or not isinstance(i, numbers.Integral) or i < 0:  # numpy bools are no Integral
         raise ValueError(f"{place} id must be an integer >= 0, got {i!r}")
     return int(i), checked_real(d, f"{place} distance")
+
+
+def _truth_row(row, r: int, k: int) -> NeighborRow:
+    """One row of a truth file, else ValueError naming the row or slot.
+
+    A row holds at most k pairs, fewer where a radius bounded the search,
+    with distinct ids: recall divides by the number of distinct ids, which
+    an extra id would grow, scoring an exact search below 1, and a repeated
+    id would shrink.
+    """
+    if not isinstance(row, (list, tuple)):
+        raise ValueError(f"truth row {r} must be a list of [id, distance] pairs, got {row!r}")
+    if len(row) > k:
+        raise ValueError(f"truth row {r} holds {len(row)} pairs, more than k = {k}")
+    pairs = [_truth_pair(pair, r, s) for s, pair in enumerate(row)]
+    seen = set()
+    for s, (i, _) in enumerate(pairs):
+        if i in seen:
+            raise ValueError(f"truth row {r} slot {s} repeats id {i}")
+        seen.add(i)
+    return pairs
 
 
 @dataclass
@@ -208,13 +231,21 @@ class GroundTruth:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "GroundTruth":
-        rows = [[_truth_pair(pair, r, s) for s, pair in enumerate(row)] for r, row in enumerate(obj["rows"])]
-        return cls(metric=obj["metric"], k=checked_count(obj["k"], "k"), rows=rows)
+        """The truth `to_dict` gives, else ValueError naming the bad key, row or slot.
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-            fh.write("\n")
+        Other keys, such as the ``schema`` and ``dataset`` that
+        ``bvhknn oracle --out`` adds, are ignored.
+        """
+        if not isinstance(obj, dict):
+            raise ValueError(f"a truth file holds a JSON object, got {type(obj).__name__}")
+        for key in ("metric", "k", "rows"):
+            if key not in obj:
+                raise ValueError(f"a truth file needs the key {key!r}")
+        k = checked_count(obj["k"], "k")
+        if not isinstance(obj["rows"], (list, tuple)):
+            raise ValueError(f"a truth file's 'rows' must be a list, got {type(obj['rows']).__name__}")
+        rows = [_truth_row(row, r, k) for r, row in enumerate(obj["rows"])]
+        return cls(metric=obj["metric"], k=k, rows=rows)
 
     @classmethod
     def load(cls, path) -> "GroundTruth":
@@ -229,7 +260,7 @@ def ground_truth(points, queries, metric: MetricSpec, k: int, radius: float | No
     parsed) once for the batch.
     """
     rows = _knn_rows(points, queries, metric, k, radius)
-    return GroundTruth(metric=metric.canonical(), k=int(k), rows=rows)  # a numpy k saves as JSON
+    return GroundTruth(metric=metric.canonical(), k=int(k), rows=rows)  # to_dict's JSON takes no numpy k
 
 
 def _result_ids(result) -> set[int]:
@@ -252,8 +283,11 @@ def recall(result, truth) -> float:
     truth_ids = _result_ids(truth)
     if not truth_ids:
         raise ValueError("recall is undefined for an empty truth row")
-    found = _result_ids(result)
-    return len(found & truth_ids) / len(truth_ids)
+    return _found_fraction(result, truth_ids)
+
+
+def _found_fraction(result, truth_ids: set[int]) -> float:
+    return len(_result_ids(result) & truth_ids) / len(truth_ids)
 
 
 def aggregate_recall(results, truths) -> float:
@@ -262,7 +296,8 @@ def aggregate_recall(results, truths) -> float:
     results = list(results)
     if len(results) != len(truths):
         raise ValueError(f"{len(results)} results vs {len(truths)} truth rows")
-    values = [recall(res, row) for res, row in zip(results, truths) if _result_ids(row)]
+    truth_ids = (_result_ids(row) for row in truths)
+    values = [_found_fraction(res, ids) for res, ids in zip(results, truth_ids) if ids]
     if not values:
         raise ValueError("no queries with non-empty truth rows")
     return math.fsum(values) / len(values)

@@ -88,6 +88,18 @@ def test_synthetic_points_kinds():
     assert bits.shape == (40, 3) and set(bits.ravel().tolist()) == {0.0, 1.0}
     with pytest.raises(ValueError, match="unknown synthetic kind 'gauss'"):
         synthetic_points(5, 1, kind="gauss")
+    # n and dim are counts, and bits records are 3-D cube vertices
+    assert synthetic_points(np.int64(5), 1, np.int64(2)).shape == (5, 2)
+    for args, message in (((4, 0, 2, "bits"), "synthetic bits records are cube vertices of dim 3, got dim 2"),
+                          ((True, 0), "n must be an integer, got True"),
+                          ((np.True_, 0), "n must be an integer, got"),
+                          ((-1, 0), "n must be >= 1, got -1"),
+                          ((0, 0), "n must be >= 1, got 0"),
+                          ((4, 0, 2.0), "dim must be an integer, got 2.0"),
+                          ((4, 0, True), "dim must be an integer, got True"),
+                          ((4, 0, 0), "dim must be >= 1, got 0")):
+        with pytest.raises(ValueError, match=message):
+            synthetic_points(*args)
 
 
 def test_bits_empty_file_has_no_records(tmp_path):
@@ -163,7 +175,7 @@ def test_run_experiment_rejects_truth_for_another_metric_or_k(tmp_path):
     ds = Dataset(rng.random((200, 3)), rng.random((15, 3)))
     cfg = ReductionConfig(MetricSpec.lp(2), 0.3, 5)
     own = ground_truth(ds.data, ds.queries, cfg.metric, cfg.k)
-    own.save(tmp_path / "truth.json")
+    (tmp_path / "truth.json").write_text(json.dumps(own.to_dict()))
     reports = [run_experiment(ds, cfg, truth=truth) for truth in (own, GroundTruth.load(tmp_path / "truth.json"))]
     assert [report["recall"]["mean"] for report in reports] == [1.0, 1.0]
     for metric, k in ((MetricSpec.lp(1), 5), (MetricSpec.lp(2), 10)):
@@ -171,6 +183,10 @@ def test_run_experiment_rejects_truth_for_another_metric_or_k(tmp_path):
         with pytest.raises(ValueError, match=f"metric {metric.canonical()} and k {k}, "
                                              f"but the config searches metric lp:2 and k 5"):
             run_experiment(ds, cfg, truth=other)
+    # a truth for another query set: one row too many or too few
+    for rows in (own.rows + own.rows[:1], own.rows[:-1]):
+        with pytest.raises(ValueError, match=f"truth has {len(rows)} rows for 15 queries"):
+            run_experiment(ds, cfg, truth=GroundTruth(own.metric, own.k, rows))
 
 
 def test_report_recall_matches_recomputation():
@@ -395,8 +411,7 @@ def test_cli_synthetic_query_and_out_file(tmp_path, capsys):
 
 def test_cli_build_info(tmp_path, capsys):
     code, out, err = run_cli(
-        ["build-info", "--n", "500", "--queries", "1", "--metric", "lp:2",
-         "--radius", "0.1", "--seed", "1"],
+        ["build-info", "--n", "500", "--metric", "lp:2", "--radius", "0.1", "--seed", "1"],
         capsys,
     )
     assert code == 0, err
@@ -441,12 +456,15 @@ def test_cli_build_info(tmp_path, capsys):
     assert "unrecognized arguments: --leaf-size 16" in capsys.readouterr().err
 
 
-def test_cli_subcommands_take_only_the_flags_they_read(capsys):
-    # build-info and oracle ignore --repeats, and oracle --enhanced, so they
-    # refuse them as they refuse any unknown flag
+def test_cli_subcommands_take_only_the_flags_they_read(tmp_path, capsys):
+    # build-info ignores --repeats and the queries, and oracle --repeats and
+    # --enhanced, so they refuse them as they refuse any unknown flag
+    qf = write(tmp_path / "q.csv", "0.5,0.5,0.5\n")
     info = ["build-info", "--n", "200", "--metric", "lp:3", "--radius", "0.1"]
     oracle = ["oracle", "--n", "200", "--queries", "5", "--metric", "lp:2", "--k", "3"]
-    for args, flag in ((info, ["--repeats", "2"]), (oracle, ["--repeats", "2"]), (oracle, ["--enhanced", "true"])):
+    for args, flag in ((info, ["--repeats", "2"]), (info, ["--k", "5"]), (info, ["--queries", "5"]),
+                       (info, ["--query-file", qf]),
+                       (oracle, ["--repeats", "2"]), (oracle, ["--enhanced", "true"])):
         with pytest.raises(SystemExit) as exc:
             main(args + flag)
         assert exc.value.code == 2
@@ -648,11 +666,10 @@ def test_cli_short_files_exit_2(tmp_path, capsys):
 
 def test_cli_query_file_needs_data(tmp_path, capsys):
     qf = write(tmp_path / "q.csv", "0.5,0.5,0.5\n")
-    for command in (["query", "--queries", "3", "--radius", "0.3", "--k", "2"],
-                    ["build-info", "--radius", "0.3"]):
-        code, out, err = run_cli([*command, "--n", "50", "--query-file", qf, "--metric", "lp:2"], capsys)
-        assert code == 2 and out == ""
-        assert "--query-file" in err and "--data" in err
+    code, out, err = run_cli(["query", "--queries", "3", "--radius", "0.3", "--k", "2",
+                              "--n", "50", "--query-file", qf, "--metric", "lp:2"], capsys)
+    assert code == 2 and out == ""
+    assert "--query-file" in err and "--data" in err
 
 
 def test_cli_format_needs_data(tmp_path, capsys):

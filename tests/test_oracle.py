@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvhknn import (
+    Dataset,
     GroundTruth,
     MetricSpec,
+    ReductionConfig,
     Transform,
     aggregate_recall,
     brute_force_knn,
@@ -15,9 +17,12 @@ from bvhknn import (
     ground_truth,
     pipeline_metric_for,
     recall,
+    run_experiment,
+    synthetic_points,
     transform_points,
     weights,
 )
+from bvhknn.cli import main
 from bvhknn.oracle import _reachable
 
 
@@ -318,7 +323,7 @@ def test_ground_truth_roundtrip(tmp_path):
     queries = np.random.default_rng(1).random((4, 3))
     truth = ground_truth(pts, queries, MetricSpec.linf(), 5)
     path = tmp_path / "truth.json"
-    truth.save(path)
+    path.write_text(json.dumps(truth.to_dict()))
     loaded = GroundTruth.load(path)
     assert loaded.metric == "linf"
     assert loaded.k == 5
@@ -338,10 +343,44 @@ def test_ground_truth_roundtrip(tmp_path):
                          ([[2, 0.1], [1, "inf"]], "truth row 0 slot 1 distance must be a real number, got 'inf'"),
                          ([[2, 0.1], [1, math.inf]], "truth row 0 slot 1 distance must be finite, got inf"),
                          ([[2, 0.1], [-1, 0.2]], "truth row 0 slot 1 id must be an integer >= 0, got -1"),
-                         ([[2, 0.1], [np.True_, 0.2]], "truth row 0 slot 1 id must be an integer >= 0, got")):
+                         ([[2, 0.1], [np.True_, 0.2]], "truth row 0 slot 1 id must be an integer >= 0, got"),
+                         # rows recall cannot score: extra or repeated ids would skew its denominator
+                         ([[i, 0.1] for i in range(6)], "truth row 0 holds 6 pairs, more than k = 5"),
+                         ([[2, 0.1], [2, 0.1]], "truth row 0 slot 1 repeats id 2"),
+                         ([[2, 0.1], [1, 0.2, 0.3]], r"truth row 0 slot 1 must be an \[id, distance\] pair, got \[1, 0\.2, 0\.3\]"),
+                         ([[2, 0.1], 7], r"truth row 0 slot 1 must be an \[id, distance\] pair, got 7"),
+                         (7, r"truth row 0 must be a list of \[id, distance\] pairs, got 7")):
         with pytest.raises(ValueError, match=message):
             GroundTruth.from_dict({**truth.to_dict(), "rows": [row]})
         # in a file, after a good row; JSON writes a numpy bool as true
         path.write_text(json.dumps({**truth.to_dict(), "rows": truth.to_dict()["rows"][:1] + [row]}, default=bool))
         with pytest.raises(ValueError, match=message.replace("row 0", "row 1")):
             GroundTruth.load(path)
+    # a file that is no truth object: each refusal names the key
+    for obj, message in (([truth.to_dict()], "a truth file holds a JSON object, got list"),
+                         ({**truth.to_dict(), "rows": {"0": []}}, "a truth file's 'rows' must be a list, got dict"),
+                         *(({key: v for key, v in truth.to_dict().items() if key != missing},
+                            f"a truth file needs the key '{missing}'") for missing in ("metric", "k", "rows"))):
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=message):
+            GroundTruth.load(path)
+
+
+def test_oracle_out_file_loads(tmp_path, capsys):
+    # `bvhknn oracle --out` is the one writer of a truth file: GroundTruth.load
+    # reads it, schema and dataset keys included, with or without a radius
+    data, queries = np.split(synthetic_points(210, 4), [200])
+    ds = Dataset(data, queries)
+    cfg = ReductionConfig(MetricSpec.lp(2), 0.2, 5)
+    want = run_experiment(ds, cfg)["recall"]
+    for radius in ([], ["--radius", "0.1"]):
+        path = tmp_path / "truth.json"
+        assert main(["oracle", "--n", "200", "--queries", "10", "--metric", "lp:2", "--k", "5",
+                     "--seed", "4", *radius, "--out", str(path)]) == 0, capsys.readouterr().err
+        assert {"schema", "dataset"} <= json.loads(path.read_text()).keys()
+        loaded = GroundTruth.load(path)
+        assert loaded == ground_truth(data, queries, cfg.metric, 5, radius=float(radius[1]) if radius else None)
+        if not radius:
+            assert run_experiment(ds, cfg, truth=loaded)["recall"] == want
+    # a radius-bounded truth has rows shorter than k, some empty
+    assert any(len(row) < 5 for row in loaded.rows) and not all(loaded.rows)

@@ -648,6 +648,15 @@ def test_hamming_vertex_rejects_bad_strings():
             transform_points([Transform.HAMMING_VERTEX], [bad])
 
 
+def test_transform_points_rejects_an_unknown_transform():
+    # a chain holds Transform members, not their values
+    for bad in ("normalize", None):
+        with pytest.raises(ValueError, match=f"unknown transform {bad!r}"):
+            transform_points([bad], [[1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="unknown transform 'normalize'"):
+        transform_points([Transform.NORMALIZE, "normalize"], [[1.0, 0.0, 0.0]])
+
+
 def test_transform_points_matches_scalar():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(50, 3))
