@@ -19,10 +19,10 @@ import numpy as np
 from bvhknn import (
     MetricSpec,
     ReductionConfig,
-    Transform,
     batch_query,
     build_index,
     knn_search,
+    transform_chain_for,
     transform_points,
 )
 
@@ -56,7 +56,7 @@ res = knn_search(pts2d, q2d, MetricSpec.euclid2d(), r=0.05, k=3)[0]
 print("\n2D neighbors of (0.5, 0.5):", [(i, round(d, 5)) for i, d in res.neighbors])
 
 # --- Hamming on bit strings --------------------------------------------------
-print("\nbit strings map to cube vertices:", transform_points([Transform.HAMMING_VERTEX], ["101"])[0].tolist())
+print("\nbit strings map to cube vertices:", transform_points(transform_chain_for(MetricSpec.hamming3()), ["101"])[0].tolist())
 codes = ["000", "001", "010", "011", "100", "101", "110", "111"]
 res = knn_search(codes, ["011"], MetricSpec.hamming3(), r=3.0, k=4)[0]
 print("nearest to 011 by bit flips:", [(codes[i], int(d)) for i, d in res.neighbors])
@@ -64,8 +64,9 @@ print("nearest to 011 by bit flips:", [(codes[i], int(d)) for i, d in res.neighb
 # --- composing transforms ----------------------------------------------------
 # Manhattan distance on 2D points: lift to 3D first, then run the L1
 # pipeline directly in the lifted space.
-data3 = transform_points([Transform.EMBED_2D], pts2d)
-q3 = transform_points([Transform.EMBED_2D], q2d)
+lift = transform_chain_for(MetricSpec.euclid2d())
+data3 = transform_points(lift, pts2d)
+q3 = transform_points(lift, q2d)
 config = ReductionConfig(MetricSpec.lp(1), r=0.06, k=3)
 bvh = build_index(data3, config)
 res = batch_query(bvh, data3, q3, config)[0]

@@ -9,10 +9,11 @@ containment, one query at a time (`run_query`) or as a wavefront of many
 (`batch_query`); the hits are then refined exactly.
 """
 
-from .geometry import Point3, PointQuery
 from .metrics import MetricSpec, distances, in_lp_ball, inclusion_radius, weights
 from .bvh import (
     Bvh,
+    Point3,
+    PointQuery,
     TraversalCounters,
     build_point_bvh,
     containment_scan,
@@ -22,7 +23,6 @@ from .bvh import (
 from .pipeline import (
     QueryResult,
     ReductionConfig,
-    Transform,
     batch_query,
     build_index,
     knn_search,
@@ -47,7 +47,6 @@ __all__ = [
     "PointQuery",
     "QueryResult",
     "ReductionConfig",
-    "Transform",
     "TraversalCounters",
     "aggregate_recall",
     "batch_query",

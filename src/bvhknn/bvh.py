@@ -26,8 +26,7 @@ read-only, so any number of concurrent queries may share one.
 There are two traversals over the same numpy tables, and both test the
 slots of the leaves they reach with one array step.  :func:`point_hits`
 is the walk of one query, depth first, testing two sibling boxes a step,
-and it tests all its leaves' slots at the end; :func:`traverse_point`
-hands its hits one at a time to an any-hit callback.
+and it tests all its leaves' slots at the end.
 :func:`traverse_points` is its wavefront form for many queries at once, as a
 GPU hands the RT cores whole batches of rays: it tests a whole frontier of
 (query, node) pairs per step, tests the slots of the leaves that step
@@ -52,7 +51,8 @@ picks the inset with a probe: :func:`probe_window` and
 last node on the way that holds enough primitives, the gate, and return
 the storage slots centred on it, spatial neighbours of the query, when
 the gate's box lies near the query.  Inset 0 is the plain containment
-query, the one that :func:`traverse_point` always runs.
+query.  The module ends with the any-hit block the benchmark harness
+alone uses: :func:`traverse_point` hands :func:`point_hits`' ids to a callback.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .geometry import PointQuery, checked_count, checked_real, checked_rows
+from .geometry import checked_count, checked_real, checked_rows
 
 DEFAULT_LEAF_SIZE = 8
 
@@ -84,13 +84,6 @@ _SLOT_BLOCK = 8192
 # One row of Bvh.bounds, and two adjacent rows: a left child's box and its right sibling's.
 _BOX = struct.Struct("6d")
 _SIBLING_BOXES = struct.Struct("12d")
-
-
-@dataclass
-class TraversalCounters:
-    """Optional instrumentation: how many node boxes were tested."""
-
-    nodes_tested: int = 0
 
 
 class Bvh:
@@ -276,26 +269,6 @@ def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZ
         kb = ka
 
     return Bvh(bounds, left, starts, counts, perm, boxes, split_axis, split_plane, h, leaf_size, len(levels))
-
-
-def traverse_point(
-    bvh: Bvh,
-    q: PointQuery,
-    anyhit: Callable[[int], object],
-    counters: TraversalCounters | None = None,
-) -> int:
-    """Invoke `anyhit(id)` once per leaf primitive whose box contains the query; return the number of hits.
-
-    Hits are delivered in :func:`point_hits` order, depth first, left child
-    first, whatever the callback returns.  `counters.nodes_tested` grows by
-    the node boxes the walk tested.
-    """
-    ids, tested = point_hits(bvh, q.origin.as_tuple())
-    if counters is not None:
-        counters.nodes_tested += tested
-    for hit in ids.tolist():
-        anyhit(hit)
-    return len(ids)
 
 
 def point_hits(bvh: Bvh, origin: tuple[float, float, float], inset: float = 0.0) -> tuple[np.ndarray, int]:
@@ -533,3 +506,63 @@ def containment_scan(points, half_width: float, q) -> list[int]:
     pts = _as_point_array(points)
     o = checked_rows([q], "query")
     return np.flatnonzero(((pts - h <= o) & (o <= pts + h)).all(axis=1)).tolist()
+
+
+# ---------------------------------------------------------------------------
+# The object-era any-hit interface.  Only the benchmark harness uses this
+# block: the search runs point_hits and traverse_points on plain rows.  It
+# goes once the harness stops importing it (ROADMAP item 2).
+
+
+@dataclass(frozen=True, slots=True)
+class Point3:
+    """A point (or vector) in 3D space: each coordinate passes :func:`checked_real` and is stored as a float."""
+
+    x: float
+    y: float
+    z: float
+
+    def __post_init__(self):
+        for name in ("x", "y", "z"):
+            object.__setattr__(self, name, checked_real(getattr(self, name), name))
+
+    def as_tuple(self) -> tuple[float, float, float]:
+        return (self.x, self.y, self.z)
+
+
+@dataclass(frozen=True, slots=True)
+class PointQuery:
+    """A query against the scene, reduced to pure point containment.
+
+    Hardware rays of infinitesimal length report every box containing their
+    origin regardless of direction, so no direction field is needed.
+    """
+
+    origin: Point3
+
+
+@dataclass
+class TraversalCounters:
+    """Optional instrumentation: how many node boxes were tested."""
+
+    nodes_tested: int = 0
+
+
+def traverse_point(
+    bvh: Bvh,
+    q: PointQuery,
+    anyhit: Callable[[int], object],
+    counters: TraversalCounters | None = None,
+) -> int:
+    """Invoke `anyhit(id)` once per leaf primitive whose box contains the query; return the number of hits.
+
+    Hits are delivered in :func:`point_hits` order, depth first, left child
+    first, whatever the callback returns.  `counters.nodes_tested` grows by
+    the node boxes the walk tested.
+    """
+    ids, tested = point_hits(bvh, q.origin.as_tuple())
+    if counters is not None:
+        counters.nodes_tested += tested
+    for hit in ids.tolist():
+        anyhit(hit)
+    return len(ids)

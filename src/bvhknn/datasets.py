@@ -48,11 +48,7 @@ def _parse_csv(path: str, columns: int) -> np.ndarray:
             rows.append([float(v) for v in parts])
         except ValueError:
             raise ValueError(f"record {record} (line {lineno}): not a number: {text!r}") from None
-    arr = np.asarray(rows, dtype=np.float64).reshape(len(rows), columns)
-    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
-    if bad.size:
-        raise ValueError(f"record {bad[0] + 1}: non-finite value")
-    return arr
+    return np.asarray(rows, dtype=np.float64).reshape(len(rows), columns)
 
 
 def _parse_bin_f32x4(path: str) -> np.ndarray:
@@ -61,11 +57,7 @@ def _parse_bin_f32x4(path: str) -> np.ndarray:
         raise ValueError(
             f"record {raw.size // 4 + 1}: truncated (file holds {raw.size} floats, not a multiple of 4)"
         )
-    pts = raw.reshape(-1, 4)[:, :3].astype(np.float64)
-    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-    if bad.size:
-        raise ValueError(f"record {bad[0] + 1}: non-finite value")
-    return pts
+    return raw.reshape(-1, 4)[:, :3].astype(np.float64)
 
 
 def _parse_bits(path: str) -> np.ndarray:
@@ -79,16 +71,19 @@ def _parse_bits(path: str) -> np.ndarray:
 
 
 def read_records(path: str, format: str) -> np.ndarray:
-    """Every record in the file, as an (m, 3) or (m, 2) float64 array."""
-    if format == "csv-xyz":
-        return _parse_csv(path, 3)
-    if format == "csv-2d":
-        return _parse_csv(path, 2)
-    if format == "bin-f32x4":
-        return _parse_bin_f32x4(path)
-    if format == "bits":
-        return _parse_bits(path)
-    raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
+    """Every record in the file, as an (m, 3) or (m, 2) float64 array of finite values."""
+    if format in ("csv-xyz", "csv-2d"):
+        records = _parse_csv(path, 3 if format == "csv-xyz" else 2)
+    elif format == "bin-f32x4":
+        records = _parse_bin_f32x4(path)
+    elif format == "bits":
+        records = _parse_bits(path)
+    else:
+        raise ValueError(f"unknown format {format!r}; expected one of {FORMATS}")
+    bad = np.flatnonzero(~np.isfinite(records).all(axis=1))
+    if bad.size:
+        raise ValueError(f"record {bad[0] + 1}: non-finite value")
+    return records
 
 
 def synthetic_points(n: int, seed: int, dim: int = 3, kind: str = "uniform") -> np.ndarray:

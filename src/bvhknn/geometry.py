@@ -1,14 +1,12 @@
-"""Checked input: one rule each for rows, counts and real numbers, a 3D point, and the containment query.
+"""Checked input: one rule each for rows, counts and real numbers.
 
 Every data and query array passes :func:`checked_rows` where it enters,
 and its shape rule, :func:`shaped_rows`, reads an empty list as no rows;
 every count passes :func:`checked_count`, and every radius, half width,
-exponent and `Point3` coordinate :func:`checked_real`.  `Point3` and
-`PointQuery` are the argument of the any-hit
-:func:`bvhknn.bvh.traverse_point` alone; every other entry point takes
-plain rows.  The boxes live only as rows of the
-BVH's numpy tables (see bvh.py), where the walks test them closed: a
-point sitting exactly on a face counts as contained.
+exponent and `Point3` coordinate :func:`checked_real`.  The
+boxes live only as rows of the BVH's numpy tables (see bvh.py), where the
+walks test them closed: a point sitting exactly on a face counts as
+contained.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,30 +68,3 @@ def checked_real(value, name: str, low: float | None = None, strict: bool = Fals
         bound = "" if low is None else f" and {'>' if strict else '>='} {low:g}"
         raise ValueError(f"{name} must be finite{bound}, got {value}")
     return value
-
-
-@dataclass(frozen=True, slots=True)
-class Point3:
-    """A point (or vector) in 3D space: each coordinate passes :func:`checked_real` and is stored as a float."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            object.__setattr__(self, name, checked_real(getattr(self, name), name))
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
-
-@dataclass(frozen=True, slots=True)
-class PointQuery:
-    """A query against the scene, reduced to pure point containment.
-
-    Hardware rays of infinitesimal length report every box containing their
-    origin regardless of direction, so no direction field is needed.
-    """
-
-    origin: Point3

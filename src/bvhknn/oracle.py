@@ -6,10 +6,11 @@ the reference the indexed pipelines are judged against.  Recall is the
 fraction of true nearest neighbors an approximate result recovered,
 compared as id sets.
 
-The data and the queries are each mapped once per call, by one mapper
-(converted to floats, normalised for cosine/angular, parsed for Hamming;
-a non-finite coordinate is rejected by index).  Per query, one call of
-the shared column-wise weight kernel (or one dot product for
+The data and the queries are each mapped once per call, by the
+pipeline's own route, :func:`bvhknn.pipeline.transform_chain_for`
+(normalised for cosine/angular, lifted to (x, y, 0) for euclid2d, parsed
+for Hamming; a non-finite coordinate is rejected by index).  Per query,
+one call of the shared column-wise weight kernel (or one dot product for
 cosine/angular) gives each row's rank key.  The k smallest are then
 selected, not sorted in full: the keys are partitioned at k - 1, every
 row whose key is at or below the k-th key is kept, so that all ties at
@@ -43,37 +44,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import (
-    KIND_ANGULAR,
-    KIND_COSINE,
-    KIND_EUCLID2D,
-    KIND_HAMMING3,
-    KIND_LP,
-    MetricSpec,
-    distances,
-    weights,
-)
+from .metrics import KIND_ANGULAR, KIND_COSINE, KIND_LP, MetricSpec, distances, weights
 from .geometry import checked_count, checked_real, checked_rows
-from .pipeline import Transform, pipeline_metric_for, transform_points
+from .pipeline import pipeline_metric_for, transform_chain_for, transform_points
 
 NeighborRow = list[tuple[int, float]]
 
 
 def _mapped(points, metric: MetricSpec, label: str) -> np.ndarray:
-    """The rows a rank key is computed from: the data, or a whole query batch.
+    """The rows a rank key is computed from: the data, or a whole query batch, in pipeline space.
 
-    Unit vectors for cosine and angular, cube vertices for Hamming, and
-    the coordinates themselves otherwise, (n, 2) for euclid2d and (n, 3)
-    for the rest.  Coordinate and Hamming rows are stored column-major, so
-    that each column the weight kernel reads is contiguous; unit vectors
-    stay C-ordered for the dot products.  A row of the wrong width or with
-    a non-finite coordinate is rejected, naming its `label` and index.
+    The points take the pipeline's own route, :func:`bvhknn.pipeline.transform_chain_for`:
+    unit vectors for cosine and angular, (x, y, 0) rows for euclid2d (the
+    zero column adds an exact 0 to every weight), cube vertices for Hamming,
+    and the coordinates themselves otherwise.  Unit vectors stay C-ordered
+    for the dot products; the other rows are stored column-major, so that
+    each column the weight kernel reads is contiguous.  A row of the wrong
+    width or with a non-finite coordinate is rejected, naming its `label`
+    and index.
     """
-    if metric.kind == KIND_HAMMING3:
-        return np.asfortranarray(transform_points([Transform.HAMMING_VERTEX], points, label))
-    if metric.kind in (KIND_COSINE, KIND_ANGULAR):
-        return transform_points([Transform.NORMALIZE], points, label)
-    return np.asfortranarray(checked_rows(points, label, 2 if metric.kind == KIND_EUCLID2D else 3))
+    rows = checked_rows(transform_points(transform_chain_for(metric), points, label), label)
+    return rows if metric.kind in (KIND_COSINE, KIND_ANGULAR) else np.asfortranarray(rows)
 
 
 def _rank_key(rows, qrow, metric: MetricSpec):
@@ -233,19 +224,27 @@ class GroundTruth:
     def from_dict(cls, obj: dict) -> "GroundTruth":
         """The truth `to_dict` gives, else ValueError naming the bad key, row or slot.
 
-        Other keys, such as the ``schema`` and ``dataset`` that
-        ``bvhknn oracle --out`` adds, are ignored.
+        The metric is read by :meth:`MetricSpec.parse` and kept in its
+        canonical form, so ``"lp:2.0"`` loads as ``"lp:2"``.  Other keys,
+        such as the ``schema`` and ``dataset`` that ``bvhknn oracle --out``
+        adds, are ignored.
         """
         if not isinstance(obj, dict):
             raise ValueError(f"a truth file holds a JSON object, got {type(obj).__name__}")
         for key in ("metric", "k", "rows"):
             if key not in obj:
                 raise ValueError(f"a truth file needs the key {key!r}")
+        if not isinstance(obj["metric"], str):
+            raise ValueError(f"a truth file's 'metric' must be a metric name, got {obj['metric']!r}")
+        try:
+            metric = MetricSpec.parse(obj["metric"]).canonical()
+        except ValueError as exc:
+            raise ValueError(f"a truth file's 'metric': {exc}") from None
         k = checked_count(obj["k"], "k")
         if not isinstance(obj["rows"], (list, tuple)):
             raise ValueError(f"a truth file's 'rows' must be a list, got {type(obj['rows']).__name__}")
         rows = [_truth_row(row, r, k) for r, row in enumerate(obj["rows"])]
-        return cls(metric=obj["metric"], k=k, rows=rows)
+        return cls(metric=metric, k=k, rows=rows)
 
     @classmethod
     def load(cls, path) -> "GroundTruth":

@@ -494,8 +494,9 @@ def transform_points(chain: list[Transform], points, label: str = "point") -> np
                 current = np.asarray(rows, dtype=np.float64)
             else:
                 current = float_rows(current, label)
-                if not np.isin(current, (0.0, 1.0)).all():
-                    raise ValueError("hamming input must be bit strings or 0/1 vertex rows")
+                bad = np.flatnonzero(~np.isin(current, (0.0, 1.0)).all(axis=1))
+                if bad.size:
+                    raise ValueError(f"{label} index {bad[0]}: hamming input must be bit strings or 0/1 vertex rows")
         else:
             raise ValueError(f"unknown transform {t!r}")
     return float_rows(current, label)

@@ -29,7 +29,7 @@ from bvhknn import (
     traverse_points,
     weights,
     Dataset,
-    Transform,
+    transform_chain_for,
 )
 from bvhknn.cli import main
 
@@ -209,13 +209,13 @@ def test_criterion_4_monotone_transforms():
     b2 = rng.uniform(-10, 10, size=(total, 2))
     d1 = np.linalg.norm(q2 - b1, axis=1)
     d2 = np.linalg.norm(q2 - b2, axis=1)
-    e_q, e_1, e_2 = (transform_points([Transform.EMBED_2D], arr) for arr in (q2, b1, b2))
+    e_q, e_1, e_2 = (transform_points(transform_chain_for(MetricSpec.euclid2d()), arr) for arr in (q2, b1, b2))
     e1 = np.linalg.norm(e_q - e_1, axis=1)
     e2 = np.linalg.norm(e_q - e_2, axis=1)
     planar_ok = bool(((d1 < d2) == (e1 < e2)).all()) and bool((d1 == e1).all())
 
     strings = [f"{v:03b}" for v in range(8)]
-    verts = transform_points([Transform.HAMMING_VERTEX], strings)
+    verts = transform_points(transform_chain_for(MetricSpec.hamming3()), strings)
     hamming_ok = True
     pairs = 0
     for i, a in enumerate(strings):

@@ -3,27 +3,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from bvhknn import (
-    Bvh,
-    Point3,
-    PointQuery,
-    TraversalCounters,
-    build_point_bvh,
-    containment_scan,
-    traverse_point,
-    traverse_points,
-)
+from bvhknn import Bvh, build_point_bvh, containment_scan, traverse_points
 from bvhknn import bvh as bvh_module
 
 
-def query(x, y, z):
-    return PointQuery(Point3(x, y, z))
-
-
 def collect_hits(bvh, q):
-    got = []
-    traverse_point(bvh, q, got.append)
-    return got
+    """Ids of the boxes that contain the query row `q`, in the order the walk of `q` reports them."""
+    return bvh_module.point_hits(bvh, tuple(q))[0].tolist()
 
 
 def nodes_tested(bvh, q):
@@ -364,19 +350,29 @@ def test_one_comparison_rule_on_exact_faces(kind):
 
 def test_traverse_trivial_scene():
     bvh = build_point_bvh([[0, 0, 0], [10, 10, 10]], 1.0, 4)
-    assert collect_hits(bvh, query(0.5, 0, 0)) == [0]
-    assert collect_hits(bvh, query(5, 5, 5)) == []
+    assert collect_hits(bvh, (0.5, 0, 0)) == [0]
+    assert collect_hits(bvh, (5, 5, 5)) == []
     assert nodes_tested(bvh, (100, 0, 0)) == 1  # root excludes, nothing else tested
 
 
-def test_anyhit_receives_primitive_id():
-    pts = np.array([[1.5, 2.5, 3.5]])
-    bvh = build_point_bvh(pts, 1.0, 4)
-    seen = []
-    traverse_point(bvh, query(1.5, 2.5, 3.5), seen.append)
-    assert len(seen) == 1
-    assert seen[0] == 0 and type(seen[0]) is int
-    assert Point3(*pts[seen[0]]) == Point3(1.5, 2.5, 3.5)
+def hit_scenes():
+    """(points, half width, query row) scenes whose hits span several leaves of a leaf-size-4 tree."""
+    return [(np.zeros((20, 3)), 1.0, (0.0, 0.0, 0.0)),  # all boxes contain the query
+            (np.random.default_rng(3).random((400, 3)), 0.3, (0.5, 0.5, 0.5))]
+
+
+def test_point_hits_deliver_every_hit_by_id():
+    bvh = build_point_bvh([[1.5, 2.5, 3.5]], 1.0, 4)
+    hits = collect_hits(bvh, (1.5, 2.5, 3.5))
+    assert hits == [0] and type(hits[0]) is int
+    assert containment_scan(*hit_scenes()[0]) == list(range(20))
+    for pts, hw, q in hit_scenes():
+        bvh = build_point_bvh(pts, hw, leaf_size=4)
+        ids = collect_hits(bvh, q)
+        hit_leaves = [node for node in range(bvh.num_nodes) if children(bvh, node) is None
+                      and set(leaf_ids(bvh, node)) & set(ids)]
+        assert len(hit_leaves) > 1
+        assert sorted(ids) == containment_scan(pts, hw, q)
 
 
 @pytest.mark.parametrize("leaf_size", [1, 3, 8])
@@ -385,7 +381,7 @@ def test_traverse_matches_linear_scan(leaf_size):
     pts = rng.random((3000, 3))
     bvh = build_point_bvh(pts, 0.04, leaf_size)
     for qrow in rng.random((40, 3)):
-        hits = collect_hits(bvh, query(*qrow))
+        hits = collect_hits(bvh, qrow)
         scan = containment_scan(pts, 0.04, qrow)
         assert sorted(hits) == sorted(scan)
         # hits arrive depth first, left child first: in leaf storage order
@@ -545,21 +541,19 @@ def test_traverse_points_needs_one_inset_per_query():
 
 
 def test_traverse_point_delivers_every_hit():
-    scenes = [(np.zeros((20, 3)), 1.0, (0.0, 0.0, 0.0)),  # all boxes contain the query
-              (np.random.default_rng(3).random((400, 3)), 0.3, (0.5, 0.5, 0.5))]
-    assert containment_scan(*scenes[0]) == list(range(20))
-    for pts, hw, q in scenes:
+    # The any-hit interface the benchmark harness drives, the one test of it:
+    # traverse_point hands over point_hits' ids in order, and adds its node count.
+    from bvhknn import Point3, PointQuery, TraversalCounters, traverse_point
+
+    for pts, hw, q in hit_scenes():
         bvh = build_point_bvh(pts, hw, leaf_size=4)
         ids, tested = bvh_module.point_hits(bvh, q)
-        hit_leaves = [node for node in range(bvh.num_nodes) if children(bvh, node) is None
-                      and set(leaf_ids(bvh, node)) & set(ids.tolist())]
-        assert len(hit_leaves) > 1
         counters = TraversalCounters()
         for returned in (None, True, "stop"):  # what the callback returns is ignored
             seen = []
-            assert traverse_point(bvh, query(*q), lambda h: seen.append(h) or returned, counters) == len(ids)
-            assert seen == ids.tolist()
-            assert sorted(seen) == containment_scan(pts, hw, q)
+            assert traverse_point(bvh, PointQuery(Point3(*q)), lambda h: seen.append(h) or returned,
+                                  counters) == len(ids)
+            assert seen == ids.tolist() and all(type(h) is int for h in seen)
         assert counters.nodes_tested == 3 * tested  # the counters add up over calls
 
 

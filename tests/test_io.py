@@ -48,7 +48,7 @@ def test_csv_malformed_reports_record(tmp_path):
     with pytest.raises(ValueError, match="record 2"):
         read_records(p2, "csv-xyz")
     p3 = write(tmp_path / "bad3.csv", "0,0,0\n1,2,inf\n")
-    with pytest.raises(ValueError, match="record 2"):
+    with pytest.raises(ValueError, match="record 2: non-finite value"):
         read_records(p3, "csv-xyz")
 
 
@@ -176,8 +176,10 @@ def test_run_experiment_rejects_truth_for_another_metric_or_k(tmp_path):
     cfg = ReductionConfig(MetricSpec.lp(2), 0.3, 5)
     own = ground_truth(ds.data, ds.queries, cfg.metric, cfg.k)
     (tmp_path / "truth.json").write_text(json.dumps(own.to_dict()))
-    reports = [run_experiment(ds, cfg, truth=truth) for truth in (own, GroundTruth.load(tmp_path / "truth.json"))]
-    assert [report["recall"]["mean"] for report in reports] == [1.0, 1.0]
+    (tmp_path / "spelled.json").write_text(json.dumps({**own.to_dict(), "metric": "lp:2.0"}))  # --metric lp:2.0
+    reports = [run_experiment(ds, cfg, truth=truth)
+               for truth in (own, GroundTruth.load(tmp_path / "truth.json"), GroundTruth.load(tmp_path / "spelled.json"))]
+    assert [report["recall"]["mean"] for report in reports] == [1.0, 1.0, 1.0]
     for metric, k in ((MetricSpec.lp(1), 5), (MetricSpec.lp(2), 10)):
         other = ground_truth(ds.data, ds.queries, metric, k)
         with pytest.raises(ValueError, match=f"metric {metric.canonical()} and k {k}, "

@@ -10,7 +10,6 @@ from bvhknn import (
     GroundTruth,
     MetricSpec,
     ReductionConfig,
-    Transform,
     aggregate_recall,
     brute_force_knn,
     distances,
@@ -19,6 +18,7 @@ from bvhknn import (
     recall,
     run_experiment,
     synthetic_points,
+    transform_chain_for,
     transform_points,
     weights,
 )
@@ -139,7 +139,7 @@ def test_query_forms_give_the_one_query_rows():
         assert ground_truth(pts, queries, metric, 5).rows == want
         assert ground_truth(pts, queries.tolist(), metric, 5).rows == want
     bits = ["0", "01", "110", "111", "101"]
-    vertices = transform_points([Transform.HAMMING_VERTEX], bits)
+    vertices = transform_points(transform_chain_for(MetricSpec.hamming3()), bits)
     want = [brute_force_knn(bits, b, MetricSpec.hamming3(), 3) for b in bits]
     assert want == [brute_force_knn(bits, v, MetricSpec.hamming3(), 3) for v in vertices]
     for form in (bits, vertices, vertices.tolist()):
@@ -171,15 +171,16 @@ def test_matches_math_reference():
 
 def _argsort_reference(points, q, metric, k, radius):
     """Every key computed, then a stable argsort of all of them: the oracle's answer."""
+    chain = transform_chain_for(metric)
     if metric.kind in ("cosine", "angular"):
-        unit = transform_points([Transform.NORMALIZE], points)
-        uq = transform_points([Transform.NORMALIZE], [q])[0]
+        unit = transform_points(chain, points)
+        uq = transform_points(chain, [q])[0]
         cos = np.clip(unit @ uq, -1.0, 1.0)
         dist, key = (cos if metric.kind == "cosine" else np.arccos(cos)), -cos
     else:
         if metric.kind == "hamming3":
-            points = transform_points([Transform.HAMMING_VERTEX], points)
-            q = transform_points([Transform.HAMMING_VERTEX], [q])[0]
+            points = transform_points(chain, points)
+            q = transform_points(chain, [q])[0]
         native = pipeline_metric_for(metric)
         key = weights(native, np.asarray(points, dtype=np.float64), q)
         dist = distances(native, key)
@@ -332,6 +333,17 @@ def test_ground_truth_roundtrip(tmp_path):
     for bad in (2.5, True, "3"):
         path.write_text(json.dumps({**truth.to_dict(), "k": bad}))
         with pytest.raises(ValueError, match=f"k must be an integer, got {bad!r}"):
+            GroundTruth.load(path)
+    # a file's metric is a metric name, stored canonical: "lp:2.0" is the lp:2 that run_experiment searches
+    for name, canonical in (("lp:2.0", "lp:2"), (" LINF ", "linf"), ("lp:1.50", "lp:1.5")):
+        path.write_text(json.dumps({**truth.to_dict(), "metric": name}))
+        assert GroundTruth.load(path).metric == canonical
+    for bad, message in ((5, "'metric' must be a metric name, got 5"),
+                         (None, "'metric' must be a metric name, got None"),
+                         ("lp:x", "'metric': bad lp exponent in metric 'lp:x'"),
+                         ("manhattan", "'metric': unknown metric 'manhattan'")):
+        path.write_text(json.dumps({**truth.to_dict(), "metric": bad}))
+        with pytest.raises(ValueError, match=f"a truth file's {message}"):
             GroundTruth.load(path)
     # a row's ids are integers >= 0 and its distances finite reals: nothing is truncated, cast or parsed
     good = {**truth.to_dict(), "rows": [[[np.int64(3), -0.5], [0, np.float32(0.25)]]]}

@@ -11,7 +11,6 @@ from bvhknn import (
     Dataset,
     MetricSpec,
     ReductionConfig,
-    Transform,
     batch_query,
     brute_force_knn,
     build_index,
@@ -26,7 +25,7 @@ from bvhknn import (
     transform_points,
 )
 from bvhknn import bvh as bvh_module
-from bvhknn.pipeline import BatchResult, _run_order
+from bvhknn.pipeline import BatchResult, Transform, _run_order
 
 L1 = MetricSpec.lp(1)
 L2 = MetricSpec.lp(2)
@@ -487,9 +486,9 @@ def test_source_units_are_the_per_pair_formulas():
     rng = np.random.default_rng(37)
     data = rng.normal(size=(100_000, 3))
     queries = rng.normal(size=(40, 3))
-    unit = transform_points([Transform.NORMALIZE], data)
+    unit = transform_points(transform_chain_for(MetricSpec.cosine()), data)
     cfg = ReductionConfig(L2, 0.02, 10)
-    chords = batch_query(build_index(unit, cfg), unit, transform_points([Transform.NORMALIZE], queries), cfg)
+    chords = batch_query(build_index(unit, cfg), unit, transform_points(transform_chain_for(MetricSpec.cosine()), queries), cfg)
     assert (chords.candidates < 10).any() and (chords.candidates > 10).any()
     formulas = {"cosine": lambda c: 1.0 - c * c / 2.0, "angular": lambda c: 2.0 * math.asin(min(1.0, c / 2.0))}
     for name, formula in formulas.items():
@@ -507,9 +506,9 @@ def test_source_units_keep_the_radii_in_chords():
     rng = np.random.default_rng(38)
     data = rng.normal(size=(20_000, 3))
     queries = rng.normal(size=(200, 3))
-    unit = transform_points([Transform.NORMALIZE], data)
+    unit = transform_points(transform_chain_for(MetricSpec.cosine()), data)
     cfg = ReductionConfig(L2, 0.1, 10)
-    chords = batch_query(build_index(unit, cfg), unit, transform_points([Transform.NORMALIZE], queries), cfg)
+    chords = batch_query(build_index(unit, cfg), unit, transform_points(transform_chain_for(MetricSpec.cosine()), queries), cfg)
     assert (chords.radii < cfg.r).any() and (chords.radii == cfg.r).any()
     for name in ("cosine", "angular"):
         got = knn_search(data, queries, MetricSpec.parse(name), cfg.r, 10)
@@ -646,6 +645,17 @@ def test_hamming_vertex_rejects_bad_strings():
     for bad in ("", "0110", "21", 5):
         with pytest.raises(ValueError):
             transform_points([Transform.HAMMING_VERTEX], [bad])
+    # vertex rows that are not 0/1: the first bad row is named, data or query
+    phrase = "hamming input must be bit strings or 0/1 vertex rows"
+    chain = transform_chain_for(MetricSpec.hamming3())
+    with pytest.raises(ValueError, match=f"^query index 1: {phrase}$"):
+        transform_points(chain, [[0, 1, 0], [0, 2, 0], [0.5, 0, 0]], label="query")
+    with pytest.raises(ValueError, match=f"^data index 2: {phrase}$"):
+        knn_search([[0, 1, 0], [1, 1, 1], [0, 0, float("nan")]], [[0, 1, 0]], MetricSpec.hamming3(), 1.0, 1)
+    with pytest.raises(ValueError, match=f"^query index 1: {phrase}$"):
+        knn_search([[0, 1, 0]], [[0, 1, 0], [-1, 0, 0]], MetricSpec.hamming3(), 1.0, 1)
+    with pytest.raises(ValueError, match=f"^query index 0: {phrase}$"):
+        brute_force_knn([[0, 1, 0]], [0, 2, 0], MetricSpec.hamming3(), 1)
 
 
 def test_transform_points_rejects_an_unknown_transform():
@@ -759,8 +769,9 @@ def test_composed_embed_then_l1():
     rng = np.random.default_rng(41)
     data2 = rng.random((800, 2))
     queries2 = rng.random((6, 2))
-    data3 = transform_points([Transform.EMBED_2D], data2)
-    queries3 = transform_points([Transform.EMBED_2D], queries2)
+    lift = transform_chain_for(MetricSpec.euclid2d())
+    data3 = transform_points(lift, data2)
+    queries3 = transform_points(lift, queries2)
     cfg = ReductionConfig(L1, 0.4, 5)
     bvh = build_index(data3, cfg)
     results = batch_query(bvh, data3, queries3, cfg)

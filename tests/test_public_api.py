@@ -4,7 +4,7 @@ import bvhknn
 
 PUBLIC_NAMES = [
     "Bvh", "Dataset", "GroundTruth", "MetricSpec", "Point3", "PointQuery", "QueryResult",
-    "ReductionConfig", "Transform", "TraversalCounters", "aggregate_recall", "batch_query",
+    "ReductionConfig", "TraversalCounters", "aggregate_recall", "batch_query",
     "brute_force_knn", "build_index", "build_point_bvh", "containment_scan", "distances",
     "ground_truth", "in_lp_ball", "inclusion_radius", "knn_search", "pipeline_metric_for",
     "read_records", "recall", "run_experiment", "run_query", "scene_half_width", "sweep",
@@ -14,6 +14,6 @@ PUBLIC_NAMES = [
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(PUBLIC_NAMES) == 34
+    assert len(PUBLIC_NAMES) == 33
     assert sorted(bvhknn.__all__) == PUBLIC_NAMES
     assert [name for name in PUBLIC_NAMES if not hasattr(bvhknn, name)] == []
