@@ -50,7 +50,8 @@ picks the inset with a probe: :func:`probe_window` and
 :func:`probe_windows` descend from the root by the split planes to the
 last node on the way that holds enough primitives, the gate, and return
 the storage slots centred on it, spatial neighbours of the query, when
-the gate's box lies near the query.  Inset 0 is the plain containment
+the gate's box lies near the query, or when the gate's child on the way
+does and the gate's points are dense.  Inset 0 is the plain containment
 query.  The module ends with the any-hit block the benchmark harness
 alone uses: :func:`traverse_point` hands :func:`point_hits`' ids to a callback.
 """
@@ -433,20 +434,32 @@ def _window(bvh: Bvh, node, size: int):
 
 
 def probe_window(bvh: Bvh, origin: tuple[float, float, float], reach: float, min_count: int,
-                 size: int) -> np.ndarray | None:
+                 size: int, side: float, crowd: float) -> np.ndarray | None:
     """Ids in the `size` storage slots centred on the gate node of `origin`, or None.
 
     The descent goes from the root, at each internal node to the side of
     its split plane that holds the query (the left child on the plane),
     and ends at the gate node: the last node on the way that holds at
-    least `min_count` primitives.  It returns ids only if the gate's box
-    lies inside ``origin ± reach`` on every axis; then no window is
-    gathered for a query far from any dense subtree.  Slots of a subtree
-    are contiguous, so the window holds the query's spatial neighbours;
-    one of 2 * min_count slots holds an internal gate whole (see
-    :func:`bvhknn.pipeline._probe_params`).  :func:`probe_windows` is the
-    same probe for many queries, and agrees with this one row for row.
-    Not exported; :func:`bvhknn.pipeline.run_query` uses it.
+    least `min_count` primitives.  It returns ids if the gate's box lies
+    inside ``origin ± reach`` on every axis, or if the box of the gate's
+    child on the way does and the gate is dense: its points, spread at
+    their density over a cube of side `side`, would number at least
+    `crowd`, ``count * side**3 >= crowd * volume`` of the box of the
+    gate's points, which is the gate's box shrunk by the half width on
+    every side (an extent below 0 read as 0).  So no window is gathered
+    for a query far from any dense subtree.  A leaf gate stands for its
+    own child.  The child's box lies within the gate's, so it is tested
+    first, and a query whose child overhangs the reach pays one box test.
+
+    The density test runs as ``tx * ty * tz * crowd <= count`` on the
+    per-axis ratios ``t = extent / side``, which stay in range at scales
+    near 1e300 and subnormal ones alike, where ``side**3`` would not.
+    :func:`probe_windows` runs the same IEEE operations in the same order,
+    so the two agree row for row.  Slots of a subtree are contiguous, so
+    the window holds the query's spatial neighbours; one of 2 * min_count
+    slots holds an internal gate whole (see
+    :func:`bvhknn.pipeline._probe_params`).  Not exported;
+    :func:`bvhknn.pipeline.run_query` uses it.
     """
     lefts, counts, axes, planes = bvh.left.data, bvh.counts.data, bvh.split_axis.data, bvh.split_plane.data
     if counts[0] < min_count or size > bvh.num_primitives:
@@ -457,17 +470,27 @@ def probe_window(bvh: Bvh, origin: tuple[float, float, float], reach: float, min
         if counts[child] < min_count:
             break
         gate = child
-    x0, y0, z0, x1, y1, z1 = _BOX.unpack_from(bvh.bounds.data, 48 * gate)  # x1, y1, z1 negated
+    else:
+        child = gate  # a leaf gate stands for its own child
     ox, oy, oz = origin
+    x0, y0, z0, x1, y1, z1 = _BOX.unpack_from(bvh.bounds.data, 48 * child)  # x1, y1, z1 negated
     if not (ox - reach <= x0 and oy - reach <= y0 and oz - reach <= z0
             and -(ox + reach) <= x1 and -(oy + reach) <= y1 and -(oz + reach) <= z1):
         return None
+    x0, y0, z0, x1, y1, z1 = _BOX.unpack_from(bvh.bounds.data, 48 * gate)
+    if not (ox - reach <= x0 and oy - reach <= y0 and oz - reach <= z0
+            and -(ox + reach) <= x1 and -(oy + reach) <= y1 and -(oz + reach) <= z1):
+        w = 2 * bvh.half_width
+        ex, ey, ez = -x1 - x0 - w, -y1 - y0 - w, -z1 - z0 - w
+        tx, ty, tz = (ex if ex > 0 else 0.0) / side, (ey if ey > 0 else 0.0) / side, (ez if ez > 0 else 0.0) / side
+        if not tx * ty * tz * crowd <= counts[gate]:
+            return None
     start = int(_window(bvh, gate, size))
     return bvh.perm[start:start + size]
 
 
 def probe_windows(bvh: Bvh, origins: np.ndarray, reach: float, min_count: int,
-                  size: int) -> tuple[np.ndarray, np.ndarray]:
+                  size: int, side: float, crowd: float) -> tuple[np.ndarray, np.ndarray]:
     """:func:`probe_window` for every row of the (m, 3) array `origins`, one tree level a step.
 
     Returns the rows that pass the probe and a (len(rows), size) array of
@@ -489,9 +512,24 @@ def probe_windows(bvh: Bvh, origins: np.ndarray, reach: float, min_count: int,
             gate[at.compress(~go) // 3] = nodes.compress(~go)
             at, child = at.compress(go), child.compress(go)
         nodes = child
-    # The gate's box lies inside origin ± reach when the (lo, -hi) row of origin ± reach contains it as a span.
+    # The gate's child on the way, which a leaf gate stands for itself.
+    left = bvh.left.take(gate)
+    child = left + (flat.take(3 * np.arange(m) + bvh.split_axis.take(gate)) > bvh.split_plane.take(gate))
+    child = np.where(left >= 0, child, gate)
+    # A box lies inside origin ± reach when the (lo, -hi) row of origin ± reach contains it as a span.
     around = np.hstack([origins - reach, -(origins + reach)])
-    rows = np.flatnonzero(_contains(around, bvh.bounds.take(gate, axis=0)))
+    rows = np.flatnonzero(_contains(around, bvh.bounds.take(child, axis=0)))
+    gates = gate.take(rows)
+    box = bvh.bounds.take(gates, axis=0)
+    over = np.flatnonzero(~_contains(around.take(rows, axis=0), box))  # gates that overhang the reach
+    if over.size:
+        # probe_window's density test, the same operations in the same order
+        box = box.take(over, axis=0)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # silent, as Python floats are
+            e = -box[:, 3:] - box[:, :3] - 2 * bvh.half_width
+            t = np.where(e > 0, e, 0.0) / side
+            sparse = ~(t[:, 0] * t[:, 1] * t[:, 2] * crowd <= bvh.counts.take(gates.take(over)))
+        rows = np.delete(rows, over.compress(sparse))
     start = _window(bvh, gate.take(rows), size)
     return rows, bvh.perm.take(start[:, None] + np.arange(size))
 

@@ -12,10 +12,13 @@ Before the filter, a probe gives each query in a dense region its own
 radius r_q <= r that surely holds k points (RTNN's "megacell", Zhu,
 PPoPP 2022).  The descent of :func:`bvhknn.bvh.probe_window` ends at the
 gate node, the last on the query's way that holds at least GATE_PER_K * k
-points, and checks that its box lies within r of the query on every axis;
-only then does the query take the k-th smallest distance over the
-2 * GATE_PER_K * k storage slots centred on the gate, all of an internal
-gate's.
+points.  The query is probed if the gate's points lie within r of it on
+every axis, or if those of the gate's child on its way do and the gate
+is dense, so dense that its points would put DENSE_PER_K * k in the
+query's cube of side 2r (:func:`_probe_params`); then it takes the k-th
+smallest distance over the 2 * GATE_PER_K * k storage slots centred on
+the gate, all of an internal gate's.  The gate decides cost alone: a
+query it passes over keeps r.
 Any k points bound the k-th nearest distance, so every point of the
 answer at r lies within r_q, ties at the k-th place included.  The boxes
 are then inset by H - h(r_q), H being the index's half width and h the
@@ -38,7 +41,9 @@ than 2**31 points, raises OverflowError.  Each query's first k land at
 and builds a query's :class:`QueryResult` only when asked for it.
 :func:`run_query` is the per-query reference path: the probe and the
 inset node walk of :func:`bvhknn.bvh.point_hits` in Python, with no
-callback.  The two pick bitwise-equal insets and return equal results.
+callback, and a probed query's radius and inset from the same operations
+as the batch's, on one row and in Python floats.  The two pick
+bitwise-equal radii and insets and return equal results.
 
 The refine step computes distances exactly as the brute-force oracle
 does, so within the radius the answer is the oracle's, boundary included.
@@ -249,6 +254,11 @@ def _checked_points(bvh: Bvh, points, config: ReductionConfig) -> np.ndarray:
 # passes a subtree of at least GATE_PER_K * k points within r of it.
 GATE_PER_K = 2
 
+# The probe's density bar, times k: a gate that overhangs the reach is still
+# probed if its points, spread at their density over the query's cube of side
+# 2r, would number DENSE_PER_K * k (see _probe_params).
+DENSE_PER_K = 30
+
 
 def _rows(points: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """points[ids] as a new array; take() for C-ordered points, as it copies the whole array otherwise."""
@@ -262,8 +272,23 @@ def _window_radii(points: np.ndarray, ids: np.ndarray, origins: np.ndarray, conf
     return np.minimum(distances(config.metric, np.partition(w, config.k - 1, axis=1)[:, config.k - 1]), config.r)
 
 
-def _insets(bvh: Bvh, radii: np.ndarray, config: ReductionConfig) -> np.ndarray:
+def _window_radius(points: np.ndarray, ids: np.ndarray, origin: np.ndarray, config: ReductionConfig) -> float:
+    """:func:`_window_radii` of one query, bitwise, in fewer numpy calls.
+
+    The same weights over the (size,) window, its k-th smallest, and the
+    distance of that as a 1-element array, rounded by the kernel that
+    rounds the batch's arrays; then the minimum with r in Python floats.
+    """
+    w = weights(config.metric, _rows(points, ids), origin)
+    kth = np.partition(w, config.k - 1)[config.k - 1:config.k]
+    return min(float(distances(config.metric, kth)[0]), config.r)
+
+
+def _insets(bvh: Bvh, radii: np.ndarray | float, config: ReductionConfig) -> np.ndarray | float:
     """Box insets H - h(r_q) for the radii r_q <= r, padded so that no point within r_q is lost.
+
+    `radii` is an array, or one Python float, for which the inset is a
+    Python float, computed by the same operations.
 
     H is the index's half width, h = h(r) >= r that of `config`, and H >= h.
     Say a point's weight is at most the k-th window weight.  Each axis
@@ -283,11 +308,13 @@ def _insets(bvh: Bvh, radii: np.ndarray, config: ReductionConfig) -> np.ndarray:
     h, H = scene_half_width(config), bvh.half_width
     tau = 0.0 if metric.kind == KIND_LINF or metric.p == 1.0 else 2.0 ** (1 - 1074 / metric.p)
     inset = H - h * ((radii * (1 + 2.0 ** -40) + tau) / r) - H * 2.0 ** -50
+    if isinstance(radii, float):
+        return inset if inset > 0 else 0.0
     return np.where(inset > 0, inset, 0.0)
 
 
-def _probe_params(bvh: Bvh, config: ReductionConfig) -> tuple[float, int, int]:
-    """The probe's reach, gate count and window size under `config`.
+def _probe_params(bvh: Bvh, config: ReductionConfig) -> tuple[float, int, int, float, float]:
+    """The probe's reach, gate count, window size, cube side and density bar under `config`.
 
     A node box inside q ± (r + H), H the index's half width, holds points
     within r of q on every axis.  The gate needs g = GATE_PER_K * k >= 2k
@@ -295,9 +322,20 @@ def _probe_params(bvh: Bvh, config: ReductionConfig) -> tuple[float, int, int]:
     g makes it hold every slot of an internal gate node: the gate's child
     on the query's way holds fewer than g, and the median split gives the
     other child at most one more.  With n < g no query is probed.
+
+    A query is probed when the gate's box lies inside the reach, or when
+    the gate's child on its way, which holds at least k points, lies
+    inside it and the gate is dense: ``count(gate) * (2r)**3 >=
+    DENSE_PER_K * k *`` the volume of the gate's point box.  Such a gate
+    sits in a cluster far denser than r, whose k-th distance is well
+    below r, so the window's radius cuts the hits; a gate that is not
+    dense, as in evenly spread data, would pay for a window that seldom
+    shrinks r.  The rule reads the tree alone, so both entry points pick
+    the same queries.
     """
     gate = GATE_PER_K * config.k
-    return config.r + bvh.half_width, gate, min(2 * gate, bvh.num_primitives)
+    return (config.r + bvh.half_width, gate, min(2 * gate, bvh.num_primitives), 2 * config.r,
+            float(DENSE_PER_K * config.k))
 
 
 def _radii(bvh: Bvh, points: np.ndarray, queries: np.ndarray, config: ReductionConfig) -> np.ndarray:
@@ -337,9 +375,8 @@ def run_query(bvh: Bvh, points, q, config: ReductionConfig) -> QueryResult:
     row = checked_rows(np.asarray(q, dtype=np.float64)[None], "query")  # [q]: fails as batch_query([q]) does
     origin = row[0].tolist()  # the node walks read Python floats
     ids = probe_window(bvh, origin, *_probe_params(bvh, config))
-    # one radius as a numpy scalar: the same arithmetic as batch_query's arrays, with less overhead
-    radius = config.r if ids is None else _window_radii(points, ids[None], row, config)[0]
-    inset = 0.0 if ids is None and bvh.half_width == scene_half_width(config) else float(_insets(bvh, radius, config))
+    radius = config.r if ids is None else _window_radius(points, ids, row[0], config)
+    inset = 0.0 if ids is None and bvh.half_width == scene_half_width(config) else _insets(bvh, radius, config)
     hits, tested = point_hits(bvh, origin, inset)
     w = weights(metric, _rows(points, hits), row[0])
     dist = distances(metric, w)
@@ -347,7 +384,7 @@ def run_query(bvh: Bvh, points, q, config: ReductionConfig) -> QueryResult:
     ids, w, dist = hits[inside], w[inside], dist[inside]
     top = np.lexsort((ids, w))[: config.k]
     neighbors = list(zip(ids[top].tolist(), dist[top].tolist()))
-    return QueryResult(neighbors, len(ids), len(hits), tested, float(radius))
+    return QueryResult(neighbors, len(ids), len(hits), tested, radius)
 
 
 def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> BatchResult:
@@ -464,8 +501,12 @@ def transform_points(chain: list[Transform], points, label: str = "point") -> np
     does; EMBED_2D lifts (x, y) to (x, y, 0); HAMMING_VERTEX takes bit
     strings of length <= 3 (left-padded with zeros) to the matching cube
     vertices.  Rejects inputs a transform cannot accept, naming the shape
-    or the offending `label` row (e.g. a zero vector under NORMALIZE).
+    or the offending `label` row (e.g. a zero vector under NORMALIZE), and
+    a bare string, which is one bit string, not a collection of them.
     """
+    if isinstance(points, str):
+        raise ValueError(f"expected a collection of {label} rows, got the bare string {points!r}: "
+                         "put one bit string in a list")
     current = points
     for t in chain:
         if t is Transform.NORMALIZE:

@@ -1,4 +1,6 @@
 import hashlib
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -317,6 +319,7 @@ def test_one_comparison_rule_on_exact_faces(kind):
     # it must admit exactly what six comparisons of lo and hi admit, faces included.
     rng = np.random.default_rng(len(kind))
     pts, half_widths, insets, scale = edge_scene(kind, rng)
+    seen = set()  # the probe rule's outcomes
     for h in half_widths:
         faces = np.concatenate([pts.ravel() - h, pts.ravel() + h, pts.ravel(), [0.0, -0.0]])
         queries = np.vstack([rng.choice(faces, size=(80, 3)), pts[:20] + h, pts[20:40] - h, [[4 * scale] * 3]])
@@ -333,19 +336,23 @@ def test_one_comparison_rule_on_exact_faces(kind):
                 if inset == 0:
                     assert containment_scan(pts, h, q) == want[j]
                     assert sorted(plain_ids[plain_rows == j].tolist()) == want[j]
-        # the probe gate: the gate box lies inside q ± reach, by six plain comparisons too
-        mixed = False
-        for reach in (scale / 2, scale):
+        # the probe gate, by six plain comparisons a box and an exact density product (probe_rule),
+        # with the cube's side at the scene's scale: side**3 overflows near 1e300 and underflows
+        # at subnormal scales, so the probes compare per-axis ratios and raise no floating-point error
+        for min_count, size, reach, crowd in ((2, 8, scale / 2, 10.0), (2, 8, scale, 10.0),
+                                              (8, 16, scale, 10.0), (8, 16, scale / 2, 30.0)):
             gated = []
-            for j, q in enumerate(queries.tolist()):
-                gate = [node for node in split_path(bvh, q) if bvh.counts[node] >= 2][-1]
-                box = lo_hi(bvh.bounds[gate]).tolist()
-                if all(qa - reach <= a and b <= qa + reach for qa, a, b in zip(q, box[:3], box[3:])):
-                    gated.append(j)
-                assert (bvh_module.probe_window(bvh, tuple(q), reach, 2, 8) is not None) == (gated[-1:] == [j])
-            assert bvh_module.probe_windows(bvh, queries, reach, 2, 8)[0].tolist() == gated
-            mixed |= 0 < len(gated) < len(queries)
-        assert mixed
+            with np.errstate(all="raise"):
+                for j, q in enumerate(queries.tolist()):
+                    rule = probe_rule(bvh, q, reach, min_count, scale, crowd)
+                    seen.add(rule)
+                    if rule in ("gate", "dense"):
+                        gated.append(j)
+                    probed = bvh_module.probe_window(bvh, tuple(q), reach, min_count, size, scale, crowd)
+                    assert (probed is not None) == (gated[-1:] == [j])
+                rows = bvh_module.probe_windows(bvh, queries, reach, min_count, size, scale, crowd)[0]
+                assert rows.tolist() == gated
+    assert seen == {"out", "gate", "dense", "sparse"}
 
 
 def test_traverse_trivial_scene():
@@ -640,6 +647,39 @@ def split_path(bvh, q):
     return path
 
 
+def probe_rule(bvh, q, reach, min_count, side, crowd):
+    """Which way the probe's gate rule decides for the query row `q`, stated plainly.
+
+    The gate is the last node on q's split path that holds `min_count`
+    points, and its child on the way the next node (a leaf gate stands for
+    its own child).  "none": no node holds min_count points; "out": the
+    child's box overhangs q ± reach; "gate": the gate's box lies inside it
+    too; then "dense" or "sparse": whether count * side**3 >= crowd *
+    volume, the volume of the gate's point box (its box shrunk by the half
+    width, each extent rounded as the index rounds it, below 0 read as 0),
+    compared exactly.  q is probed on "gate" and "dense".
+    """
+    path = split_path(bvh, q)
+    big = [node for node in path if bvh.counts[node] >= min_count]
+    assert big == path[:len(big)]  # counts fall along the path: the gate is the last big node
+    if not big:
+        return "none"
+    gate = big[-1]
+    child = path[len(big)] if len(big) < len(path) else gate
+
+    def inside(node):
+        box = lo_hi(bvh.bounds[node]).tolist()
+        return all(qa - reach <= a and b <= qa + reach for qa, a, b in zip(q, box[:3], box[3:]))
+
+    if not inside(child):
+        return "out"
+    if inside(gate):
+        return "gate"
+    box = lo_hi(bvh.bounds[gate]).tolist()
+    volume = math.prod(Fraction(max(b - a - 2 * bvh.half_width, 0.0)) for a, b in zip(box[:3], box[3:]))
+    return "dense" if int(bvh.counts[gate]) * Fraction(side) ** 3 >= Fraction(crowd) * volume else "sparse"
+
+
 @pytest.mark.parametrize("kind", ["random", "lattice", "duplicates"])
 @pytest.mark.parametrize("leaf_size", [1, 4, 8])
 def test_probe_windows_follow_the_split_path(kind, leaf_size):
@@ -653,21 +693,20 @@ def test_probe_windows_follow_the_split_path(kind, leaf_size):
     origins = np.vstack([rng.random((60, 3)), rng.integers(0, 17, size=(30, 3)) * 0.0625, pts[:20],
                          [[5.0, 5.0, 5.0]]])
     bvh = build_point_bvh(pts, 0.05, leaf_size)
-    gated_rows = []
-    for min_count, size, reach in ((2, 8, 0.2), (8, 16, 0.25), (40, 80, 0.4), (701, 700, 9.0)):
-        rows, ids = bvh_module.probe_windows(bvh, origins, reach, min_count, size)
+    gated_rows, seen = [], set()
+    for min_count, size, reach, side, crowd in ((2, 8, 0.2, 0.2, 12.0), (8, 16, 0.25, 0.3, 40.0),
+                                                (40, 80, 0.4, 0.4, 100.0), (701, 700, 9.0, 1.0, 1.0)):
+        rows, ids = bvh_module.probe_windows(bvh, origins, reach, min_count, size, side, crowd)
         gated_rows.append(len(rows))
         assert ids.shape == (len(rows), size)
         for j, q in enumerate(origins):
-            one = bvh_module.probe_window(bvh, tuple(q.tolist()), reach, min_count, size)
-            path = split_path(bvh, q)
-            big = [node for node in path if bvh.counts[node] >= min_count]
-            assert big == path[:len(big)]  # counts fall along the path: the gate is the last big node
-            gate = big[-1] if big else None
-            box = lo_hi(bvh.bounds[gate]) if big else None
-            gated = box is not None and (q - reach <= box[:3]).all() and (box[3:] <= q + reach).all()
+            one = bvh_module.probe_window(bvh, tuple(q.tolist()), reach, min_count, size, side, crowd)
+            rule = probe_rule(bvh, q, reach, min_count, side, crowd)
+            seen.add(rule)
+            gated = rule in ("gate", "dense")
             assert (one is not None) == gated == (j in rows)
             if gated:
+                gate = [node for node in split_path(bvh, q) if bvh.counts[node] >= min_count][-1]
                 assert one.tolist() == ids[rows.tolist().index(j)].tolist()
                 start, count = int(bvh.starts[gate]), int(bvh.counts[gate])
                 first = bvh.perm.tolist().index(one[0])  # the window: size slots centred on the gate's
@@ -676,7 +715,10 @@ def test_probe_windows_follow_the_split_path(kind, leaf_size):
                 if bvh.left[gate] >= 0:  # an internal gate lies whole in the window
                     assert first <= start and start + count <= first + size
     assert 0 < min(gated_rows[:3]) and max(gated_rows) < len(origins) and gated_rows[3] == 0
-    assert not bvh_module.probe_windows(bvh, origins[-1:], 0.2, 2, 8)[0].size  # far outside: no gate
+    assert seen == {"none", "out", "gate", "dense", "sparse"}
+    # far outside: not probed, however low the density bar
+    assert not bvh_module.probe_windows(bvh, origins[-1:], 0.2, 2, 8, 0.2, 0.0)[0].size
+    assert bvh_module.probe_window(bvh, (5.0, 5.0, 5.0), 0.2, 2, 8, 0.2, 0.0) is None
 
 
 @pytest.mark.parametrize("kind", ["random", "lattice", "duplicates"])

@@ -25,7 +25,9 @@ from bvhknn import (
     transform_points,
 )
 from bvhknn import bvh as bvh_module
+from bvhknn import pipeline as pipeline_module
 from bvhknn.pipeline import BatchResult, Transform, _run_order
+from test_bvh import split_path
 
 L1 = MetricSpec.lp(1)
 L2 = MetricSpec.lp(2)
@@ -260,6 +262,78 @@ def test_batch_query_equals_run_query(kind, metric, enhanced, leaf_size):
         seen += got
     assert any(0 < res.candidate_count < k for res in seen)  # lists shorter than k
     assert any(res.candidate_count > k for res in seen)
+
+
+def cluster_scene(rng, r):
+    """Four 24-point clusters far apart, each one node of the tree, and a query per cluster.
+
+    A dense slab, shaped like the heaviest queries of clustered data:
+    2.2r long on x, 0.5r on y and 0.04r thin on z, so its points, spread
+    at their density over a cube of side 2r, would number about 440k
+    (k = 10), past the probe's bar of 30k; the same slab spread 1.9r on
+    y and z (sparse, about 2.4k); a flat sheet, a plane tilted across the
+    axes through 2.2r on x and 1.8r on y and z (about 2.7k); and a second
+    dense slab.  Each query sits at the centre of the half of its cluster
+    on its way, so that half lies within r of it on every axis, while the
+    whole cluster overhangs that reach on x.
+    """
+    def box(y, z):
+        return rng.uniform(-1, 1, size=(24, 3)) * [1.1 * r, y * r, z * r]
+
+    sheet = box(0.9, 0.0)
+    sheet[:, 2] = 0.45 * (sheet[:, 0] + sheet[:, 1])
+    shapes = [box(0.25, 0.02), box(0.95, 0.95), sheet, box(0.25, 0.02)]
+    centres = np.array([[0, 0, 0], [0, 100, 0], [200, 0, 0], [200, 100, 0]]) * r
+    pts = np.vstack([shape + c for shape, c in zip(shapes, centres)])
+    queries = []
+    for shape, c in zip(shapes, centres):
+        low = shape[np.argsort(shape[:, 0])[:12]] + c  # the half that the split on x puts on the left
+        queries.append((low.min(axis=0) + low.max(axis=0)) / 2)
+    return pts, np.array(queries)
+
+
+@pytest.mark.parametrize("metric", [L1, L2], ids=lambda m: m.canonical())
+def test_probe_takes_the_dense_gate_that_overhangs_the_reach(metric):
+    # the probe's second rule: a gate whose box overhangs q ± (r + H) is
+    # still probed when its child on the way lies inside and it is dense
+    rng = np.random.default_rng(30)
+    r, k = 1.0, 10
+    pts, queries = cluster_scene(rng, r)
+    cfg = ReductionConfig(metric, r, k)
+    bvh = build_index(pts, cfg)
+    reach = r + bvh.half_width
+    for q in queries:  # the scene is as cluster_scene says: the gate, a cluster, overhangs; its child does not
+        path = split_path(bvh, q)
+        gate, child = path[2], path[3]
+        assert bvh.counts[gate] == 24 and bvh.counts[child] == 12
+        lo, hi = bvh.bounds[:, :3], -bvh.bounds[:, 3:]
+        assert (q - reach <= lo[child]).all() and (hi[child] <= q + reach).all()
+        assert not ((q - reach <= lo[gate]).all() and (hi[gate] <= q + reach).all())
+    params = pipeline_module._probe_params(bvh, cfg)
+    probed = [bvh_module.probe_window(bvh, tuple(q), *params) is not None for q in queries.tolist()]
+    assert probed == [True, False, False, True]  # the dense slabs, not the sparse slab or the flat sheet
+    assert bvh_module.probe_windows(bvh, queries, *params)[0].tolist() == [0, 3]
+    got = batch_query(bvh, pts, queries, cfg)
+    assert got == [run_query(bvh, pts, q, cfg) for q in queries]
+    assert (got.radii[[0, 3]] < r).all() and (got.radii[[1, 2]] == r).all()
+    for j, q in enumerate(queries):
+        assert got[j].neighbors == brute_force_knn(pts, q, metric, k, r)
+
+
+def test_work_counts_of_a_two_density_scene():
+    # The work batch_query does is a pure function of the data, the config
+    # and the tree, so it is pinned here bit for bit: a change to the probe
+    # gate, the build or the walk shows as an edited number.  Half the
+    # points are uniform, half in eight tight clusters, like clustered-l1.
+    rng = np.random.default_rng(12)
+    centres = rng.random((8, 3))
+    pts = np.vstack([rng.random((1500, 3)), centres.repeat(190, axis=0) + rng.normal(0, 0.01, size=(1520, 3))])
+    queries = np.vstack([rng.random((100, 3)), pts[rng.choice(len(pts), 200, replace=False)] + 0.001])
+    cfg = ReductionConfig(L1, 0.02, 10)
+    got = batch_query(build_index(pts, cfg), pts, queries, cfg)
+    # (queries probed with a radius below r, hits, node boxes tested)
+    counts = int((got.radii < cfg.r).sum()), int(got.hits.sum()), int(got.nodes_tested.sum())
+    assert counts == (39, 10456, 12328)
 
 
 @pytest.mark.parametrize("metric", BATCH_METRICS, ids=lambda m: m.canonical())
@@ -656,6 +730,25 @@ def test_hamming_vertex_rejects_bad_strings():
         knn_search([[0, 1, 0]], [[0, 1, 0], [-1, 0, 0]], MetricSpec.hamming3(), 1.0, 1)
     with pytest.raises(ValueError, match=f"^query index 0: {phrase}$"):
         brute_force_knn([[0, 1, 0]], [0, 2, 0], MetricSpec.hamming3(), 1)
+
+
+def test_a_bare_bit_string_is_no_collection():
+    # "101" as the query collection once read as three 1-bit queries
+    codes = ["000", "001", "010", "011", "100", "101", "110", "111"]
+    h3 = MetricSpec.hamming3()
+    with pytest.raises(ValueError, match="collection of query rows, got the bare string '101'"):
+        knn_search(codes, "101", h3, 3.0, 2)
+    with pytest.raises(ValueError, match="collection of query rows, got the bare string '110'"):
+        ground_truth(codes, "110", h3, 2)
+    with pytest.raises(ValueError, match="collection of data rows, got the bare string '0101'"):
+        knn_search("0101", ["101"], h3, 3.0, 2)
+    with pytest.raises(ValueError, match="collection of point rows"):
+        transform_points([Transform.HAMMING_VERTEX], np.str_("11"))
+    # one query in a list is one query, and brute_force_knn wraps its one query itself
+    want = [(5, 0.0), (1, 1.0)]
+    assert brute_force_knn(codes, "101", h3, 2) == want
+    assert ground_truth(codes, ["101"], h3, 2).rows == [want]
+    assert [res.neighbors for res in knn_search(codes, ["101"], h3, 3.0, 2)] == [want]
 
 
 def test_transform_points_rejects_an_unknown_transform():
