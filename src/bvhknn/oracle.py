@@ -10,15 +10,17 @@ The data and the queries are each mapped once per call, by the
 pipeline's own route, :func:`bvhknn.pipeline.transform_chain_for`
 (normalised for cosine/angular, lifted to (x, y, 0) for euclid2d, parsed
 for Hamming; a non-finite coordinate is rejected by index).  Per query,
-one call of the shared column-wise weight kernel (or one dot product for
-cosine/angular) gives each row's rank key.  The k smallest are then
-selected, not sorted in full: the keys are partitioned at k - 1, every
-row whose key is at or below the k-th key is kept, so that all ties at
-the k-th place survive, and that small set is sorted by (key, id).  The
-answer is exactly the first k of a stable sort of every key.  Without a
-radius, roots and `arccos` are taken only for the selected rows; with
-one, membership is decided on every row by the reported distance, so
-nothing assumes that a root or `arccos` is monotone in floating point.
+one call of the shared column-wise weight kernel, under the pipeline
+metric, gives each row's rank key: cosine and angular rank by chord, as
+the pipeline does, so the two break every tie alike.  The k smallest are
+then selected, not sorted in full: the keys are partitioned at k - 1,
+every row whose key is at or below the k-th key is kept, so that all
+ties at the k-th place survive, and that small set is sorted by
+(key, id).  The answer is exactly the first k of a stable sort of every
+key.  Without a radius, roots, similarities and angles are taken only
+for the selected rows; with one, membership is decided on every row by
+the reported distance, so nothing assumes they are monotone in floating
+point.
 
 Without a radius, Lp metrics whose term is a `pow` (p not 1 or 2) weigh
 only the rows that can reach the top k: a filter-refine step, as in the
@@ -44,9 +46,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import KIND_ANGULAR, KIND_COSINE, KIND_LP, MetricSpec, distances, weights
+from .metrics import KIND_COSINE, KIND_LP, MetricSpec, distances, weights
 from .geometry import checked_count, checked_real, checked_rows
-from .pipeline import pipeline_metric_for, transform_chain_for, transform_points
+from .pipeline import _source_distances, pipeline_metric_for, transform_chain_for, transform_points
 
 NeighborRow = list[tuple[int, float]]
 
@@ -57,32 +59,24 @@ def _mapped(points, metric: MetricSpec, label: str) -> np.ndarray:
     The points take the pipeline's own route, :func:`bvhknn.pipeline.transform_chain_for`:
     unit vectors for cosine and angular, (x, y, 0) rows for euclid2d (the
     zero column adds an exact 0 to every weight), cube vertices for Hamming,
-    and the coordinates themselves otherwise.  Unit vectors stay C-ordered
-    for the dot products; the other rows are stored column-major, so that
-    each column the weight kernel reads is contiguous.  A row of the wrong
-    width or with a non-finite coordinate is rejected, naming its `label`
-    and index.
+    and the coordinates themselves otherwise.  The rows are stored
+    column-major, so that each column the weight kernel reads is
+    contiguous.  A row of the wrong width or with a non-finite coordinate
+    is rejected, naming its `label` and index.
     """
-    rows = checked_rows(transform_points(transform_chain_for(metric), points, label), label)
-    return rows if metric.kind in (KIND_COSINE, KIND_ANGULAR) else np.asfortranarray(rows)
+    return np.asfortranarray(checked_rows(transform_points(transform_chain_for(metric), points, label), label))
 
 
 def _rank_key(rows, qrow, metric: MetricSpec):
     """The ascending rank key of every row, and a map from row indices to distances.
 
-    Lp, LInf, 2D Euclidean and Hamming rank by the pipeline's weight
-    kernel; cosine and angular by the negated cosine, from dot products
-    computed independently of the pipeline's normalize-then-L2 route.
-    Roots and `arccos` are taken only for the rows asked for.
+    Every metric ranks by the weight kernel of its pipeline metric, as
+    the pipeline does: cosine and angular by the squared chord.  Roots,
+    similarities and angles are taken only for the rows asked for.
     """
-    if metric.kind in (KIND_COSINE, KIND_ANGULAR):
-        cos = np.clip(rows @ qrow, -1.0, 1.0)
-        if metric.kind == KIND_ANGULAR:
-            return -cos, lambda sel: np.arccos(cos[sel])
-        return -cos, lambda sel: cos[sel]  # similarity reported, still ranked by ascending angle
     native = pipeline_metric_for(metric)
     w = weights(native, rows, qrow)
-    return w, lambda sel: distances(native, w[sel])
+    return w, lambda sel: _source_distances(metric, distances(native, w[sel]))
 
 
 def _smallest(key: np.ndarray, k: int) -> np.ndarray:
@@ -158,11 +152,13 @@ def brute_force_knn(points, q, metric: MetricSpec, k: int, radius: float | None 
     any sign for cosine, keeps only points with distance <= radius (for
     cosine: similarity >= radius); ``radius=None`` is the unbounded search.
 
-    Lp, LInf, 2D Euclidean and Hamming distances come from the weight
-    kernel the pipeline uses, ranked by (weight, id); cosine and angular
-    are computed from dot products, independently of the pipeline's
-    normalize-then-L2 route.  The k smallest keys are selected, not the
-    whole scan sorted; the result is exactly the first k of a stable sort.
+    Every metric is ranked by (weight, id) under the weight kernel of its
+    pipeline metric, in the pipeline's space: cosine and angular by the L2
+    chord between NORMALIZE's unit vectors, whose similarity or angle is
+    reported.  So ids, order and distances are those of
+    :func:`bvhknn.pipeline.knn_search` within its radius, ties included.
+    The k smallest keys are selected, not the whole scan sorted; the
+    result is exactly the first k of a stable sort.
     This is the one-query case of :func:`ground_truth`.
     """
     return _knn_rows(points, [q], metric, k, radius)[0]

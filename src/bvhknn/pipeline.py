@@ -73,7 +73,6 @@ safe.
 from __future__ import annotations
 
 import enum
-import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -496,9 +495,11 @@ def _parse_bits(s) -> tuple[float, float, float]:
 def transform_points(chain: list[Transform], points, label: str = "point") -> np.ndarray:
     """Apply a transform chain to a whole collection, returning an (n, 3) array.
 
-    NORMALIZE takes finite nonzero 3-vectors to the unit sphere, scaling by
-    m = max |x_i| a norm whose square overflows or is subnormal, as `hypot`
-    does; EMBED_2D lifts (x, y) to (x, y, 0); HAMMING_VERTEX takes bit
+    NORMALIZE maps every finite nonzero 3-vector by one path: y = x / m,
+    m = max |x_i|, then y / sqrt(sum y_i**2), a sum in [1, 3] at any scale;
+    so exact positive multiples c * x map to bitwise the same unit vector,
+    as c * x_i / (c * m) rounds as x_i / m does.  EMBED_2D lifts (x, y) to
+    (x, y, 0); HAMMING_VERTEX takes bit
     strings of length <= 3 (left-padded with zeros) to the matching cube
     vertices.  Rejects inputs a transform cannot accept, naming the shape
     or the offending `label` row (e.g. a zero vector under NORMALIZE), and
@@ -511,17 +512,13 @@ def transform_points(chain: list[Transform], points, label: str = "point") -> np
     for t in chain:
         if t is Transform.NORMALIZE:
             arr = checked_rows(current, label)
-            with np.errstate(over="ignore", under="ignore"):
-                squares = (arr * arr).sum(axis=1)
-            norms = np.sqrt(squares)
-            scaled = np.flatnonzero((squares < np.finfo(np.float64).tiny) | (squares == np.inf))
-            m = np.abs(arr[scaled]).max(axis=1)
-            scaled, m = scaled[m > 0], m[m > 0]  # a zero vector keeps norm 0
-            norms[scaled] = m * np.sqrt(((arr[scaled] / m[:, None]) ** 2).sum(axis=1))
-            zero = np.flatnonzero(norms == 0.0)
+            origin = (0.0, 0.0, 0.0)
+            m = weights(MetricSpec.linf(), arr, origin)  # max |x_i|, by the column-wise kernel
+            zero = np.flatnonzero(m == 0.0)
             if zero.size:
                 raise ValueError(f"cannot normalize zero vector at {label} index {zero[0]}")
-            current = arr / norms[:, None]
+            y = arr / m[:, None]
+            current = y / np.sqrt(weights(MetricSpec.lp(2), y, origin))[:, None]
         elif t is Transform.EMBED_2D:
             current = np.pad(float_rows(current, label, 2), ((0, 0), (0, 1)))  # a zero z column
         elif t is Transform.HAMMING_VERTEX:
@@ -571,26 +568,31 @@ def pipeline_metric_for(source: MetricSpec) -> MetricSpec:
     return _REDUCTIONS[source.kind][1] if source.kind in _REDUCTIONS else source
 
 
-def to_source_units(source: MetricSpec, batch: BatchResult) -> BatchResult:
-    """Re-express a pipeline-space batch's distances in source-metric units.
+def _source_distances(source: MetricSpec, d: np.ndarray) -> np.ndarray:
+    """Pipeline-space distances `d` in `source` units: the one chord formula of the oracle and the pipeline.
 
-    Only cosine and angular change a distance: a chord c between unit
-    vectors is the angle 2 asin(c / 2) and the cosine similarity
-    1 - c**2 / 2.  The padding stays (n, inf) in every unit, and the
-    radii stay in pipeline units.  For every other metric the batch is
-    returned as it is.
+    A chord c between unit vectors is the angle 2 asin(min(1, c / 2)) and
+    the cosine similarity 1 - c * c / 2; other metrics keep `d`.
+    """
+    if source.kind == KIND_ANGULAR:
+        return 2.0 * np.arcsin(np.minimum(d / 2.0, 1.0))
+    if source.kind == KIND_COSINE:
+        return 1.0 - d * d / 2.0  # a similarity, not a distance
+    return d
+
+
+def to_source_units(source: MetricSpec, batch: BatchResult) -> BatchResult:
+    """Re-express a pipeline-space batch's distances in source-metric units, by :func:`_source_distances`.
+
+    The padding stays (n, inf) in every unit, and the radii stay in
+    pipeline units.  For a metric whose distances do not change, the batch
+    is returned as it is.
     """
     if source.kind not in (KIND_ANGULAR, KIND_COSINE):
         return batch
     d = batch.distances
-    filled = d < np.inf  # a neighbor's distance is at most r, so finite
-    if source.kind == KIND_ANGULAR:
-        # math.asin per value: np.arcsin rounds differently on some inputs
-        converted = np.full_like(d, np.inf)
-        converted[filled] = [2.0 * math.asin(min(1.0, c / 2.0)) for c in d[filled].tolist()]
-    else:
-        converted = np.where(filled, 1.0 - d * d / 2.0, np.inf)  # a similarity, not a distance
-    return replace(batch, distances=converted)
+    # a neighbor's distance is at most r, so finite; the padding's converts without a warning
+    return replace(batch, distances=np.where(d < np.inf, _source_distances(source, d), np.inf))
 
 
 def knn_search(data, queries, metric: MetricSpec, r: float, k: int, enhanced: bool = False) -> BatchResult:

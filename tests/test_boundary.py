@@ -6,6 +6,12 @@ distance exceeds r.  The scenes put points on or next to the radius:
 exactly r along one axis, the oracle's own k-th distance used as r, and
 duplicate points that tie on weight.
 
+Cosine and angular are searched as chords between NORMALIZE's unit
+vectors, and the oracle ranks them by the same chords, so exact ties in
+angle break by smaller id on both sides: exact multiples of one
+direction, lattice directions and scaled lattice rows must give the
+oracle's ids, order and distances.
+
 Dense scenes do the same for the radius r_q < r that the probe gives a
 query (`BatchResult.radii`): points exactly r_q away along an axis, ties at
 r_q inside and outside the probe's window, duplicates that make r_q 0,
@@ -29,6 +35,7 @@ from bvhknn import (
     build_index,
     build_point_bvh,
     containment_scan,
+    ground_truth,
     knn_search,
     run_query,
     scene_half_width,
@@ -301,3 +308,95 @@ def test_batch_query_matches_oracle_near_lattice(pts, queries, metric, enhanced,
     assert len(results) == len(queries)
     for res, q in zip(results, queries):
         assert res.neighbors == brute_force_knn(pts, q, metric, k, radius=r)
+
+
+ANGLES = [MetricSpec.cosine(), MetricSpec.angular()]
+
+
+def assert_angles_match_oracle(data, queries, metric, r, k, enhanced):
+    """knn_search at chord r: each row a prefix of the unbounded oracle's, whole when r = 2.
+
+    The oracle's radius is a similarity or an angle, not a chord, so the
+    oracle runs unbounded; the pipeline keeps the chords <= r, a prefix of
+    the oracle's chord order, ties in angle included.  Returns the batch.
+    """
+    got = knn_search(data, queries, metric, r, k, enhanced)
+    truth = ground_truth(data, queries, metric, k).rows
+    for res, q, row in zip(got, queries, truth):
+        assert brute_force_knn(data, q, metric, k) == row
+        assert res.neighbors == row[:len(res.neighbors)]
+        if r == 2.0:
+            assert len(res.neighbors) == len(row)
+    return got
+
+
+def lattice_rows(rng, n, span=3):
+    """n nonzero integer rows with coordinates in [-span, span]: many directions tie in angle."""
+    rows = rng.integers(-span, span + 1, size=(2 * n, 3)).astype(float)
+    return rows[rows.any(axis=1)][:n]
+
+
+@pytest.mark.parametrize("enhanced", [False, True])
+@pytest.mark.parametrize("metric", ANGLES, ids=lambda m: m.canonical())
+def test_exact_multiples_tie_in_angle(metric, enhanced):
+    # a few lattice directions, each given as several exact positive
+    # multiples (small integers and powers of two), so every copy of a
+    # direction ties at the same angle; the copies parallel to a query come
+    # first, by id, at angle exactly 0 and similarity exactly 1
+    rng = np.random.default_rng(909)
+    scales = np.array([1.0, 2.0, 3.0, 5.0, 7.0, 0.25, 2.0 ** -600, 2.0 ** 600])
+    same = 0.0 if metric.kind == "angular" else 1.0
+    radii, parallels = [], 0
+    for _ in range(SCENES // 4):
+        directions = lattice_rows(rng, 8)
+        which = rng.integers(0, len(directions), size=40)
+        data = directions[which] * rng.choice(scales, size=(40, 1))
+        d = directions[which]  # small integers: the cross and dot products below are exact
+        aims = rng.integers(0, len(directions), size=4)
+        queries = directions[aims] * rng.choice(scales, size=(4, 1))
+        k = int(rng.integers(1, 16))
+        for r in (2.0, 0.5):
+            got = assert_angles_match_oracle(data, queries, metric, r, k, enhanced)
+            radii.append(got.radii / r)
+            for res, aim in zip(got, aims):
+                parallel = np.flatnonzero(~np.cross(d, directions[aim]).any(axis=1) & (d @ directions[aim] > 0))
+                assert res.neighbors[:len(parallel)] == [(i, same) for i in parallel[:k].tolist()]
+                parallels += len(parallel) > 1
+    radii = np.concatenate(radii)
+    assert (radii < 1).any() and (radii == 1).any()  # probed queries and unprobed ones
+    assert parallels > SCENES // 4  # queries with two or more parallel copies
+
+
+@pytest.mark.parametrize("enhanced", [False, True])
+@pytest.mark.parametrize("metric", ANGLES, ids=lambda m: m.canonical())
+def test_lattice_directions_tie_in_angle(metric, enhanced):
+    # integer lattice rows, as they are and times random scales: directions
+    # that are parallel, or sit at equal angles from a query, tie exactly in
+    # chord, so both sides break the tie by smaller id
+    rng = np.random.default_rng(919)
+    radii = []
+    for _ in range(SCENES // 4):
+        data = lattice_rows(rng, 60)
+        queries = lattice_rows(rng, 6, span=2)
+        k = int(rng.integers(1, 20))
+        for scaled in (False, True):
+            if scaled:
+                data = data * 10.0 ** rng.uniform(-5, 5, size=(len(data), 1))
+                queries = queries * 10.0 ** rng.uniform(-5, 5, size=(len(queries), 1))
+            for r in (2.0, 0.7):
+                got = assert_angles_match_oracle(data, queries, metric, r, k, enhanced)
+                radii.append(got.radii / r)
+    radii = np.concatenate(radii)
+    assert (radii < 1).any() and (radii == 1).any()
+
+
+def test_parallel_vectors_from_two_scales_tie():
+    # [3, -3, -3] and [2, -2, -2] once normalised one ulp apart, so the
+    # pipeline put id 1 first and reported an angle of 1.9e-16 for it
+    data = [[3.0, -3.0, -3.0], [2.0, -2.0, -2.0]]
+    q = [2.0, -2.0, -2.0]
+    for metric, same in ((MetricSpec.cosine(), 1.0), (MetricSpec.angular(), 0.0)):
+        want = [(0, same), (1, same)]
+        assert brute_force_knn(data, q, metric, 2) == ground_truth(data, [q], metric, 2).rows[0] == want
+        for enhanced in (False, True):
+            assert knn_search(data, [q], metric, 2.0, 2, enhanced)[0].neighbors == want

@@ -170,20 +170,21 @@ def test_matches_math_reference():
 
 
 def _argsort_reference(points, q, metric, k, radius):
-    """Every key computed, then a stable argsort of all of them: the oracle's answer."""
+    """Every key computed, then a stable argsort of all of them: the oracle's answer.
+
+    Every metric is weighed in pipeline space by its pipeline metric, as
+    the library ranks it: cosine and angular by the chord between unit
+    vectors, reported as the similarity 1 - c * c / 2 or the angle
+    2 asin(min(1, c / 2)).
+    """
     chain = transform_chain_for(metric)
-    if metric.kind in ("cosine", "angular"):
-        unit = transform_points(chain, points)
-        uq = transform_points(chain, [q])[0]
-        cos = np.clip(unit @ uq, -1.0, 1.0)
-        dist, key = (cos if metric.kind == "cosine" else np.arccos(cos)), -cos
-    else:
-        if metric.kind == "hamming3":
-            points = transform_points(chain, points)
-            q = transform_points(chain, [q])[0]
-        native = pipeline_metric_for(metric)
-        key = weights(native, np.asarray(points, dtype=np.float64), q)
-        dist = distances(native, key)
+    native = pipeline_metric_for(metric)
+    key = weights(native, transform_points(chain, points), transform_points(chain, [q])[0])
+    dist = distances(native, key)
+    if metric.kind == "cosine":
+        dist = 1.0 - dist * dist / 2.0
+    elif metric.kind == "angular":
+        dist = 2.0 * np.arcsin(np.minimum(dist / 2.0, 1.0))
     ids = np.arange(len(key))
     if radius is not None:
         keep = dist >= radius if metric.kind == "cosine" else dist <= radius
@@ -289,6 +290,34 @@ def test_angular_consistent_with_chord_ranking():
         assert [i for i, _ in rederived] == [i for i, _ in direct]
         for (_, a), (_, b) in zip(rederived, direct):
             assert a == pytest.approx(b, abs=1e-9)
+
+
+@pytest.mark.parametrize("metric", [MetricSpec.cosine(), MetricSpec.angular()], ids=lambda m: m.canonical())
+def test_chord_ranking_agrees_with_dot_products(metric):
+    # an independent reference: the plain dot product of unit vectors from
+    # np.linalg.norm, clipped, and its arccos for the angle.  Gaussian
+    # scenes are tie-free, so the ids and their order must be equal; the
+    # distances round differently, and agree within TOL.
+    TOL = 1e-12  # the angles here are >= 1e-3, where an ulp of cosine moves the angle by < 1e-12
+    rng = np.random.default_rng(43)
+    k = 15
+    for _ in range(4):
+        pts = rng.normal(size=(3000, 3))
+        queries = rng.normal(size=(10, 3))
+        unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        for radius in (None, 0.5 if metric.kind == "cosine" else 1.0):
+            truth = ground_truth(pts, queries, metric, k, radius)
+            for q, row in zip(queries, truth.rows):
+                cos = np.clip(unit @ (q / np.linalg.norm(q)), -1.0, 1.0)
+                dist = cos if metric.kind == "cosine" else np.arccos(cos)
+                ids = np.argsort(-cos, kind="stable")
+                if radius is not None:
+                    assert np.abs(dist - radius).min() > 1e-9  # no point on the radius either
+                    ids = ids[(dist >= radius if metric.kind == "cosine" else dist <= radius)[ids]]
+                assert np.diff(-cos[ids[:k + 1]]).min() > 1e-9  # no near-tie: the scene is tie-free
+                assert np.arccos(cos[ids[0]]) >= 1e-3
+                assert [i for i, _ in row] == ids[:k].tolist()
+                assert np.allclose([d for _, d in row], dist[ids[:k]], rtol=0, atol=TOL)
 
 
 def test_recall_worked_example():

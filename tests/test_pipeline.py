@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -556,7 +557,8 @@ def test_batch_result_layout():
 
 def test_source_units_are_the_per_pair_formulas():
     # cosine and angular distances convert bitwise as c -> 1 - c * c / 2 and
-    # c -> 2 asin(min(1, c / 2)) do on Python floats; the padding stays (n, inf)
+    # c -> 2 arcsin(min(1, c / 2)) do, the angle by np.arcsin over the whole
+    # array; the padding stays (n, inf)
     rng = np.random.default_rng(37)
     data = rng.normal(size=(100_000, 3))
     queries = rng.normal(size=(40, 3))
@@ -564,14 +566,14 @@ def test_source_units_are_the_per_pair_formulas():
     cfg = ReductionConfig(L2, 0.02, 10)
     chords = batch_query(build_index(unit, cfg), unit, transform_points(transform_chain_for(MetricSpec.cosine()), queries), cfg)
     assert (chords.candidates < 10).any() and (chords.candidates > 10).any()
-    formulas = {"cosine": lambda c: 1.0 - c * c / 2.0, "angular": lambda c: 2.0 * math.asin(min(1.0, c / 2.0))}
+    formulas = {"cosine": lambda c: 1.0 - c * c / 2.0, "angular": lambda c: 2.0 * np.arcsin(np.minimum(c / 2.0, 1.0))}
     for name, formula in formulas.items():
         got = knn_search(data, queries, MetricSpec.parse(name), 0.02, 10)
         assert np.array_equal(got.ids, chords.ids)
         padded = chords.distances == np.inf
         assert (got.distances[padded] == np.inf).all()
-        want = [formula(c) for c in chords.distances[~padded].tolist()]
-        assert got.distances[~padded].tobytes() == np.array(want).tobytes()
+        want = formula(chords.distances[~padded])
+        assert got.distances[~padded].tobytes() == want.tobytes()
 
 
 def test_source_units_keep_the_radii_in_chords():
@@ -689,6 +691,13 @@ def test_normalize_rejects_zero_vector():
         transform_points([Transform.NORMALIZE], np.array([[1, 0, 0], [0, 0, 0]], float))
 
 
+def normalized(rows):
+    """NORMALIZE's one path, row-wise: y = x / max |x_i|, then y / sqrt(sum y_i**2)."""
+    rows = np.asarray(rows, dtype=np.float64)
+    y = rows / np.abs(rows).max(axis=1)[:, None]
+    return y / np.sqrt((y * y).sum(axis=1))[:, None]
+
+
 def test_normalize_scales_norms_that_overflow_or_underflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow or underflow warning escapes
@@ -697,10 +706,25 @@ def test_normalize_scales_norms_that_overflow_or_underflow():
         assert unit.tolist() == [[1, 0, 0], [0, -1, 0], [1, 0, 0], [0.6, 0.8, 0], [0.6, 0.8, 0]]
         big = transform_points([Transform.NORMALIZE], [[1e200] * 3])
         assert np.allclose(big, 3 ** -0.5, rtol=1e-15, atol=0)
-        # every other row keeps its unscaled norm, bit for bit
-        rows = np.random.default_rng(8).normal(size=(500, 3))
-        assert np.array_equal(transform_points([Transform.NORMALIZE], rows),
-                              rows / np.sqrt((rows * rows).sum(axis=1))[:, None])
+        # every row takes the one path, bit for bit: Gaussian rows, a subnormal
+        # row and a row whose small component underflows against its large one
+        rows = np.concatenate([np.random.default_rng(8).normal(size=(500, 3)),
+                               [[5e-324, 0.0, -1e-323], [3e-320, -4e-321, 7e-322], [1e300, 1e-300, 0.0]]])
+        unit = transform_points([Transform.NORMALIZE], rows)
+        assert unit.tobytes() == normalized(rows).tobytes()
+        assert unit[-3].tolist() == (np.array([0.5, 0.0, -1.0]) / np.sqrt(1.25)).tolist()
+        assert unit[-1].tolist() == [1.0, 0.0, 0.0]
+        # an exact positive multiple maps to the same bits: every c * v below
+        # is exact (checked in Fractions), as 3 * v and 0.5 * v all are
+        grid = np.stack(np.meshgrid(*[np.arange(-6.0, 7.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+        grid = grid[grid.any(axis=1)]
+        base = transform_points([Transform.NORMALIZE], grid)
+        for c in (3.0, 0.5, 1e-170, 1e200):
+            scaled = c * grid
+            exact = np.array([all(Fraction(x) == Fraction(c) * Fraction(v) for x, v in zip(cv, v))
+                              for cv, v in zip(scaled.tolist(), grid.tolist())])
+            assert exact.all() if c in (3.0, 0.5) else exact.sum() >= 300
+            assert transform_points([Transform.NORMALIZE], scaled[exact]).tobytes() == base[exact].tobytes()
     with pytest.raises(ValueError, match="zero vector at point index 1"):
         transform_points([Transform.NORMALIZE], [[1e-170, 0, 0], [0, 0, 0]])
 
