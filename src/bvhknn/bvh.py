@@ -389,6 +389,12 @@ def traverse_points(bvh: Bvh, origins: np.ndarray,
         if not ok.all():
             bad = np.flatnonzero(~ok)[0]
             raise ValueError(f"inset index {bad} must be finite and >= 0, got {inset[bad, 0]}")
+    yield from _traverse(bvh, origins, inset)
+
+
+def _traverse(bvh: Bvh, origins: np.ndarray, inset) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """:func:`traverse_points` on checked `origins` and unchecked (m, 1) insets or 0.0; one below 0 widens the boxes."""
+    m = len(origins)
     # one (q - inset, -(q + inset)) row per query: each test gathers a single array
     spans = np.hstack([origins - inset, -(origins + inset)])
     tested = np.ones(m, dtype=np.int64)  # every query tests the root box

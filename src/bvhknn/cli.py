@@ -50,7 +50,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, required=True, help="number of data points")
     sub.add_argument("--metric", required=True,
                      help="lp:<p> | linf | cosine | angular | euclid2d | hamming3")
-    sub.add_argument("--radius", type=float, help="search radius r")
+    sub.add_argument("--radius", type=float, help="search radius r in pipeline units, a chord for cosine and angular")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", help="write JSON here instead of stdout")
 

@@ -12,15 +12,17 @@ pipeline's own route, :func:`bvhknn.pipeline.transform_chain_for`
 for Hamming; a non-finite coordinate is rejected by index).  Per query,
 one call of the shared column-wise weight kernel, under the pipeline
 metric, gives each row's rank key: cosine and angular rank by chord, as
-the pipeline does, so the two break every tie alike.  The k smallest are
+the pipeline does, so the two break every tie alike.  A radius is in
+pipeline units, as the pipeline's `r` is (a chord for cosine and
+angular), and a row is kept when its rooted weight is at most the
+radius: the refine's own comparison, made on every row, so that nothing
+assumes the root is monotone in floating point.  The k smallest are
 then selected, not sorted in full: the keys are partitioned at k - 1,
 every row whose key is at or below the k-th key is kept, so that all
 ties at the k-th place survive, and that small set is sorted by
 (key, id).  The answer is exactly the first k of a stable sort of every
-key.  Without a radius, roots, similarities and angles are taken only
-for the selected rows; with one, membership is decided on every row by
-the reported distance, so nothing assumes they are monotone in floating
-point.
+key.  Similarities and angles are taken only for the rows returned, by
+the pipeline's one formula, :func:`bvhknn.pipeline._source_distances`.
 
 Without a radius, Lp metrics whose term is a `pow` (p not 1 or 2) weigh
 only the rows that can reach the top k: a filter-refine step, as in the
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import KIND_COSINE, KIND_LP, MetricSpec, distances, weights
+from .metrics import KIND_LP, MetricSpec, distances, weights
 from .geometry import checked_count, checked_real, checked_rows
 from .pipeline import _source_distances, pipeline_metric_for, transform_chain_for, transform_points
 
@@ -65,18 +67,6 @@ def _mapped(points, metric: MetricSpec, label: str) -> np.ndarray:
     is rejected, naming its `label` and index.
     """
     return np.asfortranarray(checked_rows(transform_points(transform_chain_for(metric), points, label), label))
-
-
-def _rank_key(rows, qrow, metric: MetricSpec):
-    """The ascending rank key of every row, and a map from row indices to distances.
-
-    Every metric ranks by the weight kernel of its pipeline metric, as
-    the pipeline does: cosine and angular by the squared chord.  Roots,
-    similarities and angles are taken only for the rows asked for.
-    """
-    native = pipeline_metric_for(metric)
-    w = weights(native, rows, qrow)
-    return w, lambda sel: _source_distances(metric, distances(native, w[sel]))
 
 
 def _smallest(key: np.ndarray, k: int) -> np.ndarray:
@@ -120,26 +110,26 @@ def _reachable(rows: np.ndarray, qrow, metric: MetricSpec, k: int) -> np.ndarray
 def _knn_rows(points, queries, metric: MetricSpec, k: int, radius: float | None) -> list[NeighborRow]:
     """Exact neighbor rows for each query; the data and the queries are each mapped once."""
     k = checked_count(k, "k")
-    if radius is not None:  # a cosine radius is a similarity, of either sign
-        radius = checked_real(radius, "radius", None if metric.kind == KIND_COSINE else 0.0)
+    if radius is not None:
+        radius = checked_real(radius, "radius", 0.0)
+    native = pipeline_metric_for(metric)
     rows = _mapped(points, metric, "data")
     out = []
     for qrow in _mapped(queries, metric, "query"):
         if radius is None:
-            ids = _reachable(rows, qrow, metric, k)
-            key, distance_of = _rank_key(rows if ids is None else rows[ids], qrow, metric)
-            top = _smallest(key, k)
-            dist = distance_of(top)
+            ids = _reachable(rows, qrow, native, k)
+            w = weights(native, rows if ids is None else rows[ids], qrow)
+            top = _smallest(w, k)
+            dist = distances(native, w[top])
             if ids is not None:
                 top = ids[top]
         else:
-            key, distance_of = _rank_key(rows, qrow, metric)
-            # membership is decided on every row by the reported distance
-            dist = distance_of(slice(None))
-            keep = np.flatnonzero(dist >= radius if metric.kind == KIND_COSINE else dist <= radius)
-            top = keep[_smallest(key[keep], k)]
+            w = weights(native, rows, qrow)
+            dist = distances(native, w)
+            keep = np.flatnonzero(dist <= radius)
+            top = keep[_smallest(w[keep], k)]
             dist = dist[top]
-        out.append(list(zip(top.tolist(), dist.tolist())))
+        out.append(list(zip(top.tolist(), _source_distances(metric, dist).tolist())))
     return out
 
 
@@ -148,15 +138,18 @@ def brute_force_knn(points, q, metric: MetricSpec, k: int, radius: float | None 
 
     Returns up to k (id, distance) pairs, ascending by distance with ties
     broken by smaller id (for cosine the distance column is the similarity
-    and the order is ascending angle).  A radius, a real number >= 0 but of
-    any sign for cosine, keeps only points with distance <= radius (for
-    cosine: similarity >= radius); ``radius=None`` is the unbounded search.
+    and the order is ascending angle).  A radius, a real number >= 0 in
+    pipeline units like :class:`bvhknn.pipeline.ReductionConfig`'s `r`,
+    keeps only points whose pipeline distance is <= radius: for cosine and
+    angular that is the chord, so similarity s and angle t are the radii
+    sqrt(2 - 2s) and 2 sin(t / 2).  ``radius=None`` is the unbounded search.
 
     Every metric is ranked by (weight, id) under the weight kernel of its
     pipeline metric, in the pipeline's space: cosine and angular by the L2
     chord between NORMALIZE's unit vectors, whose similarity or angle is
     reported.  So ids, order and distances are those of
-    :func:`bvhknn.pipeline.knn_search` within its radius, ties included.
+    :func:`bvhknn.pipeline.knn_search` at the same radius, boundary and
+    ties included.
     The k smallest keys are selected, not the whole scan sorted; the
     result is exactly the first k of a stable sort.
     This is the one-query case of :func:`ground_truth`.
@@ -252,7 +245,8 @@ def ground_truth(points, queries, metric: MetricSpec, k: int, radius: float | No
     """Brute-force truth for a whole query batch, as :func:`brute_force_knn` per query.
 
     The data and the queries are each mapped (converted, normalised or
-    parsed) once for the batch.
+    parsed) once for the batch.  The radius is in pipeline units, a chord
+    for cosine and angular, as for :func:`brute_force_knn`.
     """
     rows = _knn_rows(points, queries, metric, k, radius)
     return GroundTruth(metric=metric.canonical(), k=int(k), rows=rows)  # to_dict's JSON takes no numpy k

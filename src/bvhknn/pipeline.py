@@ -82,11 +82,11 @@ import numpy as np
 from .bvh import (
     PAIR_BUDGET,
     Bvh,
+    _traverse,
     build_point_bvh,
     point_hits,
     probe_window,
     probe_windows,
-    traverse_points,
 )
 from .geometry import checked_count, checked_real, checked_rows, float_rows, shaped_rows
 from .metrics import (
@@ -106,7 +106,7 @@ from .metrics import (
 class ReductionConfig:
     """How to run a search: target metric, radius, k, and scene geometry.
 
-    `r` is the search radius in target-metric units (for transform-backed
+    `r` is the search radius in pipeline units (for transform-backed
     metrics: in the mapped space, e.g. chord length for cosine/angular),
     a Python or numpy real number > 0, stored as a float.
     `enhanced`, a Python or numpy bool stored as a bool, selects the
@@ -295,21 +295,19 @@ def _insets(bvh: Bvh, radii: np.ndarray | float, config: ReductionConfig) -> np.
     sums round by a few 2**-53, the root by under one ulp plus
     |ln w| * 2**-53 for the rounded exponent 1/p, and tau = 2**(1 - 1074/p)
     covers a term lost to underflow (L1 and LInf terms are exact: tau = 0).
-    A positive inset leaves a real half width H - inset of at least h / r
-    times that bound: the product (below H then) and the two differences
-    below each round by at most 2**-53 * H, which the last term, H * 2**-50,
-    covers.  So p - H <= q - inset and q + inset <= p + H hold exactly, and
-    as rounding is monotone, the computed fl(p - H) <= fl(q - inset) and
-    fl(q + inset) <= fl(p + H) hold too: the inset box passes the point.
-    r_q = r, a query the probe passes over, gives inset 0 if H == h.
+    The inset leaves a real half width H - inset of at least h / r times
+    that bound: for r >= 2 * tau the product is at most 1.5 * H, and it and
+    the two differences below round by at most 6.5 * 2**-53 * H in all,
+    which the last term, H * 2**-50, covers.  So p - H <= q - inset and
+    q + inset <= p + H hold exactly, and as rounding is monotone, the
+    computed fl(p - H) <= fl(q - inset) and fl(q + inset) <= fl(p + H) hold
+    too.  For r_q = r on an index built for `config` the inset is below 0:
+    an offset just past r may round down to r, so the boxes widen.
     """
     metric, r = config.metric, config.r
     h, H = scene_half_width(config), bvh.half_width
     tau = 0.0 if metric.kind == KIND_LINF or metric.p == 1.0 else 2.0 ** (1 - 1074 / metric.p)
-    inset = H - h * ((radii * (1 + 2.0 ** -40) + tau) / r) - H * 2.0 ** -50
-    if isinstance(radii, float):
-        return inset if inset > 0 else 0.0
-    return np.where(inset > 0, inset, 0.0)
+    return H - h * ((radii * (1 + 2.0 ** -40) + tau) / r) - H * 2.0 ** -50
 
 
 def _probe_params(bvh: Bvh, config: ReductionConfig) -> tuple[float, int, int, float, float]:
@@ -375,8 +373,7 @@ def run_query(bvh: Bvh, points, q, config: ReductionConfig) -> QueryResult:
     origin = row[0].tolist()  # the node walks read Python floats
     ids = probe_window(bvh, origin, *_probe_params(bvh, config))
     radius = config.r if ids is None else _window_radius(points, ids, row[0], config)
-    inset = 0.0 if ids is None and bvh.half_width == scene_half_width(config) else _insets(bvh, radius, config)
-    hits, tested = point_hits(bvh, origin, inset)
+    hits, tested = point_hits(bvh, origin, _insets(bvh, radius, config))
     w = weights(metric, _rows(points, hits), row[0])
     dist = distances(metric, w)
     inside = dist <= config.r
@@ -395,7 +392,7 @@ def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> BatchResu
     ``run_query(bvh, points, queries[i], config)``, counts included, and
     is built only when asked for; `bvh` is checked as there.  The probe
     runs for all queries first, one tree level a step, and gives each its
-    box inset, 0 for most.  One wavefront, :func:`traverse_points`, then
+    box inset.  One wavefront, the walk of :func:`traverse_points`, then
     walks every query with its inset and hands over the hits a run of
     queries at a time, runs sized so that memory stays bounded; each
     run takes one weight-kernel call over all its hits and one sort on
@@ -408,7 +405,7 @@ def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> BatchResu
     points = _checked_points(bvh, points, config)
     queries = np.ascontiguousarray(checked_rows(queries, "query"))
     radii = _radii(bvh, points, queries, config)
-    return _refined(traverse_points(bvh, queries, _insets(bvh, radii, config)), points, queries, radii, config)
+    return _refined(_traverse(bvh, queries, _insets(bvh, radii, config)[:, None]), points, queries, radii, config)
 
 
 def _run_order(rows: np.ndarray, ids: np.ndarray, w: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:

@@ -7,10 +7,13 @@ exactly r along one axis, the oracle's own k-th distance used as r, and
 duplicate points that tie on weight.
 
 Cosine and angular are searched as chords between NORMALIZE's unit
-vectors, and the oracle ranks them by the same chords, so exact ties in
-angle break by smaller id on both sides: exact multiples of one
-direction, lattice directions and scaled lattice rows must give the
-oracle's ids, order and distances.
+vectors, and the oracle ranks them by the same chords and takes its
+radius as a chord too, so exact ties in angle break by smaller id on both
+sides: exact multiples of one direction, lattice directions and scaled
+lattice rows must give the oracle's ids, order and distances.  Every
+metric, plain and enhanced, on Gaussian, lattice and duplicated scenes,
+searched at one data point's own pipeline distance, must give the
+radius-bounded oracle's rows bit for bit.
 
 Dense scenes do the same for the radius r_q < r that the probe gives a
 query (`BatchResult.radii`): points exactly r_q away along an axis, ties at
@@ -35,10 +38,14 @@ from bvhknn import (
     build_index,
     build_point_bvh,
     containment_scan,
+    distances,
     ground_truth,
     knn_search,
+    pipeline_metric_for,
     run_query,
     scene_half_width,
+    transform_chain_for,
+    transform_points,
     weights,
 )
 from bvhknn.pipeline import _insets
@@ -154,20 +161,22 @@ def kth_distance(pts, q, metric, k):
 @pytest.mark.parametrize("enhanced", [False, True])
 @pytest.mark.parametrize("metric", METRICS, ids=lambda m: m.canonical())
 def test_inset_boxes_pass_points_within_r_q(metric, enhanced):
-    # the bound of _insets, with the node walk's comparison: a point p with
-    # p - q <= r_q on an axis stays inside its box of half width H >= h(r),
-    # inset for r_q, whether H is the index's own width for r or wider
+    # the bound of _insets, with the node walk's comparison: a point p whose
+    # offset p - q rounds to at most r_q on an axis stays inside its box of
+    # half width H >= h(r), inset for r_q, whether H is the index's own
+    # width for r or wider.  r_q = r on the index's own width needs the
+    # boxes widened: p - q may round down to r from just past it.
     rng = np.random.default_rng(1111)
     for _ in range(200):
         r = float(rng.uniform(0.01, 0.25))
         cfg = ReductionConfig(metric, r, 1, enhanced)
         H = scene_half_width(cfg) * float(rng.choice([1.0, 2.0, rng.uniform(1.0, 4.0)]))
         r_q = r * 2.0 ** -rng.uniform(0, 40, size=500)
+        r_q[:100] = r
         q = H * rng.uniform(-2, 2, size=500) * 2.0 ** -rng.uniform(0, 20, size=500)
         p = q + r_q
-        beyond = (q - (p - (p - q))) + (r_q - (p - q)) < 0  # TwoSum: q + r_q - p, exactly
         inset = _insets(SimpleNamespace(half_width=H), r_q, cfg)
-        assert ((p - H <= q - inset) | beyond).all()
+        assert ((p - H <= q - inset) | (p - q > r_q)).all()
 
 
 @pytest.mark.parametrize("enhanced", [False, True])
@@ -314,19 +323,19 @@ ANGLES = [MetricSpec.cosine(), MetricSpec.angular()]
 
 
 def assert_angles_match_oracle(data, queries, metric, r, k, enhanced):
-    """knn_search at chord r: each row a prefix of the unbounded oracle's, whole when r = 2.
+    """knn_search at chord r equals the oracle at r, a prefix of its unbounded rows, whole when r = 2.
 
-    The oracle's radius is a similarity or an angle, not a chord, so the
-    oracle runs unbounded; the pipeline keeps the chords <= r, a prefix of
-    the oracle's chord order, ties in angle included.  Returns the batch.
+    Both sides keep the chords <= r, a prefix of the oracle's chord order,
+    ties in angle included.  Returns the batch.
     """
     got = knn_search(data, queries, metric, r, k, enhanced)
+    bounded = ground_truth(data, queries, metric, k, radius=r).rows
     truth = ground_truth(data, queries, metric, k).rows
-    for res, q, row in zip(got, queries, truth):
-        assert brute_force_knn(data, q, metric, k) == row
-        assert res.neighbors == row[:len(res.neighbors)]
+    for res, q, row, full in zip(got, queries, bounded, truth):
+        assert brute_force_knn(data, q, metric, k) == full
+        assert res.neighbors == row == full[:len(row)]
         if r == 2.0:
-            assert len(res.neighbors) == len(row)
+            assert len(row) == len(full)
     return got
 
 
@@ -400,3 +409,54 @@ def test_parallel_vectors_from_two_scales_tie():
         assert brute_force_knn(data, q, metric, 2) == ground_truth(data, [q], metric, 2).rows[0] == want
         for enhanced in (False, True):
             assert knn_search(data, [q], metric, 2.0, 2, enhanced)[0].neighbors == want
+
+
+ALL_METRICS = [*METRICS, *ANGLES, MetricSpec.euclid2d(), MetricSpec.hamming3()]
+
+
+def source_scene(rng, metric, layout, n):
+    """n rows in the source form of `metric`: Gaussian, lattice, or a few rows copied many times."""
+    cols = 2 if metric.kind == "euclid2d" else 3
+    if layout == "gaussian":
+        rows = rng.normal(size=(n, cols))
+    elif layout == "lattice":
+        rows = rng.integers(-3, 4, size=(n, cols)) * 0.25
+    else:
+        rows = rng.normal(size=(n // 3 + 1, cols))[rng.integers(0, n // 3 + 1, size=n)]
+    if metric.kind == "hamming3":
+        return ["".join("1" if x > 0 else "0" for x in row) for row in rows.tolist()]
+    if metric.kind in ("cosine", "angular"):
+        rows[~rows.any(axis=1)] = 0.125  # no zero vectors to normalise
+    return rows
+
+
+def bits(row):
+    """A neighbor row with each distance as its exact bits, so that -0.0 and 0.0 differ."""
+    return [(i, d.hex()) for i, d in row]
+
+
+@pytest.mark.parametrize("layout", ["gaussian", "lattice", "duplicated"])
+@pytest.mark.parametrize("enhanced", [False, True])
+@pytest.mark.parametrize("metric", ALL_METRICS, ids=lambda m: m.canonical())
+def test_knn_search_equals_radius_bounded_oracle(metric, enhanced, layout):
+    # the oracle takes its radius in pipeline units, as knn_search does (a
+    # chord for cosine and angular), so the two keep the same points; r is
+    # one data point's own pipeline distance, so that point sits on r
+    rng = np.random.default_rng(1212)
+    chain, native = transform_chain_for(metric), pipeline_metric_for(metric)
+    short = probed = 0
+    for _ in range(SCENES // 5):
+        data = source_scene(rng, metric, layout, int(np.exp(rng.uniform(np.log(10), np.log(200)))))
+        queries = source_scene(rng, metric, layout, 4)
+        k = int(rng.integers(1, 17))
+        w = weights(native, transform_points(chain, data), transform_points(chain, queries[:1])[0])
+        own = distances(native, w)
+        own = own[own > 0]  # a search radius is > 0
+        r = float(rng.choice(own))
+        got = knn_search(data, queries, metric, r, k, enhanced)
+        truth = ground_truth(data, queries, metric, k, radius=r).rows
+        for res, q, row in zip(got, queries, truth):
+            assert bits(res.neighbors) == bits(row) == bits(brute_force_knn(data, q, metric, k, radius=r))
+        short += sum(len(row) < min(k, len(data)) for row in truth)
+        probed += np.count_nonzero(got.radii < r)
+    assert short and probed  # rows cut by the radius, and queries searched with r_q < r

@@ -87,12 +87,10 @@ def test_rejects_bad_radius(metric):
             brute_force_knn(pts, q, metric, 2, radius=bad)
         with pytest.raises(ValueError, match=f"radius must be {message}"):
             ground_truth(pts, [q], metric, 2, radius=bad)
-    if metric.kind == "cosine":  # the radius is a similarity in [-1, 1]
-        assert len(brute_force_knn(pts, q, metric, 2, radius=-1.0)) == 2
-    else:
-        with pytest.raises(ValueError, match=">= 0"):
-            brute_force_knn(pts, q, metric, 2, radius=-1.0)
-        assert brute_force_knn(pts, q, metric, 2, radius=0.0) == []
+    # every radius is in pipeline units, a chord for cosine and angular, so none is negative
+    with pytest.raises(ValueError, match=">= 0"):
+        brute_force_knn(pts, q, metric, 2, radius=-1.0)
+    assert brute_force_knn(pts, q, metric, 2, radius=0.0) == []
 
 
 def test_zero_query_vector_named_by_its_batch_index():
@@ -169,25 +167,32 @@ def test_matches_math_reference():
                 assert got_d == pytest.approx(want_d, rel=1e-12)
 
 
+def _pipeline_distances(points, q, metric):
+    """Every point's weight and distance to q under the pipeline metric, in pipeline space."""
+    chain = transform_chain_for(metric)
+    native = pipeline_metric_for(metric)
+    key = weights(native, transform_points(chain, points), transform_points(chain, [q])[0])
+    return key, distances(native, key)
+
+
 def _argsort_reference(points, q, metric, k, radius):
     """Every key computed, then a stable argsort of all of them: the oracle's answer.
 
     Every metric is weighed in pipeline space by its pipeline metric, as
-    the library ranks it: cosine and angular by the chord between unit
+    the library ranks it, and a radius keeps the points whose pipeline
+    distance is at most it: cosine and angular by the chord between unit
     vectors, reported as the similarity 1 - c * c / 2 or the angle
     2 asin(min(1, c / 2)).
     """
-    chain = transform_chain_for(metric)
-    native = pipeline_metric_for(metric)
-    key = weights(native, transform_points(chain, points), transform_points(chain, [q])[0])
-    dist = distances(native, key)
+    key, pdist = _pipeline_distances(points, q, metric)
+    dist = pdist
     if metric.kind == "cosine":
-        dist = 1.0 - dist * dist / 2.0
+        dist = 1.0 - pdist * pdist / 2.0
     elif metric.kind == "angular":
-        dist = 2.0 * np.arcsin(np.minimum(dist / 2.0, 1.0))
+        dist = 2.0 * np.arcsin(np.minimum(pdist / 2.0, 1.0))
     ids = np.arange(len(key))
     if radius is not None:
-        keep = dist >= radius if metric.kind == "cosine" else dist <= radius
+        keep = pdist <= radius
         ids, dist, key = ids[keep], dist[keep], key[keep]
     order = np.argsort(key, kind="stable")[:k]
     return [(int(ids[i]), float(dist[i])) for i in order]
@@ -217,9 +222,8 @@ def oracle_cases(draw):
     k = draw(st.sampled_from([1, max(1, n - 1), n, n + 3]))
     radius = None
     if draw(st.booleans()):
-        # one point's own distance: it and every tie sit exactly on the radius
-        own = _argsort_reference(points, q, metric, n, None)
-        radius = own[draw(st.integers(0, n - 1))][1]
+        # one point's own pipeline distance: it and every tie sit exactly on the radius
+        radius = float(_pipeline_distances(points, q, metric)[1][draw(st.integers(0, n - 1))])
     return points, q, metric, k, radius
 
 
@@ -301,23 +305,29 @@ def test_chord_ranking_agrees_with_dot_products(metric):
     TOL = 1e-12  # the angles here are >= 1e-3, where an ulp of cosine moves the angle by < 1e-12
     rng = np.random.default_rng(43)
     k = 15
+    short = {0.1: 0, 0.15: 0}
     for _ in range(4):
         pts = rng.normal(size=(3000, 3))
         queries = rng.normal(size=(10, 3))
         unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        for radius in (None, 0.5 if metric.kind == "cosine" else 1.0):
+        # chord radii: about 3000 * c**2 / 4 points lie within c, so many rows hold fewer than k
+        for radius in (None, *short):
             truth = ground_truth(pts, queries, metric, k, radius)
             for q, row in zip(queries, truth.rows):
                 cos = np.clip(unit @ (q / np.linalg.norm(q)), -1.0, 1.0)
                 dist = cos if metric.kind == "cosine" else np.arccos(cos)
                 ids = np.argsort(-cos, kind="stable")
                 if radius is not None:
-                    assert np.abs(dist - radius).min() > 1e-9  # no point on the radius either
-                    ids = ids[(dist >= radius if metric.kind == "cosine" else dist <= radius)[ids]]
+                    # the chord c as a similarity or an angle
+                    limit = 1.0 - radius * radius / 2.0 if metric.kind == "cosine" else 2.0 * math.asin(radius / 2.0)
+                    assert np.abs(dist - limit).min() > 1e-9  # no point on the radius either
+                    ids = ids[(dist >= limit if metric.kind == "cosine" else dist <= limit)[ids]]
+                    short[radius] += len(ids) < k
                 assert np.diff(-cos[ids[:k + 1]]).min() > 1e-9  # no near-tie: the scene is tie-free
                 assert np.arccos(cos[ids[0]]) >= 1e-3
                 assert [i for i, _ in row] == ids[:k].tolist()
                 assert np.allclose([d for _, d in row], dist[ids[:k]], rtol=0, atol=TOL)
+    assert all(short.values())  # each radius leaves rows shorter than k, so membership is checked
 
 
 def test_recall_worked_example():
