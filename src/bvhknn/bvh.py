@@ -14,14 +14,19 @@ record each split's axis and a plane midway between the centroids either
 side, so they, like the topology, depend on the points alone.  The build
 splits all nodes of one level at once with numpy, as hardware BVH builders
 do, and numbers nodes in level order, so the right child of node i is
-always `left[i] + 1`.  It sorts with numpy's default argsort, which is
-unstable but vectorized, and still gets the exact (coordinate, id) order.
-Each axis is ranked once: equal coordinates share a dense rank g, and a
-second sort of the unique int64 key g * n + id puts them in id order.
-Each level sorts the primitives of all its nodes at once by the key
-node * n + rank.  Both keys stay below n * n, so they fit an int64 while
-n * n <= 2**63.  Trees are immutable once built and traversal is
-read-only, so any number of concurrent queries may share one.
+always `left[i] + 1`.  It gets the exact (coordinate, id) order from
+numpy's default sorts, which are unstable but vectorized.  Each axis is
+ranked once, by an argsort of its coordinates; a value sort of the
+unique int64 keys run * n + id over the runs of equal coordinates puts
+each run in id order.  The build keeps both the rank of every point and
+its inverse, the ids in (coordinate, id) order.  Each level value-sorts
+the unique keys node * n + rank of all its nodes at once: the sorted
+values keep each node's slots, so subtracting node * n leaves the ranks,
+and the inverse table turns them into ids.  Sorting values costs about
+half as much as an argsort of the same keys, and gives the same order
+since no two keys are equal.  Both keys stay below n * n, so they fit an
+int64 while n * n <= 2**63.  Trees are immutable once built and
+traversal is read-only, so any number of concurrent queries may share one.
 
 There are two traversals over the same numpy tables, and both test the
 slots of the leaves they reach with one array step.  :func:`point_hits`
@@ -168,30 +173,49 @@ def _as_point_array(points) -> np.ndarray:
     return pts
 
 
-def _axis_ranks(cent: np.ndarray) -> np.ndarray:
-    """(3, n) int64 ranks: rank[a, i] is the place of point i in (coordinate, id) order on axis a.
+def _axis_ranks(cent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(3, n) tables `rank` and `order` of (coordinate, id) order on each axis, int32 while n < 2**31.
 
+    rank[a, i] is the place of point i in (coordinate, id) order on axis
+    a, and order[a] lists the ids in that order: order[a, rank[a, i]] = i.
     The default argsort, unstable but vectorized, orders each axis's
-    coordinates.  Equal coordinates, -0.0 and 0.0 among them, share a dense
-    rank g, and a second argsort of the unique int64 key g * n + id puts
-    each run of ties in id order.  The key is below n * n, as are the
-    level keys of :func:`build_point_bvh`, so both fit an int64 while
-    n * n <= 2**63.
+    coordinates; a sort of the float64 values would lose the ids.  Equal
+    coordinates, -0.0 and 0.0 among them, form runs of ties, numbered from
+    1 in coordinate order.  A value sort of the unique int64 keys
+    run * n + id, over the places in runs alone, puts each run in id order:
+    the sorted keys keep the runs where they were, so subtracting run * n
+    leaves the ids.  Sorting only the tied places costs less than sorting
+    every key, as most scenes have few ties.  The key is below n * n, as
+    are the level keys of :func:`build_point_bvh`, so both fit an int64
+    while n * n <= 2**63.  Together the int32 tables hold what one int64
+    table of ranks would.
     """
     n = len(cent)
     if n * n > 2**63:
         raise OverflowError(f"{n} primitives overflow the build's int64 sort keys")
-    rank = np.empty((3, n), dtype=np.int64)
+    dtype = np.int32 if n < 2**31 else np.int64
+    rank = np.empty((3, n), dtype=dtype)
+    order = np.empty((3, n), dtype=dtype)
+    ids = np.arange(n, dtype=dtype)
     for a in range(3):
-        order = cent[:, a].argsort()
-        sorted_col = cent[:, a].take(order)
-        key = rank[a]  # built in the row that it is overwritten by, to hold no more memory
-        key[0] = 0
-        np.cumsum(sorted_col[1:] != sorted_col[:-1], out=key[1:])
-        key *= n
-        key += order
-        rank[a, order.take(key.argsort())] = np.arange(n)
-    return rank
+        by_coord = cent[:, a].argsort()
+        col = cent[:, a].take(by_coord)
+        tie = col[1:] == col[:-1]  # place j + 1 holds the coordinate of place j
+        del col
+        if tie.any():
+            tied = np.zeros(n, dtype=bool)
+            tied[1:] = tie
+            tied[:-1] |= tie
+            at = np.flatnonzero(tied)  # the places in runs of ties
+            opens = np.ones(n, dtype=bool)  # the place opens a run
+            opens[1:] = ~tie
+            run = np.cumsum(opens.take(at)) * n
+            key = by_coord.take(at) + run
+            key.sort()
+            by_coord[at] = key - run
+        order[a] = by_coord
+        rank[a, by_coord] = ids
+    return rank, order
 
 
 def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZE) -> Bvh:
@@ -203,6 +227,13 @@ def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZ
     identical input always yields the identical tree.  The topology depends
     on the points alone; `half_width`, a real number >= 0 that the index
     records as a float, widens every box alike.
+
+    Each axis is ranked once by :func:`_axis_ranks`.  Each level then sorts
+    the values node * n + rank of its slots, subtracts node * n, and looks
+    each rank up in the inverse table `order` to get the slot's new id.  A
+    level that covers every slot in order gathers no slots, and the scratch
+    is freed before the boxes are made, so the build's traced peak is
+    little above what its own tables hold.
     """
     h = checked_real(half_width, "half_width", 0.0)
     cent = _as_point_array(points)
@@ -210,7 +241,7 @@ def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZ
     n = len(cent)
 
     # Sorting a node by rank is sorting it by (coordinate, id) on its axis.
-    rank = _axis_ranks(cent)
+    ranks, orders = (table.ravel() for table in _axis_ranks(cent))  # axis a's row starts at a * n
     perm = np.arange(n)  # storage slot -> primitive id
 
     # One pass per level: node k of the level owns slots starts[k] .. + counts[k].
@@ -221,17 +252,30 @@ def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZ
         leaf = counts <= leaf_size
         offsets = np.cumsum(counts) - counts
         seg = np.repeat(np.arange(len(counts)), counts)
-        slots = np.repeat(starts - offsets, counts) + np.arange(len(seg))
-        # take rather than fancy indexing, as in traverse_points: same result, several times faster
-        ids = perm.take(slots)
+        if len(seg) == n:  # the level covers every slot, in order: no gather
+            slots, ids = slice(None), perm
+        else:
+            slots = np.repeat(starts - offsets, counts)
+            slots += np.arange(len(seg))
+            # take rather than fancy indexing, as in traverse_points: same result, several times faster
+            ids = perm.take(slots)
         c = cent.take(ids, axis=0)
         extent = np.maximum.reduceat(c, offsets) - np.minimum.reduceat(c, offsets)
+        del c
         # Split on the longest centroid extent; argmax takes the first
         # maximum, so ties go x, then y, then z.  A leaf is stored in x order.
         axis = np.where(leaf, 0, extent.argmax(axis=1))
-        key = rank.ravel().take(axis.take(seg) * n + ids)
-        key += seg * n
-        perm[slots] = ids.take(key.argsort())
+        row = axis.take(seg)
+        row *= n  # each slot's row of the flat rank and order tables
+        seg *= n
+        key = seg + ranks.take(row + ids)  # node * n + rank, unique
+        del ids
+        key.sort()
+        # The sorted keys keep each node's slots, so subtracting node * n leaves the ranks.
+        key -= seg
+        key += row
+        del seg, row
+        perm[slots] = orders.take(key)
         s, m, a = starts[~leaf], counts[~leaf], axis[~leaf]
         half = m // 2  # the left child takes the first half in split-axis order
         plane = np.zeros(len(counts))  # midway between the centroids either side of the split
@@ -242,8 +286,10 @@ def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZ
         starts = np.column_stack([s, s + half]).ravel()
         counts = np.column_stack([half, m - half]).ravel()
 
-    del rank, seg, slots, ids, c, key  # the last level's scratch, freed before the boxes are made
+    del ranks, orders, slots, key  # the last level's scratch, freed before the boxes are made
     starts, counts, split_axis, split_plane, leaf = (np.concatenate(t) for t in zip(*levels))
+    splits = [np.count_nonzero(~level_leaf) for *_, level_leaf in levels]  # internal nodes per level
+    del levels
     internal = np.flatnonzero(~leaf)
     # Level order puts the children of the k-th internal node at 2k+1, 2k+2.
     left = np.full(len(leaf), -1, dtype=np.int64)
@@ -254,22 +300,26 @@ def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZ
     boxes = np.empty((n, 6))  # filled in place: no (n, 6) temporary, which raised the resident peak
     np.subtract(slot_cent, h, out=boxes[:, :3])
     np.add(slot_cent, h, out=boxes[:, 3:])
+    del slot_cent
     np.negative(boxes[:, 3:], out=boxes[:, 3:])  # -(c + h), the exact negation of the upper face
     # Every column of a (lo, -hi) row is a minimum over the primitives below:
     # the minimum of negated faces is bitwise the negated maximum.
     leaves = np.flatnonzero(leaf)
-    leaves = leaves[np.argsort(starts[leaves])]
+    # The leaves in slot order: their starts are unique, so the sorted values start * n + j list them.
+    key = starts.take(leaves) * n + np.arange(len(leaves))
+    key.sort()
+    leaves = leaves.take(key % n)
     bounds = np.empty((len(leaf), 6))
-    bounds[leaves] = np.minimum.reduceat(boxes, starts[leaves])
+    bounds[leaves] = np.minimum.reduceat(boxes, starts.take(leaves))
     # Internal boxes bottom up, one level at a time.
     kb = len(internal)
-    for *_, level_leaf in reversed(levels):
-        ka = kb - np.count_nonzero(~level_leaf)
+    for split in reversed(splits):
+        ka = kb - split
         kids = bounds[2 * ka + 1 : 2 * kb + 1]
         bounds[internal[ka:kb]] = np.minimum(kids[0::2], kids[1::2])
         kb = ka
 
-    return Bvh(bounds, left, starts, counts, perm, boxes, split_axis, split_plane, h, leaf_size, len(levels))
+    return Bvh(bounds, left, starts, counts, perm, boxes, split_axis, split_plane, h, leaf_size, len(splits))
 
 
 def point_hits(bvh: Bvh, origin: tuple[float, float, float], inset: float = 0.0) -> tuple[np.ndarray, int]:

@@ -1,11 +1,13 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bvhknn import Bvh, build_point_bvh, containment_scan, traverse_points
+from bvhknn import (Bvh, MetricSpec, build_point_bvh, containment_scan, transform_chain_for, transform_points,
+                    traverse_points)
 from bvhknn import bvh as bvh_module
 
 
@@ -141,7 +143,7 @@ def reference_tree(pts, half_width, leaf_size):
     return nodes, order, depth
 
 
-@pytest.mark.parametrize("kind", ["random", "lattice", "duplicates", "signed zeros"])
+@pytest.mark.parametrize("kind", ["random", "lattice", "duplicates", "signed zeros", "identical", "collinear"])
 @pytest.mark.parametrize("leaf_size", [1, 2, 3, 4, 8])
 def test_build_matches_reference_split_rule(kind, leaf_size):
     rng = np.random.default_rng(leaf_size)
@@ -152,6 +154,10 @@ def test_build_matches_reference_split_rule(kind, leaf_size):
             pts = rng.integers(0, 4, size=(n, 3)) * 0.25  # ties on every axis
         elif kind == "signed zeros":
             pts = signed_zeros(rng, n)
+        elif kind == "identical":  # every key ties on every axis: the id alone orders the points
+            pts = np.tile(rng.random(3), (n, 1))
+        elif kind == "collinear":  # x and y constant: every split is on z, every leaf in id order
+            pts = np.column_stack([np.full(n, 0.5), np.full(n, -0.25), rng.random(n)])
         else:
             pts = rng.permutation(np.repeat(rng.random((n // 5 + 1, 3)), 5, axis=0))[:n]
         bvh = build_point_bvh(pts, 0.1, leaf_size)
@@ -217,10 +223,11 @@ def test_axis_ranks_refuse_keys_past_int64():
         bvh_module._axis_ranks(Huge())
 
 
-# sha256 of every table of the two scenes of test_build_tables_match_recorded_digests, as
-# the stable-sort build made them, with bounds and boxes hashed as (lo, hi) rows: the
-# (lo, -hi) layout holds the same boxes bit for bit.  A change to the build that moves
-# any table fails here.
+# sha256 of every table of the scenes of test_build_tables_match_recorded_digests, with
+# bounds and boxes hashed as (lo, hi) rows: the (lo, -hi) layout holds the same boxes bit
+# for bit.  The two 20,000-point scenes were recorded from the stable-sort build, and the
+# 200,000-point sphere, ingest-cosine-200k's scale, from the argsort build before the
+# build sorted values.  A change to the build that moves any table fails here.
 RECORDED_TABLE_DIGESTS = {
     "uniform float32": {
         "bounds": "8e637b59df3a3637845ec08f5ea1477a906de65f35d218e2a0c03313a124f3a0",
@@ -242,6 +249,16 @@ RECORDED_TABLE_DIGESTS = {
         "split_axis": "6b727f576798f1e32b0dbccfd99df7d0ba79af408aae5041f87de0536e6c267c",
         "split_plane": "751c2aa5d1602d1e7349b1d9b096e6747a9d3373568fa6f55039617acc85108b",
     },
+    "normalised normal 200k": {
+        "bounds": "9957168919c8629bc9455726cf454e4dc4e2b2a212501812579104b9a808fd95",
+        "left": "cf84bd83dbb60bc4248893f40f86eaedb2c319968c8383700e4ddccdbcbb4cac",
+        "starts": "c73a0359a485be1ad4b933dc48b3e9c3428ef6c4f08b6cefbc3e06c32f844e7b",
+        "counts": "cc4aab3536e276c4f2b1c2f280f9d7d183b7f72a6f4365223d4ab94ea5d1ce00",
+        "perm": "83994fb4618af403dcf31dc2712c848a54fe59295d54d46e115737484b7d8f79",
+        "boxes": "d90d8ace5b2ad937b00b4b6329063dd2e0471b028629df824fbc2ceb7683c065",
+        "split_axis": "fbd49bf4795fac451b6d089d7546404649e05452d6d12bdcf1c2eff0917b5877",
+        "split_plane": "dc33c27a1d99eea45f79657f131e6817e174eb5e27869874faa74c2e710e64bd",
+    },
 }
 
 
@@ -250,6 +267,9 @@ def test_build_tables_match_recorded_digests(kind):
     rng = np.random.default_rng(2024)
     if kind == "uniform float32":
         pts, half_width = rng.random((20_000, 3)).astype(np.float32).astype(np.float64), 0.01
+    elif kind == "normalised normal 200k":  # float32 records widened and normalised, as ingest-cosine-200k's are
+        records = rng.standard_normal((200_000, 4)).astype("<f4")[:, :3].astype(np.float64)
+        pts, half_width = transform_points(transform_chain_for(MetricSpec.cosine()), records), 0.01
     else:  # 1/8 lattice steps with -0.0 and 0.0 on every axis
         pts = np.where(rng.random((20_000, 3)) < 0.5, -1.0, 1.0) * rng.integers(0, 9, size=(20_000, 3)) * 0.125
         half_width = 0.05
@@ -258,6 +278,22 @@ def test_build_tables_match_recorded_digests(kind):
     tables["bounds"], tables["boxes"] = lo_hi(bvh.bounds), lo_hi(bvh.boxes)
     got = {name: hashlib.sha256(table.tobytes()).hexdigest() for name, table in tables.items()}
     assert got == RECORDED_TABLE_DIGESTS[kind]
+
+
+def test_build_peak_memory_is_pinned():
+    # The build's traced peak, its tables included, guards peak_rss_mb on ingest-cosine-200k.
+    # The argsort build peaked at 6,872,515 bytes here, 137.4503 bytes a point; the value-sort
+    # build, which frees its scratch before the boxes are made, peaks at about 106.4.
+    n = 50_000
+    pts = np.random.default_rng(0).random((n, 3))
+    tracemalloc.start()
+    try:
+        bvh = build_point_bvh(pts, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bvh.num_primitives == n
+    assert peak / n <= 137.4503
 
 
 def test_build_rejects_bad_input():
