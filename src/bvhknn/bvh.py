@@ -42,9 +42,10 @@ The slot test gathers the slots' boxes and the queries' spans, and a level
 of a wavefront reaches tens of thousands of slots, so it gathers and tests
 them in blocks of _SLOT_BLOCK rows, whose gathers fit in L2.
 
-Both walks can also test every box inset by a per-query `inset`: a box
-passes when ``lo <= q - inset`` and ``q + inset <= hi``, so a tree built
-with half width h acts as one built with h - inset.  Every box is stored
+Both walks can also test every box inset by a per-query `inset`, any
+finite number: a box passes when ``lo <= q - inset`` and
+``q + inset <= hi``, so a tree built with half width h acts as one built
+with h - inset, and an inset below 0 widens every box.  Every box is stored
 as the row ``(x0, y0, z0, -x1, -y1, -z1)``, its upper faces negated, and a
 query as the span ``(q - inset, -(q + inset))``: since ``b <= hi`` exactly
 when ``-hi <= -b``, a box holds a span when each column of its row is <=
@@ -56,9 +57,12 @@ picks the inset with a probe: :func:`probe_window` and
 last node on the way that holds enough primitives, the gate, and return
 the storage slots centred on it, spatial neighbours of the query, when
 the gate's box lies near the query, or when the gate's child on the way
-does and the gate's points are dense.  Inset 0 is the plain containment
-query.  The module ends with the any-hit block the benchmark harness
-alone uses: :func:`traverse_point` hands :func:`point_hits`' ids to a callback.
+does and the gate's points are dense.  The caller names the search
+radius r, the gate's count and the density bar; the tree derives the
+reach, the window and the query's cube from r, its half width, its size
+and its median split.  Inset 0 is the plain containment query.  The
+module ends with the any-hit block the benchmark harness alone uses:
+:func:`traverse_point` hands :func:`point_hits`' ids to a callback.
 """
 
 from __future__ import annotations
@@ -403,10 +407,11 @@ def traverse_points(bvh: Bvh, origins: np.ndarray,
 
     `origins` is an (m, 3) array of finite rows, checked by
     :func:`bvhknn.geometry.checked_rows`, and `insets` an optional (m,)
-    array of finite per-query box insets >= 0 (0 when omitted), applied as
-    :func:`point_hits` applies its `inset`.  A bad row or
-    inset raises ValueError naming its index, and insets not m in number
-    one naming both counts.  The traversal is a
+    array of finite per-query box insets (0 when omitted), applied as
+    :func:`point_hits` applies its `inset`: one above 0 shrinks every box
+    and one below 0 widens it.  A bad row or a NaN or infinite inset
+    raises ValueError naming its index, and insets not m in number one
+    naming both counts.  The traversal is a
     wavefront, one tree level a step: a frontier of (query row, node)
     pairs whose boxes passed starts at the root.  Each step tests the
     slots of the frontier's leaves at once, keeping only the (query row,
@@ -435,16 +440,9 @@ def traverse_points(bvh: Bvh, origins: np.ndarray,
         if inset.size != m:
             raise ValueError(f"insets must hold one value per query: expected length {m}, got {inset.size}")
         inset = inset.reshape(m, 1)
-        ok = (inset >= 0) & (inset < np.inf)  # NaN fails both
-        if not ok.all():
-            bad = np.flatnonzero(~ok)[0]
-            raise ValueError(f"inset index {bad} must be finite and >= 0, got {inset[bad, 0]}")
-    yield from _traverse(bvh, origins, inset)
-
-
-def _traverse(bvh: Bvh, origins: np.ndarray, inset) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
-    """:func:`traverse_points` on checked `origins` and unchecked (m, 1) insets or 0.0; one below 0 widens the boxes."""
-    m = len(origins)
+        bad = np.flatnonzero(~np.isfinite(inset))
+        if bad.size:
+            raise ValueError(f"inset index {bad[0]} must be finite, got {inset[bad[0], 0]}")
     # one (q - inset, -(q + inset)) row per query: each test gathers a single array
     spans = np.hstack([origins - inset, -(origins + inset)])
     tested = np.ones(m, dtype=np.int64)  # every query tests the root box
@@ -489,36 +487,43 @@ def _window(bvh: Bvh, node, size: int):
     return np.minimum(np.maximum(centre - size // 2, 0), bvh.num_primitives - size)
 
 
-def probe_window(bvh: Bvh, origin: tuple[float, float, float], reach: float, min_count: int,
-                 size: int, side: float, crowd: float) -> np.ndarray | None:
-    """Ids in the `size` storage slots centred on the gate node of `origin`, or None.
+def probe_window(bvh: Bvh, origin: tuple[float, float, float], r: float, min_count: int,
+                 crowd: float) -> np.ndarray | None:
+    """Ids in the window of storage slots around the gate node of `origin` for radius `r`, or None.
 
     The descent goes from the root, at each internal node to the side of
     its split plane that holds the query (the left child on the plane),
     and ends at the gate node: the last node on the way that holds at
-    least `min_count` primitives.  It returns ids if the gate's box lies
-    inside ``origin ± reach`` on every axis, or if the box of the gate's
-    child on the way does and the gate is dense: its points, spread at
-    their density over a cube of side `side`, would number at least
-    `crowd`, ``count * side**3 >= crowd * volume`` of the box of the
-    gate's points, which is the gate's box shrunk by the half width on
-    every side (an extent below 0 read as 0).  So no window is gathered
-    for a query far from any dense subtree.  A leaf gate stands for its
-    own child.  The child's box lies within the gate's, so it is tested
-    first, and a query whose child overhangs the reach pays one box test.
+    least `min_count` primitives.  The tree derives the rest from `r`.
+    The reach is r + H, H the half width: a node box inside
+    ``origin ± reach`` on every axis holds points within r of the origin
+    on every axis.  It returns ids if the gate's box lies inside the
+    reach, or if the box of the gate's child on the way does and the gate
+    is dense: its points, spread at their density over the query's cube of
+    side 2r, would number at least `crowd`, ``count * (2r)**3 >= crowd *
+    volume`` of the box of the gate's points, which is the gate's box
+    shrunk by H on every side (an extent below 0 read as 0).  So no window
+    is gathered for a query far from any dense subtree.  A leaf gate
+    stands for its own child.  The child's box lies within the gate's, so
+    it is tested first, and a query whose child overhangs the reach pays
+    one box test.
 
     The density test runs as ``tx * ty * tz * crowd <= count`` on the
-    per-axis ratios ``t = extent / side``, which stay in range at scales
-    near 1e300 and subnormal ones alike, where ``side**3`` would not.
+    per-axis ratios ``t = extent / 2r``, which stay in range at scales
+    near 1e300 and subnormal ones alike, where ``(2r)**3`` would not.
     :func:`probe_windows` runs the same IEEE operations in the same order,
-    so the two agree row for row.  Slots of a subtree are contiguous, so
-    the window holds the query's spatial neighbours; one of 2 * min_count
-    slots holds an internal gate whole (see
-    :func:`bvhknn.pipeline._probe_params`).  Not exported;
+    so the two agree row for row.
+
+    The window is the min(2 * min_count, n) consecutive slots centred on
+    the gate (:func:`_window`), so at least min_count.  Slots of a subtree
+    are contiguous, so it holds the query's spatial neighbours, and it
+    holds an internal gate whole: the gate's child on the way holds fewer
+    than min_count, and the median split gives the other child at most
+    one more.  With n < min_count no query is probed.  Not exported;
     :func:`bvhknn.pipeline.run_query` uses it.
     """
     lefts, counts, axes, planes = bvh.left.data, bvh.counts.data, bvh.split_axis.data, bvh.split_plane.data
-    if counts[0] < min_count or size > bvh.num_primitives:
+    if counts[0] < min_count:
         return None
     gate = 0
     while (left := lefts[gate]) >= 0:
@@ -529,6 +534,7 @@ def probe_window(bvh: Bvh, origin: tuple[float, float, float], reach: float, min
     else:
         child = gate  # a leaf gate stands for its own child
     ox, oy, oz = origin
+    reach = r + bvh.half_width
     x0, y0, z0, x1, y1, z1 = _BOX.unpack_from(bvh.bounds.data, 48 * child)  # x1, y1, z1 negated
     if not (ox - reach <= x0 and oy - reach <= y0 and oz - reach <= z0
             and -(ox + reach) <= x1 and -(oy + reach) <= y1 and -(oz + reach) <= z1):
@@ -536,25 +542,27 @@ def probe_window(bvh: Bvh, origin: tuple[float, float, float], reach: float, min
     x0, y0, z0, x1, y1, z1 = _BOX.unpack_from(bvh.bounds.data, 48 * gate)
     if not (ox - reach <= x0 and oy - reach <= y0 and oz - reach <= z0
             and -(ox + reach) <= x1 and -(oy + reach) <= y1 and -(oz + reach) <= z1):
-        w = 2 * bvh.half_width
+        w, side = 2 * bvh.half_width, 2 * r
         ex, ey, ez = -x1 - x0 - w, -y1 - y0 - w, -z1 - z0 - w
         tx, ty, tz = (ex if ex > 0 else 0.0) / side, (ey if ey > 0 else 0.0) / side, (ez if ez > 0 else 0.0) / side
         if not tx * ty * tz * crowd <= counts[gate]:
             return None
+    size = min(2 * min_count, bvh.num_primitives)
     start = int(_window(bvh, gate, size))
     return bvh.perm[start:start + size]
 
 
-def probe_windows(bvh: Bvh, origins: np.ndarray, reach: float, min_count: int,
-                  size: int, side: float, crowd: float) -> tuple[np.ndarray, np.ndarray]:
+def probe_windows(bvh: Bvh, origins: np.ndarray, r: float, min_count: int,
+                  crowd: float) -> tuple[np.ndarray, np.ndarray]:
     """:func:`probe_window` for every row of the (m, 3) array `origins`, one tree level a step.
 
-    Returns the rows that pass the probe and a (len(rows), size) array of
-    the ids in their windows.
+    Returns the rows that pass the probe and a (len(rows), min(2 *
+    min_count, n)) array of the ids in their windows.
     """
     origins = np.ascontiguousarray(origins, dtype=np.float64)
     m = len(origins)
-    if not m or bvh.counts[0] < min_count or size > bvh.num_primitives:
+    size = min(2 * min_count, bvh.num_primitives)
+    if not m or bvh.counts[0] < min_count:
         return np.zeros(0, dtype=np.int64), np.zeros((0, size), dtype=np.int64)
     flat = origins.ravel()
     # Down while the child on the query's side holds min_count primitives; the node where that stops is the gate.
@@ -573,6 +581,7 @@ def probe_windows(bvh: Bvh, origins: np.ndarray, reach: float, min_count: int,
     child = left + (flat.take(3 * np.arange(m) + bvh.split_axis.take(gate)) > bvh.split_plane.take(gate))
     child = np.where(left >= 0, child, gate)
     # A box lies inside origin ± reach when the (lo, -hi) row of origin ± reach contains it as a span.
+    reach = r + bvh.half_width
     around = np.hstack([origins - reach, -(origins + reach)])
     rows = np.flatnonzero(_contains(around, bvh.bounds.take(child, axis=0)))
     gates = gate.take(rows)
@@ -583,7 +592,7 @@ def probe_windows(bvh: Bvh, origins: np.ndarray, reach: float, min_count: int,
         box = box.take(over, axis=0)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):  # silent, as Python floats are
             e = -box[:, 3:] - box[:, :3] - 2 * bvh.half_width
-            t = np.where(e > 0, e, 0.0) / side
+            t = np.where(e > 0, e, 0.0) / (2 * r)
             sparse = ~(t[:, 0] * t[:, 1] * t[:, 2] * crowd <= bvh.counts.take(gates.take(over)))
         rows = np.delete(rows, over.compress(sparse))
     start = _window(bvh, gate.take(rows), size)

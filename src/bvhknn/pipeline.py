@@ -10,13 +10,15 @@ A query runs in two stages:
 
 Before the filter, a probe gives each query in a dense region its own
 radius r_q <= r that surely holds k points (RTNN's "megacell", Zhu,
-PPoPP 2022).  The descent of :func:`bvhknn.bvh.probe_window` ends at the
-gate node, the last on the query's way that holds at least GATE_PER_K * k
-points.  The query is probed if the gate's points lie within r of it on
-every axis, or if those of the gate's child on its way do and the gate
-is dense, so dense that its points would put DENSE_PER_K * k in the
-query's cube of side 2r (:func:`_probe_params`); then it takes the k-th
-smallest distance over the 2 * GATE_PER_K * k storage slots centred on
+PPoPP 2022).  The search names the policy (:func:`_probe_params`): r,
+the gate count GATE_PER_K * k and the density bar DENSE_PER_K * k.  The
+tree derives the geometry from r (:func:`bvhknn.bvh.probe_window`).  Its
+descent ends at the gate node, the last on the query's way that holds at
+least the gate count.  The query is probed if the gate's points lie
+within r of it on every axis, or if those of the gate's child on its way
+do and the gate is dense, so dense that its points would put the bar's
+count in the query's cube of side 2r; then it takes the k-th smallest
+distance over the min(2 * GATE_PER_K * k, n) storage slots centred on
 the gate, all of an internal gate's.  The gate decides cost alone: a
 query it passes over keeps r.
 Any k points bound the k-th nearest distance, so every point of the
@@ -29,8 +31,8 @@ and each result reports the r_q it was searched with.
 
 :func:`batch_query` runs the probe and both stages for many queries at
 once: the probe one tree level a step (:func:`bvhknn.bvh.probe_windows`),
-then one wavefront traversal of every query with its own inset
-(:func:`bvhknn.bvh.traverse_points`), which hands over the hits a run of
+then one wavefront traversal of every query with its own inset, the
+public :func:`bvhknn.bvh.traverse_points`, which hands over the hits a run of
 queries at a time, then one kernel call over every hit of the run and one
 sort on (query, weight, id): an unstable argsort of one packed int64 key
 (:func:`_run_order`).  A run too large for that key, which takes more
@@ -82,11 +84,11 @@ import numpy as np
 from .bvh import (
     PAIR_BUDGET,
     Bvh,
-    _traverse,
     build_point_bvh,
     point_hits,
     probe_window,
     probe_windows,
+    traverse_points,
 )
 from .geometry import checked_count, checked_real, checked_rows, float_rows, shaped_rows
 from .metrics import (
@@ -255,7 +257,7 @@ GATE_PER_K = 2
 
 # The probe's density bar, times k: a gate that overhangs the reach is still
 # probed if its points, spread at their density over the query's cube of side
-# 2r, would number DENSE_PER_K * k (see _probe_params).
+# 2r, would number DENSE_PER_K * k (see bvh.probe_window).
 DENSE_PER_K = 30
 
 
@@ -310,29 +312,20 @@ def _insets(bvh: Bvh, radii: np.ndarray | float, config: ReductionConfig) -> np.
     return H - h * ((radii * (1 + 2.0 ** -40) + tau) / r) - H * 2.0 ** -50
 
 
-def _probe_params(bvh: Bvh, config: ReductionConfig) -> tuple[float, int, int, float, float]:
-    """The probe's reach, gate count, window size, cube side and density bar under `config`.
+def _probe_params(config: ReductionConfig) -> tuple[float, int, float]:
+    """The probe's search policy under `config`: the radius r, the gate count and the density bar.
 
-    A node box inside q ± (r + H), H the index's half width, holds points
-    within r of q on every axis.  The gate needs g = GATE_PER_K * k >= 2k
-    points, and the window takes min(2g, n) slots, so it holds k.  Twice
-    g makes it hold every slot of an internal gate node: the gate's child
-    on the query's way holds fewer than g, and the median split gives the
-    other child at most one more.  With n < g no query is probed.
-
-    A query is probed when the gate's box lies inside the reach, or when
-    the gate's child on its way, which holds at least k points, lies
-    inside it and the gate is dense: ``count(gate) * (2r)**3 >=
-    DENSE_PER_K * k *`` the volume of the gate's point box.  Such a gate
-    sits in a cluster far denser than r, whose k-th distance is well
+    The tree derives the reach, the window and the query's cube of side
+    2r from r (:func:`bvhknn.bvh.probe_window`).  The gate count
+    g = GATE_PER_K * k >= 2k makes a probed window, at least g slots, hold
+    k points.  The bar DENSE_PER_K * k probes a gate that overhangs the
+    reach only in a cluster far denser than r, whose k-th distance is well
     below r, so the window's radius cuts the hits; a gate that is not
     dense, as in evenly spread data, would pay for a window that seldom
     shrinks r.  The rule reads the tree alone, so both entry points pick
     the same queries.
     """
-    gate = GATE_PER_K * config.k
-    return (config.r + bvh.half_width, gate, min(2 * gate, bvh.num_primitives), 2 * config.r,
-            float(DENSE_PER_K * config.k))
+    return config.r, GATE_PER_K * config.k, float(DENSE_PER_K * config.k)
 
 
 def _radii(bvh: Bvh, points: np.ndarray, queries: np.ndarray, config: ReductionConfig) -> np.ndarray:
@@ -343,14 +336,14 @@ def _radii(bvh: Bvh, points: np.ndarray, queries: np.ndarray, config: ReductionC
     scenes, which share their topology and split planes, give the same
     radii (barring a query within rounding of a gate face).  Queries are
     probed in blocks of at most PAIR_BUDGET window slots, so memory stays
-    bounded.
+    bounded: a window holds at most 2 * gate slots.
     """
     radii = np.full(len(queries), config.r)
-    params = _probe_params(bvh, config)
-    block = max(1, PAIR_BUDGET // params[2])
+    r, gate, crowd = _probe_params(config)
+    block = max(1, PAIR_BUDGET // (2 * gate))
     for a in range(0, len(queries), block):
         origins = queries[a:a + block]
-        rows, ids = probe_windows(bvh, origins, *params)
+        rows, ids = probe_windows(bvh, origins, r, gate, crowd)
         if rows.size:
             radii[a + rows] = _window_radii(points, ids, origins.take(rows, axis=0), config)
     return radii
@@ -371,7 +364,7 @@ def run_query(bvh: Bvh, points, q, config: ReductionConfig) -> QueryResult:
     points = _checked_points(bvh, points, config)
     row = checked_rows(np.asarray(q, dtype=np.float64)[None], "query")  # [q]: fails as batch_query([q]) does
     origin = row[0].tolist()  # the node walks read Python floats
-    ids = probe_window(bvh, origin, *_probe_params(bvh, config))
+    ids = probe_window(bvh, origin, *_probe_params(config))
     radius = config.r if ids is None else _window_radius(points, ids, row[0], config)
     hits, tested = point_hits(bvh, origin, _insets(bvh, radius, config))
     w = weights(metric, _rows(points, hits), row[0])
@@ -392,9 +385,10 @@ def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> BatchResu
     ``run_query(bvh, points, queries[i], config)``, counts included, and
     is built only when asked for; `bvh` is checked as there.  The probe
     runs for all queries first, one tree level a step, and gives each its
-    box inset.  One wavefront, the walk of :func:`traverse_points`, then
-    walks every query with its inset and hands over the hits a run of
-    queries at a time, runs sized so that memory stays bounded; each
+    box inset, below 0 where the boxes widen (:func:`_insets`).  One
+    wavefront, :func:`bvhknn.bvh.traverse_points`, then walks every query
+    with its inset and hands over the hits a run of queries at a time,
+    runs sized so that memory stays bounded; each
     run takes one weight-kernel call over all its hits and one sort on
     (query, weight, id), from which each query takes its first k.  The
     sort is one unstable argsort of the packed int64 key ((query - lo) * R
@@ -405,7 +399,7 @@ def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> BatchResu
     points = _checked_points(bvh, points, config)
     queries = np.ascontiguousarray(checked_rows(queries, "query"))
     radii = _radii(bvh, points, queries, config)
-    return _refined(_traverse(bvh, queries, _insets(bvh, radii, config)[:, None]), points, queries, radii, config)
+    return _refined(traverse_points(bvh, queries, _insets(bvh, radii, config)), points, queries, radii, config)
 
 
 def _run_order(rows: np.ndarray, ids: np.ndarray, w: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:

@@ -340,13 +340,16 @@ def six_comparisons(pts, half_width, q, inset):
 
 
 def edge_scene(kind, rng):
-    """Points, half widths and insets whose box faces and query spans meet exactly, and the scene's scale."""
+    """Points, half widths and insets whose box faces and query spans meet exactly, and the scene's scale.
+
+    The last inset is below 0: it widens every box.
+    """
     if kind == "signed zeros":  # faces at -0.0 and 0.0 from h = 0.0, h = -0.0 and 0.25 - 0.25
-        return signed_zeros(rng, 300) * 0.5, (0.0, -0.0, 0.25), (0.0, 0.125), 0.5
+        return signed_zeros(rng, 300) * 0.5, (0.0, -0.0, 0.25), (0.0, 0.125, -0.125), 0.5
     if kind == "near 1e300":
-        return rng.integers(-4, 5, size=(300, 3)) * 0.25e300, (0.25e300,), (0.0, 0.125e300), 0.5e300
+        return rng.integers(-4, 5, size=(300, 3)) * 0.25e300, (0.25e300,), (0.0, 0.125e300, -0.125e300), 0.5e300
     tiny = 5e-324  # subnormal: every multiple below is exact
-    return rng.integers(-8, 9, size=(300, 3)) * (4 * tiny), (8 * tiny,), (0.0, tiny), 16 * tiny
+    return rng.integers(-8, 9, size=(300, 3)) * (4 * tiny), (8 * tiny,), (0.0, tiny, -tiny), 16 * tiny
 
 
 @pytest.mark.parametrize("kind", ["signed zeros", "near 1e300", "subnormal"])
@@ -358,11 +361,15 @@ def test_one_comparison_rule_on_exact_faces(kind):
     seen = set()  # the probe rule's outcomes
     for h in half_widths:
         faces = np.concatenate([pts.ravel() - h, pts.ravel() + h, pts.ravel(), [0.0, -0.0]])
-        queries = np.vstack([rng.choice(faces, size=(80, 3)), pts[:20] + h, pts[20:40] - h, [[4 * scale] * 3]])
+        wide = h - insets[-1]  # the widened half width: these queries sit on widened faces
+        queries = np.vstack([rng.choice(faces, size=(80, 3)), pts[:20] + h, pts[20:40] - h,
+                             pts[40:50] + wide, pts[50:60] - wide, [[4 * scale] * 3]])
         bvh = build_point_bvh(pts, h, 4)
         for inset in insets:
             want = [six_comparisons(pts, h, q, inset) for q in queries.tolist()]
             assert (any(want) or inset > h) and not all(want)  # an inset past h leaves every box empty
+            if inset < 0:  # a widened face meets a query exactly
+                assert np.isin(queries - inset, pts - h).any() and np.isin(queries + inset, pts + h).any()
             runs = list(traverse_points(bvh, queries, np.full(len(queries), inset)))
             rows, ids = (np.concatenate(parts) for parts in zip(*(run[2:4] for run in runs)))
             plain_rows, plain_ids = all_hits(bvh, queries)[:2]  # no insets given
@@ -373,20 +380,20 @@ def test_one_comparison_rule_on_exact_faces(kind):
                     assert containment_scan(pts, h, q) == want[j]
                     assert sorted(plain_ids[plain_rows == j].tolist()) == want[j]
         # the probe gate, by six plain comparisons a box and an exact density product (probe_rule),
-        # with the cube's side at the scene's scale: side**3 overflows near 1e300 and underflows
+        # with the cube's side 2r at the scene's scale: (2r)**3 overflows near 1e300 and underflows
         # at subnormal scales, so the probes compare per-axis ratios and raise no floating-point error
-        for min_count, size, reach, crowd in ((2, 8, scale / 2, 10.0), (2, 8, scale, 10.0),
-                                              (8, 16, scale, 10.0), (8, 16, scale / 2, 30.0)):
+        for min_count, r, crowd in ((2, scale / 4, 10.0), (2, scale / 2, 10.0),
+                                    (8, scale / 2, 10.0), (8, scale / 4, 30.0)):
             gated = []
             with np.errstate(all="raise"):
                 for j, q in enumerate(queries.tolist()):
-                    rule = probe_rule(bvh, q, reach, min_count, scale, crowd)
+                    rule = probe_rule(bvh, q, r + bvh.half_width, min_count, 2 * r, crowd)
                     seen.add(rule)
                     if rule in ("gate", "dense"):
                         gated.append(j)
-                    probed = bvh_module.probe_window(bvh, tuple(q), reach, min_count, size, scale, crowd)
+                    probed = bvh_module.probe_window(bvh, tuple(q), r, min_count, crowd)
                     assert (probed is not None) == (gated[-1:] == [j])
-                rows = bvh_module.probe_windows(bvh, queries, reach, min_count, size, scale, crowd)[0]
+                rows = bvh_module.probe_windows(bvh, queries, r, min_count, crowd)[0]
                 assert rows.tolist() == gated
     assert seen == {"out", "gate", "dense", "sparse"}
 
@@ -530,11 +537,12 @@ def test_traverse_points_insets_match_point_hits(monkeypatch, leaf_size, block):
     bvh = build_point_bvh(pts, 0.2, leaf_size)
     mixed = np.where(rng.random(len(origins)) < 0.5, 0.0, rng.random(len(origins)) * 0.2)
     assert (mixed == 0).any() and (mixed > 0).any()
+    widened = (rng.random(len(origins)) - 1.0) * 0.05  # in [-0.05, 0): every box grows
     monkeypatch.setattr(bvh_module, "PAIR_BUDGET", 300)
     if block is not None:
         monkeypatch.setattr(bvh_module, "_SLOT_BLOCK", block)
-    shrank = 0
-    for insets in (mixed, np.zeros(len(origins)), None):
+    shrank = grew = 0
+    for insets in (mixed, widened, np.zeros(len(origins)), None):
         runs = list(traverse_points(bvh, origins, insets))
         assert len(runs) > 1  # the budget splits the call into several runs
         rows, ids, tested = (np.concatenate(parts) for parts in zip(*(run[2:] for run in runs)))
@@ -547,8 +555,11 @@ def test_traverse_points_insets_match_point_hits(monkeypatch, leaf_size, block):
             assert set(ids[rows == j].tolist()) == set(want.tolist())
             assert np.count_nonzero(rows == j) == len(want)
             assert tested[j] == count
-            shrank += len(want) < len(bvh_module.point_hits(bvh, tuple(q.tolist()))[0])
+            plain = len(bvh_module.point_hits(bvh, tuple(q.tolist()))[0])
+            shrank += len(want) < plain
+            grew += len(want) > plain
     assert shrank  # some inset box drops a hit of the plain box
+    assert grew  # and some widened box adds one
 
 
 def test_traverse_points_no_queries():
@@ -558,7 +569,7 @@ def test_traverse_points_no_queries():
 
 def test_traverse_points_rejects_bad_rows_and_insets():
     # a bad row or inset is refused by its index, not walked to a wrong
-    # answer: a NaN row fails every box, a negative inset widens them
+    # answer: a NaN row fails every box, and an infinite inset empties or fills them all
     pts = np.random.default_rng(8).random((100, 3))
     bvh = build_point_bvh(pts, 0.1, 4)
     queries = np.array([[0.5, 0.5, 0.5], [np.nan, 0.5, 0.5]])
@@ -567,9 +578,13 @@ def test_traverse_points_rejects_bad_rows_and_insets():
     for bad in (np.zeros((2, 2)), np.zeros(3)):
         with pytest.raises(ValueError, match=r"expected an \(n, 3\) array of query points"):
             list(traverse_points(bvh, bad))
-    for inset in (-0.5, np.nan, np.inf):
-        with pytest.raises(ValueError, match=f"inset index 1 must be finite and >= 0, got {inset}"):
+    for inset in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=f"inset index 1 must be finite, got {inset}"):
             list(traverse_points(bvh, queries[:1].repeat(2, axis=0), [0.0, inset]))
+    # any finite inset is walked: -0.5 widens every box, as point_hits widens it
+    [(_, _, rows, ids, _)] = traverse_points(bvh, queries[:1].repeat(2, axis=0), [0.0, -0.5])
+    assert sorted(ids[rows == 1].tolist()) == sorted(bvh_module.point_hits(bvh, (0.5, 0.5, 0.5), -0.5)[0].tolist())
+    assert np.count_nonzero(rows == 1) > np.count_nonzero(rows == 0)
     assert [len(ids) for *_, ids, _ in traverse_points(bvh, queries[:1], [0.0])] == [
         len(containment_scan(pts, 0.1, queries[0]))]
 
@@ -730,14 +745,15 @@ def test_probe_windows_follow_the_split_path(kind, leaf_size):
                          [[5.0, 5.0, 5.0]]])
     bvh = build_point_bvh(pts, 0.05, leaf_size)
     gated_rows, seen = [], set()
-    for min_count, size, reach, side, crowd in ((2, 8, 0.2, 0.2, 12.0), (8, 16, 0.25, 0.3, 40.0),
-                                                (40, 80, 0.4, 0.4, 100.0), (701, 700, 9.0, 1.0, 1.0)):
-        rows, ids = bvh_module.probe_windows(bvh, origins, reach, min_count, size, side, crowd)
+    # (min_count, r, crowd); the tree derives the reach r + 0.05, the window and the cube of side 2r
+    for min_count, r, crowd in ((2, 0.15, 12.0), (8, 0.2, 40.0), (40, 0.35, 100.0), (701, 8.95, 1.0)):
+        size = min(2 * min_count, len(pts))
+        rows, ids = bvh_module.probe_windows(bvh, origins, r, min_count, crowd)
         gated_rows.append(len(rows))
         assert ids.shape == (len(rows), size)
         for j, q in enumerate(origins):
-            one = bvh_module.probe_window(bvh, tuple(q.tolist()), reach, min_count, size, side, crowd)
-            rule = probe_rule(bvh, q, reach, min_count, side, crowd)
+            one = bvh_module.probe_window(bvh, tuple(q.tolist()), r, min_count, crowd)
+            rule = probe_rule(bvh, q, r + bvh.half_width, min_count, 2 * r, crowd)
             seen.add(rule)
             gated = rule in ("gate", "dense")
             assert (one is not None) == gated == (j in rows)
@@ -753,8 +769,13 @@ def test_probe_windows_follow_the_split_path(kind, leaf_size):
     assert 0 < min(gated_rows[:3]) and max(gated_rows) < len(origins) and gated_rows[3] == 0
     assert seen == {"none", "out", "gate", "dense", "sparse"}
     # far outside: not probed, however low the density bar
-    assert not bvh_module.probe_windows(bvh, origins[-1:], 0.2, 2, 8, 0.2, 0.0)[0].size
-    assert bvh_module.probe_window(bvh, (5.0, 5.0, 5.0), 0.2, 2, 8, 0.2, 0.0) is None
+    assert not bvh_module.probe_windows(bvh, origins[-1:], 0.15, 2, 0.0)[0].size
+    assert bvh_module.probe_window(bvh, (5.0, 5.0, 5.0), 0.15, 2, 0.0) is None
+    # min_count <= n < 2 * min_count: the root is every gate, and the window is every slot
+    rows, ids = bvh_module.probe_windows(bvh, origins, 9.0, 400, 1.0)
+    assert rows.tolist() == list(range(len(origins))) and ids.shape == (len(origins), len(pts))
+    assert (ids == bvh.perm).all()
+    assert bvh_module.probe_window(bvh, (5.0, 5.0, 5.0), 9.0, 400, 1.0).tolist() == bvh.perm.tolist()
 
 
 @pytest.mark.parametrize("kind", ["random", "lattice", "duplicates"])

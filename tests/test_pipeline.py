@@ -26,6 +26,7 @@ from bvhknn import (
     transform_points,
 )
 from bvhknn import bvh as bvh_module
+from bvhknn import metrics as metrics_module
 from bvhknn import pipeline as pipeline_module
 from bvhknn.pipeline import BatchResult, Transform, _run_order
 from test_bvh import split_path
@@ -310,7 +311,7 @@ def test_probe_takes_the_dense_gate_that_overhangs_the_reach(metric):
         lo, hi = bvh.bounds[:, :3], -bvh.bounds[:, 3:]
         assert (q - reach <= lo[child]).all() and (hi[child] <= q + reach).all()
         assert not ((q - reach <= lo[gate]).all() and (hi[gate] <= q + reach).all())
-    params = pipeline_module._probe_params(bvh, cfg)
+    params = pipeline_module._probe_params(cfg)
     probed = [bvh_module.probe_window(bvh, tuple(q), *params) is not None for q in queries.tolist()]
     assert probed == [True, False, False, True]  # the dense slabs, not the sparse slab or the flat sheet
     assert bvh_module.probe_windows(bvh, queries, *params)[0].tolist() == [0, 3]
@@ -801,6 +802,20 @@ def test_chain_resolution():
     assert pipeline_metric_for(MetricSpec.angular()) == L2
     assert transform_chain_for(L2) == []
     assert pipeline_metric_for(L2) == L2
+    # Every kind MetricSpec.parse accepts has exactly one route: a native kind is
+    # searched as it is, any other through one transform into a native metric.
+    kinds = {value for name, value in vars(metrics_module).items() if name.startswith("KIND_")}
+    specs = [MetricSpec.parse(f"lp:{p}") for p in (1, 1.5, 2, 3)]
+    specs += [MetricSpec.parse(kind) for kind in sorted(kinds - {metrics_module.KIND_LP})]
+    assert {spec.kind for spec in specs} == kinds
+    for spec in specs:
+        chain, native = transform_chain_for(spec), pipeline_metric_for(spec)
+        if spec.is_native:
+            assert chain == [] and native == spec
+        else:
+            assert len(chain) == 1 and isinstance(chain[0], Transform) and native.is_native
+        assert scene_half_width(ReductionConfig(native, 0.5, 3)) >= 0.5  # the route reaches a scene
+    assert set(pipeline_module._REDUCTIONS) == {spec.kind for spec in specs if not spec.is_native}
 
 
 def test_transformed_query_angular_example():
