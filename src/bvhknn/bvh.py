@@ -19,14 +19,25 @@ numpy's default sorts, which are unstable but vectorized.  Each axis is
 ranked once, by an argsort of its coordinates; a value sort of the
 unique int64 keys run * n + id over the runs of equal coordinates puts
 each run in id order.  The build keeps both the rank of every point and
-its inverse, the ids in (coordinate, id) order.  Each level value-sorts
-the unique keys node * n + rank of all its nodes at once: the sorted
-values keep each node's slots, so subtracting node * n leaves the ranks,
-and the inverse table turns them into ids.  Sorting values costs about
-half as much as an argsort of the same keys, and gives the same order
-since no two keys are equal.  Both keys stay below n * n, so they fit an
-int64 while n * n <= 2**63.  Trees are immutable once built and
-traversal is read-only, so any number of concurrent queries may share one.
+its inverse, the ids in (coordinate, id) order, as int32 tables below
+2**31 points.  Each level gathers the ranks of its slots once, and no
+coordinate moves.  A node's extent on an axis is read at its lowest and
+highest rank there, the first and last of its points in (coordinate, id)
+order: it equals max - min up to the sign of a zero extent, which the
+argmax that picks the axis ignores.  The same ranks give each slot's sort
+key, its rank on its node's axis.  The level value-sorts the unique keys
+node * n + rank of all its nodes at once: the sorted values keep each
+node's slots, so subtracting node * n leaves the ranks, and the inverse
+table, read at row * n + rank with row the split axis, turns them into
+ids.  Sorting values costs about half as much as an argsort of the same
+keys, and gives the same order since no two keys are equal.  The level
+keys are int32 while nodes * n - 1 < 2**31 and the lookups
+row * n + rank, at most 3n - 1, fit too; past that they are int64.  No
+key or index overflows: run * n + id, node * n + rank and the key
+start * n + j that puts the leaves in slot order stay below n * n, which
+the build refuses past 2**63; the ids and ranks stay below n, and the
+lookups below 3n.  Trees are immutable once built and traversal is
+read-only, so any number of concurrent queries may share one.
 
 There are two traversals over the same numpy tables, and both test the
 slots of the leaves they reach with one array step.  :func:`point_hits`
@@ -182,17 +193,18 @@ def _axis_ranks(cent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     rank[a, i] is the place of point i in (coordinate, id) order on axis
     a, and order[a] lists the ids in that order: order[a, rank[a, i]] = i.
-    The default argsort, unstable but vectorized, orders each axis's
-    coordinates; a sort of the float64 values would lose the ids.  Equal
+    The default argsort, unstable but vectorized, orders a contiguous copy
+    of each axis's coordinates, which with its gather costs less than the
+    strided column; a sort of the float64 values would lose the ids.  Equal
     coordinates, -0.0 and 0.0 among them, form runs of ties, numbered from
     1 in coordinate order.  A value sort of the unique int64 keys
     run * n + id, over the places in runs alone, puts each run in id order:
     the sorted keys keep the runs where they were, so subtracting run * n
     leaves the ids.  Sorting only the tied places costs less than sorting
-    every key, as most scenes have few ties.  The key is below n * n, as
-    are the level keys of :func:`build_point_bvh`, so both fit an int64
-    while n * n <= 2**63.  Together the int32 tables hold what one int64
-    table of ranks would.
+    every key, as most scenes have few ties.  The run key is an int64
+    below n * n, as are the level keys of :func:`build_point_bvh`, so both
+    fit while n * n <= 2**63, and more points are refused.  Together the
+    int32 tables hold what one int64 table of ranks would.
     """
     n = len(cent)
     if n * n > 2**63:
@@ -202,8 +214,9 @@ def _axis_ranks(cent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.empty((3, n), dtype=dtype)
     ids = np.arange(n, dtype=dtype)
     for a in range(3):
-        by_coord = cent[:, a].argsort()
-        col = cent[:, a].take(by_coord)
+        col = np.ascontiguousarray(cent[:, a])  # a strided argsort and take cost more than the copy
+        by_coord = col.argsort()
+        col = col.take(by_coord)
         tie = col[1:] == col[:-1]  # place j + 1 holds the coordinate of place j
         del col
         if tie.any():
@@ -232,12 +245,18 @@ def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZ
     on the points alone; `half_width`, a real number >= 0 that the index
     records as a float, widens every box alike.
 
-    Each axis is ranked once by :func:`_axis_ranks`.  Each level then sorts
-    the values node * n + rank of its slots, subtracts node * n, and looks
-    each rank up in the inverse table `order` to get the slot's new id.  A
-    level that covers every slot in order gathers no slots, and the scratch
-    is freed before the boxes are made, so the build's traced peak is
-    little above what its own tables hold.
+    Each axis is ranked once by :func:`_axis_ranks`.  Each level then
+    gathers the (3, L) ranks of its L slots once.  One minimum and one
+    maximum `reduceat` along those rows give each node's lowest and highest
+    rank on every axis, and its extent is the difference of the coordinates
+    at those ranks, which is max - min up to the sign of a zero extent.
+    The level sorts the values node * n + rank on each slot's split axis,
+    subtracts node * n, and looks each rank up in the inverse table `order`,
+    at row * n + rank, to get the slot's new id.  The keys and lookups are
+    int32 while nodes * n - 1 and 3n - 1 are below 2**31, and int64 past
+    that.  A level that covers every slot in order gathers no slots, and
+    the scratch is freed before the boxes are made, so the build's traced
+    peak is little above what its own tables hold.
     """
     h = checked_real(half_width, "half_width", 0.0)
     cent = _as_point_array(points)
@@ -245,7 +264,8 @@ def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZ
     n = len(cent)
 
     # Sorting a node by rank is sorting it by (coordinate, id) on its axis.
-    ranks, orders = (table.ravel() for table in _axis_ranks(cent))  # axis a's row starts at a * n
+    rank, order = _axis_ranks(cent)
+    orders = order.ravel()  # axis a's row starts at a * n
     perm = np.arange(n)  # storage slot -> primitive id
 
     # One pass per level: node k of the level owns slots starts[k] .. + counts[k].
@@ -255,7 +275,9 @@ def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZ
     while True:
         leaf = counts <= leaf_size
         offsets = np.cumsum(counts) - counts
-        seg = np.repeat(np.arange(len(counts)), counts)
+        # The keys node * n + rank stay below nodes * n, and the lookups row * n + rank below 3 * n.
+        dtype = np.int32 if max(len(counts), 3) * n <= 2**31 else np.int64
+        seg = np.repeat(np.arange(0, len(counts) * n, n, dtype=dtype), counts)  # each slot's node * n
         if len(seg) == n:  # the level covers every slot, in order: no gather
             slots, ids = slice(None), perm
         else:
@@ -263,22 +285,30 @@ def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZ
             slots += np.arange(len(seg))
             # take rather than fancy indexing, as in traverse_points: same result, several times faster
             ids = perm.take(slots)
-        c = cent.take(ids, axis=0)
-        extent = np.maximum.reduceat(c, offsets) - np.minimum.reduceat(c, offsets)
-        del c
+        ranked = rank.take(ids, axis=1)  # the level's one gather: every slot's rank on each axis
+        del ids
+        # A node's lowest and highest rank on an axis are its first and last point in
+        # (coordinate, id) order, so their coordinates give max - min.  Only a zero extent
+        # can differ, in its sign, which argmax does not see.
+        lo = np.minimum.reduceat(ranked, offsets, axis=1)
+        hi = np.maximum.reduceat(ranked, offsets, axis=1)
+        extent = np.stack([cent[order[a].take(hi[a]), a] - cent[order[a].take(lo[a]), a] for a in range(3)])
         # Split on the longest centroid extent; argmax takes the first
         # maximum, so ties go x, then y, then z.  A leaf is stored in x order.
-        axis = np.where(leaf, 0, extent.argmax(axis=1))
-        row = axis.take(seg)
-        row *= n  # each slot's row of the flat rank and order tables
-        seg *= n
-        key = seg + ranks.take(row + ids)  # node * n + rank, unique
-        del ids
+        axis = np.where(leaf, 0, extent.argmax(axis=0))
+        row = np.repeat(axis.astype(dtype), counts)  # each slot's split axis
+        key = ranked[0]  # each slot's rank on its split axis, written over the x ranks
+        np.copyto(key, ranked[1], where=row == 1)
+        np.copyto(key, ranked[2], where=row == 2)
+        key = key + seg  # node * n + rank, unique
+        del ranked
         key.sort()
         # The sorted keys keep each node's slots, so subtracting node * n leaves the ranks.
         key -= seg
+        del seg
+        row *= n  # each slot's row of the flat order table
         key += row
-        del seg, row
+        del row
         perm[slots] = orders.take(key)
         s, m, a = starts[~leaf], counts[~leaf], axis[~leaf]
         half = m // 2  # the left child takes the first half in split-axis order
@@ -290,7 +320,7 @@ def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZ
         starts = np.column_stack([s, s + half]).ravel()
         counts = np.column_stack([half, m - half]).ravel()
 
-    del ranks, orders, slots, key  # the last level's scratch, freed before the boxes are made
+    del rank, order, orders, slots, key, lo, hi, extent  # the last level's scratch, freed before the boxes are made
     starts, counts, split_axis, split_plane, leaf = (np.concatenate(t) for t in zip(*levels))
     splits = [np.count_nonzero(~level_leaf) for *_, level_leaf in levels]  # internal nodes per level
     del levels
