@@ -9,7 +9,8 @@ containment, one query at a time (`run_query`) or as a wavefront of many
 (`batch_query`); the hits are then refined exactly.
 """
 
-from .metrics import MetricSpec, distances, in_lp_ball, inclusion_radius, weights
+from .metrics import (MetricSpec, distances, in_lp_ball, inclusion_radius, pipeline_metric_for,
+                      transform_chain_for, transform_points, weights)
 from .bvh import (
     Bvh,
     Point3,
@@ -26,11 +27,8 @@ from .pipeline import (
     batch_query,
     build_index,
     knn_search,
-    pipeline_metric_for,
     run_query,
     scene_half_width,
-    transform_chain_for,
-    transform_points,
 )
 from .oracle import GroundTruth, aggregate_recall, brute_force_knn, ground_truth, recall
 from .datasets import read_records, synthetic_points

@@ -18,15 +18,10 @@ from dataclasses import replace
 
 from .datasets import FORMATS, read_records, synthetic_points
 from .experiments import SWEEP_AXES, Dataset, run_experiment, sweep
-from .metrics import KIND_EUCLID2D, KIND_HAMMING3, MetricSpec
+from .metrics import (KIND_EUCLID2D, KIND_HAMMING3, MetricSpec, pipeline_metric_for, transform_chain_for,
+                      transform_points)
 from .oracle import ground_truth
-from .pipeline import (
-    ReductionConfig,
-    build_index,
-    pipeline_metric_for,
-    transform_chain_for,
-    transform_points,
-)
+from .pipeline import ReductionConfig, build_index
 
 def _parse_bool(text: str) -> bool:
     t = text.strip().lower()

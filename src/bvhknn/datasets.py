@@ -1,8 +1,9 @@
 """Dataset ingestion for the experiment drivers.
 
 A dataset file is a flat sequence of records, and :func:`read_records`
-returns all of them; the command line takes the first n as data points and
-the next q as queries.  Supported formats:
+returns all of them.  The command line takes the first n as data points
+and, without ``--query-file``, the next q as queries; with it, every
+record of that file is a query.  Supported formats:
 
 * ``csv-xyz``    one point per line, "x,y,z"
 * ``bin-f32x4``  packed little-endian float32 records of 4 values, the
@@ -20,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import checked_count
-from .pipeline import _parse_bits as _bit_vertex
+from .metrics import bit_vertex
 
 FORMATS = ("csv-xyz", "bin-f32x4", "csv-2d", "bits")
 
@@ -64,7 +65,7 @@ def _parse_bits(path: str) -> np.ndarray:
     rows = []
     for record, lineno, text in _lines(path):
         try:
-            rows.append(_bit_vertex(text))
+            rows.append(bit_vertex(text))
         except ValueError as exc:
             raise ValueError(f"record {record} (line {lineno}): {exc}") from None
     return np.asarray(rows, dtype=np.float64).reshape(len(rows), 3)

@@ -22,18 +22,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import checked_count, checked_real
+from .metrics import pipeline_metric_for, to_source_units, transform_chain_for, transform_points
 from .oracle import GroundTruth, ground_truth
-from .pipeline import (
-    BatchResult,
-    ReductionConfig,
-    batch_query,
-    build_index,
-    pipeline_metric_for,
-    scene_half_width,
-    transform_chain_for,
-    transform_points,
-    to_source_units,
-)
+from .pipeline import BatchResult, ReductionConfig, batch_query, build_index, scene_half_width
 
 REPORT_SCHEMA = "bvhknn.report/1"
 SWEEP_AXES = ("radius", "k", "queries")

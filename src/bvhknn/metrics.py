@@ -6,7 +6,7 @@ Two families are supported:
   ``Lp`` for any finite p >= 1 and ``LInf`` (componentwise max);
 * transform-backed metrics (cosine, angular, 2D Euclidean, Hamming on
   bit strings of length <= 3), which are mapped onto a native pipeline
-  by the transforms in :mod:`bvhknn.pipeline`.
+  by the transforms below.
 
 Native distances are computed by one vectorized kernel that the oracle
 and the pipeline share: :func:`weights` gives the un-rooted sum
@@ -15,16 +15,29 @@ takes the p-th root.  The kernel works column by column, one array
 operation per coordinate and term, adding the terms left to right, so it
 rounds exactly as a row-wise sum would.  Radius queries keep a point iff
 its distance is <= r and order neighbors by (weight, id).
+
+Every metric reaches the pipeline by one route, and one table decides
+it: ``_REDUCTIONS``, at the end of this module, pairs each transform-backed
+metric, which has no finite circumscribing L2 radius, with an
+order-preserving transformation, the native metric searched in its image
+and the map of that metric's distances back to source units.  It is the
+only list of those kinds: :class:`MetricSpec` accepts ``lp``, ``linf`` and
+its keys.  From it :func:`transform_chain_for` gives the chain that maps
+source-form points into pipeline space, empty for the native Lp and LInf
+metrics, :func:`pipeline_metric_for` names the native metric searched
+there, and :func:`source_distances` and :func:`to_source_units` turn
+pipeline-space distances back into source units.
 """
 
 from __future__ import annotations
 
+import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import checked_real, checked_rows
+from .geometry import checked_real, checked_rows, float_rows
 
 KIND_LP = "lp"
 KIND_LINF = "linf"
@@ -32,8 +45,6 @@ KIND_COSINE = "cosine"
 KIND_ANGULAR = "angular"
 KIND_EUCLID2D = "euclid2d"
 KIND_HAMMING3 = "hamming3"
-
-_TRANSFORM_KINDS = (KIND_COSINE, KIND_ANGULAR, KIND_EUCLID2D, KIND_HAMMING3)
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,7 +57,7 @@ class MetricSpec:
     def __post_init__(self):
         if self.kind == KIND_LP:
             object.__setattr__(self, "p", checked_real(self.p, "p", 1.0))
-        elif self.kind in (KIND_LINF,) + _TRANSFORM_KINDS:
+        elif self.kind in (KIND_LINF, *_REDUCTIONS):
             if self.p is not None:
                 raise ValueError(f"metric {self.kind!r} takes no exponent")
         else:
@@ -89,7 +100,9 @@ class MetricSpec:
 
     @classmethod
     def parse(cls, text: str) -> "MetricSpec":
-        """Parse the canonical string form (inverse of :meth:`canonical`)."""
+        """Parse the canonical string form (inverse of :meth:`canonical`); a non-string is refused."""
+        if not isinstance(text, str):
+            raise ValueError(f"metric must be a metric name, got {text!r}")
         s = text.strip().lower()
         if s.startswith("lp:"):
             try:
@@ -97,7 +110,7 @@ class MetricSpec:
             except ValueError:
                 raise ValueError(f"bad lp exponent in metric {text!r}") from None
             return cls.lp(p)
-        if s in (KIND_LINF,) + _TRANSFORM_KINDS:
+        if s in (KIND_LINF, *_REDUCTIONS):
             return cls(s)
         raise ValueError(f"unknown metric {text!r}")
 
@@ -201,3 +214,143 @@ def in_lp_ball(q, center, metric: MetricSpec, r: float) -> bool:
     r = checked_real(r, "radius", 0.0, strict=True)
     w = weights(metric, checked_rows([q], "query"), checked_rows([center], "center"))[0]
     return bool(w <= weights(metric, [(r, 0.0, 0.0)], (0.0, 0.0, 0.0))[0])
+
+
+# ---------------------------------------------------------------------------
+# Order-preserving transformations: the route of every metric into pipeline space
+
+
+class Transform(enum.Enum):
+    """Point mappings whose images preserve source-metric distance order in L2."""
+
+    NORMALIZE = "normalize"
+    EMBED_2D = "embed2d"
+    HAMMING_VERTEX = "hamming_vertex"
+
+
+def bit_vertex(s) -> tuple[float, float, float]:
+    """The unit-cube vertex of a bit string of length 1..3, left-padded with zeros, else ValueError.
+
+    HAMMING_VERTEX and the ``bits`` dataset reader both read bit strings by this rule.
+    """
+    if not isinstance(s, str) or not 1 <= len(s) <= 3 or set(s) - {"0", "1"}:
+        raise ValueError(f"expected a bit string of length 1..3, got {s!r}")
+    padded = s.zfill(3)
+    return (float(padded[0]), float(padded[1]), float(padded[2]))
+
+
+def transform_points(chain: list[Transform], points, label: str = "point") -> np.ndarray:
+    """Apply a transform chain to a whole collection, returning an (n, 3) array.
+
+    NORMALIZE maps every finite nonzero 3-vector by one path: y = x / m,
+    m = max |x_i|, then y / sqrt(sum y_i**2), a sum in [1, 3] at any scale;
+    so exact positive multiples c * x map to bitwise the same unit vector,
+    as c * x_i / (c * m) rounds as x_i / m does.  EMBED_2D lifts (x, y) to
+    (x, y, 0); HAMMING_VERTEX takes bit
+    strings of length <= 3 (left-padded with zeros) to the matching cube
+    vertices.  Rejects inputs a transform cannot accept, naming the shape
+    or the offending `label` row (e.g. a zero vector under NORMALIZE), and
+    a bare string, which is one bit string, not a collection of them.
+    """
+    if isinstance(points, str):
+        raise ValueError(f"expected a collection of {label} rows, got the bare string {points!r}: "
+                         "put one bit string in a list")
+    current = points
+    for t in chain:
+        if t is Transform.NORMALIZE:
+            arr = checked_rows(current, label)
+            origin = (0.0, 0.0, 0.0)
+            m = weights(MetricSpec.linf(), arr, origin)  # max |x_i|, by the column-wise kernel
+            zero = np.flatnonzero(m == 0.0)
+            if zero.size:
+                raise ValueError(f"cannot normalize zero vector at {label} index {zero[0]}")
+            y = arr / m[:, None]
+            current = y / np.sqrt(weights(MetricSpec.lp(2), y, origin))[:, None]
+        elif t is Transform.EMBED_2D:
+            current = np.pad(float_rows(current, label, 2), ((0, 0), (0, 1)))  # a zero z column
+        elif t is Transform.HAMMING_VERTEX:
+            if len(current) and isinstance(current[0], str):
+                rows = []
+                for i, s in enumerate(current):
+                    try:
+                        rows.append(bit_vertex(s))
+                    except ValueError as exc:
+                        raise ValueError(f"{label} index {i}: {exc}") from None
+                current = np.asarray(rows, dtype=np.float64)
+            else:
+                current = float_rows(current, label)
+                bad = np.flatnonzero(~np.isin(current, (0.0, 1.0)).all(axis=1))
+                if bad.size:
+                    raise ValueError(f"{label} index {bad[0]}: hamming input must be bit strings or 0/1 vertex rows")
+        else:
+            raise ValueError(f"unknown transform {t!r}")
+    return float_rows(current, label)
+
+
+# The one list of transform-backed metrics, which MetricSpec accepts beside
+# lp and linf.  Each row is a metric's route into pipeline space: the
+# transform that maps its points there, the native metric searched there,
+# and the map of that metric's distances back to source units, None where
+# they are the same.  A chord c between unit vectors is the cosine
+# similarity 1 - c * c / 2 and the angle 2 asin(min(1, c / 2)).  A metric
+# not listed is native and is searched as it is.
+_REDUCTIONS = {
+    KIND_COSINE: (Transform.NORMALIZE, MetricSpec.lp(2), lambda c: 1.0 - c * c / 2.0),  # a similarity
+    KIND_ANGULAR: (Transform.NORMALIZE, MetricSpec.lp(2), lambda c: 2.0 * np.arcsin(np.minimum(c / 2.0, 1.0))),
+    KIND_EUCLID2D: (Transform.EMBED_2D, MetricSpec.lp(2), None),
+    KIND_HAMMING3: (Transform.HAMMING_VERTEX, MetricSpec.lp(1), None),
+}
+
+
+def _route(source: MetricSpec) -> tuple:
+    """The `_REDUCTIONS` row of `source`, (None, source, None) for a native metric, else ValueError.
+
+    The one check of the metric for every route: a non-MetricSpec is refused.
+    """
+    if not isinstance(source, MetricSpec):
+        raise ValueError(f"metric must be a MetricSpec, got {source!r}")
+    return _REDUCTIONS.get(source.kind, (None, source, None))
+
+
+def transform_chain_for(source: MetricSpec) -> list[Transform]:
+    """The transform chain that maps `source`-form points into pipeline space.
+
+    Empty for a native metric, whose points are searched as they are.
+    """
+    transform = _route(source)[0]
+    return [] if transform is None else [transform]
+
+
+def pipeline_metric_for(source: MetricSpec) -> MetricSpec:
+    """Native metric the mapped space is searched with.
+
+    L1 for Hamming, L2 for the other transform-backed metrics, and the
+    metric itself for a native one.
+    """
+    return _route(source)[1]
+
+
+def source_distances(source: MetricSpec, d: np.ndarray) -> np.ndarray:
+    """Pipeline-space distances `d` in `source` units, by the route's map back.
+
+    This is the one formula of the oracle and the pipeline: chords become
+    similarities for cosine and angles for angular; other metrics keep `d`.
+    """
+    back = _route(source)[2]
+    return d if back is None else back(d)
+
+
+def to_source_units(source: MetricSpec, batch):
+    """A pipeline-space :class:`bvhknn.pipeline.BatchResult`, its distances in `source` units.
+
+    The filled slots are mapped as :func:`source_distances` maps them.
+    The padding stays (n, inf) in every unit, and the ids, counts and
+    radii (in pipeline units) stay.  For a metric whose distances do not
+    change, the batch is returned as it is.
+    """
+    back = _route(source)[2]
+    if back is None:
+        return batch
+    d = batch.distances
+    # a neighbor's distance is at most r, so finite; the padding's converts without a warning
+    return replace(batch, distances=np.where(d < np.inf, back(d), np.inf))

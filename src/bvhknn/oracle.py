@@ -7,7 +7,7 @@ fraction of true nearest neighbors an approximate result recovered,
 compared as id sets.
 
 The data and the queries are each mapped once per call, by the
-pipeline's own route, :func:`bvhknn.pipeline.transform_chain_for`
+pipeline's own route, :func:`bvhknn.metrics.transform_chain_for`
 (normalised for cosine/angular, lifted to (x, y, 0) for euclid2d, parsed
 for Hamming; a non-finite coordinate is rejected by index).  Per query,
 one call of the shared column-wise weight kernel, under the pipeline
@@ -22,7 +22,9 @@ every row whose key is at or below the k-th key is kept, so that all
 ties at the k-th place survive, and that small set is sorted by
 (key, id).  The answer is exactly the first k of a stable sort of every
 key.  Similarities and angles are taken only for the rows returned, by
-the pipeline's one formula, :func:`bvhknn.pipeline._source_distances`.
+the pipeline's one formula, :func:`bvhknn.metrics.source_distances`.
+This module imports only :mod:`bvhknn.metrics` and :mod:`bvhknn.geometry`,
+none of the code it checks.
 
 Without a radius, Lp metrics whose term is a `pow` (p not 1 or 2) weigh
 only the rows that can reach the top k: a filter-refine step, as in the
@@ -48,9 +50,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import KIND_LP, MetricSpec, distances, weights
+from .metrics import (KIND_LP, MetricSpec, distances, pipeline_metric_for, source_distances, transform_chain_for,
+                      transform_points, weights)
 from .geometry import checked_count, checked_real, checked_rows
-from .pipeline import _source_distances, pipeline_metric_for, transform_chain_for, transform_points
 
 NeighborRow = list[tuple[int, float]]
 
@@ -58,7 +60,7 @@ NeighborRow = list[tuple[int, float]]
 def _mapped(points, metric: MetricSpec, label: str) -> np.ndarray:
     """The rows a rank key is computed from: the data, or a whole query batch, in pipeline space.
 
-    The points take the pipeline's own route, :func:`bvhknn.pipeline.transform_chain_for`:
+    The points take the pipeline's own route, :func:`bvhknn.metrics.transform_chain_for`:
     unit vectors for cosine and angular, (x, y, 0) rows for euclid2d (the
     zero column adds an exact 0 to every weight), cube vertices for Hamming,
     and the coordinates themselves otherwise.  The rows are stored
@@ -129,7 +131,7 @@ def _knn_rows(points, queries, metric: MetricSpec, k: int, radius: float | None)
             keep = np.flatnonzero(dist <= radius)
             top = keep[_smallest(w[keep], k)]
             dist = dist[top]
-        out.append(list(zip(top.tolist(), _source_distances(metric, dist).tolist())))
+        out.append(list(zip(top.tolist(), source_distances(metric, dist).tolist())))
     return out
 
 

@@ -52,15 +52,14 @@ does, so within the radius the answer is the oracle's, boundary included.
 The plain and enhanced pipelines differ only in scene box size; their
 neighbor lists are always identical.
 
-Every metric reaches the pipeline by one route, and one table decides
-it: ``_REDUCTIONS`` pairs each metric without a finite circumscribing L2
-radius (cosine, angular, 2D Euclidean, Hamming) with an order-preserving
-transformation and the native metric searched in its image.  From it
-:func:`transform_chain_for` gives the chain that maps source-form points
-into pipeline space, empty for the native Lp and LInf metrics, and
-:func:`pipeline_metric_for` names the native metric searched there.
-:func:`build_index` and :func:`batch_query` filter and refine, and
-:func:`to_source_units` turns a batch's distance array back into source units.
+This module filters and refines under a native metric alone.  Every
+other metric reaches it by one route, which one table in
+:mod:`bvhknn.metrics` decides: :func:`bvhknn.metrics.transform_chain_for`
+maps source-form points into pipeline space,
+:func:`bvhknn.metrics.pipeline_metric_for` names the native metric searched
+there, and :func:`bvhknn.metrics.to_source_units` turns a batch's distance
+array back into source units.  :func:`knn_search` runs that route around
+:func:`build_index` and :func:`batch_query`.
 
 A query is one finite row of 3 (:func:`bvhknn.geometry.checked_rows`), and
 an empty list is no queries; the build checks every data row, and a query
@@ -74,10 +73,9 @@ safe.
 
 from __future__ import annotations
 
-import enum
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,16 +88,16 @@ from .bvh import (
     probe_windows,
     traverse_points,
 )
-from .geometry import checked_count, checked_real, checked_rows, float_rows, shaped_rows
+from .geometry import checked_count, checked_real, checked_rows, shaped_rows
 from .metrics import (
-    KIND_ANGULAR,
-    KIND_COSINE,
-    KIND_EUCLID2D,
-    KIND_HAMMING3,
     KIND_LINF,
     MetricSpec,
     distances,
     inclusion_radius,
+    pipeline_metric_for,
+    to_source_units,
+    transform_chain_for,
+    transform_points,
     weights,
 )
 
@@ -108,6 +106,7 @@ from .metrics import (
 class ReductionConfig:
     """How to run a search: target metric, radius, k, and scene geometry.
 
+    `metric` is a :class:`~bvhknn.metrics.MetricSpec`, else ValueError.
     `r` is the search radius in pipeline units (for transform-backed
     metrics: in the mapped space, e.g. chord length for cosine/angular),
     a Python or numpy real number > 0, stored as a float.
@@ -123,6 +122,8 @@ class ReductionConfig:
     enhanced: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.metric, MetricSpec):
+            raise ValueError(f"metric must be a MetricSpec, got {self.metric!r}")
         object.__setattr__(self, "r", checked_real(self.r, "radius", 0.0, strict=True))
         if not isinstance(self.enhanced, (bool, np.bool_)):
             raise ValueError(f"enhanced must be a bool, got {self.enhanced!r}")
@@ -221,7 +222,7 @@ def scene_half_width(config: ReductionConfig) -> float:
     paper's plain reduction.  Enhanced pipeline: r itself, because a
     metric ball of radius r extends exactly r along each axis.  Both
     reject a transform-backed metric; resolve it with
-    :func:`pipeline_metric_for` first.
+    :func:`bvhknn.metrics.pipeline_metric_for` first.
     """
     bound = inclusion_radius(config.metric, config.r)
     return config.r if config.enhanced else bound
@@ -464,128 +465,6 @@ def _refined(runs, points: np.ndarray, origins: np.ndarray, radii: np.ndarray, c
     return out
 
 
-# ---------------------------------------------------------------------------
-# Order-preserving transformations
-
-
-class Transform(enum.Enum):
-    """Point mappings whose images preserve source-metric distance order in L2."""
-
-    NORMALIZE = "normalize"
-    EMBED_2D = "embed2d"
-    HAMMING_VERTEX = "hamming_vertex"
-
-
-def _parse_bits(s) -> tuple[float, float, float]:
-    if not isinstance(s, str) or not 1 <= len(s) <= 3 or set(s) - {"0", "1"}:
-        raise ValueError(f"expected a bit string of length 1..3, got {s!r}")
-    padded = s.zfill(3)
-    return (float(padded[0]), float(padded[1]), float(padded[2]))
-
-
-def transform_points(chain: list[Transform], points, label: str = "point") -> np.ndarray:
-    """Apply a transform chain to a whole collection, returning an (n, 3) array.
-
-    NORMALIZE maps every finite nonzero 3-vector by one path: y = x / m,
-    m = max |x_i|, then y / sqrt(sum y_i**2), a sum in [1, 3] at any scale;
-    so exact positive multiples c * x map to bitwise the same unit vector,
-    as c * x_i / (c * m) rounds as x_i / m does.  EMBED_2D lifts (x, y) to
-    (x, y, 0); HAMMING_VERTEX takes bit
-    strings of length <= 3 (left-padded with zeros) to the matching cube
-    vertices.  Rejects inputs a transform cannot accept, naming the shape
-    or the offending `label` row (e.g. a zero vector under NORMALIZE), and
-    a bare string, which is one bit string, not a collection of them.
-    """
-    if isinstance(points, str):
-        raise ValueError(f"expected a collection of {label} rows, got the bare string {points!r}: "
-                         "put one bit string in a list")
-    current = points
-    for t in chain:
-        if t is Transform.NORMALIZE:
-            arr = checked_rows(current, label)
-            origin = (0.0, 0.0, 0.0)
-            m = weights(MetricSpec.linf(), arr, origin)  # max |x_i|, by the column-wise kernel
-            zero = np.flatnonzero(m == 0.0)
-            if zero.size:
-                raise ValueError(f"cannot normalize zero vector at {label} index {zero[0]}")
-            y = arr / m[:, None]
-            current = y / np.sqrt(weights(MetricSpec.lp(2), y, origin))[:, None]
-        elif t is Transform.EMBED_2D:
-            current = np.pad(float_rows(current, label, 2), ((0, 0), (0, 1)))  # a zero z column
-        elif t is Transform.HAMMING_VERTEX:
-            if len(current) and isinstance(current[0], str):
-                rows = []
-                for i, s in enumerate(current):
-                    try:
-                        rows.append(_parse_bits(s))
-                    except ValueError as exc:
-                        raise ValueError(f"{label} index {i}: {exc}") from None
-                current = np.asarray(rows, dtype=np.float64)
-            else:
-                current = float_rows(current, label)
-                bad = np.flatnonzero(~np.isin(current, (0.0, 1.0)).all(axis=1))
-                if bad.size:
-                    raise ValueError(f"{label} index {bad[0]}: hamming input must be bit strings or 0/1 vertex rows")
-        else:
-            raise ValueError(f"unknown transform {t!r}")
-    return float_rows(current, label)
-
-
-# Each transform-backed metric's route into pipeline space: the transform
-# that maps its points there and the native metric searched there.  A
-# metric not listed is native and is searched as it is.
-_REDUCTIONS = {
-    KIND_COSINE: (Transform.NORMALIZE, MetricSpec.lp(2)),
-    KIND_ANGULAR: (Transform.NORMALIZE, MetricSpec.lp(2)),
-    KIND_EUCLID2D: (Transform.EMBED_2D, MetricSpec.lp(2)),
-    KIND_HAMMING3: (Transform.HAMMING_VERTEX, MetricSpec.lp(1)),
-}
-
-
-def transform_chain_for(source: MetricSpec) -> list[Transform]:
-    """The transform chain that maps `source`-form points into pipeline space.
-
-    Empty for a native metric, whose points are searched as they are.
-    """
-    return [_REDUCTIONS[source.kind][0]] if source.kind in _REDUCTIONS else []
-
-
-def pipeline_metric_for(source: MetricSpec) -> MetricSpec:
-    """Native metric the mapped space is searched with.
-
-    L1 for Hamming, L2 for the other transform-backed metrics, and the
-    metric itself for a native one.
-    """
-    return _REDUCTIONS[source.kind][1] if source.kind in _REDUCTIONS else source
-
-
-def _source_distances(source: MetricSpec, d: np.ndarray) -> np.ndarray:
-    """Pipeline-space distances `d` in `source` units: the one chord formula of the oracle and the pipeline.
-
-    A chord c between unit vectors is the angle 2 asin(min(1, c / 2)) and
-    the cosine similarity 1 - c * c / 2; other metrics keep `d`.
-    """
-    if source.kind == KIND_ANGULAR:
-        return 2.0 * np.arcsin(np.minimum(d / 2.0, 1.0))
-    if source.kind == KIND_COSINE:
-        return 1.0 - d * d / 2.0  # a similarity, not a distance
-    return d
-
-
-def to_source_units(source: MetricSpec, batch: BatchResult) -> BatchResult:
-    """Re-express a pipeline-space batch's distances in source-metric units, by :func:`_source_distances`.
-
-    The padding stays (n, inf) in every unit, and the radii stay in
-    pipeline units.  For a metric whose distances do not change, the batch
-    is returned as it is.
-    """
-    if source.kind not in (KIND_ANGULAR, KIND_COSINE):
-        return batch
-    d = batch.distances
-    # a neighbor's distance is at most r, so finite; the padding's converts without a warning
-    return replace(batch, distances=np.where(d < np.inf, _source_distances(source, d), np.inf))
-
-
 def knn_search(data, queries, metric: MetricSpec, r: float, k: int, enhanced: bool = False) -> BatchResult:
     """One-call search: builds the scene and runs every query.
 
@@ -594,7 +473,7 @@ def knn_search(data, queries, metric: MetricSpec, r: float, k: int, enhanced: bo
     and bit strings (or 0/1 vertex rows) for Hamming.  `r` is a radius in
     pipeline space (a chord length for cosine/angular).  Returns the
     :class:`BatchResult` of :func:`batch_query`, its distances in source
-    units by :func:`to_source_units`; ordering follows ascending source
+    units by :func:`bvhknn.metrics.to_source_units`; ordering follows ascending source
     distance (for cosine: ascending angle, i.e. descending similarity).
     """
     chain = transform_chain_for(metric)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -22,13 +23,15 @@ from bvhknn import (
     run_experiment,
     run_query,
     scene_half_width,
+    sweep,
     transform_chain_for,
     transform_points,
 )
 from bvhknn import bvh as bvh_module
 from bvhknn import metrics as metrics_module
 from bvhknn import pipeline as pipeline_module
-from bvhknn.pipeline import BatchResult, Transform, _run_order
+from bvhknn.metrics import Transform, to_source_units
+from bvhknn.pipeline import BatchResult, _run_order
 from test_bvh import split_path
 
 L1 = MetricSpec.lp(1)
@@ -128,6 +131,39 @@ def test_radius_must_be_a_real_number():
             knn_search(pts, pts[:2], L2, r=bad, k=2)
     with pytest.raises(ValueError, match=r"radius must be a real number, got '0.3'"):
         ReductionConfig(L2, "0.3", 2)
+
+
+def test_metric_must_be_a_metric_spec():
+    # a metric name or any other value is refused by name, where it used to
+    # raise AttributeError deep in the search
+    pts = np.random.default_rng(3).random((50, 3))
+    ds = Dataset(pts, pts[:3])
+    for bad in ("lp:2", None, 2):
+        refused = re.escape(f"metric must be a MetricSpec, got {bad!r}")
+        with pytest.raises(ValueError, match=refused):
+            ReductionConfig(bad, 0.2, 3)
+        with pytest.raises(ValueError, match=refused):
+            dataclasses.replace(ReductionConfig(L2, 0.2, 3), metric=bad)
+        with pytest.raises(ValueError, match=refused):
+            knn_search(pts, pts[:3], bad, 0.3, 3)
+        with pytest.raises(ValueError, match=refused):
+            brute_force_knn(pts, pts[0], bad, 3)
+        with pytest.raises(ValueError, match=refused):
+            ground_truth(pts, pts[:3], bad, 3)
+        with pytest.raises(ValueError, match=refused):
+            transform_chain_for(bad)
+        with pytest.raises(ValueError, match=refused):
+            pipeline_metric_for(bad)
+        # a config whose check was bypassed still meets the route's own
+        cfg = ReductionConfig(L2, 0.2, 3)
+        object.__setattr__(cfg, "metric", bad)
+        with pytest.raises(ValueError, match=refused):
+            run_experiment(ds, cfg)
+        with pytest.raises(ValueError, match=refused):
+            sweep(ds, cfg, "radius", [0.1, 0.2])
+    for bad in (None, 2, b"lp:2", ["lp:2"]):
+        with pytest.raises(ValueError, match=re.escape(f"metric must be a metric name, got {bad!r}")):
+            MetricSpec.parse(bad)
 
 
 # --- filter-refine pipelines ------------------------------------------------
@@ -815,7 +851,40 @@ def test_chain_resolution():
         else:
             assert len(chain) == 1 and isinstance(chain[0], Transform) and native.is_native
         assert scene_half_width(ReductionConfig(native, 0.5, 3)) >= 0.5  # the route reaches a scene
-    assert set(pipeline_module._REDUCTIONS) == {spec.kind for spec in specs if not spec.is_native}
+    assert set(metrics_module._REDUCTIONS) == {spec.kind for spec in specs if not spec.is_native}
+
+
+@pytest.mark.parametrize("name", ["lp:1", "lp:2", "lp:3", "linf", "euclid2d", "hamming3", "cosine", "angular"])
+def test_to_source_units_per_kind(name):
+    metric = MetricSpec.parse(name)
+    rng = np.random.default_rng(17)
+    if metric.kind == "hamming3":
+        data, queries, r = rng.integers(0, 2, size=(10, 3)), rng.integers(0, 2, size=(12, 3)), 1.0
+    elif metric.kind == "euclid2d":
+        data, queries, r = rng.random((300, 2)), rng.random((30, 2)), 0.08
+    else:
+        data, queries, r = rng.normal(size=(300, 3)), rng.normal(size=(30, 3)), 0.3
+    k = 8
+    chain, config = transform_chain_for(metric), ReductionConfig(pipeline_metric_for(metric), r, k)
+    data3, queries3 = transform_points(chain, data), transform_points(chain, queries)
+    batch = batch_query(build_index(data3, config), data3, queries3, config)
+    filled = batch.filled
+    assert (filled < k).any() and (filled > 0).any()  # padded slots and neighbours both
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the padding converts without a RuntimeWarning
+        out = to_source_units(metric, batch)
+    if metric.kind not in ("cosine", "angular"):
+        assert out is batch
+        return
+    for field in ("ids", "candidates", "hits", "nodes_tested", "radii"):
+        assert getattr(out, field).tobytes() == getattr(batch, field).tobytes()
+    pad = np.arange(k) >= filled[:, None]
+    assert (out.ids[pad] == len(data)).all() and (out.distances[pad] == np.inf).all()
+    # each filled slot is the oracle's conversion of the same chord, bit for bit
+    truth = ground_truth(data, queries, metric, k, radius=r).rows
+    assert [d for row in truth for _, d in row] == out.distances[~pad].tolist()
+    assert [i for row in truth for i, _ in row] == out.ids[~pad].tolist()
+    assert not np.array_equal(out.distances[~pad], batch.distances[~pad])
 
 
 def test_transformed_query_angular_example():

@@ -1,5 +1,6 @@
 """The public surface: every exported name, so that growing or cutting it is a deliberate edit here."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -50,3 +51,33 @@ def test_the_library_needs_no_scipy():
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(ROOT / "src")], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _sibling_imports(path: Path) -> list[tuple[str, str]]:
+    """(module, name) for every name the module at `path` imports from another module of the package."""
+    pairs = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:  # from .metrics import x
+                pairs += [(node.module, alias.name) for alias in node.names]
+            elif node.level == 1:  # from . import metrics
+                pairs += [(alias.name, "") for alias in node.names]
+            elif (node.module or "").startswith("bvhknn."):
+                pairs += [(node.module.split(".")[1], alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            pairs += [(alias.name.split(".")[1], "") for alias in node.names if alias.name.startswith("bvhknn.")]
+    return pairs
+
+
+def test_import_layering():
+    # Each module uses only the public names of its siblings, and the
+    # reference oracle and the dataset reader use none of the search code
+    # that the oracle checks.
+    modules = sorted((ROOT / "src" / "bvhknn").glob("*.py"))
+    assert {path.stem for path in modules} >= {"metrics", "geometry", "oracle", "datasets", "pipeline", "bvh"}
+    private = [(path.name, module, name) for path in modules
+               for module, name in _sibling_imports(path) if name.startswith("_")]
+    assert private == []
+    for stem in ("oracle", "datasets"):
+        imported = {module for module, _ in _sibling_imports(ROOT / "src" / "bvhknn" / f"{stem}.py")}
+        assert imported <= {"metrics", "geometry"}, (stem, imported)
