@@ -4,7 +4,11 @@ This emulates the accelerator contract the search pipeline relies on: build
 a binary tree of nested boxes over the scene primitives, one cube around
 each data point (:func:`build_point_bvh`), then for a point query report
 the id, the row index of its point, of every *leaf primitive* whose own box
-contains the query point, as a ray-tracing any-hit program does.
+contains the query point, as a ray-tracing any-hit program does.  The
+cubes live in a frame (:class:`bvhknn.geometry.Frame`): the points
+themselves, or a fixed linear map of them, which the tree records with its
+half width in that frame; every table and walk below then reads rows in
+the frame, and the tree never sees the map.
 
 Construction is deterministic: median split on the axis with the longest
 centroid extent (ties broken x, then y, then z), the left child taking the
@@ -84,7 +88,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .geometry import checked_count, checked_real, checked_rows
+from .geometry import IDENTITY, Frame, checked_count, checked_real, checked_rows
 
 DEFAULT_LEAF_SIZE = 8
 
@@ -129,10 +133,14 @@ class Bvh:
     `half_width`, a float, is the half width of every primitive box, kept
     so that a query can inset the boxes to any smaller width.  `leaf_size`
     and the depth that :meth:`max_depth` returns are counts, checked as
-    :func:`bvhknn.geometry.checked_count` checks them.
+    :func:`bvhknn.geometry.checked_count` checks them.  `frame`, a
+    :class:`bvhknn.geometry.Frame`, is the basis the boxes, the split planes
+    and `half_width` are in, the identity unless the build mapped the points:
+    a walk reads query rows in that frame.
     """
 
-    def __init__(self, bounds, left, starts, counts, perm, boxes, split_axis, split_plane, half_width, leaf_size, depth):
+    def __init__(self, bounds, left, starts, counts, perm, boxes, split_axis, split_plane, half_width, leaf_size, depth,
+                 frame: Frame = IDENTITY):
         # C order, float64 ("d") boxes and planes and int64 ("q") indices: the formats the walks read.
         # ascontiguousarray returns such an array itself, so freeze a view, not the caller's array.
         tables = [np.ascontiguousarray(a, f).view()
@@ -143,6 +151,7 @@ class Bvh:
         self.half_width = checked_real(half_width, "half_width", 0.0)
         self.leaf_size = checked_count(leaf_size, "leaf_size")
         self._depth = checked_count(depth, "depth")
+        self.frame = frame
 
     @property
     def num_nodes(self) -> int:
@@ -235,36 +244,15 @@ def _axis_ranks(cent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank, order
 
 
-def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZE) -> Bvh:
-    """Build a BVH over one cube of half width `half_width` per point.
+def _split_levels(cent: np.ndarray, rank: np.ndarray, order: np.ndarray,
+                  leaf_size: int) -> tuple[np.ndarray, list[tuple[np.ndarray, ...]]]:
+    """The median splits of :func:`build_point_bvh`, one level a pass: the slot order and the levels.
 
-    `points` is a non-empty (n, 3) array-like of finite rows; primitive i
-    is the cube around row i, and its id is i.  Every node box contains all
-    descendant primitive boxes, every primitive lands in exactly one leaf, and
-    identical input always yields the identical tree.  The topology depends
-    on the points alone; `half_width`, a real number >= 0 that the index
-    records as a float, widens every box alike.
-
-    Each axis is ranked once by :func:`_axis_ranks`.  Each level then
-    gathers the (3, L) ranks of its L slots once.  One minimum and one
-    maximum `reduceat` along those rows give each node's lowest and highest
-    rank on every axis, and its extent is the difference of the coordinates
-    at those ranks, which is max - min up to the sign of a zero extent.
-    The level sorts the values node * n + rank on each slot's split axis,
-    subtracts node * n, and looks each rank up in the inverse table `order`,
-    at row * n + rank, to get the slot's new id.  The keys and lookups are
-    int32 while nodes * n - 1 and 3n - 1 are below 2**31, and int64 past
-    that.  A level that covers every slot in order gathers no slots, and
-    the scratch is freed before the boxes are made, so the build's traced
-    peak is little above what its own tables hold.
+    `rank` and `order` are the tables of :func:`_axis_ranks`.  Returns
+    `perm`, the primitive id of every storage slot, and one (starts, counts,
+    split axis, split plane, leaf mask) row of arrays per level, top down.
     """
-    h = checked_real(half_width, "half_width", 0.0)
-    cent = _as_point_array(points)
-    leaf_size = checked_count(leaf_size, "leaf_size")
     n = len(cent)
-
-    # Sorting a node by rank is sorting it by (coordinate, id) on its axis.
-    rank, order = _axis_ranks(cent)
     orders = order.ravel()  # axis a's row starts at a * n
     perm = np.arange(n)  # storage slot -> primitive id
 
@@ -312,15 +300,55 @@ def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZ
         perm[slots] = orders.take(key)
         s, m, a = starts[~leaf], counts[~leaf], axis[~leaf]
         half = m // 2  # the left child takes the first half in split-axis order
-        plane = np.zeros(len(counts))  # midway between the centroids either side of the split
-        plane[~leaf] = (cent[perm[s + half - 1], a] + cent[perm[s + half], a]) / 2
+        # Midway between the centroids either side of the split.  Halving first keeps the sum of
+        # two coordinates above max_float / 2 finite, and rounds as (c0 + c1) / 2 does, as halving is
+        # exact above the subnormals.
+        plane = np.zeros(len(counts))
+        plane[~leaf] = cent[perm[s + half - 1], a] * 0.5 + cent[perm[s + half], a] * 0.5
         levels.append((starts, counts, axis, plane, leaf))
         if leaf.all():
             break
         starts = np.column_stack([s, s + half]).ravel()
         counts = np.column_stack([half, m - half]).ravel()
+    return perm, levels
 
-    del rank, order, orders, slots, key, lo, hi, extent  # the last level's scratch, freed before the boxes are made
+
+def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZE, frame: Frame = IDENTITY) -> Bvh:
+    """Build a BVH over one cube per point in `frame`, holding the frame's ball of radius `half_width`.
+
+    `points` is a non-empty (n, 3) array-like of finite rows; primitive i
+    is the cube around row i, and its id is i.  In a frame other than the
+    identity, the tree is built over the mapped rows ``frame.rows(points)``
+    with boxes of half width ``frame.scale * half_width``, which hold the
+    frame's source ball of radius `half_width` (the L1 ball, for the face
+    frame); the index records that frame and that half width, and its
+    walks read query rows in the frame.  Every node box contains all
+    descendant primitive boxes, every primitive lands in exactly one leaf, and
+    identical input always yields the identical tree.  The topology depends
+    on the points alone; `half_width`, a real number >= 0 that the index
+    records as a float, widens every box alike.
+
+    Each axis is ranked once by :func:`_axis_ranks`.  Each level then
+    gathers the (3, L) ranks of its L slots once.  One minimum and one
+    maximum `reduceat` along those rows give each node's lowest and highest
+    rank on every axis, and its extent is the difference of the coordinates
+    at those ranks, which is max - min up to the sign of a zero extent.
+    The level sorts the values node * n + rank on each slot's split axis,
+    subtracts node * n, and looks each rank up in the inverse table `order`,
+    at row * n + rank, to get the slot's new id.  The keys and lookups are
+    int32 while nodes * n - 1 and 3n - 1 are below 2**31, and int64 past
+    that.  A level that covers every slot in order gathers no slots, and
+    the scratch is freed before the boxes are made, so the build's traced
+    peak is little above what its own tables hold.
+    """
+    h = checked_real(half_width, "half_width", 0.0) * frame.scale
+    cent = frame.rows(_as_point_array(points))
+    leaf_size = checked_count(leaf_size, "leaf_size")
+    n = len(cent)
+
+    # Sorting a node by rank is sorting it by (coordinate, id) on its axis.  The
+    # ranks and the levels' scratch are freed on return, before the boxes are made.
+    perm, levels = _split_levels(cent, *_axis_ranks(cent), leaf_size)
     starts, counts, split_axis, split_plane, leaf = (np.concatenate(t) for t in zip(*levels))
     splits = [np.count_nonzero(~level_leaf) for *_, level_leaf in levels]  # internal nodes per level
     del levels
@@ -353,7 +381,7 @@ def build_point_bvh(points, half_width: float, leaf_size: int = DEFAULT_LEAF_SIZ
         bounds[internal[ka:kb]] = np.minimum(kids[0::2], kids[1::2])
         kb = ka
 
-    return Bvh(bounds, left, starts, counts, perm, boxes, split_axis, split_plane, h, leaf_size, len(splits))
+    return Bvh(bounds, left, starts, counts, perm, boxes, split_axis, split_plane, h, leaf_size, len(splits), frame)
 
 
 def point_hits(bvh: Bvh, origin: tuple[float, float, float], inset: float = 0.0) -> tuple[np.ndarray, int]:

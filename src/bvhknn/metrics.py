@@ -27,6 +27,14 @@ source-form points into pipeline space, empty for the native Lp and LInf
 metrics, :func:`pipeline_metric_for` names the native metric searched
 there, and :func:`source_distances` and :func:`to_source_units` turn
 pipeline-space distances back into source units.
+
+Beside it, ``_FRAMES`` chooses the basis that the BVH of each native
+metric is built and walked in (:func:`frame_for`, a
+:class:`bvhknn.geometry.Frame`): the identity for every metric but lp:1,
+whose ball is boxed in the basis of its faces, u = S x / 4, and so is
+Hamming's, which is searched as lp:1 on 0/1 rows.  The frame decides the
+filter's boxes alone; distances are always taken on the pipeline-space
+rows.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import checked_real, checked_rows, float_rows
+from .geometry import IDENTITY, Frame, checked_real, checked_rows, face_rows, float_rows
 
 KIND_LP = "lp"
 KIND_LINF = "linf"
@@ -115,6 +123,13 @@ class MetricSpec:
         raise ValueError(f"unknown metric {text!r}")
 
 
+def _checked_metric(metric) -> MetricSpec:
+    """`metric` itself if it is a :class:`MetricSpec`, else ValueError: the one check of a metric argument."""
+    if not isinstance(metric, MetricSpec):
+        raise ValueError(f"metric must be a MetricSpec, got {metric!r}")
+    return metric
+
+
 def weights(metric: MetricSpec, points, q) -> np.ndarray:
     """Weight from `q` to each row of `points` under a native metric.
 
@@ -185,7 +200,7 @@ def inclusion_radius(metric: MetricSpec, r: float, d: int = 3) -> float:
     No finite f exists for the transform-backed metrics, so they are
     rejected; resolve them to a native pipeline metric first.  `r` is a real number > 0.
     """
-    if not metric.is_native:
+    if not _checked_metric(metric).is_native:
         raise ValueError(
             f"metric {metric.canonical()!r} has no L2 inclusion radius; "
             "map the points with transform_chain_for and search with pipeline_metric_for"
@@ -209,7 +224,7 @@ def in_lp_ball(q, center, metric: MetricSpec, r: float) -> bool:
     axis, so that point is inside for every p; a p-th root of r**p need not
     round back to r, and the balls would then not nest exactly.  `r` is a real number > 0.
     """
-    if not metric.is_native:
+    if not _checked_metric(metric).is_native:
         raise ValueError(f"metric {metric.canonical()!r} has no ball geometry")
     r = checked_real(r, "radius", 0.0, strict=True)
     w = weights(metric, checked_rows([q], "query"), checked_rows([center], "center"))[0]
@@ -305,11 +320,9 @@ _REDUCTIONS = {
 def _route(source: MetricSpec) -> tuple:
     """The `_REDUCTIONS` row of `source`, (None, source, None) for a native metric, else ValueError.
 
-    The one check of the metric for every route: a non-MetricSpec is refused.
+    A non-MetricSpec is refused.
     """
-    if not isinstance(source, MetricSpec):
-        raise ValueError(f"metric must be a MetricSpec, got {source!r}")
-    return _REDUCTIONS.get(source.kind, (None, source, None))
+    return _REDUCTIONS.get(_checked_metric(source).kind, (None, source, None))
 
 
 def transform_chain_for(source: MetricSpec) -> list[Transform]:
@@ -354,3 +367,25 @@ def to_source_units(source: MetricSpec, batch):
     d = batch.distances
     # a neighbor's distance is at most r, so finite; the padding's converts without a warning
     return replace(batch, distances=np.where(d < np.inf, back(d), np.inf))
+
+
+# The basis the BVH of each native metric is built and walked in.  It is
+# the identity for every metric but lp:1, whose ball is boxed in the basis
+# of its faces (geometry.face_rows), a box 1.5 times the ball where the cube
+# is 6 times; Hamming, which is searched as lp:1 on 0/1 rows, takes it too.
+# The probe reads that frame's boxes at c = 2 times the frame's half width
+# of r; on clustered data c = 1 probed half as many queries as the identity
+# frame does, and c = 3 probed a few more than c = 2 at a higher median
+# latency (ROADMAP item 16).
+_FRAMES = {
+    MetricSpec.lp(1): Frame("l1-faces", face_rows, scale=0.25, probe=2.0),
+}
+
+
+def frame_for(metric: MetricSpec) -> Frame:
+    """The frame the BVH of `metric` is built and walked in, that of its pipeline metric.
+
+    :data:`bvhknn.geometry.IDENTITY` unless that metric is lp:1, as it is
+    for Hamming.  A non-MetricSpec is refused.
+    """
+    return _FRAMES.get(pipeline_metric_for(metric), IDENTITY)

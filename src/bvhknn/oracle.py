@@ -225,8 +225,6 @@ class GroundTruth:
         for key in ("metric", "k", "rows"):
             if key not in obj:
                 raise ValueError(f"a truth file needs the key {key!r}")
-        if not isinstance(obj["metric"], str):
-            raise ValueError(f"a truth file's 'metric' must be a metric name, got {obj['metric']!r}")
         try:
             metric = MetricSpec.parse(obj["metric"]).canonical()
         except ValueError as exc:

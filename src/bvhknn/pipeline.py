@@ -8,11 +8,23 @@ A query runs in two stages:
    over the hit rows keeps the points whose distance is <= r and takes the
    k smallest by (weight, id).
 
+The tree is built and walked in the frame of the metric
+(:func:`bvhknn.metrics.frame_for`): the identity, or for lp:1 the basis of
+its ball's faces, u = S x / 4 (:func:`bvhknn.geometry.face_rows`), where
+the box of half width r / 4 around u(p) holds every point within L1
+distance r of p, 1.5 times the ball's volume where the cube is 6 times.
+:func:`build_index` builds over the mapped points, and both query entry
+points map their queries by the same operations, probe and walk in the
+frame, and take window radii and refine over the caller's rows, so the
+frame changes the hits, never an answer.  A query on an index built in
+another frame is refused.
+
 Before the filter, a probe gives each query in a dense region its own
 radius r_q <= r that surely holds k points (RTNN's "megacell", Zhu,
-PPoPP 2022).  The search names the policy (:func:`_probe_params`): r,
-the gate count GATE_PER_K * k and the density bar DENSE_PER_K * k.  The
-tree derives the geometry from r (:func:`bvhknn.bvh.probe_window`).  Its
+PPoPP 2022).  The search names the policy (:func:`_probe_params`): the
+probe radius, r itself in the identity frame, the gate count
+GATE_PER_K * k and the density bar DENSE_PER_K * k.  The
+tree derives the geometry from that radius (:func:`bvhknn.bvh.probe_window`).  Its
 descent ends at the gate node, the last on the query's way that holds at
 least the gate count.  The query is probed if the gate's points lie
 within r of it on every axis, or if those of the gate's child on its way
@@ -24,7 +36,9 @@ query it passes over keeps r.
 Any k points bound the k-th nearest distance, so every point of the
 answer at r lies within r_q, ties at the k-th place included.  The boxes
 are then inset by H - h(r_q), H being the index's half width and h the
-scene half width, linear in r, so the tree filters as one built at r_q
+scene half width, linear in r, both in the index's frame, and padded for
+the rounding of r_q and, in the face frame, of the map (:func:`_insets`),
+so the tree filters as one built at r_q
 would: an index serves any config with h(r) <= H and rejects the others.
 The refine still keeps distance <= r, so the answer is the oracle's at r,
 and each result reports the r_q it was searched with.
@@ -75,7 +89,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,11 +102,12 @@ from .bvh import (
     probe_windows,
     traverse_points,
 )
-from .geometry import checked_count, checked_real, checked_rows, shaped_rows
+from .geometry import Frame, checked_count, checked_real, checked_rows, shaped_rows
 from .metrics import (
     KIND_LINF,
     MetricSpec,
     distances,
+    frame_for,
     inclusion_radius,
     pipeline_metric_for,
     to_source_units,
@@ -113,13 +128,16 @@ class ReductionConfig:
     `enhanced`, a Python or numpy bool stored as a bool, selects the
     tighter scene geometry; it changes filtering cost, never results.
     The tree's leaf size is a build parameter, not a search setting (see
-    :func:`build_index`).
+    :func:`build_index`).  `frame` is no setting either: it is the metric's
+    (:func:`bvhknn.metrics.frame_for`), looked up once here, as every query
+    call checks it against its index's.
     """
 
     metric: MetricSpec
     r: float
     k: int
     enhanced: bool = False
+    frame: Frame = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.metric, MetricSpec):
@@ -130,6 +148,7 @@ class ReductionConfig:
         # numpy numbers and bools are stored as floats, ints and bools, which the reports' JSON takes
         object.__setattr__(self, "k", checked_count(self.k, "k"))
         object.__setattr__(self, "enhanced", bool(self.enhanced))
+        object.__setattr__(self, "frame", frame_for(self.metric))
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,15 +250,28 @@ def scene_half_width(config: ReductionConfig) -> float:
 def build_index(points, config: ReductionConfig) -> Bvh:
     """Build the BVH scene for `points` under `config`, boxes of half width ``scene_half_width(config)``.
 
-    The tree has the default leaf size; :func:`bvhknn.bvh.build_point_bvh`
-    builds one of any other, and every leaf size gives the same answers.
+    The tree is built in the frame of the config's metric,
+    :func:`bvhknn.metrics.frame_for`: over the points themselves, or for
+    lp:1 over their face map, with boxes of a quarter of that half width
+    (:func:`bvhknn.geometry.face_rows`).  It has the default leaf size;
+    :func:`bvhknn.bvh.build_point_bvh` builds one of any other in the same
+    frame, and every leaf size gives the same answers.
     """
-    return build_point_bvh(points, scene_half_width(config))
+    return build_point_bvh(points, scene_half_width(config), frame=config.frame)
 
 
-def _checked_points(bvh: Bvh, points, config: ReductionConfig) -> np.ndarray:
-    """`points` as a float32 or float64 array, after the O(1) checks every query entry point makes."""
+def _checked_points(bvh: Bvh, points, config: ReductionConfig) -> tuple[np.ndarray, float]:
+    """`points` as a float32 or float64 array, after the O(1) checks every query entry point makes.
+
+    The index must be built in the frame of the config's metric, with boxes
+    at least as wide as the config's in that frame.  Also returns the
+    config's half width h in that frame, which :func:`_insets` reads.
+    """
     h = scene_half_width(config)  # refuses a transform-backed metric
+    if bvh.frame is not config.frame:
+        raise ValueError(f"metric {config.metric.canonical()!r} filters in the {config.frame.name} frame "
+                         f"but the index was built in the {bvh.frame.name} frame")
+    h *= config.frame.scale
     if h > bvh.half_width:
         raise ValueError(f"config needs boxes of half width {h} but the index was built with {bvh.half_width}")
     # float32 data is kept as given, not copied whole on every call:
@@ -249,7 +281,7 @@ def _checked_points(bvh: Bvh, points, config: ReductionConfig) -> np.ndarray:
     points = shaped_rows(points, "data")
     if bvh.num_primitives != len(points):
         raise ValueError(f"index holds {bvh.num_primitives} primitives but dataset has {len(points)}")
-    return points
+    return points, h
 
 
 # The probe's gate count, times k: a query is probed only if its descent
@@ -286,13 +318,17 @@ def _window_radius(points: np.ndarray, ids: np.ndarray, origin: np.ndarray, conf
     return min(float(distances(config.metric, kth)[0]), config.r)
 
 
-def _insets(bvh: Bvh, radii: np.ndarray | float, config: ReductionConfig) -> np.ndarray | float:
+def _insets(bvh: Bvh, h: float, radii: np.ndarray | float, config: ReductionConfig, origins) -> np.ndarray | float:
     """Box insets H - h(r_q) for the radii r_q <= r, padded so that no point within r_q is lost.
 
-    `radii` is an array, or one Python float, for which the inset is a
-    Python float, computed by the same operations.
+    `radii` is an array, or one Python float, for which the inset is one
+    float, computed by the same operations.  `origins` are the
+    queries in the index's frame: the (m, 3) array, or the one row as 3
+    Python floats.
 
-    H is the index's half width, h = h(r) >= r that of `config`, and H >= h.
+    H is the index's half width and h = h(r) that of `config`, both in the
+    index's frame (:func:`_checked_points` gives h), and H >= h; below, p and
+    q are identity-frame rows, where h >= r.
     Say a point's weight is at most the k-th window weight.  Each axis
     offset then obeys |p_i - q_i| <= r_q * (1 + 2**-40) + tau: terms and
     sums round by a few 2**-53, the root by under one ulp plus
@@ -306,68 +342,102 @@ def _insets(bvh: Bvh, radii: np.ndarray | float, config: ReductionConfig) -> np.
     computed fl(p - H) <= fl(q - inset) and fl(q + inset) <= fl(p + H) hold
     too.  For r_q = r on an index built for `config` the inset is below 0:
     an offset just past r may round down to r, so the boxes widen.
+
+    In the face frame of lp:1 (:func:`bvhknn.geometry.face_rows`), H and h
+    are a quarter of the source half widths, and p and q above are the
+    computed rows u = fl(S x / 4).  The L1 weight bounds the sum, not only
+    each offset: |p - q|_1 <= r_q * (1 + 2**-40) in x, so the exact
+    |u_j(p) - u_j(q)| is at most a quarter of it, which h / r times the
+    bound covers as h = r / 4.  The computed rows add e(x) <=
+    2**-52 (1 + 2**-53) |x|_1 / 4 + 2**-1073 each.  The fourth face normal
+    gives |x|_1 / 4 <= 3 max_j |u_j(x)| <= 3 (max_j |fl u_j(x)| + e(x)), and
+    for a data point max_j |fl u_j(p)| <= B = max |bounds[0]|, since the root
+    box holds every fl u(p) ± H; no pass over the points is needed.  With
+    Q = max_j |fl u_j(q)| for the query, solving for the errors gives
+    e(p) + e(q) <= 3.001 * 2**-52 * (B + Q) + 2**-1071.  The pad
+    (B * 2**-48 + Q * 2**-48) + 2**-1064, which stays finite where B + Q
+    would not, is over five times that.  That leaves room
+    for its own rounding and for the few 2**-53 of it that the sum with
+    H * 2**-50 and the last difference round by, and its subnormal term
+    covers every error in absolute terms, as each operation rounds by at
+    most 2**-1075 below 2**-1022.  So H - inset >= |fl u_j(p) - fl u_j(q)|
+    on every axis, and the monotone rounding above holds as it stands.  No
+    query in the identity frame pays the pad.
     """
     metric, r = config.metric, config.r
-    h, H = scene_half_width(config), bvh.half_width
+    frame, H = bvh.frame, bvh.half_width
     tau = 0.0 if metric.kind == KIND_LINF or metric.p == 1.0 else 2.0 ** (1 - 1074 / metric.p)
-    return H - h * ((radii * (1 + 2.0 ** -40) + tau) / r) - H * 2.0 ** -50
+    slack = H * 2.0 ** -50
+    if frame.map is not None:  # the map's rounding of the data rows and the query rows
+        bound = float(np.abs(bvh.bounds[0]).max()) * 2.0 ** -48
+        slack = slack + ((bound + np.abs(origins).max(axis=-1) * 2.0 ** -48) + 2.0 ** -1064)
+    return H - h * ((radii * (1 + 2.0 ** -40) + tau) / r) - slack
 
 
 def _probe_params(config: ReductionConfig) -> tuple[float, int, float]:
-    """The probe's search policy under `config`: the radius r, the gate count and the density bar.
+    """The probe's search policy under `config`: its radius, the gate count and the density bar.
 
     The tree derives the reach, the window and the query's cube of side
-    2r from r (:func:`bvhknn.bvh.probe_window`).  The gate count
-    g = GATE_PER_K * k >= 2k makes a probed window, at least g slots, hold
-    k points.  The bar DENSE_PER_K * k probes a gate that overhangs the
+    twice the radius from it (:func:`bvhknn.bvh.probe_window`).  The gate
+    count g = GATE_PER_K * k >= 2k makes a probed window, at least g slots,
+    hold k points.  The bar DENSE_PER_K * k probes a gate that overhangs the
     reach only in a cluster far denser than r, whose k-th distance is well
     below r, so the window's radius cuts the hits; a gate that is not
     dense, as in evenly spread data, would pay for a window that seldom
-    shrinks r.  The rule reads the tree alone, so both entry points pick
-    the same queries.
+    shrinks r.  The probe reads the boxes of the index's frame, so its
+    radius is c times the frame's half width of r, c = ``frame.probe``:
+    r itself in the identity frame.  The face frame's boxes reach up to 3
+    times as far as the cube's, and c = 2 restores about the identity
+    frame's share of probed queries.  The rule reads the tree alone, so both
+    entry points pick the same queries.
     """
-    return config.r, GATE_PER_K * config.k, float(DENSE_PER_K * config.k)
+    frame = config.frame
+    return frame.probe * (frame.scale * config.r), GATE_PER_K * config.k, float(DENSE_PER_K * config.k)
 
 
-def _radii(bvh: Bvh, points: np.ndarray, queries: np.ndarray, config: ReductionConfig) -> np.ndarray:
+def _radii(bvh: Bvh, points: np.ndarray, queries: np.ndarray, framed: np.ndarray,
+           config: ReductionConfig) -> np.ndarray:
     """The radius r_q <= r that each row of the checked (m, 3) `queries` is searched with.
 
-    r for a query that the probe passes over.  The gate asks for points
-    within r, not within the scene half width, so plain and enhanced
-    scenes, which share their topology and split planes, give the same
-    radii (barring a query within rounding of a gate face).  Queries are
-    probed in blocks of at most PAIR_BUDGET window slots, so memory stays
-    bounded: a window holds at most 2 * gate slots.
+    `framed` holds the same rows in the index's frame, where the probe
+    descends; the window radius is taken over the caller's rows.  r for a
+    query that the probe passes over.  The gate asks for points near the
+    query at the probe radius, not at the scene half width, so plain and
+    enhanced scenes, which share their topology and split planes, give the
+    same radii (barring a query within rounding of a gate face).  Queries
+    are probed in blocks of at most PAIR_BUDGET window slots, so memory
+    stays bounded: a window holds at most 2 * gate slots.
     """
     radii = np.full(len(queries), config.r)
-    r, gate, crowd = _probe_params(config)
+    probe, gate, crowd = _probe_params(config)
     block = max(1, PAIR_BUDGET // (2 * gate))
     for a in range(0, len(queries), block):
-        origins = queries[a:a + block]
-        rows, ids = probe_windows(bvh, origins, r, gate, crowd)
+        rows, ids = probe_windows(bvh, framed[a:a + block], probe, gate, crowd)
         if rows.size:
-            radii[a + rows] = _window_radii(points, ids, origins.take(rows, axis=0), config)
+            radii[a + rows] = _window_radii(points, ids, queries[a:a + block].take(rows, axis=0), config)
     return radii
 
 
 def run_query(bvh: Bvh, points, q, config: ReductionConfig) -> QueryResult:
     """k nearest neighbors of `q` within distance `config.r`, filter then refine.
 
-    `bvh` must index `points` with boxes at least as wide as `config`
-    needs, ``bvh.half_width >= scene_half_width(config)``, else ValueError:
-    :func:`build_index` over the same points at any radius >= `config.r`
-    and the same or the plain scene.  Every such index returns the same
-    neighbors.  This is the per-query reference path: the probe and the
-    node walk in Python, which for one query beat a wavefront of one, with
-    the boxes inset as :func:`batch_query` insets them.
+    `bvh` must index `points` in the frame of `config.metric` with boxes at
+    least as wide as `config` needs there, else ValueError: :func:`build_index`
+    over the same points at any radius >= `config.r` and the same or the
+    plain scene.  Every such index returns the same neighbors.  The query is
+    mapped into the index's frame, where the probe and the walk run; its
+    window radius and the refine read the caller's rows.  This is the
+    per-query reference path: the probe and the node walk in Python, which
+    for one query beat a wavefront of one, with the boxes inset as
+    :func:`batch_query` insets them.
     """
     metric = config.metric
-    points = _checked_points(bvh, points, config)
+    points, h = _checked_points(bvh, points, config)
     row = checked_rows(np.asarray(q, dtype=np.float64)[None], "query")  # [q]: fails as batch_query([q]) does
-    origin = row[0].tolist()  # the node walks read Python floats
+    origin = bvh.frame.rows(row)[0].tolist()  # the node walks read Python floats
     ids = probe_window(bvh, origin, *_probe_params(config))
     radius = config.r if ids is None else _window_radius(points, ids, row[0], config)
-    hits, tested = point_hits(bvh, origin, _insets(bvh, radius, config))
+    hits, tested = point_hits(bvh, origin, float(_insets(bvh, h, radius, config, origin)))
     w = weights(metric, _rows(points, hits), row[0])
     dist = distances(metric, w)
     inside = dist <= config.r
@@ -384,7 +454,9 @@ def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> BatchResu
     layout of ``cKDTree.query`` (a missing neighbor reads id n and
     distance inf), per-query counts and radii r_q.  Its item i equals
     ``run_query(bvh, points, queries[i], config)``, counts included, and
-    is built only when asked for; `bvh` is checked as there.  The probe
+    is built only when asked for; `bvh` is checked as there.  The queries
+    are mapped into the index's frame once, by the operations that map
+    run_query's one row, so both walk bitwise the same rows.  The probe
     runs for all queries first, one tree level a step, and gives each its
     box inset, below 0 where the boxes widen (:func:`_insets`).  One
     wavefront, :func:`bvhknn.bvh.traverse_points`, then walks every query
@@ -397,10 +469,11 @@ def batch_query(bvh: Bvh, points, queries, config: ReductionConfig) -> BatchResu
     (hi - lo) * R * n passes 2**63 raises OverflowError, which the run
     limits of :func:`traverse_points` allow only for n > 2**31 points.
     """
-    points = _checked_points(bvh, points, config)
+    points, h = _checked_points(bvh, points, config)
     queries = np.ascontiguousarray(checked_rows(queries, "query"))
-    radii = _radii(bvh, points, queries, config)
-    return _refined(traverse_points(bvh, queries, _insets(bvh, radii, config)), points, queries, radii, config)
+    framed = bvh.frame.rows(queries)
+    radii = _radii(bvh, points, queries, framed, config)
+    return _refined(traverse_points(bvh, framed, _insets(bvh, h, radii, config, framed)), points, queries, radii, config)
 
 
 def _run_order(rows: np.ndarray, ids: np.ndarray, w: np.ndarray, lo: int, hi: int, n: int) -> np.ndarray:

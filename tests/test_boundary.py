@@ -48,6 +48,8 @@ from bvhknn import (
     transform_points,
     weights,
 )
+from bvhknn.geometry import IDENTITY
+from bvhknn.metrics import frame_for
 from bvhknn.pipeline import _insets
 
 METRICS = [MetricSpec.lp(1), MetricSpec.lp(1.5), MetricSpec.lp(2), MetricSpec.lp(3), MetricSpec.linf()]
@@ -165,7 +167,9 @@ def test_inset_boxes_pass_points_within_r_q(metric, enhanced):
     # offset p - q rounds to at most r_q on an axis stays inside its box of
     # half width H >= h(r), inset for r_q, whether H is the index's own
     # width for r or wider.  r_q = r on the index's own width needs the
-    # boxes widened: p - q may round down to r from just past it.
+    # boxes widened: p - q may round down to r from just past it.  This is
+    # the identity frame's bound, for lp:1 too; the face frame's pad has its
+    # own test.
     rng = np.random.default_rng(1111)
     for _ in range(200):
         r = float(rng.uniform(0.01, 0.25))
@@ -175,7 +179,7 @@ def test_inset_boxes_pass_points_within_r_q(metric, enhanced):
         r_q[:100] = r
         q = H * rng.uniform(-2, 2, size=500) * 2.0 ** -rng.uniform(0, 20, size=500)
         p = q + r_q
-        inset = _insets(SimpleNamespace(half_width=H), r_q, cfg)
+        inset = _insets(SimpleNamespace(half_width=H, frame=IDENTITY), scene_half_width(cfg), r_q, cfg, q)
         assert ((p - H <= q - inset) | (p - q > r_q)).all()
 
 
@@ -185,14 +189,17 @@ def test_points_exactly_r_q_along_an_axis(metric, enhanced):
     # the six points s away along an axis are the k = 6 nearest, and with
     # 20 points the window holds them all, so the probe takes r_q = s: each
     # lies exactly on a face of the boxes inset to r_q.  r is not dyadic,
-    # so the inset rounds.
+    # so the inset rounds.  lp:1 probes in its face frame at 2r, which holds
+    # the points within L1 distance 2r >= 4s, so there the far points' other
+    # two offsets are halved, to keep their L1 offsets within 4s.
     rng = np.random.default_rng(111)
     k = 6
+    spread = 0.5 if frame_for(metric) is not IDENTITY else 1.0
     for _ in range(SCENES):
         q = rng.integers(0, 64, size=3) / 64
         s = 2.0 ** -int(rng.integers(3, 8))
         r = float(rng.uniform(2.0, 3.0)) * s
-        far = rng.uniform(-2, 2, size=(14, 3))  # within r on every axis, farther than s on one
+        far = rng.uniform(-2, 2, size=(14, 3)) * spread  # within r on every axis, farther than s on one
         far[np.arange(14), rng.integers(0, 3, size=14)] = rng.choice([-1, 1], size=14) * rng.uniform(1.25, 2, size=14)
         pts = rng.permutation(np.vstack([q + s * np.eye(3), q - s * np.eye(3), q + s * far]))
         results = assert_probed_matches_oracle(pts, [q], metric, r, k, enhanced)
@@ -226,14 +233,17 @@ def test_lattice_ties_at_the_probed_radius(metric, enhanced):
 def test_duplicates_give_zero_probed_radius(metric, enhanced):
     # 3k copies of the query point: when the window holds k of them (the
     # build may scatter copies between subtrees), its k-th distance is 0,
-    # and the boxes inset to r_q = 0 pass the copies and nothing else
+    # and the boxes inset to r_q = 0 pass the copies and nothing else.
+    # lp:1 probes in its face frame at 2r, so there the near points lie
+    # within 2r / 3 on every axis, within L1 distance 2r.
     rng = np.random.default_rng(707)
+    spread = 2 / 3 if frame_for(metric) is not IDENTITY else 1.0
     zero = 0
     for _ in range(SCENES // 2):
         q = rng.random(3)
         k = int(rng.integers(1, 9))
         r = float(rng.uniform(0.05, 0.2))
-        near = q + rng.uniform(-r, r, size=(40, 3))
+        near = q + rng.uniform(-r, r, size=(40, 3)) * spread
         pts = rng.permutation(np.vstack([np.tile(q, (3 * k, 1)), near]))
         results = assert_probed_matches_oracle(pts, [q], metric, r, k, enhanced)
         if results.radii[0] == 0.0:
@@ -313,7 +323,8 @@ def test_batch_query_matches_oracle_near_lattice(pts, queries, metric, enhanced,
     if r is None:  # the oracle's own k-th distance for the first query, when positive
         r = brute_force_knn(pts, queries[0], metric, k)[-1][1] or 0.25
     cfg = ReductionConfig(metric, r, k, enhanced)
-    results = batch_query(build_point_bvh(pts, scene_half_width(cfg), leaf_size), pts, queries, cfg)
+    bvh = build_point_bvh(pts, scene_half_width(cfg), leaf_size, frame_for(metric))
+    results = batch_query(bvh, pts, queries, cfg)
     assert len(results) == len(queries)
     for res, q in zip(results, queries):
         assert res.neighbors == brute_force_knn(pts, q, metric, k, radius=r)
@@ -460,3 +471,108 @@ def test_knn_search_equals_radius_bounded_oracle(metric, enhanced, layout):
         short += sum(len(row) < min(k, len(data)) for row in truth)
         probed += np.count_nonzero(got.radii < r)
     assert short and probed  # rows cut by the radius, and queries searched with r_q < r
+
+
+# lp:1 and Hamming filter in the face frame, u = S x / 4
+# (bvhknn.geometry.face_rows).  The frame's rounding grows with the
+# coordinates' size, not with r, so these scenes sit where _insets' pad
+# decides: at scales near the smallest normals and the largest doubles, and
+# far from the origin with a radius of a few ulps there.
+
+L1 = MetricSpec.lp(1)
+
+
+def assert_face_frame_matches_oracle(pts, queries, r, k, enhanced):
+    """On lp:1's face-frame index, batch_query == [run_query ...] == the oracle at r, and so is knn_search."""
+    cfg = ReductionConfig(L1, r, k, enhanced)
+    bvh = build_index(pts, cfg)
+    assert bvh.frame is frame_for(L1) is not IDENTITY
+    got = batch_query(bvh, pts, queries, cfg)
+    assert got == [run_query(bvh, pts, q, cfg) for q in queries]
+    want = [brute_force_knn(pts, q, L1, k, radius=r) for q in queries]
+    assert [res.neighbors for res in got] == want
+    assert [res.neighbors for res in knn_search(pts, queries, L1, r, k, enhanced)] == want
+    return got
+
+
+# (centre of the cloud, its lattice step): coordinates near 1e-300 and
+# 1e300 of either sign, near +1.7e308 and -1.7e308, whose face map would
+# overflow without its quarter, and near 1e6 with steps of about 9 ulps.
+EXTREMES = {
+    "tiny": (lambda rng: rng.uniform(-1, 1, size=3) * 1e-300, 1e-302),
+    "huge": (lambda rng: rng.uniform(-1, 1, size=3) * 1e300, 1e298),
+    "top": (lambda rng: np.full(3, 1.7e308) - rng.uniform(0, 1, size=3) * 1e307, 1e306),
+    "bottom": (lambda rng: np.full(3, -1.7e308) + rng.uniform(0, 1, size=3) * 1e307, 1e306),
+    "far": (lambda rng: 1e6 + rng.uniform(-1, 1, size=3), 1e-9),
+}
+
+
+@pytest.mark.parametrize("layout", ["lattice", "duplicated", "random"])
+@pytest.mark.parametrize("where", sorted(EXTREMES))
+def test_face_frame_is_exact_where_the_pad_decides(where, layout):
+    # a 5x5x5 lattice (weights tie many times over, at the k-th place too),
+    # the same lattice with every point three times, or random points, at
+    # the scene's scale; the queries sit on and between lattice points and
+    # on data points, and r is the first query's own k-th distance, so
+    # points lie exactly on the radius, or a lattice multiple of the step
+    rng = np.random.default_rng(sorted(EXTREMES).index(where) * 3 + ["lattice", "duplicated", "random"].index(layout))
+    centre_of, step = EXTREMES[where]
+    for _ in range(4):
+        centre = centre_of(rng)
+        if layout == "random":
+            grid = rng.uniform(0, 4, size=(150, 3))
+        else:
+            grid = rng.integers(0, 5, size=(150, 3)).astype(float)
+            if layout == "duplicated":
+                grid = np.repeat(grid[:50], 3, axis=0)
+        pts = rng.permutation(centre + step * grid)
+        queries = np.vstack([centre + step * rng.integers(0, 9, size=(10, 3)) / 2, pts[:4],
+                             centre + step * rng.uniform(-1, 5, size=(4, 3))])
+        assert np.isfinite(pts).all() and np.isfinite(frame_for(L1).rows(pts)).all()
+        k = int(rng.integers(1, 12))
+        kth = brute_force_knn(pts, queries[0], L1, k)[-1][1]
+        for r in (kth or step, 2.0 * step, 0.75 * step):
+            for enhanced in (False, True):
+                assert_face_frame_matches_oracle(pts, queries, r, k, enhanced)
+
+
+def test_face_frame_maps_every_finite_row_to_finite_boxes():
+    # (1e308, 1e308, 0) sums to inf unscaled; scaled by 1/4 no finite row
+    # maps to an infinity, nor do its boxes at any finite r, so such data
+    # builds, in a spread whose coordinate extents the build can take, and
+    # answers as the oracle does
+    big = np.finfo(np.float64).max
+    rows = np.array([[1e308, 1e308, 0.0], [big, big, big], [-big, -big, -big], [big, -big, big], [-big, big, big]])
+    u = frame_for(L1).rows(rows)
+    assert np.isfinite(u).all() and abs(u).max() == 0.75 * big
+    pts = np.array([[1e308, 1e308, 0.0], [big, big, big], [1e308, 1e308, 1e-300], [2e307, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for r in (1.0, 1e307, big):
+        bvh = build_index(pts, ReductionConfig(L1, r, 2))
+        assert np.isfinite(bvh.bounds).all() and np.isfinite(bvh.boxes).all() and np.isfinite(bvh.split_plane).all()
+    # rows at the top of the range, whose L1 distances stay finite
+    top = np.array([[big, big, big], [big, big, 1.7e308], [1.7e308, 1.75e308, big], [1.6e308, 1.7e308, 1.7e308]])
+    for r in (1e306, 3e307, 4e307):
+        assert_face_frame_matches_oracle(top, top, r, 2, False)
+
+
+@pytest.mark.parametrize("enhanced", [False, True])
+def test_hamming3_in_the_face_frame(enhanced):
+    # every vertex of the cube three times over, plus more copies: Hamming
+    # distances 0..3 tie everywhere, and the walk runs in the face frame of
+    # lp:1, which Hamming is searched as
+    rng = np.random.default_rng(808)
+    metric = MetricSpec.hamming3()
+    vertices = [format(v, "03b") for v in range(8)]
+    codes = rng.permutation(vertices * 3 + list(rng.choice(vertices, size=16))).tolist()
+    chain = transform_chain_for(metric)
+    data, queries = transform_points(chain, codes), transform_points(chain, vertices)
+    for k in (1, 3, 5, 12, 40):
+        for r in (0.5, 1.0, 2.0, 3.0):
+            cfg = ReductionConfig(pipeline_metric_for(metric), r, k, enhanced)
+            bvh = build_index(data, cfg)
+            assert bvh.frame is frame_for(metric) is frame_for(L1)
+            got = batch_query(bvh, data, queries, cfg)
+            assert got == [run_query(bvh, data, q, cfg) for q in queries]
+            want = [brute_force_knn(codes, v, metric, k, radius=r) for v in vertices]
+            assert [res.neighbors for res in got] == want
+            assert [res.neighbors for res in knn_search(codes, vertices, metric, r, k, enhanced)] == want

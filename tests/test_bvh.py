@@ -6,9 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bvhknn import (Bvh, MetricSpec, build_point_bvh, containment_scan, transform_chain_for, transform_points,
-                    traverse_points)
+from bvhknn import (Bvh, MetricSpec, ReductionConfig, build_index, build_point_bvh, containment_scan,
+                    transform_chain_for, transform_points, traverse_points)
 from bvhknn import bvh as bvh_module
+from bvhknn.geometry import IDENTITY
+from bvhknn.metrics import frame_for
 
 
 def collect_hits(bvh, q):
@@ -300,21 +302,64 @@ def test_build_tables_match_recorded_digests(kind):
     assert got == RECORDED_TABLE_DIGESTS[kind]
 
 
-def test_build_peak_memory_is_pinned():
-    # The build's traced peak, its tables included, guards peak_rss_mb on ingest-cosine-200k.
-    # The argsort build peaked at 6,872,515 bytes here, 137.4503 bytes a point, and the value-sort
-    # build at about 106.3.  The rank-gather build peaks at about 102.4, when the boxes are made;
-    # the bound is that plus about 5%, so that the level scratch cannot grow unnoticed.
-    n = 50_000
-    pts = np.random.default_rng(0).random((n, 3))
+def traced_build_peaks(monkeypatch, build):
+    """The traced peaks of `build()`, in bytes: up to the axis ranks, over the level loop, then to the end.
+
+    `_axis_ranks` and `_split_levels` are wrapped to read the peak and reset
+    it when they return, so each phase is measured alone.
+    """
+    peaks = []
+
+    def phase_end(step):
+        def wrapped(*args):
+            out = step(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return out
+        return wrapped
+
+    monkeypatch.setattr(bvh_module, "_axis_ranks", phase_end(bvh_module._axis_ranks))
+    monkeypatch.setattr(bvh_module, "_split_levels", phase_end(bvh_module._split_levels))
     tracemalloc.start()
     try:
-        bvh = build_point_bvh(pts, 0.01)
-        peak = tracemalloc.get_traced_memory()[1]
+        bvh = build()
+        peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
+        monkeypatch.undo()
+    return bvh, peaks
+
+
+def test_build_peak_memory_is_pinned(monkeypatch):
+    # The build's traced peak, its tables included, guards peak_rss_mb on ingest-cosine-200k.
+    # The argsort build peaked at 6,872,515 bytes here, 137.4503 bytes a point, the value-sort
+    # build at about 106.3 and the rank-gather build at about 102.4, when the boxes are made.
+    # With the level loop in its own function, whose scratch is freed on return, the peak is
+    # about 98.4.  The level loop alone peaks at about 78.4 a point; each bound is its figure
+    # plus about 5%, so that neither the boxes nor the level scratch can grow unnoticed.
+    n = 50_000
+    pts = np.random.default_rng(0).random((n, 3))
+    bvh, (ranks, levels, boxes) = traced_build_peaks(monkeypatch, lambda: build_point_bvh(pts, 0.01))
     assert bvh.num_primitives == n
-    assert peak / n <= 107.5
+    assert max(ranks, levels, boxes) / n <= 103.3
+    assert levels / n <= 82.3
+
+
+def test_face_frame_build_holds_one_more_row_array(monkeypatch):
+    # build_index under lp:1 builds over the face map of the points: one
+    # (n, 3) float64 array, 24 bytes a point, held through the build, and
+    # nothing else above the identity frame's build under lp:2, phase by
+    # phase, but the array object and allocator noise, under 1 KiB
+    n = 50_000
+    pts = np.random.default_rng(0).random((n, 3))
+    peaks = {}
+    for metric in (MetricSpec.lp(2), MetricSpec.lp(1)):
+        cfg = ReductionConfig(metric, 0.01, 10)
+        bvh, peaks[metric] = traced_build_peaks(monkeypatch, lambda: build_index(pts, cfg))
+        assert bvh.frame is frame_for(metric)
+    assert frame_for(MetricSpec.lp(2)) is IDENTITY is not frame_for(MetricSpec.lp(1))
+    for plain, framed in zip(peaks[MetricSpec.lp(2)], peaks[MetricSpec.lp(1)]):
+        assert 0 < framed - plain <= 24 * n + 1024
 
 
 def test_build_rejects_bad_input():

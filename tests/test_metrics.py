@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,16 @@ def test_inclusion_radius_rejects_bad_inputs():
             inclusion_radius(MetricSpec.lp(2), bad, 3)
         with pytest.raises(ValueError, match=f"radius must be {message}"):
             in_lp_ball(ORIGIN, ORIGIN, MetricSpec.lp(2), bad)
+
+
+def test_ball_geometry_refuses_a_metric_that_is_no_metricspec():
+    # a metric name, None or a number is refused by name, as the search config refuses it
+    for bad in ("lp:2", None, 2):
+        refused = re.escape(f"metric must be a MetricSpec, got {bad!r}")
+        with pytest.raises(ValueError, match=refused):
+            inclusion_radius(bad, 0.3)
+        with pytest.raises(ValueError, match=refused):
+            in_lp_ball(ORIGIN, ORIGIN, bad, 0.3)
 
 
 def test_in_lp_ball_examples():

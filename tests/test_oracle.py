@@ -377,8 +377,9 @@ def test_ground_truth_roundtrip(tmp_path):
     for name, canonical in (("lp:2.0", "lp:2"), (" LINF ", "linf"), ("lp:1.50", "lp:1.5")):
         path.write_text(json.dumps({**truth.to_dict(), "metric": name}))
         assert GroundTruth.load(path).metric == canonical
-    for bad, message in ((5, "'metric' must be a metric name, got 5"),
-                         (None, "'metric' must be a metric name, got None"),
+    # one prefix on MetricSpec.parse's own refusal, for a non-string as for a bad name
+    for bad, message in ((5, "'metric': metric must be a metric name, got 5"),
+                         (None, "'metric': metric must be a metric name, got None"),
                          ("lp:x", "'metric': bad lp exponent in metric 'lp:x'"),
                          ("manhattan", "'metric': unknown metric 'manhattan'")):
         path.write_text(json.dumps({**truth.to_dict(), "metric": bad}))

@@ -30,7 +30,8 @@ from bvhknn import (
 from bvhknn import bvh as bvh_module
 from bvhknn import metrics as metrics_module
 from bvhknn import pipeline as pipeline_module
-from bvhknn.metrics import Transform, to_source_units
+from bvhknn.geometry import IDENTITY
+from bvhknn.metrics import Transform, frame_for, to_source_units
 from bvhknn.pipeline import BatchResult, _run_order
 from test_bvh import split_path
 
@@ -293,7 +294,7 @@ def test_batch_query_equals_run_query(kind, metric, enhanced, leaf_size):
     seen = []
     for r in (0.03, 0.2):
         cfg = ReductionConfig(metric, r, k, enhanced)
-        bvh = build_point_bvh(pts, scene_half_width(cfg), leaf_size)
+        bvh = build_point_bvh(pts, scene_half_width(cfg), leaf_size, frame_for(metric))
         got = batch_query(bvh, pts, queries, cfg)
         assert got == [run_query(bvh, pts, q, cfg) for q in queries]
         assert got[-1].hit_count == got[-2].hit_count == 0
@@ -333,14 +334,28 @@ def cluster_scene(rng, r):
 @pytest.mark.parametrize("metric", [L1, L2], ids=lambda m: m.canonical())
 def test_probe_takes_the_dense_gate_that_overhangs_the_reach(metric):
     # the probe's second rule: a gate whose box overhangs q ± (r + H) is
-    # still probed when its child on the way lies inside and it is dense
+    # still probed when its child on the way lies inside and it is dense.
+    # The rule reads the tree's frame, at the probe radius there: r itself
+    # in the identity frame, r / 2 for lp:1, whose source rows are mapped
+    # back from a scene laid out in its face frame.  There the scene's
+    # scale is 3/4 of the probe radius, inside the (0.61, 1] that the rule
+    # allows, so that the window's k-th L1 distance in the source rows,
+    # about 4 times the frame's offsets, falls below r.
     rng = np.random.default_rng(30)
     r, k = 1.0, 10
-    pts, queries = cluster_scene(rng, r)
     cfg = ReductionConfig(metric, r, k)
+    frame = frame_for(metric)
+    probe = pipeline_module._probe_params(cfg)[0]
+    framed_pts, framed_queries = cluster_scene(rng, probe if frame is IDENTITY else 0.75 * probe)
+    if frame is IDENTITY:
+        pts, queries = framed_pts, framed_queries
+    else:  # u = S x / 4, so x = (S / 4)^-1 u
+        S = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, 1.0]]) / 4
+        pts, queries = (np.linalg.solve(S, u.T).T for u in (framed_pts, framed_queries))
     bvh = build_index(pts, cfg)
-    reach = r + bvh.half_width
-    for q in queries:  # the scene is as cluster_scene says: the gate, a cluster, overhangs; its child does not
+    assert bvh.frame is frame
+    reach = probe + bvh.half_width
+    for q in frame.rows(queries):  # the scene is as cluster_scene says: the gate, a cluster, overhangs; its child does not
         path = split_path(bvh, q)
         gate, child = path[2], path[3]
         assert bvh.counts[gate] == 24 and bvh.counts[child] == 12
@@ -348,9 +363,9 @@ def test_probe_takes_the_dense_gate_that_overhangs_the_reach(metric):
         assert (q - reach <= lo[child]).all() and (hi[child] <= q + reach).all()
         assert not ((q - reach <= lo[gate]).all() and (hi[gate] <= q + reach).all())
     params = pipeline_module._probe_params(cfg)
-    probed = [bvh_module.probe_window(bvh, tuple(q), *params) is not None for q in queries.tolist()]
+    probed = [bvh_module.probe_window(bvh, tuple(q), *params) is not None for q in frame.rows(queries).tolist()]
     assert probed == [True, False, False, True]  # the dense slabs, not the sparse slab or the flat sheet
-    assert bvh_module.probe_windows(bvh, queries, *params)[0].tolist() == [0, 3]
+    assert bvh_module.probe_windows(bvh, frame.rows(queries), *params)[0].tolist() == [0, 3]
     got = batch_query(bvh, pts, queries, cfg)
     assert got == [run_query(bvh, pts, q, cfg) for q in queries]
     assert (got.radii[[0, 3]] < r).all() and (got.radii[[1, 2]] == r).all()
@@ -369,9 +384,10 @@ def test_work_counts_of_a_two_density_scene():
     queries = np.vstack([rng.random((100, 3)), pts[rng.choice(len(pts), 200, replace=False)] + 0.001])
     cfg = ReductionConfig(L1, 0.02, 10)
     got = batch_query(build_index(pts, cfg), pts, queries, cfg)
-    # (queries probed with a radius below r, hits, node boxes tested)
+    # (queries probed with a radius below r, hits, node boxes tested), in
+    # lp:1's face frame; walked in the identity frame they read (39, 10456, 12328)
     counts = int((got.radii < cfg.r).sum()), int(got.hits.sum()), int(got.nodes_tested.sum())
-    assert counts == (39, 10456, 12328)
+    assert counts == (38, 3827, 9808)
 
 
 @pytest.mark.parametrize("metric", BATCH_METRICS, ids=lambda m: m.canonical())
@@ -386,7 +402,7 @@ def test_leaf_size_never_changes_an_answer(metric):
         want = [brute_force_knn(pts, q, metric, k, radius=r) for q in queries]
         for leaf_size in (1, 4, 8, 16):
             cfg = ReductionConfig(metric, r, k)
-            got = batch_query(build_point_bvh(pts, scene_half_width(cfg), leaf_size), pts, queries, cfg)
+            got = batch_query(build_point_bvh(pts, scene_half_width(cfg), leaf_size, frame_for(metric)), pts, queries, cfg)
             assert [res.neighbors for res in got] == want
 
 
@@ -646,6 +662,35 @@ def test_batch_query_rejects_bad_query_arrays():
         queries[2, 1] = bad
         with pytest.raises(ValueError, match="query index 2"):
             batch_query(bvh, pts, queries, cfg)
+
+
+def test_an_index_in_another_frame_is_refused():
+    # lp:1 and Hamming filter in the face frame, every other metric in the
+    # identity: a tree built in the other frame is refused by both entry
+    # points, naming both frames, however wide its boxes
+    pts = np.random.default_rng(5).random((40, 3))
+    faces = frame_for(L1)
+    assert frame_for(MetricSpec.hamming3()) is faces and frame_for(L2) is IDENTITY is not faces
+    cases = [
+        (build_point_bvh(pts, 1.0), ReductionConfig(L1, 0.2, 3), "lp:1", faces, IDENTITY),
+        (build_point_bvh(pts, 1.0, 4), ReductionConfig(L1, 0.2, 3, enhanced=True), "lp:1", faces, IDENTITY),
+        (build_index(pts, ReductionConfig(L1, 1.0, 3)), ReductionConfig(L2, 0.2, 3), "lp:2", IDENTITY, faces),
+        (build_point_bvh(pts, 1.0, frame=faces), ReductionConfig(LINF, 0.2, 3), "linf", IDENTITY, faces),
+    ]
+    for index, config, name, wanted, built in cases:
+        assert index.frame is built and config.frame is wanted
+        message = re.escape(f"metric {name!r} filters in the {wanted.name} frame but the index was built in "
+                            f"the {built.name} frame")
+        with pytest.raises(ValueError, match=message):
+            run_query(index, pts, pts[0], config)
+        with pytest.raises(ValueError, match=message):
+            batch_query(index, pts, pts[:2], config)
+    # the same points in the right frame answer as the oracle does
+    cfg = ReductionConfig(L1, 0.2, 3)
+    index = build_point_bvh(pts, 1.0, frame=faces)
+    assert index.half_width == 0.25 and index.frame is faces
+    assert [res.neighbors for res in batch_query(index, pts, pts[:5], cfg)] == \
+        [brute_force_knn(pts, q, L1, 3, radius=0.2) for q in pts[:5]]
 
 
 def test_query_entry_points_share_input_checks():
