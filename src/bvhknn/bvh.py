@@ -174,14 +174,17 @@ class Bvh:
         `overlap_volume_sum` adds up, over every internal node, the volume
         where its two child boxes intersect (0 when they are disjoint or
         only touch): space a query must descend both children to cover.
+        An extent, area or volume past the largest double reads inf, without
+        a warning.
         """
         leaves = self.left < 0
         lo, hi = self.bounds[:, :3], -self.bounds[:, 3:]
-        ext = hi - lo
-        area = 2.0 * (ext[:, 0] * ext[:, 1] + ext[:, 1] * ext[:, 2] + ext[:, 2] * ext[:, 0])
         first = self.left[~leaves]
-        side = np.minimum(hi[first], hi[first + 1]) - np.maximum(lo[first], lo[first + 1])
-        overlap = np.clip(side, 0.0, None).prod(axis=1)
+        with np.errstate(over="ignore"):
+            ext = hi - lo
+            area = 2.0 * (ext[:, 0] * ext[:, 1] + ext[:, 1] * ext[:, 2] + ext[:, 2] * ext[:, 0])
+            side = np.minimum(hi[first], hi[first + 1]) - np.maximum(lo[first], lo[first + 1])
+            overlap = np.clip(side, 0.0, None).prod(axis=1)
         return {
             "num_leaves": int(np.count_nonzero(leaves)),
             "leaf_fill_mean": float(self.counts[leaves].mean() / self.leaf_size),
@@ -251,6 +254,10 @@ def _split_levels(cent: np.ndarray, rank: np.ndarray, order: np.ndarray,
     `rank` and `order` are the tables of :func:`_axis_ranks`.  Returns
     `perm`, the primitive id of every storage slot, and one (starts, counts,
     split axis, split plane, leaf mask) row of arrays per level, top down.
+    A node splits on the axis of its longest centroid extent, ties going x,
+    then y, then z.  An extent past the largest double reads inf, without a
+    warning, so a node that spans more than that on some axis splits on the
+    first such axis.
     """
     n = len(cent)
     orders = order.ravel()  # axis a's row starts at a * n
@@ -280,7 +287,8 @@ def _split_levels(cent: np.ndarray, rank: np.ndarray, order: np.ndarray,
         # can differ, in its sign, which argmax does not see.
         lo = np.minimum.reduceat(ranked, offsets, axis=1)
         hi = np.maximum.reduceat(ranked, offsets, axis=1)
-        extent = np.stack([cent[order[a].take(hi[a]), a] - cent[order[a].take(lo[a]), a] for a in range(3)])
+        with np.errstate(over="ignore"):
+            extent = np.stack([cent[order[a].take(hi[a]), a] - cent[order[a].take(lo[a]), a] for a in range(3)])
         # Split on the longest centroid extent; argmax takes the first
         # maximum, so ties go x, then y, then z.  A leaf is stored in x order.
         axis = np.where(leaf, 0, extent.argmax(axis=0))

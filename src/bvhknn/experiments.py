@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import checked_count, checked_real
-from .metrics import pipeline_metric_for, to_source_units, transform_chain_for, transform_points
+from .metrics import pipeline_metric_for, source_distances, transform_chain_for, transform_points
 from .oracle import GroundTruth, ground_truth
 from .pipeline import BatchResult, ReductionConfig, batch_query, build_index, scene_half_width
 
@@ -101,7 +101,7 @@ def _run_shared_build(variants, repeats: int) -> list[dict]:
             t1 = time.perf_counter()
             run = batch_query(bvh, data3, queries3, pcfg)
             search_ms[i].append((time.perf_counter() - t1) * 1e3)
-            run = to_source_units(source, run)
+            run = replace(run, distances=source_distances(source, run.distances))
             if results[i] is not None and not (np.array_equal(results[i].ids, run.ids)
                                                and np.array_equal(results[i].distances, run.distances)):
                 raise RuntimeError("result lists differ across repeats of the same run")

@@ -17,16 +17,17 @@ rounds exactly as a row-wise sum would.  Radius queries keep a point iff
 its distance is <= r and order neighbors by (weight, id).
 
 Every metric reaches the pipeline by one route, and one table decides
-it: ``_REDUCTIONS``, at the end of this module, pairs each transform-backed
-metric, which has no finite circumscribing L2 radius, with an
-order-preserving transformation, the native metric searched in its image
-and the map of that metric's distances back to source units.  It is the
-only list of those kinds: :class:`MetricSpec` accepts ``lp``, ``linf`` and
-its keys.  From it :func:`transform_chain_for` gives the chain that maps
-source-form points into pipeline space, empty for the native Lp and LInf
-metrics, :func:`pipeline_metric_for` names the native metric searched
-there, and :func:`source_distances` and :func:`to_source_units` turn
-pipeline-space distances back into source units.
+it: ``_REDUCTIONS``, at the end of this module, gives each transform-backed
+metric, which has no finite circumscribing L2 radius, one row that is its
+whole route: the function of an order-preserving map of its points, the
+native metric searched in their image, and the function that maps that
+metric's distances back to source units.  It is the only list of those
+kinds: :class:`MetricSpec` accepts ``lp``, ``linf`` and its keys.  From it
+:func:`transform_chain_for` gives the chain of maps into pipeline space,
+the row's map or nothing for the native Lp and LInf metrics, which
+:func:`transform_points` applies; :func:`pipeline_metric_for` names the
+native metric searched there, and :func:`source_distances`, the one
+back-map, turns pipeline-space distances into source units.
 
 Beside it, ``_FRAMES`` chooses the basis that the BVH of each native
 metric is built and walked in (:func:`frame_for`, a
@@ -39,9 +40,9 @@ rows.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -235,18 +236,10 @@ def in_lp_ball(q, center, metric: MetricSpec, r: float) -> bool:
 # Order-preserving transformations: the route of every metric into pipeline space
 
 
-class Transform(enum.Enum):
-    """Point mappings whose images preserve source-metric distance order in L2."""
-
-    NORMALIZE = "normalize"
-    EMBED_2D = "embed2d"
-    HAMMING_VERTEX = "hamming_vertex"
-
-
 def bit_vertex(s) -> tuple[float, float, float]:
     """The unit-cube vertex of a bit string of length 1..3, left-padded with zeros, else ValueError.
 
-    HAMMING_VERTEX and the ``bits`` dataset reader both read bit strings by this rule.
+    Hamming's map and the ``bits`` dataset reader both read bit strings by this rule.
     """
     if not isinstance(s, str) or not 1 <= len(s) <= 3 or set(s) - {"0", "1"}:
         raise ValueError(f"expected a bit string of length 1..3, got {s!r}")
@@ -254,66 +247,80 @@ def bit_vertex(s) -> tuple[float, float, float]:
     return (float(padded[0]), float(padded[1]), float(padded[2]))
 
 
-def transform_points(chain: list[Transform], points, label: str = "point") -> np.ndarray:
-    """Apply a transform chain to a whole collection, returning an (n, 3) array.
+def _normalized(points, label: str) -> np.ndarray:
+    """Unit vectors, for cosine and angular: every finite nonzero 3-vector by one path.
 
-    NORMALIZE maps every finite nonzero 3-vector by one path: y = x / m,
-    m = max |x_i|, then y / sqrt(sum y_i**2), a sum in [1, 3] at any scale;
-    so exact positive multiples c * x map to bitwise the same unit vector,
-    as c * x_i / (c * m) rounds as x_i / m does.  EMBED_2D lifts (x, y) to
-    (x, y, 0); HAMMING_VERTEX takes bit
-    strings of length <= 3 (left-padded with zeros) to the matching cube
-    vertices.  Rejects inputs a transform cannot accept, naming the shape
-    or the offending `label` row (e.g. a zero vector under NORMALIZE), and
-    a bare string, which is one bit string, not a collection of them.
+    y = x / m, m = max |x_i|, then y / sqrt(sum y_i**2), a sum in [1, 3] at
+    any scale; so exact positive multiples c * x map to bitwise the same
+    unit vector, as c * x_i / (c * m) rounds as x_i / m does.  A zero
+    vector is refused by its `label` index.
+    """
+    arr = checked_rows(points, label)
+    origin = (0.0, 0.0, 0.0)
+    m = weights(MetricSpec.linf(), arr, origin)  # max |x_i|, by the column-wise kernel
+    zero = np.flatnonzero(m == 0.0)
+    if zero.size:
+        raise ValueError(f"cannot normalize zero vector at {label} index {zero[0]}")
+    y = arr / m[:, None]
+    return y / np.sqrt(weights(MetricSpec.lp(2), y, origin))[:, None]
+
+
+def _embedded_2d(points, label: str) -> np.ndarray:
+    """(x, y) rows lifted to (x, y, 0), for euclid2d."""
+    return np.pad(float_rows(points, label, 2), ((0, 0), (0, 1)))  # a zero z column
+
+
+def _hamming_vertices(points, label: str) -> np.ndarray:
+    """The cube vertices of bit strings (:func:`bit_vertex`), or 0/1 vertex rows as they are, for hamming3."""
+    if len(points) and isinstance(points[0], str):
+        rows = []
+        for i, s in enumerate(points):
+            try:
+                rows.append(bit_vertex(s))
+            except ValueError as exc:
+                raise ValueError(f"{label} index {i}: {exc}") from None
+        return np.asarray(rows, dtype=np.float64)
+    rows = float_rows(points, label)
+    bad = np.flatnonzero(~np.isin(rows, (0.0, 1.0)).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{label} index {bad[0]}: hamming input must be bit strings or 0/1 vertex rows")
+    return rows
+
+
+def transform_points(chain: list[Callable], points, label: str = "point") -> np.ndarray:
+    """Apply a transform chain from :func:`transform_chain_for` to a whole collection, returning an (n, 3) array.
+
+    Each entry is the map of a ``_REDUCTIONS`` row, applied in turn: unit
+    vectors for cosine and angular, (x, y, 0) for euclid2d, and cube
+    vertices of bit strings of length <= 3 (left-padded with zeros) for
+    hamming3.  An entry that is no row's map is refused as an unknown
+    transform.  Rejects inputs a map cannot accept, naming the shape or
+    the offending `label` row (e.g. a zero vector under cosine), and a
+    bare string, which is one bit string, not a collection of them.
     """
     if isinstance(points, str):
         raise ValueError(f"expected a collection of {label} rows, got the bare string {points!r}: "
                          "put one bit string in a list")
     current = points
     for t in chain:
-        if t is Transform.NORMALIZE:
-            arr = checked_rows(current, label)
-            origin = (0.0, 0.0, 0.0)
-            m = weights(MetricSpec.linf(), arr, origin)  # max |x_i|, by the column-wise kernel
-            zero = np.flatnonzero(m == 0.0)
-            if zero.size:
-                raise ValueError(f"cannot normalize zero vector at {label} index {zero[0]}")
-            y = arr / m[:, None]
-            current = y / np.sqrt(weights(MetricSpec.lp(2), y, origin))[:, None]
-        elif t is Transform.EMBED_2D:
-            current = np.pad(float_rows(current, label, 2), ((0, 0), (0, 1)))  # a zero z column
-        elif t is Transform.HAMMING_VERTEX:
-            if len(current) and isinstance(current[0], str):
-                rows = []
-                for i, s in enumerate(current):
-                    try:
-                        rows.append(bit_vertex(s))
-                    except ValueError as exc:
-                        raise ValueError(f"{label} index {i}: {exc}") from None
-                current = np.asarray(rows, dtype=np.float64)
-            else:
-                current = float_rows(current, label)
-                bad = np.flatnonzero(~np.isin(current, (0.0, 1.0)).all(axis=1))
-                if bad.size:
-                    raise ValueError(f"{label} index {bad[0]}: hamming input must be bit strings or 0/1 vertex rows")
-        else:
+        if not any(t is row[0] for row in _REDUCTIONS.values()):
             raise ValueError(f"unknown transform {t!r}")
+        current = t(current, label)
     return float_rows(current, label)
 
 
 # The one list of transform-backed metrics, which MetricSpec accepts beside
-# lp and linf.  Each row is a metric's route into pipeline space: the
-# transform that maps its points there, the native metric searched there,
-# and the map of that metric's distances back to source units, None where
-# they are the same.  A chord c between unit vectors is the cosine
-# similarity 1 - c * c / 2 and the angle 2 asin(min(1, c / 2)).  A metric
-# not listed is native and is searched as it is.
+# lp and linf.  Each row is a metric's whole route into pipeline space: the
+# map of its points there, the native metric searched there, and the map of
+# that metric's distances back to source units, None where they are the
+# same.  A chord c between unit vectors is the cosine similarity
+# 1 - c * c / 2 and the angle 2 asin(min(1, c / 2)).  A metric not listed is
+# native and is searched as it is.
 _REDUCTIONS = {
-    KIND_COSINE: (Transform.NORMALIZE, MetricSpec.lp(2), lambda c: 1.0 - c * c / 2.0),  # a similarity
-    KIND_ANGULAR: (Transform.NORMALIZE, MetricSpec.lp(2), lambda c: 2.0 * np.arcsin(np.minimum(c / 2.0, 1.0))),
-    KIND_EUCLID2D: (Transform.EMBED_2D, MetricSpec.lp(2), None),
-    KIND_HAMMING3: (Transform.HAMMING_VERTEX, MetricSpec.lp(1), None),
+    KIND_COSINE: (_normalized, MetricSpec.lp(2), lambda c: 1.0 - c * c / 2.0),  # a similarity
+    KIND_ANGULAR: (_normalized, MetricSpec.lp(2), lambda c: 2.0 * np.arcsin(np.minimum(c / 2.0, 1.0))),
+    KIND_EUCLID2D: (_embedded_2d, MetricSpec.lp(2), None),
+    KIND_HAMMING3: (_hamming_vertices, MetricSpec.lp(1), None),
 }
 
 
@@ -325,8 +332,8 @@ def _route(source: MetricSpec) -> tuple:
     return _REDUCTIONS.get(_checked_metric(source).kind, (None, source, None))
 
 
-def transform_chain_for(source: MetricSpec) -> list[Transform]:
-    """The transform chain that maps `source`-form points into pipeline space.
+def transform_chain_for(source: MetricSpec) -> list[Callable]:
+    """The transform chain that maps `source`-form points into pipeline space: its route's map.
 
     Empty for a native metric, whose points are searched as they are.
     """
@@ -346,27 +353,17 @@ def pipeline_metric_for(source: MetricSpec) -> MetricSpec:
 def source_distances(source: MetricSpec, d: np.ndarray) -> np.ndarray:
     """Pipeline-space distances `d` in `source` units, by the route's map back.
 
-    This is the one formula of the oracle and the pipeline: chords become
-    similarities for cosine and angles for angular; other metrics keep `d`.
-    """
-    back = _route(source)[2]
-    return d if back is None else back(d)
-
-
-def to_source_units(source: MetricSpec, batch):
-    """A pipeline-space :class:`bvhknn.pipeline.BatchResult`, its distances in `source` units.
-
-    The filled slots are mapped as :func:`source_distances` maps them.
-    The padding stays (n, inf) in every unit, and the ids, counts and
-    radii (in pipeline units) stay.  For a metric whose distances do not
-    change, the batch is returned as it is.
+    This is the one back-map of the oracle and the pipeline: chords become
+    similarities for cosine and angles for angular; other metrics keep `d`,
+    the array itself.  A batch's padding stays: an inf maps to inf in every
+    unit, without a warning.
     """
     back = _route(source)[2]
     if back is None:
-        return batch
-    d = batch.distances
-    # a neighbor's distance is at most r, so finite; the padding's converts without a warning
-    return replace(batch, distances=np.where(d < np.inf, back(d), np.inf))
+        return d
+    out = back(d)  # a neighbor's distance is at most r, so finite; the padding's converts without a warning
+    out[d == np.inf] = np.inf
+    return out
 
 
 # The basis the BVH of each native metric is built and walked in.  It is

@@ -6,8 +6,8 @@ the reference the indexed pipelines are judged against.  Recall is the
 fraction of true nearest neighbors an approximate result recovered,
 compared as id sets.
 
-The data and the queries are each mapped once per call, by the
-pipeline's own route, :func:`bvhknn.metrics.transform_chain_for`
+The data and the queries are each mapped once per call, by the map of
+the pipeline's own route, :func:`bvhknn.metrics.transform_chain_for`
 (normalised for cosine/angular, lifted to (x, y, 0) for euclid2d, parsed
 for Hamming; a non-finite coordinate is rejected by index).  Per query,
 one call of the shared column-wise weight kernel, under the pipeline
@@ -22,7 +22,7 @@ every row whose key is at or below the k-th key is kept, so that all
 ties at the k-th place survive, and that small set is sorted by
 (key, id).  The answer is exactly the first k of a stable sort of every
 key.  Similarities and angles are taken only for the rows returned, by
-the pipeline's one formula, :func:`bvhknn.metrics.source_distances`.
+the pipeline's one back-map, :func:`bvhknn.metrics.source_distances`.
 This module imports only :mod:`bvhknn.metrics` and :mod:`bvhknn.geometry`,
 none of the code it checks.
 
@@ -60,7 +60,7 @@ NeighborRow = list[tuple[int, float]]
 def _mapped(points, metric: MetricSpec, label: str) -> np.ndarray:
     """The rows a rank key is computed from: the data, or a whole query batch, in pipeline space.
 
-    The points take the pipeline's own route, :func:`bvhknn.metrics.transform_chain_for`:
+    The points take the map of the pipeline's own route, :func:`bvhknn.metrics.transform_chain_for`:
     unit vectors for cosine and angular, (x, y, 0) rows for euclid2d (the
     zero column adds an exact 0 to every weight), cube vertices for Hamming,
     and the coordinates themselves otherwise.  The rows are stored
@@ -148,7 +148,7 @@ def brute_force_knn(points, q, metric: MetricSpec, k: int, radius: float | None 
 
     Every metric is ranked by (weight, id) under the weight kernel of its
     pipeline metric, in the pipeline's space: cosine and angular by the L2
-    chord between NORMALIZE's unit vectors, whose similarity or angle is
+    chord between the unit vectors of their map, whose similarity or angle is
     reported.  So ids, order and distances are those of
     :func:`bvhknn.pipeline.knn_search` at the same radius, boundary and
     ties included.

@@ -71,9 +71,9 @@ other metric reaches it by one route, which one table in
 :mod:`bvhknn.metrics` decides: :func:`bvhknn.metrics.transform_chain_for`
 maps source-form points into pipeline space,
 :func:`bvhknn.metrics.pipeline_metric_for` names the native metric searched
-there, and :func:`bvhknn.metrics.to_source_units` turns a batch's distance
-array back into source units.  :func:`knn_search` runs that route around
-:func:`build_index` and :func:`batch_query`.
+there, and :func:`bvhknn.metrics.source_distances` turns a batch's distance
+array back into source units, padding kept.  :func:`knn_search` runs that
+route around :func:`build_index` and :func:`batch_query`.
 
 A query is one finite row of 3 (:func:`bvhknn.geometry.checked_rows`), and
 an empty list is no queries; the build checks every data row, and a query
@@ -89,7 +89,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -110,7 +110,7 @@ from .metrics import (
     frame_for,
     inclusion_radius,
     pipeline_metric_for,
-    to_source_units,
+    source_distances,
     transform_chain_for,
     transform_points,
     weights,
@@ -140,15 +140,13 @@ class ReductionConfig:
     frame: Frame = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.metric, MetricSpec):
-            raise ValueError(f"metric must be a MetricSpec, got {self.metric!r}")
+        object.__setattr__(self, "frame", frame_for(self.metric))  # refuses a non-MetricSpec first
         object.__setattr__(self, "r", checked_real(self.r, "radius", 0.0, strict=True))
         if not isinstance(self.enhanced, (bool, np.bool_)):
             raise ValueError(f"enhanced must be a bool, got {self.enhanced!r}")
         # numpy numbers and bools are stored as floats, ints and bools, which the reports' JSON takes
         object.__setattr__(self, "k", checked_count(self.k, "k"))
         object.__setattr__(self, "enhanced", bool(self.enhanced))
-        object.__setattr__(self, "frame", frame_for(self.metric))
 
 
 @dataclass(frozen=True, slots=True)
@@ -546,12 +544,13 @@ def knn_search(data, queries, metric: MetricSpec, r: float, k: int, enhanced: bo
     and bit strings (or 0/1 vertex rows) for Hamming.  `r` is a radius in
     pipeline space (a chord length for cosine/angular).  Returns the
     :class:`BatchResult` of :func:`batch_query`, its distances in source
-    units by :func:`bvhknn.metrics.to_source_units`; ordering follows ascending source
-    distance (for cosine: ascending angle, i.e. descending similarity).
+    units by :func:`bvhknn.metrics.source_distances`, padding kept; ordering
+    follows ascending source distance (for cosine: ascending angle, i.e.
+    descending similarity).
     """
     chain = transform_chain_for(metric)
     config = ReductionConfig(pipeline_metric_for(metric), r, k, enhanced)
     data3 = transform_points(chain, data, label="data")
     queries3 = transform_points(chain, queries, label="query")
-    bvh = build_index(data3, config)
-    return to_source_units(metric, batch_query(bvh, data3, queries3, config))
+    batch = batch_query(build_index(data3, config), data3, queries3, config)
+    return replace(batch, distances=source_distances(metric, batch.distances))

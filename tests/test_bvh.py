@@ -398,6 +398,21 @@ def test_tree_stats_of_a_fixed_scene():
                                 "surface_area_sum": 289.19694721137375, "overlap_volume_sum": 2.2989634015487628}
 
 
+@pytest.mark.parametrize("leaf_size", [1, 2, 8])
+def test_build_over_a_span_past_the_largest_double(leaf_size):
+    # x spans 2e308: the extent reads inf with no overflow, so the root splits on x
+    rng = np.random.default_rng(leaf_size)
+    pts = np.concatenate([rng.random((30, 3)), [[1e308, 0.0, 0.0], [-1e308, 0.0, 0.0]]])
+    origins = np.concatenate([pts, rng.random((20, 3)), [[1e308, 0.05, 0.0], [-1.7e308, 0.0, 0.0]]])
+    with np.errstate(all="raise"):
+        bvh = build_point_bvh(pts, 0.1, leaf_size)
+        assert bvh.split_axis[0] == 0
+        assert bvh.tree_stats()["surface_area_sum"] == np.inf
+        rows, ids, _, _ = all_hits(bvh, origins)
+        for j, qrow in enumerate(origins):
+            assert sorted(ids[rows == j].tolist()) == containment_scan(pts, 0.1, qrow)
+
+
 def six_comparisons(pts, half_width, q, inset):
     """Ids whose box (c - h, c + h) holds q inset by `inset`, by six plain Python comparisons a box."""
     a, b = [v - inset for v in q], [v + inset for v in q]

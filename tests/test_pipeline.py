@@ -31,7 +31,7 @@ from bvhknn import bvh as bvh_module
 from bvhknn import metrics as metrics_module
 from bvhknn import pipeline as pipeline_module
 from bvhknn.geometry import IDENTITY
-from bvhknn.metrics import Transform, frame_for, to_source_units
+from bvhknn.metrics import frame_for, source_distances
 from bvhknn.pipeline import BatchResult, _run_order
 from test_bvh import split_path
 
@@ -759,18 +759,24 @@ def test_build_and_search_name_the_bad_data_row():
 
 # --- transforms -------------------------------------------------------------
 
+# The chains of the routes' three maps: unit vectors, the (x, y, 0) lift and cube vertices.
+NORMALIZE = transform_chain_for(MetricSpec.cosine())
+EMBED_2D = transform_chain_for(MetricSpec.euclid2d())
+HAMMING_VERTEX = transform_chain_for(MetricSpec.hamming3())
+
+
 def test_apply_transform_examples():
-    assert transform_points([Transform.NORMALIZE], [(3, 4, 0)]).tolist() == [[0.6, 0.8, 0.0]]
-    assert transform_points([Transform.EMBED_2D], [(1, 2)]).tolist() == [[1, 2, 0]]
-    assert transform_points([Transform.HAMMING_VERTEX], ["101"]).tolist() == [[1, 0, 1]]
-    assert transform_points([Transform.HAMMING_VERTEX], ["1"]).tolist() == [[0, 0, 1]]  # left-padded
+    assert transform_points(NORMALIZE, [(3, 4, 0)]).tolist() == [[0.6, 0.8, 0.0]]
+    assert transform_points(EMBED_2D, [(1, 2)]).tolist() == [[1, 2, 0]]
+    assert transform_points(HAMMING_VERTEX, ["101"]).tolist() == [[1, 0, 1]]
+    assert transform_points(HAMMING_VERTEX, ["1"]).tolist() == [[0, 0, 1]]  # left-padded
 
 
 def test_normalize_rejects_zero_vector():
     with pytest.raises(ValueError):
-        transform_points([Transform.NORMALIZE], [(0, 0, 0)])
+        transform_points(NORMALIZE, [(0, 0, 0)])
     with pytest.raises(ValueError, match="index 1"):
-        transform_points([Transform.NORMALIZE], np.array([[1, 0, 0], [0, 0, 0]], float))
+        transform_points(NORMALIZE, np.array([[1, 0, 0], [0, 0, 0]], float))
 
 
 def normalized(rows):
@@ -783,16 +789,16 @@ def normalized(rows):
 def test_normalize_scales_norms_that_overflow_or_underflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow or underflow warning escapes
-        unit = transform_points([Transform.NORMALIZE], [[1e-170, 0, 0], [0, -1e-320, 0], [1e200, 0, 0],
-                                                        [3e300, 4e300, 0], [3e-200, 4e-200, 0]])
+        unit = transform_points(NORMALIZE, [[1e-170, 0, 0], [0, -1e-320, 0], [1e200, 0, 0],
+                                            [3e300, 4e300, 0], [3e-200, 4e-200, 0]])
         assert unit.tolist() == [[1, 0, 0], [0, -1, 0], [1, 0, 0], [0.6, 0.8, 0], [0.6, 0.8, 0]]
-        big = transform_points([Transform.NORMALIZE], [[1e200] * 3])
+        big = transform_points(NORMALIZE, [[1e200] * 3])
         assert np.allclose(big, 3 ** -0.5, rtol=1e-15, atol=0)
         # every row takes the one path, bit for bit: Gaussian rows, a subnormal
         # row and a row whose small component underflows against its large one
         rows = np.concatenate([np.random.default_rng(8).normal(size=(500, 3)),
                                [[5e-324, 0.0, -1e-323], [3e-320, -4e-321, 7e-322], [1e300, 1e-300, 0.0]]])
-        unit = transform_points([Transform.NORMALIZE], rows)
+        unit = transform_points(NORMALIZE, rows)
         assert unit.tobytes() == normalized(rows).tobytes()
         assert unit[-3].tolist() == (np.array([0.5, 0.0, -1.0]) / np.sqrt(1.25)).tolist()
         assert unit[-1].tolist() == [1.0, 0.0, 0.0]
@@ -800,15 +806,15 @@ def test_normalize_scales_norms_that_overflow_or_underflow():
         # is exact (checked in Fractions), as 3 * v and 0.5 * v all are
         grid = np.stack(np.meshgrid(*[np.arange(-6.0, 7.0)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
         grid = grid[grid.any(axis=1)]
-        base = transform_points([Transform.NORMALIZE], grid)
+        base = transform_points(NORMALIZE, grid)
         for c in (3.0, 0.5, 1e-170, 1e200):
             scaled = c * grid
             exact = np.array([all(Fraction(x) == Fraction(c) * Fraction(v) for x, v in zip(cv, v))
                               for cv, v in zip(scaled.tolist(), grid.tolist())])
             assert exact.all() if c in (3.0, 0.5) else exact.sum() >= 300
-            assert transform_points([Transform.NORMALIZE], scaled[exact]).tobytes() == base[exact].tobytes()
+            assert transform_points(NORMALIZE, scaled[exact]).tobytes() == base[exact].tobytes()
     with pytest.raises(ValueError, match="zero vector at point index 1"):
-        transform_points([Transform.NORMALIZE], [[1e-170, 0, 0], [0, 0, 0]])
+        transform_points(NORMALIZE, [[1e-170, 0, 0], [0, 0, 0]])
 
 
 def test_cosine_finds_the_parallel_vector_of_a_huge_query():
@@ -824,7 +830,7 @@ def test_cosine_finds_the_parallel_vector_of_a_huge_query():
 def test_hamming_vertex_rejects_bad_strings():
     for bad in ("", "0110", "21", 5):
         with pytest.raises(ValueError):
-            transform_points([Transform.HAMMING_VERTEX], [bad])
+            transform_points(HAMMING_VERTEX, [bad])
     # vertex rows that are not 0/1: the first bad row is named, data or query
     phrase = "hamming input must be bit strings or 0/1 vertex rows"
     chain = transform_chain_for(MetricSpec.hamming3())
@@ -849,7 +855,7 @@ def test_a_bare_bit_string_is_no_collection():
     with pytest.raises(ValueError, match="collection of data rows, got the bare string '0101'"):
         knn_search("0101", ["101"], h3, 3.0, 2)
     with pytest.raises(ValueError, match="collection of point rows"):
-        transform_points([Transform.HAMMING_VERTEX], np.str_("11"))
+        transform_points(HAMMING_VERTEX, np.str_("11"))
     # one query in a list is one query, and brute_force_knn wraps its one query itself
     want = [(5, 0.0), (1, 1.0)]
     assert brute_force_knn(codes, "101", h3, 2) == want
@@ -858,18 +864,18 @@ def test_a_bare_bit_string_is_no_collection():
 
 
 def test_transform_points_rejects_an_unknown_transform():
-    # a chain holds Transform members, not their values
-    for bad in ("normalize", None):
-        with pytest.raises(ValueError, match=f"unknown transform {bad!r}"):
+    # a chain holds the routes' maps, not their names, and no other function
+    for bad in ("normalize", None, np.asarray):
+        with pytest.raises(ValueError, match=re.escape(f"unknown transform {bad!r}")):
             transform_points([bad], [[1.0, 0.0, 0.0]])
     with pytest.raises(ValueError, match="unknown transform 'normalize'"):
-        transform_points([Transform.NORMALIZE, "normalize"], [[1.0, 0.0, 0.0]])
+        transform_points(NORMALIZE + ["normalize"], [[1.0, 0.0, 0.0]])
 
 
 def test_transform_points_matches_scalar():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(50, 3))
-    batch = transform_points([Transform.NORMALIZE], pts)
+    batch = transform_points(NORMALIZE, pts)
     for (x, y, z), out in zip(pts.tolist(), batch):
         norm = math.sqrt(x * x + y * y + z * z)
         single = (x / norm, y / norm, z / norm)
@@ -877,8 +883,8 @@ def test_transform_points_matches_scalar():
 
 
 def test_chain_resolution():
-    assert transform_chain_for(MetricSpec.cosine()) == [Transform.NORMALIZE]
-    assert transform_chain_for(MetricSpec.euclid2d()) == [Transform.EMBED_2D]
+    assert transform_chain_for(MetricSpec.cosine()) == transform_chain_for(MetricSpec.angular())
+    assert transform_chain_for(MetricSpec.euclid2d()) != transform_chain_for(MetricSpec.cosine())
     assert pipeline_metric_for(MetricSpec.hamming3()) == L1
     assert pipeline_metric_for(MetricSpec.angular()) == L2
     assert transform_chain_for(L2) == []
@@ -894,7 +900,7 @@ def test_chain_resolution():
         if spec.is_native:
             assert chain == [] and native == spec
         else:
-            assert len(chain) == 1 and isinstance(chain[0], Transform) and native.is_native
+            assert chain == [metrics_module._REDUCTIONS[spec.kind][0]] and native.is_native
         assert scene_half_width(ReductionConfig(native, 0.5, 3)) >= 0.5  # the route reaches a scene
     assert set(metrics_module._REDUCTIONS) == {spec.kind for spec in specs if not spec.is_native}
 
@@ -917,12 +923,15 @@ def test_to_source_units_per_kind(name):
     assert (filled < k).any() and (filled > 0).any()  # padded slots and neighbours both
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the padding converts without a RuntimeWarning
-        out = to_source_units(metric, batch)
-    if metric.kind not in ("cosine", "angular"):
-        assert out is batch
-        return
+        dist = source_distances(metric, batch.distances)
+        out = knn_search(data, queries, metric, r, k)
+    # knn_search's batch is this one, its distances mapped back
     for field in ("ids", "candidates", "hits", "nodes_tested", "radii"):
         assert getattr(out, field).tobytes() == getattr(batch, field).tobytes()
+    assert out.distances.tobytes() == dist.tobytes()
+    if metric.kind not in ("cosine", "angular"):
+        assert dist is batch.distances
+        return
     pad = np.arange(k) >= filled[:, None]
     assert (out.ids[pad] == len(data)).all() and (out.distances[pad] == np.inf).all()
     # each filled slot is the oracle's conversion of the same chord, bit for bit

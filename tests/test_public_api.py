@@ -45,10 +45,12 @@ assert not loaded, loaded
 """
 
 
-def test_the_library_needs_no_scipy():
+def test_the_library_needs_no_scipy(request):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY, str(ROOT / "src")], env=env,
+    # the run's own -W filters, so a warning that fails the suite fails the script too
+    flags = [f"-W{f}" for f in request.config.getoption("pythonwarnings") or []]
+    proc = subprocess.run([sys.executable, *flags, "-c", NO_SCIPY, str(ROOT / "src")], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
